@@ -105,7 +105,14 @@ def _parse_theta(spec: str) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 1:
         raise ValueError("theta must be a flat list of atom values")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("theta values must be finite")
     return arr
+
+
+def _check_se_mult(x: float) -> None:
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"--se-mult must be finite and > 0, got {x!r}")
 
 
 def _cmd_loops(args) -> int:
@@ -162,6 +169,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_mc(args) -> int:
     suite = _resolve_suite(args, args.parser)
+    _check_se_mult(args.se_mult)
     mu = load_measure(args.measure) if args.measure else None
     if suite == "all":
         reps = run_mc_all(args.seed, mu, args.samples, args.se_mult)
@@ -176,6 +184,7 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_all(args) -> int:
+    _check_se_mult(args.se_mult)
     mu = load_measure(args.measure) if args.measure else None
     reps = run_verify_all(args.seed, mu) \
         + run_mc_all(args.seed, mu, args.samples, args.se_mult)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -68,17 +69,10 @@ def iter_loop_partitions(n: int) -> Iterator[LoopPartition]:
     yield from rec(0)
 
 
-_PARTITION_CACHE: dict[int, list[LoopPartition]] = {}
-
-
-def loop_partitions(n: int) -> list[LoopPartition]:
-    """All loop partitions of order n (cached for small n)."""
-    if n in _PARTITION_CACHE:
-        return _PARTITION_CACHE[n]
-    parts = list(iter_loop_partitions(n))
-    if n <= 8:
-        _PARTITION_CACHE[n] = parts
-    return parts
+@lru_cache(maxsize=None)
+def loop_partitions(n: int) -> tuple[LoopPartition, ...]:
+    """All loop partitions of order n (cached)."""
+    return tuple(iter_loop_partitions(n))
 
 
 def loop_census(n: int) -> int:

@@ -109,8 +109,10 @@ class JacobiCoefficients:
 
 
 def jacobi_coefficients(sigma: float, N: int) -> JacobiCoefficients:
-    if sigma <= 0:
-        raise DomainError("sigma must be positive")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise DomainError("sigma must be finite and > 0")
+    if N < 0:
+        raise DomainError("N must be >= 0")
     n = np.arange(N + 1, dtype=float)
     alphas = np.sqrt(n * (n - 1.0 + sigma))
     betas = 2.0 * n + sigma

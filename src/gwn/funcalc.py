@@ -36,7 +36,8 @@ from scipy.special import roots_laguerre
 
 from .errors import ContractError, DimensionError, DomainError
 from .fieldops import annihilate1, annihilate2, create, neutral
-from .gammasample import MCEstimate, SamplerConfig, iter_jump_batches
+from .gammasample import (MCEstimate, SamplerConfig, iter_jump_batches,
+                          mean_and_se)
 from .measure import AtomicMeasure
 from .symtensor import FockVector, SymTensor, _insert_ranks, sym_product
 from .wickcalc import (Basis, OmegaSample, PolyFunctional, evaluate_batch,
@@ -408,8 +409,8 @@ def a1_plus_mc_adjointness_check(phi: PolyFunctional, psi: PolyFunctional, xi,
                                          annihilate1(xi, psi_w.kernels, measure)),
                           measure)
     xi_mass = measure.integrate(xi)
-    sums, sqsums = [], []
-    for masses, owners, atoms, sizes in iter_jump_batches(measure, cfg):
+
+    def stat(masses, owners, atoms, sizes):
         phi0 = evaluate_batch(phi_m, masses, measure)
         psi0 = evaluate_batch(psi_m, masses, measure)
         a1v = evaluate_batch(a1_psi, masses, measure)
@@ -422,13 +423,11 @@ def a1_plus_mc_adjointness_check(phi: PolyFunctional, psi: PolyFunctional, xi,
             add = np.zeros(masses.shape[0])
             np.add.at(add, owners, contrib)
             aplus = aplus + add
-        stat = aplus * psi0 - phi0 * a1v
-        sums.append(stat.sum())
-        sqsums.append((stat * stat).sum())
-    n = cfg.n_samples
-    mean = float(np.sum(np.array(sums))) / n
-    var = max(float(np.sum(np.array(sqsums))) - n * mean * mean, 0.0) / max(n - 1, 1)
-    return MCEstimate(mean, math.sqrt(var / n), n)
+        return aplus * psi0 - phi0 * a1v
+
+    mean, se = mean_and_se(stat(*batch)
+                           for batch in iter_jump_batches(measure, cfg))
+    return MCEstimate(float(mean[0]), float(se[0]), cfg.n_samples)
 
 
 def multiplication_reassembly_check(p: PolyFunctional, xi, omega: OmegaSample,

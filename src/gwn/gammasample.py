@@ -13,6 +13,7 @@ Streams are counter-based (Philox): batch b of a run uses the generator
 jumped b times from the seed key, and partial batch sums are reduced with
 np.sum over a stacked array.  Estimates are therefore bit-identical for a
 fixed seed and sample count no matter how batches would be scheduled.
+Every batch holds DEFAULT_BATCH samples except a shorter last one.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ class SamplerConfig:
     n_samples: int
     mode: SamplerMode = SamplerMode.PER_ATOM_GAMMA
     cp_truncation: float = 1e-6
-    batch_size: int = DEFAULT_BATCH
 
     def __post_init__(self) -> None:
         if not 0 <= int(self.seed) < 2 ** 64:
@@ -55,8 +55,6 @@ class SamplerConfig:
             raise DomainError("n_samples must be >= 1")
         if not 0.0 < self.cp_truncation < 1.0:
             raise DomainError("cp_truncation must lie in (0, 1)")
-        if self.batch_size < 1:
-            raise DomainError("batch_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -140,15 +138,16 @@ def sample_omega(measure: AtomicMeasure, cfg: SamplerConfig,
     return OmegaSample(_draw_batch(measure, cfg, rng, 1)[0])
 
 
+def _batches(cfg: SamplerConfig, draw):
+    """Yield draw(rng, size) for each batch, on the per-batch jumped streams."""
+    for b, start in enumerate(range(0, cfg.n_samples, DEFAULT_BATCH)):
+        yield draw(_stream(cfg.seed, b), min(DEFAULT_BATCH, cfg.n_samples - start))
+
+
 def iter_sample_batches(measure: AtomicMeasure, cfg: SamplerConfig):
     """Yield (batch_index, masses) with the per-batch jumped streams."""
-    done = 0
-    b = 0
-    while done < cfg.n_samples:
-        size = min(cfg.batch_size, cfg.n_samples - done)
-        yield b, _draw_batch(measure, cfg, _stream(cfg.seed, b), size)
-        done += size
-        b += 1
+    return enumerate(_batches(
+        cfg, lambda rng, size: _draw_batch(measure, cfg, rng, size)))
 
 
 def iter_jump_batches(measure: AtomicMeasure, cfg: SamplerConfig):
@@ -159,34 +158,31 @@ def iter_jump_batches(measure: AtomicMeasure, cfg: SamplerConfig):
     by checks that remove one configuration point at a time; cfg.mode is
     ignored since only the compound-Poisson picture has jumps.
     """
-    done = 0
-    b = 0
-    while done < cfg.n_samples:
-        size = min(cfg.batch_size, cfg.n_samples - done)
-        yield _draw_cp_batch(measure, cfg.cp_truncation, _stream(cfg.seed, b), size)
-        done += size
-        b += 1
+    return _batches(cfg, lambda rng, size: _draw_cp_batch(
+        measure, cfg.cp_truncation, rng, size))
+
+
+def mean_and_se(stats) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error per column of a statistic that arrives as
+    (B, k) batches; a 1-d batch is one column."""
+    sums, sqsums, n = [], [], 0
+    for v in stats:
+        v = np.asarray(v, dtype=float).reshape(len(v), -1)
+        sums.append(v.sum(axis=0))
+        sqsums.append((v * v).sum(axis=0))
+        n += v.shape[0]
+    if n < 2:
+        raise DomainError(f"an MC estimate needs at least 2 samples, got {n}")
+    mean = np.sum(np.stack(sums), axis=0) / n
+    var = np.maximum(np.sum(np.stack(sqsums), axis=0) - n * mean * mean,
+                     0.0) / (n - 1)
+    return mean, np.sqrt(var / n)
 
 
 def _mc_accumulate(measure: AtomicMeasure, cfg: SamplerConfig, stat_fn):
-    """Mean and SE of a per-sample statistic vector, deterministically reduced."""
-    sums, sqsums = [], []
-    for _, batch in iter_sample_batches(measure, cfg):
-        v = np.atleast_2d(np.asarray(stat_fn(batch), dtype=float))
-        if v.shape[0] != batch.shape[0]:
-            v = v.T
-        sums.append(v.sum(axis=0))
-        sqsums.append((v * v).sum(axis=0))
-    total = np.sum(np.stack(sums), axis=0)
-    sqtotal = np.sum(np.stack(sqsums), axis=0)
-    n = cfg.n_samples
-    mean = total / n
-    if n > 1:
-        var = np.maximum(sqtotal - n * mean * mean, 0.0) / (n - 1)
-        se = np.sqrt(var / n)
-    else:
-        se = np.full_like(mean, np.inf)
-    return mean, se
+    """Mean and SE of a per-sample statistic over the sampled batches."""
+    return mean_and_se(stat_fn(batch)
+                       for _, batch in iter_sample_batches(measure, cfg))
 
 
 def laplace_target(measure: AtomicMeasure, phi) -> float:

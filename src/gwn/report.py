@@ -109,7 +109,8 @@ def combine_reports(reports: list[RunReport], seed: int,
 
 
 def to_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """Strict RFC 8259 JSON: a NaN or infinite number raises ValueError."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _fmt(x) -> str:

@@ -20,7 +20,7 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, SizeError
+from .errors import ContractError, DimensionError, DomainError, SizeError
 from .measure import AtomicMeasure
 
 # Hard caps keeping table sizes at desk scale.
@@ -233,7 +233,10 @@ class SymTensor:
                 raise ContractError(f"index key '{key}' has wrong arity for degree {degree}")
             if idx.size and (idx.min() < 0 or idx.max() >= m):
                 raise DimensionError(f"index key '{key}' out of range for m={m}")
-            vals[int(tab.rank_sorted_rows(idx[None, :])[0])] = float(v)
+            x = float(v)
+            if not math.isfinite(x):
+                raise DomainError(f"value of index key '{key}' is not finite")
+            vals[int(tab.rank_sorted_rows(idx[None, :])[0])] = x
         t.values = vals
         return t
 

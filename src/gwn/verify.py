@@ -3,15 +3,13 @@
 Every suite draws its test inputs from a stream keyed by (seed, suite),
 runs the matching identity checks, and packs the measured deviations into
 a RunReport.  When no measure is supplied the atom weights come from the
-same stream, so a seed alone fully determines the report bytes.  Suites
-are independent and safe to run concurrently.
+same stream, so a seed alone fully determines the report bytes.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -377,16 +375,10 @@ def run_mc_suite(name: str, seed: int, measure: AtomicMeasure | None = None,
     return _timed(MC_SUITES[name], seed, measure, samples, se_mult)
 
 
-def run_verify_all(seed: int, measure: AtomicMeasure | None = None,
-                   parallel: bool = True) -> list[RunReport]:
-    names = list(VERIFY_SUITES)
-    if parallel:
-        with ThreadPoolExecutor(max_workers=min(4, len(names))) as pool:
-            reps = list(pool.map(lambda n: run_verify_suite(n, seed, measure),
-                                 names))
-    else:
-        reps = [run_verify_suite(n, seed, measure) for n in names]
-    return sorted(reps, key=lambda r: r.suite)
+def run_verify_all(seed: int,
+                   measure: AtomicMeasure | None = None) -> list[RunReport]:
+    return sorted((run_verify_suite(n, seed, measure) for n in VERIFY_SUITES),
+                  key=lambda r: r.suite)
 
 
 def run_mc_all(seed: int, measure: AtomicMeasure | None = None,

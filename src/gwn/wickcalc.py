@@ -133,14 +133,15 @@ def wick_kernel(omega: OmegaSample, measure: AtomicMeasure, n: int) -> SymTensor
     return wick_kernels(omega, measure, n)[n]
 
 
-def _single_atom_q(s: float, w: float, N: int) -> np.ndarray:
-    """Scalar Wick powers of a one-atom configuration: three-term recurrence."""
-    q = np.empty(N + 1)
-    q[0] = 1.0
+def _single_atom_q(s: np.ndarray, w: float, N: int) -> np.ndarray:
+    """Scalar Wick powers q_0..q_N of one-atom configurations with masses s
+    (one row per mass): three-term recurrence."""
+    q = np.empty((s.size, N + 1))
+    q[:, 0] = 1.0
     if N >= 1:
-        q[1] = s - w
+        q[:, 1] = s - w
     for k in range(1, N):
-        q[k + 1] = (s - 2.0 * k - w) * q[k] - k * (k - 1.0 + w) * q[k - 1]
+        q[:, k + 1] = (s - 2.0 * k - w) * q[:, k] - k * (k - 1.0 + w) * q[:, k - 1]
     return q
 
 
@@ -153,46 +154,28 @@ def wick_pair_rank_one(omega: OmegaSample, xi, measure: AtomicMeasure,
     never touches the kernel recurrence, so the two can cross-check.
     """
     _check_sample(omega, measure)
-    xi = measure.check_function(np.asarray(xi, dtype=float))
-    poly = np.zeros(N + 1)
-    poly[0] = 1.0
-    inv_fact = 1.0 / np.array([math.factorial(k) for k in range(N + 1)])
-    for i in range(measure.m):
-        qa = _single_atom_q(omega.masses[i], measure.weights[i], N)
-        ca = (xi[i] ** np.arange(N + 1)) * qa * inv_fact
-        new = np.zeros(N + 1)
-        for d in range(N + 1):
-            new[d] = poly[: d + 1] @ ca[d::-1]
-        poly = new
-    return poly * np.array([math.factorial(n) for n in range(N + 1)])
+    return wick_pair_rank_one_batch(omega.masses[None, :], xi, measure, N)[0]
 
 
 def wick_pair_rank_one_batch(masses: np.ndarray, xi, measure: AtomicMeasure,
                              N: int) -> np.ndarray:
-    """Vectorized wick_pair_rank_one over rows of a (B, m) mass matrix."""
+    """wick_pair_rank_one for every row of a (B, m) mass matrix."""
     S = np.asarray(masses, dtype=float)
     if S.ndim != 2 or S.shape[1] != measure.m:
         raise DimensionError("mass matrix must have one column per atom")
     xi = measure.check_function(np.asarray(xi, dtype=float))
-    B = S.shape[0]
-    inv_fact = 1.0 / np.array([math.factorial(k) for k in range(N + 1)])
-    poly = np.zeros((B, N + 1))
+    fact = np.array([math.factorial(k) for k in range(N + 1)], dtype=float)
+    inv_fact = 1.0 / fact
+    poly = np.zeros((S.shape[0], N + 1))
     poly[:, 0] = 1.0
     for i in range(measure.m):
-        w = measure.weights[i]
-        s = S[:, i]
-        qa = np.empty((B, N + 1))
-        qa[:, 0] = 1.0
-        if N >= 1:
-            qa[:, 1] = s - w
-        for k in range(1, N):
-            qa[:, k + 1] = (s - 2.0 * k - w) * qa[:, k] - k * (k - 1.0 + w) * qa[:, k - 1]
-        ca = (xi[i] ** np.arange(N + 1))[None, :] * qa * inv_fact[None, :]
+        qa = _single_atom_q(S[:, i], measure.weights[i], N)
+        ca = (xi[i] ** np.arange(N + 1)) * qa * inv_fact
         new = np.zeros_like(poly)
         for d in range(N + 1):
             new[:, d] = np.einsum("bj,bj->b", poly[:, : d + 1], ca[:, d::-1])
         poly = new
-    return poly * np.array([math.factorial(n) for n in range(N + 1)])[None, :]
+    return poly * fact
 
 
 @dataclass
@@ -416,6 +399,8 @@ class LaguerreSystem:
 def laguerre_system(sigma: float, N: int) -> LaguerreSystem:
     """Orthonormal polynomials from the three-term recurrence
     P_{n+1} = ((s - beta_n) P_n - alpha_n P_{n-1}) / alpha_{n+1}."""
+    if N < 0:
+        raise DomainError("N must be >= 0")
     jc = jacobi_coefficients(sigma, N + 1)
     coeffs = np.zeros((N + 1, N + 1))
     coeffs[0, 0] = 1.0

@@ -1,13 +1,16 @@
 """Command line surface: tables, suite reports, exit codes, determinism."""
 
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 
 from gwn.cli import main
 from gwn.measure import AtomicMeasure, save_measure
-from gwn.report import CaseResult, RunReport, absolute_case, scaled_case
+from gwn.report import (CaseResult, RunReport, absolute_case, scaled_case,
+                        to_json)
 from gwn.symtensor import FockVector, SymTensor
 from gwn.wickcalc import Basis, PolyFunctional, laguerre_system, s_transform
 
@@ -172,3 +175,62 @@ def test_case_extras_serialized_sorted():
     assert keys.index("n") < keys.index("se")
     assert keys[:6] == ["name", "target", "value", "deviation", "tolerance",
                        "pass"]
+
+
+def assert_input_error(capsys, *argv):
+    """argv exits 2 with a single 'gwn: error:' line, nothing on stdout and
+    no warning raised on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("gwn: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("mc", "laplace", "--samples", "1"),
+    ("mc", "chaos", "--samples", "1"),
+])
+def test_mc_needs_two_samples(capsys, argv):
+    assert_input_error(capsys, *argv)
+
+
+@pytest.mark.parametrize("command", ["mc", "all"])
+@pytest.mark.parametrize("se_mult", ["inf", "nan", "0", "-1"])
+def test_se_mult_must_be_finite_and_positive(capsys, command, se_mult):
+    assert_input_error(capsys, command, "--samples", "2", "--se-mult", se_mult)
+
+
+@pytest.mark.parametrize("argv", [
+    ("laguerre", "--sigma", "1", "--n", "-1"),
+    ("laguerre", "--sigma", "nan", "--n", "2"),
+    ("jacobi", "--sigma", "inf", "--n", "2"),
+    ("jacobi", "--sigma", "1", "--n", "-2"),
+])
+def test_table_commands_validate_inputs(capsys, argv):
+    assert_input_error(capsys, *argv)
+
+
+def test_stransform_rejects_non_finite_inputs(tmp_path, capsys):
+    save_measure(AtomicMeasure([2.0, 0.5]), tmp_path / "mu.json")
+    functional = {"basis": "gamma_wick", "m": 2, "kernels": [
+        {"degree": 0, "values": {"": 1.0}},
+        {"degree": 1, "values": {"0": 0.5, "1": 2.0}}]}
+    (tmp_path / "p.json").write_text(json.dumps(functional))
+    functional["kernels"][1]["values"]["0"] = "nan"
+    (tmp_path / "nan.json").write_text(json.dumps(functional))
+    for name, theta in (("nan.json", "[0.1, 0.2]"), ("p.json", "[NaN, 0.2]"),
+                        ("p.json", "[0.1, Infinity]")):
+        assert_input_error(capsys, "stransform",
+                           "--functional", str(tmp_path / name),
+                           "--theta", theta,
+                           "--measure", str(tmp_path / "mu.json"))
+
+
+def test_json_output_is_strict():
+    assert to_json({"x": 1.5}) == '{\n  "x": 1.5\n}\n'
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            to_json({"x": bad})

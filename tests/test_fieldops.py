@@ -135,6 +135,11 @@ def test_jacobi_coefficients_domain():
         jacobi_coefficients(0.0, 3)
     with pytest.raises(DomainError):
         jacobi_coefficients(-1.0, 3)
+    for sigma in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            jacobi_coefficients(sigma, 3)
+    with pytest.raises(DomainError):
+        jacobi_coefficients(1.0, -1)
 
 
 def test_norm_ratio_is_alpha(rng):

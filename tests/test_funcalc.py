@@ -401,3 +401,11 @@ def test_atom_bounds(rng):
     p = random_poly(rng, 2, 1)
     with pytest.raises(DimensionError):
         nabla(p, 5)
+
+
+def test_a1_plus_mc_adjointness_needs_two_samples():
+    mu = AtomicMeasure([1.0, 0.7])
+    one = mono([SymTensor(2, 0, np.array([1.0]))])
+    cfg = SamplerConfig(seed=777, n_samples=1, cp_truncation=1e-3)
+    with pytest.raises(DomainError):
+        a1_plus_mc_adjointness_check(one, one, [0.6, -0.4], mu, cfg)

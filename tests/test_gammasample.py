@@ -236,3 +236,11 @@ def test_independence_across_atoms():
     cov = np.cov(S[:, 0], S[:, 1])[0, 1]
     se = math.sqrt(mu.weights[0] * mu.weights[1] / cfg.n_samples)
     assert abs(cov) < 4 * se
+
+
+def test_single_sample_estimate_is_rejected():
+    # one sample gives no standard error; a band of infinite width would
+    # pass anything
+    mu = AtomicMeasure([1.0, 0.5])
+    with pytest.raises(DomainError):
+        mc_laplace(mu, [0.1, -0.2], SamplerConfig(seed=3, n_samples=1))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_measure, random_tensor
-from gwn.errors import ContractError, DimensionError
+from gwn.errors import ContractError, DimensionError, DomainError
 from gwn.measure import AtomicMeasure
 from gwn.symtensor import (FockVector, SymTensor, append_tied_slots,
                            diagonal_restrict, multiply_pointwise_first_slot,
@@ -172,3 +172,9 @@ def test_vacuum():
     assert v.degree == 0
     assert v.get(0).values[0] == 1.0
     assert v.get(3).max_abs() == 0.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, "nan", "-inf"])
+def test_from_index_map_rejects_non_finite_values(value):
+    with pytest.raises(DomainError):
+        SymTensor.from_index_map(2, 1, {"0": 1.0, "1": value})

@@ -278,6 +278,14 @@ def test_laguerre_index_bounds():
         sys.evaluate(4, 1.0)
 
 
+def test_laguerre_rejects_bad_inputs():
+    with pytest.raises(DomainError):
+        laguerre_system(1.0, -1)
+    for sigma in (math.nan, math.inf, 0.0):
+        with pytest.raises(DomainError):
+            laguerre_system(sigma, 2)
+
+
 def test_s_transform_of_wick_monomial(rng):
     mu = random_measure(rng, 3)
     f = random_tensor(rng, 3, 2)
