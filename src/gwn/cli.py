@@ -115,6 +115,12 @@ def _check_se_mult(x: float) -> None:
         raise ValueError(f"--se-mult must be finite and > 0, got {x!r}")
 
 
+def _check_samples(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"--samples must be >= 2 (an MC estimate needs two "
+                         f"samples for its standard error), got {n}")
+
+
 def _cmd_loops(args) -> int:
     text = _loops_csv(args.n)
     _emit(_pretty_csv(text) if args.pretty else text, args.out)
@@ -170,6 +176,7 @@ def _cmd_verify(args) -> int:
 def _cmd_mc(args) -> int:
     suite = _resolve_suite(args, args.parser)
     _check_se_mult(args.se_mult)
+    _check_samples(args.samples)
     mu = load_measure(args.measure) if args.measure else None
     if suite == "all":
         reps = run_mc_all(args.seed, mu, args.samples, args.se_mult)
@@ -185,6 +192,7 @@ def _cmd_mc(args) -> int:
 
 def _cmd_all(args) -> int:
     _check_se_mult(args.se_mult)
+    _check_samples(args.samples)
     mu = load_measure(args.measure) if args.measure else None
     reps = run_verify_all(args.seed, mu) \
         + run_mc_all(args.seed, mu, args.samples, args.se_mult)

@@ -1,4 +1,4 @@
-"""Extended Fock space inner products via loop partitions.
+"""Extended Fock space inner products and their loop partitions.
 
 The degree-n component of the extended Fock space pairs two symmetric
 kernels by summing, over all set partitions of the n slots, the integral of
@@ -7,9 +7,19 @@ cyclic orders of each block, prod_B (|B|-1)!.  Summing those multiplicities
 over all partitions of n slots gives exactly n! (one summand per
 permutation, grouped by its cycle partition), which is the census invariant.
 
-Kernels vanishing on all diagonals reduce the sum to the all-singleton
-partition, i.e. the ordinary symmetric-power inner product: the off-diagonal
-subspace embeds isometrically.
+Over finitely many atoms that sum collapses atom by atom: the partitions of
+the k_i slots sitting on atom i contribute, by the Stirling first-kind
+identity, sum_pi prod_B (|B|-1)! w_i^|pi| = w_i (w_i+1) ... (w_i+k_i-1).  So
+
+    ext_inner_n(f, g) = sum_k perm_count(k) prod_i rising(w_i, k_i) conj(f[k]) g[k]
+
+over the occupation counts k of the stored multi-indices, one vectorized
+gather.  The ordinary product is the same sum with w_i^k_i in place of the
+rising factorials.  Kernels vanishing on all diagonals (every k_i <= 1)
+make the two agree: the off-diagonal subspace embeds isometrically.
+
+The loop partitions themselves are kept for the census table of
+``gwn loops``.
 """
 
 from __future__ import annotations
@@ -26,7 +36,6 @@ from .measure import AtomicMeasure
 from .symtensor import FockVector, SymTensor, _tables
 
 MAX_LOOP_ORDER = 10
-_MAX_ASSIGNMENTS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -87,38 +96,19 @@ def _check_pair(measure: AtomicMeasure, f: SymTensor, g: SymTensor) -> None:
         raise ContractError("kernels must have equal degree")
 
 
-def _partition_integral(measure: AtomicMeasure, f: SymTensor, g: SymTensor,
-                        part: LoopPartition) -> float:
-    """Integral over one partition diagonal: assign an atom to each block,
-    weight each block by its atom's measure weight, and sum conj(f) * g."""
-    n = f.degree
-    k = len(part.blocks)
-    m = measure.m
-    if m ** k > _MAX_ASSIGNMENTS:
-        raise SizeError("partition diagonal too large for dense assignment sum")
-    pos_to_block = np.empty(n, dtype=np.int64)
-    for bi, b in enumerate(part.blocks):
-        pos_to_block[list(b)] = bi
-    grid = np.indices((m,) * k).reshape(k, -1).T
-    ranks = _tables(m, n).rank_rows(grid[:, pos_to_block])
-    vals = np.conj(f.values)[ranks] * g.values[ranks]
-    wprod = np.prod(measure.weights[grid], axis=1)
-    return (wprod @ vals).item()
-
-
 def ext_inner_n(measure: AtomicMeasure, f: SymTensor, g: SymTensor) -> float:
     """Degree-n extended inner product (without the n! overall factor).
 
-    Sums the diagonal integrals of all loop partitions of the n slots,
-    each weighted by its cyclic-order multiplicity.
+    The loop-partition sum in closed form: each stored multi-index with
+    occupation counts k is weighted by perm_count(k) prod_i rising(w_i, k_i).
     """
     _check_pair(measure, f, g)
     if f.degree == 0:
         return (np.conj(f.values[0]) * g.values[0]).item()
-    total = 0.0
-    for part in loop_partitions(f.degree):
-        total += part.multiplicity * _partition_integral(measure, f, g, part)
-    return total
+    rising = np.ones((measure.m, f.degree + 1))
+    rising[:, 1:] = np.cumprod(measure.weights[:, None] + np.arange(f.degree), axis=1)
+    wprod = _tables(f.m, f.degree).atom_product(rising)
+    return ((f.perm_counts * wprod) @ (np.conj(f.values) * g.values)).item()
 
 
 def fock_inner_n(measure: AtomicMeasure, f: SymTensor, g: SymTensor) -> float:

@@ -17,6 +17,7 @@ c_n^2 = n! * sigma(sigma+1)...(sigma+n-1).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,8 @@ from .extfock import ext_inner_n
 from .measure import AtomicMeasure
 from .symtensor import (FockVector, SymTensor, _insert_ranks,
                         multiply_pointwise_first_slot, rank_one, sym_product)
+
+_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
 
 def _check_xi(xi, m: int) -> np.ndarray:
@@ -108,17 +111,34 @@ class JacobiCoefficients:
     norms: np.ndarray
 
 
-def jacobi_coefficients(sigma: float, N: int) -> JacobiCoefficients:
+def _three_term(sigma: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """alphas[n] = sqrt(n (n-1+sigma)) and betas[n] = 2n + sigma, n = 0..N."""
     if not (math.isfinite(sigma) and sigma > 0):
         raise DomainError("sigma must be finite and > 0")
     if N < 0:
         raise DomainError("N must be >= 0")
     n = np.arange(N + 1, dtype=float)
-    alphas = np.sqrt(n * (n - 1.0 + sigma))
-    betas = 2.0 * n + sigma
-    norms = np.ones(N + 1)
-    for k in range(1, N + 1):
-        norms[k] = norms[k - 1] * alphas[k]
+    with np.errstate(over="ignore"):
+        alphas = np.sqrt(n * (n - 1.0 + sigma))
+    if not np.all(np.isfinite(alphas)):
+        raise DomainError(f"sigma={sigma!r}, N={N}: alpha_n = sqrt(n (n-1+sigma)) "
+                          f"overflows")
+    return alphas, 2.0 * n + sigma
+
+
+def jacobi_coefficients(sigma: float, N: int) -> JacobiCoefficients:
+    """Coefficients and norms for degrees 0..N.
+
+    Rejects a (sigma, N) whose squared norm c_n^2 = n! rising(sigma, n)
+    leaves the float range: that square is what the extended inner product
+    of chi^(x)n returns, so past it neither side of the norm check is finite.
+    """
+    alphas, betas = _three_term(sigma, N)
+    with np.errstate(over="ignore"):
+        norms = np.cumprod(np.concatenate(([1.0], alphas[1:])))
+    if not np.max(norms) <= _SQRT_FLOAT_MAX:
+        raise DomainError(f"sigma={sigma!r}, N={N}: the squared norm "
+                          f"c_n^2 = n! rising(sigma, n) overflows")
     return JacobiCoefficients(float(sigma), alphas, betas, norms)
 
 

@@ -1,10 +1,13 @@
 """Symmetric tensors over a finite atom set, stored on sorted multi-indices.
 
 A degree-n symmetric tensor over m atoms keeps one value per sorted
-multi-index (i_1 <= ... <= i_n), i.e. C(n+m-1, n) entries.  All algebra
-(symmetrized products, diagonal restrictions, slot operations) works on this
-dense multiset storage; index tables are precomputed per (m, n) and cached,
-so the hot paths are vectorized gathers.
+multi-index (i_1 <= ... <= i_n), i.e. C(n+m-1, n) entries.  Each entry is
+also indexed by its occupation counts k (k_i = how often atom i appears),
+and perm_count(k) = n! / prod_i k_i! counts its orderings.  A symmetric
+tensor f is thereby the polynomial sum_k perm_count(k) f[k] s^k in the
+atom variables, which is how the inner products, Wick kernels and basis
+conversions factor over atoms.  Index tables are precomputed per (m, n)
+and cached, so the hot paths are vectorized gathers.
 
 Symmetrization convention: the symmetrized product is the arithmetic mean
 over position splits, so phi-tensor-phi equals the plain tensor square with
@@ -21,7 +24,6 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError, SizeError
-from .measure import AtomicMeasure
 
 # Hard caps keeping table sizes at desk scale.
 MAX_DENSE = 4_000_000
@@ -35,6 +37,8 @@ class _MultisetTable:
     reps: np.ndarray         # (R, n) sorted representative tuples, lex order
     keys: np.ndarray         # (R,) strictly increasing integer keys
     powers: np.ndarray       # (n,) big-endian base-m digit weights
+    occ: np.ndarray          # (R, m) occupation counts, column-major so
+                             # atom_product reads one atom at a time
     perm_counts: np.ndarray  # (R,) number of distinct orderings of each rep
 
     def rank_sorted_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -45,6 +49,14 @@ class _MultisetTable:
     def rank_rows(self, rows: np.ndarray) -> np.ndarray:
         """Ranks of arbitrary index rows; rows are sorted internally."""
         return self.rank_sorted_rows(np.sort(rows, axis=-1))
+
+    def atom_product(self, table: np.ndarray) -> np.ndarray:
+        """prod_i table[i, k_i] for the occupation counts k of every rep,
+        given an (m, n+1) per-atom table."""
+        out = np.ones(len(self.reps), dtype=table.dtype)
+        for i in range(self.m):
+            out *= table[i, self.occ[:, i]]
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -60,13 +72,12 @@ def _tables(m: int, n: int) -> _MultisetTable:
                         dtype=np.int64).reshape(-1, n)
     powers = (m ** np.arange(n - 1, -1, -1, dtype=np.int64)) if n else np.zeros(0, np.int64)
     keys = reps @ powers
-    pc = np.empty(len(reps), dtype=np.int64)
-    for i, t in enumerate(reps):
-        c = math.factorial(n)
-        for v in set(t.tolist()):
-            c //= math.factorial(int(np.count_nonzero(t == v)))
-        pc[i] = c
-    return _MultisetTable(m, n, reps, keys, powers, pc)
+    R = len(reps)
+    occ = np.bincount((np.arange(R) + R * reps.T).ravel(),
+                      minlength=R * m).reshape(m, R).T
+    fact = np.array([math.factorial(k) for k in range(n + 1)], dtype=np.int64)
+    pc = fact[n] // np.prod(fact[occ], axis=1)
+    return _MultisetTable(m, n, reps, keys, powers, occ, pc)
 
 
 @lru_cache(maxsize=None)
@@ -108,32 +119,6 @@ def _split_ranks(m: int, na: int, nb: int):
     ra = _tables(m, na).rank_sorted_rows(sub_a.reshape(-1, na)).reshape(len(tab.reps), -1)
     rb = _tables(m, nb).rank_sorted_rows(sub_b.reshape(-1, nb)).reshape(len(tab.reps), -1)
     return ra, rb
-
-
-@lru_cache(maxsize=None)
-def _tie_table(m: int, n_in: int, r: int):
-    """Entries for appending r tied copies of an existing slot.
-
-    For each degree-(n_in + r) rep t and atom v appearing with count
-    c >= r+1 in t, one entry (out_index, rank of t with r copies of v
-    removed, v, C(c, r+1)).
-    """
-    tab_out = _tables(m, n_in + r)
-    tab_in = _tables(m, n_in)
-    rank_in = {tuple(t.tolist()): i for i, t in enumerate(tab_in.reps)}
-    out_idx, in_rank, atoms, counts = [], [], [], []
-    for i, t in enumerate(tab_out.reps):
-        tl = t.tolist()
-        for v in sorted(set(tl)):
-            c = tl.count(v)
-            if c >= r + 1:
-                reduced = [x for x in tl if x != v] + [v] * (c - r)
-                out_idx.append(i)
-                in_rank.append(rank_in[tuple(sorted(reduced))])
-                atoms.append(v)
-                counts.append(math.comb(c, r + 1))
-    return (np.array(out_idx, np.int64), np.array(in_rank, np.int64),
-            np.array(atoms, np.int64), np.array(counts, np.int64))
 
 
 class SymTensor:
@@ -268,43 +253,6 @@ def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
     return SymTensor(a.m, a.degree + b.degree, vals)
 
 
-def _check_partition(blocks, n: int) -> list[list[int]]:
-    seen: set[int] = set()
-    out = []
-    for b in blocks:
-        bl = sorted(int(x) for x in b)
-        if not bl:
-            raise ContractError("empty block in partition")
-        if any(x < 0 or x >= n for x in bl):
-            raise ContractError(f"partition block {bl} outside positions 0..{n - 1}")
-        if seen & set(bl):
-            raise ContractError("partition blocks overlap")
-        seen |= set(bl)
-        out.append(bl)
-    if len(seen) != n:
-        raise ContractError("partition does not cover all positions")
-    return out
-
-
-def diagonal_restrict(t: SymTensor, blocks) -> np.ndarray:
-    """Evaluate t with the slots of each block identified.
-
-    ``blocks`` partitions the positions 0..degree-1.  Returns a dense array
-    with one axis per block (generally not symmetric across blocks).
-    """
-    bl = _check_partition(blocks, t.degree)
-    k = len(bl)
-    if t.m ** k > MAX_DENSE:
-        raise SizeError("diagonal restriction too large to hold densely")
-    pos_to_block = np.empty(t.degree, dtype=np.int64)
-    for bi, b in enumerate(bl):
-        pos_to_block[b] = bi
-    grid = np.indices((t.m,) * k).reshape(k, -1).T if k else np.zeros((1, 0), np.int64)
-    rows = grid[:, pos_to_block]
-    vals = t.values[_tables(t.m, t.degree).rank_rows(rows)]
-    return vals.reshape((t.m,) * k)
-
-
 def multiply_pointwise_first_slot(t: SymTensor, g) -> SymTensor:
     """Symmetrization of g(x_1) t(x_1, ..., x_n).
 
@@ -317,29 +265,6 @@ def multiply_pointwise_first_slot(t: SymTensor, g) -> SymTensor:
     if t.degree == 0:
         raise ContractError("degree-0 tensor has no slot to multiply")
     return SymTensor(t.m, t.degree, t.values * np.mean(g[t.reps], axis=1))
-
-
-def append_tied_slots(t: SymTensor, r: int, measure: AtomicMeasure) -> SymTensor:
-    """Symmetrize t(x_1..x_n) times r point-mass densities tying new slots to x_n.
-
-    The result has degree n + r.  Each new slot carries a factor
-    [x_new == x_n] / w at the tied atom (density convention), and the whole
-    expression is symmetrized over slot orderings.  For r = 0 this is t.
-    """
-    if t.m != measure.m:
-        raise DimensionError("tensor and measure atom counts differ")
-    if t.degree == 0:
-        raise ContractError("cannot tie new slots to a degree-0 tensor")
-    if r == 0:
-        return t.copy()
-    n_out = t.degree + r
-    out_idx, in_rank, atoms, counts = _tie_table(t.m, t.degree, r)
-    vals = np.zeros(math.comb(n_out + t.m - 1, n_out),
-                    dtype=complex if np.iscomplexobj(t.values) else float)
-    contrib = counts * t.values[in_rank] / measure.weights[atoms] ** r
-    np.add.at(vals, out_idx, contrib)
-    vals /= math.comb(n_out, r + 1)
-    return SymTensor(t.m, n_out, vals)
 
 
 class FockVector:

@@ -1,32 +1,32 @@
 """Gamma-Wick powers and the polynomial calculus built on them.
 
 A random configuration omega = sum_i s_i d_{x_i} (masses s_i >= 0 on the
-atoms) has Wick powers :omega^n: defined by :omega^0: = 1, :omega^1: =
-omega - 1 and a five-term recurrence that subtracts the diagonal and
-drift contributions from omega (x) :omega^n:.  Stored as densities with
-respect to the product measure, the recurrence reads
+atoms) has Wick powers :omega^n:.  Over finitely many atoms the noise is a
+product of independent Gamma(w_i) coordinates, so everything factors over
+atoms.  On one atom of weight w the Wick powers are the monic polynomials
 
-    K_{n+1} = Sym[K_n (x) K_1]
-              - n Sym[K_{n-1} (x) pair-density]
-              - n(n-1) Sym[K_{n-1} with two tied slots]
-              - 2n Sym[K_n with one tied slot]
+    q_0 = 1,  q_1 = s - w,  q_{k+1} = (s - 2k - w) q_k - k(k-1+w) q_{k-1},
 
-where the pair density is [i == j]/w_j and "tied" slots carry point-mass
-densities identifying new slots with an existing one.
+and, indexing a stored multi-index by its occupation counts k (k_i = how
+often atom i appears; see ``symtensor``):
 
-Two independent routes to the same numbers are kept deliberately:
-
-* the kernel recurrence above (primary), and
-* a scalar path for rank-one pairings: on a single atom the recurrence
-  closes to q_{k+1} = (s - 2k - w) q_k - k(k-1+w) q_{k-1}, and the Wick
-  exponential factorizes over atoms, so general q_n(omega, xi) is the
-  coefficient convolution of per-atom sequences.
+* the density of :omega^n: with respect to the product measure is
+  K_n[k] = prod_i q_{k_i}(s_i, w_i) / w_i^{k_i};
+* a rank-one pairing <:omega^n:, xi^(x)n> is n! times the t^n coefficient
+  of prod_i sum_k q_k(s_i) (xi_i t)^k / k! (the Wick exponential
+  factorizes over atoms).  This scalar route never forms a kernel, so the
+  two cross-check.
 
 Polynomial functionals carry their kernels in either the monomial basis
-(<omega^(x)n, f>) or the Gamma-Wick basis (<:omega^n:, f>); conversion both
-ways expands over loop partitions with one free or integrated slot per
-block.  The S-transform reads Gamma-Wick kernels against powers of a test
-function; products of functionals multiply their S-transforms.
+(<omega^(x)n, f>) or the Gamma-Wick basis (<:omega^n:, f>).  Both are
+polynomials sum_k A[k] prod_i b_{k_i}(s_i) with A[k] = perm_count(k) f[k],
+in the per-atom bases b = s^k and b = q_k, so conversion is a lower
+triangular change of basis along each atom's axis of A, over all total
+degrees <= N at once.  Monomial to Wick uses the expansion of s^l in the
+q_j, read off the Jacobi relation s q_j = q_{j+1} + (2j+w) q_j +
+j(j-1+w) q_{j-1}; its coefficients are nonnegative.  The S-transform reads
+Gamma-Wick kernels against powers of a test function; products of
+functionals multiply their S-transforms.
 """
 
 from __future__ import annotations
@@ -34,15 +34,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError, SizeError
-from .extfock import fock_inner_n, loop_partitions
-from .fieldops import jacobi_coefficients
+from .extfock import fock_inner_n
+from .fieldops import _three_term
 from .measure import AtomicMeasure
-from .symtensor import (FockVector, SymTensor, append_tied_slots,
-                        diagonal_restrict, rank_one, sym_product)
+from .symtensor import FockVector, SymTensor, _tables, rank_one, sym_product
 
 WICK_MAX_DEGREE = 8
 
@@ -91,41 +91,20 @@ class OmegaSample:
         return OmegaSample(masses)
 
 
-def _pair_density(measure: AtomicMeasure) -> SymTensor:
-    """Degree-2 density of the diagonal point-mass pairing: [i == j]/w_j."""
-    t = SymTensor(measure.m, 2)
-    vals = t.values.copy()
-    reps = t.reps
-    diag = reps[:, 0] == reps[:, 1]
-    vals[diag] = 1.0 / measure.weights[reps[diag, 0]]
-    return SymTensor(measure.m, 2, vals)
-
-
 def _check_sample(omega: OmegaSample, measure: AtomicMeasure) -> None:
     if omega.m != measure.m:
         raise DimensionError("sample and measure atom counts differ")
 
 
 def wick_kernels(omega: OmegaSample, measure: AtomicMeasure, N: int) -> list[SymTensor]:
-    """Densities of :omega^n: for n = 0..N (five-term recurrence)."""
+    """Densities of :omega^n: for n = 0..N: K_n[k] = prod_i q_{k_i}(s_i) / w_i^{k_i}."""
     _check_sample(omega, measure)
     if not 0 <= N <= WICK_MAX_DEGREE:
         raise SizeError(f"Wick degree must be in 0..{WICK_MAX_DEGREE}")
-    m = measure.m
-    out = [SymTensor(m, 0, np.ones(1))]
-    if N == 0:
-        return out
-    k1 = SymTensor(m, 1, omega.masses / measure.weights - 1.0)
-    out.append(k1)
-    pair = _pair_density(measure)
-    for n in range(1, N):
-        nxt = sym_product(out[n], k1) \
-            - n * sym_product(out[n - 1], pair) \
-            - 2.0 * n * append_tied_slots(out[n], 1, measure)
-        if n >= 2:
-            nxt = nxt - n * (n - 1.0) * append_tied_slots(out[n - 1], 2, measure)
-        out.append(nxt)
-    return out
+    w = measure.weights
+    q = _single_atom_q(omega.masses, w, N) / w[:, None] ** np.arange(N + 1)
+    return [SymTensor(measure.m, n, _tables(measure.m, n).atom_product(q))
+            for n in range(N + 1)]
 
 
 def wick_kernel(omega: OmegaSample, measure: AtomicMeasure, n: int) -> SymTensor:
@@ -133,9 +112,10 @@ def wick_kernel(omega: OmegaSample, measure: AtomicMeasure, n: int) -> SymTensor
     return wick_kernels(omega, measure, n)[n]
 
 
-def _single_atom_q(s: np.ndarray, w: float, N: int) -> np.ndarray:
+def _single_atom_q(s: np.ndarray, w, N: int) -> np.ndarray:
     """Scalar Wick powers q_0..q_N of one-atom configurations with masses s
-    (one row per mass): three-term recurrence."""
+    (one row per mass) and weight w (a scalar, or one weight per mass):
+    three-term recurrence."""
     q = np.empty((s.size, N + 1))
     q[:, 0] = 1.0
     if N >= 1:
@@ -260,75 +240,106 @@ def constant_functional(m: int, value: float, basis: Basis = Basis.GAMMA_WICK) -
     return PolyFunctional(basis, FockVector([SymTensor(m, 0, np.array([float(value)]))]))
 
 
-def _expansion(f: SymTensor, measure: AtomicMeasure, signed: bool) -> dict[int, SymTensor]:
-    """Expand a degree-n pairing over loop partitions with one slot per block.
+def _wick_coefficients(w: np.ndarray, N: int) -> np.ndarray:
+    """(len(w), N+1, N+1) array; [i, j, l] is the s^l coefficient of
+    q_j(s; w_i) (lower triangular, unit diagonal)."""
+    C = np.zeros((w.size, N + 1, N + 1))
+    C[:, 0, 0] = 1.0
+    for j in range(N):
+        C[:, j + 1, 1:] = C[:, j, :-1]
+        C[:, j + 1] -= (2.0 * j + w)[:, None] * C[:, j]
+        if j:
+            C[:, j + 1] -= (j * (j - 1.0 + w))[:, None] * C[:, j - 1]
+    return C
 
-    Each block either stays a free slot (weight |B|!, sign (-1)^(|B|+1) in
-    the signed version) or is integrated out against the measure (weight
-    (|B|-1)!, sign (-1)^|B|).  Returns kernels by resulting degree.
-    """
-    n = f.degree
-    out: dict[int, SymTensor] = {}
-    if n == 0:
-        return {0: f.copy()}
-    if n > WICK_MAX_DEGREE:
-        raise SizeError(f"basis conversion capped at degree {WICK_MAX_DEGREE}")
-    w = measure.weights
-    for part in loop_partitions(n):
-        blocks = part.blocks
-        k = len(blocks)
-        dense = diagonal_restrict(f, blocks)
-        sizes = [len(b) for b in blocks]
-        for mask in range(1 << k):
-            coeff = 1.0
-            for bi, sz in enumerate(sizes):
-                if mask >> bi & 1:
-                    coeff *= math.factorial(sz)
-                    if signed and sz % 2 == 0:
-                        coeff = -coeff
-                else:
-                    coeff *= math.factorial(sz - 1)
-                    if signed and sz % 2 == 1:
-                        coeff = -coeff
-            arr = dense
-            for bi in range(k - 1, -1, -1):
-                if not mask >> bi & 1:
-                    arr = np.tensordot(arr, w, axes=([bi], [0]))
-            deg = int(bin(mask).count("1"))
-            arr = np.asarray(arr)
-            if deg == 0:
-                st = SymTensor(f.m, 0, np.array([coeff * float(arr)]))
-            else:
-                st = coeff * SymTensor.from_dense(arr)
-            out[deg] = out.get(deg, SymTensor(f.m, deg)) + st
-    return out
+
+def _monomial_coefficients(w: np.ndarray, N: int) -> np.ndarray:
+    """(len(w), N+1, N+1) array; [i, l, j] is the q_j(s; w_i) coefficient
+    of s^l, the inverse of _wick_coefficients, from the Jacobi relation
+    s q_j = q_{j+1} + (2j+w) q_j + j(j-1+w) q_{j-1}.  All entries are >= 0."""
+    D = np.zeros((w.size, N + 1, N + 1))
+    D[:, 0, 0] = 1.0
+    j = np.arange(N + 1.0)
+    for l in range(N):
+        D[:, l + 1, 1:] = D[:, l, :-1]
+        D[:, l + 1] += (2.0 * j + w[:, None]) * D[:, l]
+        D[:, l + 1, :-1] += (j[1:] * (j[:-1] + w[:, None])) * D[:, l, 1:]
+    return D
+
+
+@dataclass(frozen=True)
+class _Simplex:
+    """The occupation vectors k over m atoms with |k| <= N, in one vector.
+
+    They are the degree-N multisets over m+1 symbols, symbol m marking an
+    empty slot, so ``_tables(m + 1, N)`` orders them.  ``pos[n]`` places the
+    degree-n kernel entries; along atom i, entry e sits in row ``rows[i][e]``
+    (its occupation vector with k_i set to 0) and column k_i."""
+
+    occ: np.ndarray            # (E, m+1) occupation counts, last = empty slots
+    pos: tuple                 # per degree n: (R_n,) positions in 0..E-1
+    rows: tuple                # per atom i: (E,) row of each entry
+    n_rows: int                # rows per atom: vectors with k_i = 0
+
+
+@lru_cache(maxsize=None)
+def _simplex(m: int, N: int) -> _Simplex:
+    big = _tables(m + 1, N)
+    pos = []
+    for n in range(N + 1):
+        reps = _tables(m, n).reps
+        pad = np.full((len(reps), N - n), m, dtype=np.int64)
+        pos.append(big.rank_sorted_rows(np.hstack([reps, pad])))
+    rows = []
+    for i in range(m):
+        empty_i = big.occ[:, i] == 0
+        rest = big.rank_rows(np.where(big.reps == i, m, big.reps))
+        rows.append((np.cumsum(empty_i) - 1)[rest])
+    n_rows = int(np.count_nonzero(big.occ[:, 0] == 0))
+    return _Simplex(big.occ, tuple(pos), tuple(rows), n_rows)
 
 
 def _convert(p: PolyFunctional, measure: AtomicMeasure, expect: Basis,
-             target: Basis, signed: bool) -> PolyFunctional:
+             target: Basis) -> PolyFunctional:
+    """Per-atom change of basis of A[k] = perm_count(k) f[k]."""
     if p.basis is not expect:
         raise ContractError(f"expected a functional in the {expect.value} basis")
     if p.m != measure.m:
         raise DimensionError("functional and measure atom counts differ")
-    acc = FockVector.zeros(p.m, p.degree)
-    for n in range(p.degree + 1):
-        for deg, t in _expansion(p.kernels.get(n), measure, signed).items():
-            acc.kernels[deg] = acc.get(deg) + t
-    return PolyFunctional(target, acc)
+    N = p.degree
+    if N > WICK_MAX_DEGREE:
+        raise SizeError(f"basis conversion capped at degree {WICK_MAX_DEGREE}")
+    sx = _simplex(p.m, N)
+    ks = p.kernels.kernels
+    a = np.zeros(len(sx.occ), dtype=np.result_type(*(k.values for k in ks)))
+    for k, pos in zip(ks, sx.pos):
+        a[pos] = k.perm_counts * k.values
+    if target is Basis.MONOMIAL:
+        mats = _wick_coefficients(measure.weights, N)
+    else:
+        mats = _monomial_coefficients(measure.weights, N)
+    for i, T in enumerate(mats):
+        grid = np.zeros((sx.n_rows, N + 1), dtype=a.dtype)
+        cell = (sx.rows[i], sx.occ[:, i])
+        grid[cell] = a
+        a = (grid @ T)[cell]
+    return PolyFunctional(target, FockVector(
+        [SymTensor(p.m, n, a[pos] / k.perm_counts)
+         for n, (k, pos) in enumerate(zip(ks, sx.pos))]))
 
 
 def wick_to_monomial(p: PolyFunctional, measure: AtomicMeasure | None = None) -> PolyFunctional:
     """Re-express Gamma-Wick kernels in the monomial basis (same functional)."""
     if measure is None:
         raise ContractError("conversion requires the reference measure")
-    return _convert(p, measure, Basis.GAMMA_WICK, Basis.MONOMIAL, signed=True)
+    return _convert(p, measure, Basis.GAMMA_WICK, Basis.MONOMIAL)
 
 
 def monomial_to_wick(p: PolyFunctional, measure: AtomicMeasure | None = None) -> PolyFunctional:
     """Re-express monomial kernels in the Gamma-Wick basis (same functional)."""
     if measure is None:
         raise ContractError("conversion requires the reference measure")
-    return _convert(p, measure, Basis.MONOMIAL, Basis.GAMMA_WICK, signed=False)
+    return _convert(p, measure, Basis.MONOMIAL, Basis.GAMMA_WICK)
 
 
 def evaluate_batch(p: PolyFunctional, masses: np.ndarray,
@@ -401,16 +412,19 @@ def laguerre_system(sigma: float, N: int) -> LaguerreSystem:
     P_{n+1} = ((s - beta_n) P_n - alpha_n P_{n-1}) / alpha_{n+1}."""
     if N < 0:
         raise DomainError("N must be >= 0")
-    jc = jacobi_coefficients(sigma, N + 1)
+    alphas, betas = _three_term(sigma, N + 1)
     coeffs = np.zeros((N + 1, N + 1))
     coeffs[0, 0] = 1.0
-    for n in range(N):
-        shifted = np.zeros(N + 1)
-        shifted[1: n + 2] = coeffs[n, : n + 1]
-        nxt = shifted - jc.betas[n] * coeffs[n]
-        if n >= 1:
-            nxt = nxt - jc.alphas[n] * coeffs[n - 1]
-        coeffs[n + 1] = nxt / jc.alphas[n + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(N):
+            shifted = np.zeros(N + 1)
+            shifted[1: n + 2] = coeffs[n, : n + 1]
+            nxt = shifted - betas[n] * coeffs[n]
+            if n >= 1:
+                nxt = nxt - alphas[n] * coeffs[n - 1]
+            coeffs[n + 1] = nxt / alphas[n + 1]
+    if not np.all(np.isfinite(coeffs)):
+        raise DomainError(f"sigma={sigma!r}, N={N}: Laguerre coefficients overflow")
     return LaguerreSystem(float(sigma), coeffs)
 
 

@@ -1,18 +1,35 @@
 """Independent reference implementations used only by the tests.
 
-These deliberately avoid the package's multiset tables and partition code:
-dense arrays are built straight from the documented storage order
-(combinations_with_replacement), and the extended inner product is the
-literal sum over all n! permutations, each contributing the diagonal
-integral of its cycle decomposition via einsum.
+Two kinds live here.
+
+* Brute-force routes that avoid the package's multiset tables and partition
+  code: dense arrays are built straight from the documented storage order
+  (combinations_with_replacement), and the extended inner product is the
+  literal sum over all n! permutations, each contributing the diagonal
+  integral of its cycle decomposition via einsum.
+* Combinatorial routes to what the package computes by per-atom closed
+  forms: the loop-partition sum of the extended inner product, the
+  five-term Wick kernel recurrence with tied slots, and the loop-partition
+  expansion of basis conversion.  They work on the multiset storage and
+  loop partitions, and share none of the occupation-count formulas they
+  are compared with.
 """
 
 from __future__ import annotations
 
+import math
 import string
 from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
+
+from gwn.errors import ContractError, DimensionError, SizeError
+from gwn.extfock import loop_partitions
+from gwn.measure import AtomicMeasure
+from gwn.symtensor import MAX_DENSE, FockVector, SymTensor, _tables, sym_product
+from gwn.wickcalc import WICK_MAX_DEGREE, Basis, OmegaSample, PolyFunctional
+
+MAX_ASSIGNMENTS = 4_000_000
 
 
 def dense_from_symtensor(t) -> np.ndarray:
@@ -21,7 +38,7 @@ def dense_from_symtensor(t) -> np.ndarray:
                       t.values.tolist()))
     if t.degree == 0:
         return np.asarray(t.values[0])
-    out = np.empty((t.m,) * t.degree)
+    out = np.empty((t.m,) * t.degree, dtype=t.values.dtype)
     for idx in product(range(t.m), repeat=t.degree):
         out[idx] = lookup[tuple(sorted(idx))]
     return out
@@ -52,7 +69,7 @@ def ext_inner_n_perm(weights: np.ndarray, F: np.ndarray, G: np.ndarray) -> float
     """
     n = F.ndim
     if n == 0:
-        return float(np.conj(F) * G)
+        return (np.conj(F) * G).item()
     FG = np.conj(F) * G
     total = 0.0
     for perm in permutations(range(n)):
@@ -63,7 +80,7 @@ def ext_inner_n_perm(weights: np.ndarray, F: np.ndarray, G: np.ndarray) -> float
             for pos in cyc:
                 subs[pos] = letters[ci]
         expr = "".join(subs) + "," + ",".join(letters[ci] for ci in range(len(cycles))) + "->"
-        total += float(np.einsum(expr, FG, *([weights] * len(cycles))))
+        total += np.einsum(expr, FG, *([weights] * len(cycles))).item()
     return total
 
 
@@ -86,5 +103,217 @@ def sym_product_dense(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     acc = np.zeros_like(raw)
     for perm in permutations(range(n)):
         acc += np.transpose(raw, perm)
-    import math
     return acc / math.factorial(n)
+
+
+# --- loop-partition sum of the extended inner product -----------------------
+
+def partition_integral(measure: AtomicMeasure, f: SymTensor, g: SymTensor,
+                       part) -> complex:
+    """Integral over one partition diagonal: assign an atom to each block,
+    weight each block by its atom's measure weight, and sum conj(f) * g."""
+    n = f.degree
+    k = len(part.blocks)
+    m = measure.m
+    if m ** k > MAX_ASSIGNMENTS:
+        raise SizeError("partition diagonal too large for dense assignment sum")
+    pos_to_block = np.empty(n, dtype=np.int64)
+    for bi, b in enumerate(part.blocks):
+        pos_to_block[list(b)] = bi
+    grid = np.indices((m,) * k).reshape(k, -1).T
+    ranks = _tables(m, n).rank_rows(grid[:, pos_to_block])
+    vals = np.conj(f.values)[ranks] * g.values[ranks]
+    wprod = np.prod(measure.weights[grid], axis=1)
+    return (wprod @ vals).item()
+
+
+def ext_inner_n_partitions(measure: AtomicMeasure, f: SymTensor,
+                           g: SymTensor) -> complex:
+    """Degree-n extended inner product as the sum over all loop partitions
+    of the n slots, each weighted by its cyclic-order multiplicity."""
+    if f.degree == 0:
+        return (np.conj(f.values[0]) * g.values[0]).item()
+    total = 0.0
+    for part in loop_partitions(f.degree):
+        total += part.multiplicity * partition_integral(measure, f, g, part)
+    return total
+
+
+# --- slot operations on multiset storage -----------------------------------
+
+def _check_partition(blocks, n: int) -> list[list[int]]:
+    seen: set[int] = set()
+    out = []
+    for b in blocks:
+        bl = sorted(int(x) for x in b)
+        if not bl:
+            raise ContractError("empty block in partition")
+        if any(x < 0 or x >= n for x in bl):
+            raise ContractError(f"partition block {bl} outside positions 0..{n - 1}")
+        if seen & set(bl):
+            raise ContractError("partition blocks overlap")
+        seen |= set(bl)
+        out.append(bl)
+    if len(seen) != n:
+        raise ContractError("partition does not cover all positions")
+    return out
+
+
+def diagonal_restrict(t: SymTensor, blocks) -> np.ndarray:
+    """Evaluate t with the slots of each block identified.
+
+    ``blocks`` partitions the positions 0..degree-1.  Returns a dense array
+    with one axis per block (generally not symmetric across blocks).
+    """
+    bl = _check_partition(blocks, t.degree)
+    k = len(bl)
+    if t.m ** k > MAX_DENSE:
+        raise SizeError("diagonal restriction too large to hold densely")
+    pos_to_block = np.empty(t.degree, dtype=np.int64)
+    for bi, b in enumerate(bl):
+        pos_to_block[b] = bi
+    grid = np.indices((t.m,) * k).reshape(k, -1).T if k else np.zeros((1, 0), np.int64)
+    rows = grid[:, pos_to_block]
+    vals = t.values[_tables(t.m, t.degree).rank_rows(rows)]
+    return vals.reshape((t.m,) * k)
+
+
+def _tie_table(m: int, n_in: int, r: int):
+    """Entries for appending r tied copies of an existing slot.
+
+    For each degree-(n_in + r) rep t and atom v appearing with count
+    c >= r+1 in t, one entry (out_index, rank of t with r copies of v
+    removed, v, C(c, r+1)).
+    """
+    tab_out = _tables(m, n_in + r)
+    tab_in = _tables(m, n_in)
+    rank_in = {tuple(t.tolist()): i for i, t in enumerate(tab_in.reps)}
+    out_idx, in_rank, atoms, counts = [], [], [], []
+    for i, t in enumerate(tab_out.reps):
+        tl = t.tolist()
+        for v in sorted(set(tl)):
+            c = tl.count(v)
+            if c >= r + 1:
+                reduced = [x for x in tl if x != v] + [v] * (c - r)
+                out_idx.append(i)
+                in_rank.append(rank_in[tuple(sorted(reduced))])
+                atoms.append(v)
+                counts.append(math.comb(c, r + 1))
+    return (np.array(out_idx, np.int64), np.array(in_rank, np.int64),
+            np.array(atoms, np.int64), np.array(counts, np.int64))
+
+
+def append_tied_slots(t: SymTensor, r: int, measure: AtomicMeasure) -> SymTensor:
+    """Symmetrize t(x_1..x_n) times r point-mass densities tying new slots to x_n.
+
+    The result has degree n + r.  Each new slot carries a factor
+    [x_new == x_n] / w at the tied atom (density convention), and the whole
+    expression is symmetrized over slot orderings.  For r = 0 this is t.
+    """
+    if t.m != measure.m:
+        raise DimensionError("tensor and measure atom counts differ")
+    if t.degree == 0:
+        raise ContractError("cannot tie new slots to a degree-0 tensor")
+    if r == 0:
+        return t.copy()
+    n_out = t.degree + r
+    out_idx, in_rank, atoms, counts = _tie_table(t.m, t.degree, r)
+    vals = np.zeros(math.comb(n_out + t.m - 1, n_out),
+                    dtype=complex if np.iscomplexobj(t.values) else float)
+    contrib = counts * t.values[in_rank] / measure.weights[atoms] ** r
+    np.add.at(vals, out_idx, contrib)
+    vals /= math.comb(n_out, r + 1)
+    return SymTensor(t.m, n_out, vals)
+
+
+# --- five-term Wick kernel recurrence --------------------------------------
+
+def pair_density(measure: AtomicMeasure) -> SymTensor:
+    """Degree-2 density of the diagonal point-mass pairing: [i == j]/w_j."""
+    t = SymTensor(measure.m, 2)
+    vals = t.values.copy()
+    reps = t.reps
+    diag = reps[:, 0] == reps[:, 1]
+    vals[diag] = 1.0 / measure.weights[reps[diag, 0]]
+    return SymTensor(measure.m, 2, vals)
+
+
+def wick_kernels_recurrence(omega: OmegaSample, measure: AtomicMeasure,
+                            N: int) -> list[SymTensor]:
+    """Densities of :omega^n: for n = 0..N by the five-term recurrence
+
+        K_{n+1} = Sym[K_n (x) K_1] - n Sym[K_{n-1} (x) pair-density]
+                  - n(n-1) Sym[K_{n-1} with two tied slots]
+                  - 2n Sym[K_n with one tied slot].
+    """
+    m = measure.m
+    out = [SymTensor(m, 0, np.ones(1))]
+    if N == 0:
+        return out
+    k1 = SymTensor(m, 1, omega.masses / measure.weights - 1.0)
+    out.append(k1)
+    pair = pair_density(measure)
+    for n in range(1, N):
+        nxt = sym_product(out[n], k1) \
+            - n * sym_product(out[n - 1], pair) \
+            - 2.0 * n * append_tied_slots(out[n], 1, measure)
+        if n >= 2:
+            nxt = nxt - n * (n - 1.0) * append_tied_slots(out[n - 1], 2, measure)
+        out.append(nxt)
+    return out
+
+
+# --- loop-partition expansion behind basis conversion ----------------------
+
+def expansion(f: SymTensor, measure: AtomicMeasure, signed: bool) -> dict[int, SymTensor]:
+    """Expand a degree-n pairing over loop partitions with one slot per block.
+
+    Each block either stays a free slot (weight |B|!, sign (-1)^(|B|+1) in
+    the signed version) or is integrated out against the measure (weight
+    (|B|-1)!, sign (-1)^|B|).  Returns kernels by resulting degree.
+    """
+    n = f.degree
+    out: dict[int, SymTensor] = {}
+    if n == 0:
+        return {0: f.copy()}
+    if n > WICK_MAX_DEGREE:
+        raise SizeError(f"basis conversion capped at degree {WICK_MAX_DEGREE}")
+    w = measure.weights
+    for part in loop_partitions(n):
+        blocks = part.blocks
+        k = len(blocks)
+        dense = diagonal_restrict(f, blocks)
+        sizes = [len(b) for b in blocks]
+        for mask in range(1 << k):
+            coeff = 1.0
+            for bi, sz in enumerate(sizes):
+                if mask >> bi & 1:
+                    coeff *= math.factorial(sz)
+                    if signed and sz % 2 == 0:
+                        coeff = -coeff
+                else:
+                    coeff *= math.factorial(sz - 1)
+                    if signed and sz % 2 == 1:
+                        coeff = -coeff
+            arr = dense
+            for bi in range(k - 1, -1, -1):
+                if not mask >> bi & 1:
+                    arr = np.tensordot(arr, w, axes=([bi], [0]))
+            deg = int(bin(mask).count("1"))
+            arr = np.asarray(arr)
+            if deg == 0:
+                st = SymTensor(f.m, 0, np.array([coeff * arr.item()]))
+            else:
+                st = coeff * SymTensor.from_dense(arr)
+            out[deg] = out.get(deg, SymTensor(f.m, deg)) + st
+    return out
+
+
+def convert_by_partitions(p: PolyFunctional, measure: AtomicMeasure) -> PolyFunctional:
+    """The functional p re-expressed in the other basis, by expansion."""
+    to_monomial = p.basis is Basis.GAMMA_WICK
+    acc = FockVector.zeros(p.m, p.degree)
+    for n in range(p.degree + 1):
+        for deg, t in expansion(p.kernels.get(n), measure, to_monomial).items():
+            acc.kernels[deg] = acc.get(deg) + t
+    return PolyFunctional(Basis.MONOMIAL if to_monomial else Basis.GAMMA_WICK, acc)

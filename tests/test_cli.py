@@ -208,9 +208,33 @@ def test_se_mult_must_be_finite_and_positive(capsys, command, se_mult):
     ("laguerre", "--sigma", "nan", "--n", "2"),
     ("jacobi", "--sigma", "inf", "--n", "2"),
     ("jacobi", "--sigma", "1", "--n", "-2"),
+    ("jacobi", "--sigma", "1e300", "--n", "3"),
+    ("laguerre", "--sigma", "1e300", "--n", "3"),
 ])
 def test_table_commands_validate_inputs(capsys, argv):
     assert_input_error(capsys, *argv)
+
+
+@pytest.mark.filterwarnings("error")
+def test_laguerre_high_degree_table_is_finite(capsys):
+    code, out = run_cli(capsys, "laguerre", "--sigma", "1", "--n", "200")
+    assert code == 0
+    rows = out.strip().split("\n")[1:]
+    assert len(rows) == 201
+    assert all(math.isfinite(float(v)) for r in rows for v in r.split(",")[1:])
+
+
+@pytest.mark.parametrize("command", ["all", "mc"])
+def test_samples_checked_before_any_suite_runs(capsys, monkeypatch, command):
+    import gwn.cli
+
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    for name in ("run_verify_all", "run_verify_suite", "run_mc_all",
+                 "run_mc_suite"):
+        monkeypatch.setattr(gwn.cli, name, no_suite)
+    assert_input_error(capsys, command, "--samples", "1")
 
 
 def test_stransform_rejects_non_finite_inputs(tmp_path, capsys):

@@ -130,6 +130,7 @@ def test_jacobi_coefficients_frozen():
     assert c2.norms[2] ** 2 == pytest.approx(2.0 * 0.5 * 1.5)
 
 
+@pytest.mark.filterwarnings("error")
 def test_jacobi_coefficients_domain():
     with pytest.raises(DomainError):
         jacobi_coefficients(0.0, 3)
@@ -140,6 +141,11 @@ def test_jacobi_coefficients_domain():
             jacobi_coefficients(sigma, 3)
     with pytest.raises(DomainError):
         jacobi_coefficients(1.0, -1)
+    # c_n^2 = n! rising(sigma, n) leaves the float range
+    for sigma, N in ((1e300, 3), (1e154, 2), (1.0, 200)):
+        with pytest.raises(DomainError):
+            jacobi_coefficients(sigma, N)
+    assert jacobi_coefficients(1e300, 1).norms[1] == pytest.approx(1e150)
 
 
 def test_norm_ratio_is_alpha(rng):

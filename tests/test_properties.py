@@ -1,9 +1,19 @@
-"""Randomized checks of the merged fast paths against independent routes.
+"""Randomized checks of the fast paths against independent routes.
 
 * the scalar rank-one route (per-atom three-term recurrence, batch of one)
-  against the five-term kernel recurrence paired through fock_inner_n;
+  against the Wick kernels paired through fock_inner_n;
+* the per-atom closed forms against the combinatorial routes they replaced
+  (now in ``oracles``): ext_inner_n against the loop-partition sum and the
+  permutation sum, wick_kernels against the five-term recurrence, and both
+  basis conversions against the loop-partition expansion, plus the round
+  trip;
+* sym_product against the dense average over slot orderings;
 * the batched MC reducer against mean and std(ddof=1)/sqrt(n) of the
   concatenated statistic, for any split into batches.
+
+Each comparison is scaled by the size of the terms being summed, computed
+from absolute values, so cancellation in the result cannot fail a correct
+route.
 """
 
 import math
@@ -13,12 +23,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from gwn.errors import DomainError
-from gwn.extfock import fock_inner_n
+from gwn.extfock import ext_inner_n, fock_inner_n
 from gwn.gammasample import mean_and_se
 from gwn.measure import AtomicMeasure
-from gwn.symtensor import rank_one
-from gwn.wickcalc import OmegaSample, wick_kernels, wick_pair_rank_one
+from gwn.symtensor import FockVector, SymTensor, _tables, rank_one, sym_product
+from gwn.wickcalc import (Basis, OmegaSample, PolyFunctional, _single_atom_q,
+                          monomial_to_wick, wick_kernels, wick_pair_rank_one,
+                          wick_to_monomial)
 
 from conftest import rel_err
 
@@ -47,6 +60,143 @@ def test_rank_one_route_matches_kernel_route(inputs):
     for n in range(N + 1):
         assert rel_err(q[n], fock_inner_n(mu, kernels[n], rank_one(xi, n))) \
             <= 1e-9
+
+
+@st.composite
+def weights(draw, max_m=5):
+    m = draw(st.integers(1, max_m))
+    return AtomicMeasure([10.0 ** draw(st.floats(-2.0, 2.0)) for _ in range(m)])
+
+
+def complex_tensor(seed: int, m: int, n: int) -> SymTensor:
+    rng = np.random.default_rng(seed)
+    size = math.comb(m + n - 1, n)
+    return SymTensor(m, n, rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size))
+
+
+def abs_tensor(t: SymTensor) -> SymTensor:
+    return SymTensor(t.m, t.degree, np.abs(t.values))
+
+
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights(), st.integers(0, 6), seeds)
+def test_ext_inner_matches_loop_partition_sum(mu, n, seed):
+    f = complex_tensor(seed, mu.m, n)
+    g = complex_tensor(seed + 1, mu.m, n)
+    got = ext_inner_n(mu, f, g)
+    want = oracles.ext_inner_n_partitions(mu, f, g)
+    scale = oracles.ext_inner_n_partitions(mu, abs_tensor(f), abs_tensor(g))
+    assert abs(got - want) <= 1e-12 * scale.real
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights(), st.integers(0, 5), seeds)
+def test_ext_inner_matches_permutation_sum(mu, n, seed):
+    f = complex_tensor(seed, mu.m, n)
+    g = complex_tensor(seed + 1, mu.m, n)
+    F, G = oracles.dense_from_symtensor(f), oracles.dense_from_symtensor(g)
+    want = oracles.ext_inner_n_perm(mu.weights, F, G)
+    scale = oracles.ext_inner_n_perm(mu.weights, np.abs(F), np.abs(G))
+    assert abs(ext_inner_n(mu, f, g) - want) <= 1e-12 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights(), st.integers(0, 6), st.data())
+def test_wick_kernels_match_five_term_recurrence(mu, N, data):
+    masses = [w * data.draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
+              for w in mu.weights]
+    om = OmegaSample(masses)
+    got = wick_kernels(om, mu, N)
+    want = oracles.wick_kernels_recurrence(om, mu, N)
+    # |q_k(s)| <= (-1)^k q_k(-s): the s^l coefficients of q_k alternate in sign
+    k = np.arange(N + 1)
+    qmag = (-1.0) ** k * _single_atom_q(-om.masses, mu.weights, N) \
+        / mu.weights[:, None] ** k
+    for n in range(N + 1):
+        scale = np.max(_tables(mu.m, n).atom_product(qmag))
+        assert np.max(np.abs(got[n].values - want[n].values)) <= 1e-10 * scale
+
+
+def term_sizes(p: PolyFunctional, mu: AtomicMeasure) -> float:
+    """Largest sum_k |A[k]| prod_i |T_i[k_i, l_i]| over l, in kernel units:
+    the size of the terms the conversion of p adds up.  The per-atom
+    matrices of monomial_to_wick are nonnegative; those of wick_to_monomial
+    alternate in sign as (-1)^(j-l), so flipping odd degrees before the
+    transform gives their absolute values up to the sign of the output."""
+    kernels = [abs_tensor(k) for k in p.kernels.kernels]
+    if p.basis is Basis.MONOMIAL:
+        return monomial_to_wick(PolyFunctional(p.basis, FockVector(kernels)),
+                                mu).kernels.max_abs()
+    flipped = FockVector([(-1.0) ** n * k for n, k in enumerate(kernels)])
+    return wick_to_monomial(PolyFunctional(p.basis, flipped), mu).kernels.max_abs()
+
+
+def convert(p: PolyFunctional, mu: AtomicMeasure) -> PolyFunctional:
+    if p.basis is Basis.GAMMA_WICK:
+        return wick_to_monomial(p, mu)
+    return monomial_to_wick(p, mu)
+
+
+def max_gap(p: PolyFunctional, q: PolyFunctional) -> float:
+    assert p.basis is q.basis and p.degree == q.degree
+    return max(float(np.max(np.abs(a.values - b.values)))
+               for a, b in zip(p.kernels.kernels, q.kernels.kernels))
+
+
+@st.composite
+def functionals(draw):
+    mu = draw(weights())
+    N = draw(st.integers(0, 6))
+    seed = draw(seeds)
+    basis = draw(st.sampled_from(Basis))
+    p = PolyFunctional(basis, FockVector([complex_tensor(seed + n, mu.m, n)
+                                          for n in range(N + 1)]))
+    return mu, p
+
+
+@settings(max_examples=100, deadline=None)
+@given(functionals())
+def test_conversion_matches_partition_expansion(case):
+    mu, p = case
+    got = convert(p, mu)
+    assert max_gap(got, oracles.convert_by_partitions(p, mu)) \
+        <= 1e-11 * term_sizes(p, mu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(functionals())
+def test_conversion_round_trip(case):
+    mu, p = case
+    mid = convert(p, mu)
+    back = convert(mid, mu)
+    # rounding in mid is bounded by its term sizes; the way back scales it
+    # by the term sizes of its own transform
+    size = term_sizes(p, mu)
+    mid_err = PolyFunctional(mid.basis, FockVector(
+        [SymTensor(mu.m, n, np.full(k.values.size, size))
+         for n, k in enumerate(mid.kernels.kernels)]))
+    assert max_gap(back, p) <= 1e-11 * term_sizes(mid_err, mu)
+
+
+@st.composite
+def degree_pairs(draw):
+    a = draw(st.integers(0, 5))
+    return a, draw(st.integers(0, 5 - a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), degree_pairs(), seeds)
+def test_sym_product_matches_dense_average(m, degrees, seed):
+    a, b = degrees
+    x = complex_tensor(seed, m, a)
+    y = complex_tensor(seed + 1, m, b)
+    got = oracles.dense_from_symtensor(sym_product(x, y))
+    want = oracles.sym_product_dense(oracles.dense_from_symtensor(x),
+                                     oracles.dense_from_symtensor(y))
+    assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, float(np.max(np.abs(want))))
 
 
 @st.composite

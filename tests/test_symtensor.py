@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ import pytest
 from conftest import random_measure, random_tensor
 from gwn.errors import ContractError, DimensionError, DomainError
 from gwn.measure import AtomicMeasure
-from gwn.symtensor import (FockVector, SymTensor, append_tied_slots,
-                           diagonal_restrict, multiply_pointwise_first_slot,
-                           rank_one, sym_product)
-from oracles import dense_from_symtensor, sym_product_dense
+from gwn.symtensor import (FockVector, SymTensor, _tables,
+                           multiply_pointwise_first_slot, rank_one, sym_product)
+from oracles import (append_tied_slots, dense_from_symtensor, diagonal_restrict,
+                     sym_product_dense)
 
 
 def test_storage_size():
@@ -23,6 +24,17 @@ def test_rank_one_power_identity():
     assert t.value_at((0, 1, 2)) == pytest.approx(-1.0)
     assert t.value_at((2, 1, 0)) == pytest.approx(-1.0)
     assert t.value_at((1, 1, 1)) == pytest.approx(8.0)
+
+
+@pytest.mark.parametrize("m,n", [(1, 0), (1, 5), (3, 4), (4, 6), (2, 16)])
+def test_occupation_table_matches_counting_loop(m, n):
+    tab = _tables(m, n)
+    for rep, occ, pc in zip(tab.reps.tolist(), tab.occ.tolist(),
+                            tab.perm_counts.tolist()):
+        counts = Counter(rep)
+        assert occ == [counts[i] for i in range(m)]
+        assert pc == math.factorial(n) // math.prod(
+            math.factorial(c) for c in counts.values())
 
 
 def test_sym_product_basis_split():

@@ -28,7 +28,7 @@ def rising(x, n):
 
 
 def pair_kernel(measure, omega, xi, n):
-    # pairing <:omega^n:, xi^(x)n> through the kernel recurrence
+    # pairing <:omega^n:, xi^(x)n> through the Wick kernel density
     return fock_inner_n(measure, wick_kernel(omega, measure, n), rank_one(xi, n))
 
 
@@ -68,7 +68,7 @@ def test_single_atom_matches_orthonormal_polynomials():
 
 
 def test_kernel_and_scalar_routes_agree(rng):
-    # the five-term kernel recurrence against the per-atom series product
+    # the per-atom product density against the per-atom series product
     for _ in range(10):
         mu = random_measure(rng, 3)
         om = OmegaSample(rng.uniform(0.0, 3.0, size=3))
@@ -281,7 +281,7 @@ def test_laguerre_index_bounds():
 def test_laguerre_rejects_bad_inputs():
     with pytest.raises(DomainError):
         laguerre_system(1.0, -1)
-    for sigma in (math.nan, math.inf, 0.0):
+    for sigma in (math.nan, math.inf, 0.0, 1e300, 1.7e308):
         with pytest.raises(DomainError):
             laguerre_system(sigma, 2)
 
