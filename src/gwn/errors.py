@@ -19,4 +19,6 @@ class ContractError(ValueError):
 
 
 class SizeError(ValueError):
-    """A combinatorial size cap was exceeded (degree or partition order too large)."""
+    """A size cap was exceeded: a degree or partition-order cap, or the entry
+    budget (``symtensor.MAX_ENTRIES``) of a table or tensor.  The budget is
+    checked before anything is allocated."""

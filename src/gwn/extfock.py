@@ -35,6 +35,9 @@ from .errors import ContractError, DimensionError, SizeError
 from .measure import AtomicMeasure
 from .symtensor import FockVector, SymTensor, _tables
 
+# Loop partitions are enumerated and cached in Python: order 10 has
+# Bell(10) = 115975 of them (52 MB, 3 s to build), and each further order
+# multiplies both by about six.
 MAX_LOOP_ORDER = 10
 
 

@@ -8,6 +8,12 @@ The Gamma field a(xi) splits into five parts acting on symmetric kernels:
 * annihilation-1:    f^(n) -> n * Integral(xi(y) f^(n)(y, .) dsigma)  (degree -1)
 * annihilation-2:    f^(n) -> n(n-1) * Sym[xi(x) f^(n)(x, x, .)]      (degree -1)
 
+On multiset storage creation is a symmetrized product with the degree-1
+kernel xi, and both annihilations read f^(n) through the one-atom merge
+table of ``symtensor``: entry (s, y) is the rank of s with atom y added.
+Annihilation-1 contracts that axis against w * xi; annihilation-2 takes
+y from s itself, n * sum_p xi(s_p) f^(n)(s with s_p duplicated).
+
 On indicator powers chi^(x)n the field acts by a three-term recurrence whose
 coefficients are the Jacobi parameters of the orthonormal Laguerre system
 with shape sigma = Integral(chi); the norms c_n of the indicator powers obey
@@ -25,7 +31,7 @@ import numpy as np
 from .errors import ContractError, DimensionError, DomainError
 from .extfock import ext_inner_n
 from .measure import AtomicMeasure
-from .symtensor import (FockVector, SymTensor, _insert_ranks,
+from .symtensor import (FockVector, SymTensor, _merge_ranks,
                         multiply_pointwise_first_slot, rank_one, sym_product)
 
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
@@ -65,7 +71,7 @@ def annihilate1(xi, f: FockVector, measure: AtomicMeasure) -> FockVector:
     out = FockVector.zeros(f.m, max(f.degree - 1, 0))
     wxi = measure.weights * xi
     for n in range(1, f.degree + 1):
-        tab = _insert_ranks(f.m, n - 1)          # (R_{n-1}, m)
+        tab = _merge_ranks(f.m, n - 1, 1)        # (R_{n-1}, m)
         vals = n * (f.get(n).values[tab] @ wxi)
         out.kernels[n - 1] = out.get(n - 1) + SymTensor(f.m, n - 1, vals)
     return out
@@ -81,7 +87,7 @@ def annihilate2(xi, f: FockVector) -> FockVector:
     xi = _check_xi(xi, f.m)
     out = FockVector.zeros(f.m, max(f.degree - 1, 0))
     for n in range(2, f.degree + 1):
-        tab = _insert_ranks(f.m, n - 1)
+        tab = _merge_ranks(f.m, n - 1, 1)
         reps = out.get(n - 1).reps               # (R_{n-1}, n-1)
         dup = np.take_along_axis(tab, reps, axis=1)
         vals = n * np.sum(xi[reps] * f.get(n).values[dup], axis=1)

@@ -39,7 +39,7 @@ from .fieldops import annihilate1, annihilate2, create, neutral
 from .gammasample import (MCEstimate, SamplerConfig, iter_jump_batches,
                           mean_and_se)
 from .measure import AtomicMeasure
-from .symtensor import FockVector, SymTensor, _insert_ranks, sym_product
+from .symtensor import FockVector, SymTensor, _merge_ranks, sym_product
 from .wickcalc import (Basis, OmegaSample, PolyFunctional, evaluate_batch,
                        s_transform)
 
@@ -101,7 +101,7 @@ def _slot_lower(kernels: FockVector, atom: int) -> FockVector:
         return FockVector.zeros(m, 0)
     out = []
     for n in range(1, kernels.degree + 1):
-        tab = _insert_ranks(m, n - 1)
+        tab = _merge_ranks(m, n - 1, 1)
         out.append(SymTensor(m, n - 1, n * kernels.get(n).values[tab[:, atom]]))
     return FockVector(out)
 
@@ -420,9 +420,8 @@ def a1_plus_mc_adjointness_check(phi: PolyFunctional, psi: PolyFunctional, xi,
             removed[np.arange(owners.size), atoms] -= sizes
             np.maximum(removed, 0.0, out=removed)  # clear rounding dust
             contrib = sizes * xi[atoms] * evaluate_batch(phi_m, removed, measure)
-            add = np.zeros(masses.shape[0])
-            np.add.at(add, owners, contrib)
-            aplus = aplus + add
+            aplus = aplus + np.bincount(owners, weights=contrib,
+                                        minlength=masses.shape[0])
         return aplus * psi0 - phi0 * a1v
 
     mean, se = mean_and_se(stat(*batch)

@@ -6,12 +6,21 @@ also indexed by its occupation counts k (k_i = how often atom i appears),
 and perm_count(k) = n! / prod_i k_i! counts its orderings.  A symmetric
 tensor f is thereby the polynomial sum_k perm_count(k) f[k] s^k in the
 atom variables, which is how the inner products, Wick kernels and basis
-conversions factor over atoms.  Index tables are precomputed per (m, n)
-and cached, so the hot paths are vectorized gathers.
+conversions factor over atoms.
 
 Symmetrization convention: the symmetrized product is the arithmetic mean
 over position splits, so phi-tensor-phi equals the plain tensor square with
-no combinatorial prefactor.
+no combinatorial prefactor.  It is the product of the two polynomials: the
+coefficients perm_count(k) f[k] of the factors are multiplied and added
+onto the merge table, which maps a pair of multi-indices to the rank of
+their union (occupation counts k_a + k_b).  The same table serves the slot
+operators (one extra atom, degree b = 1) and the dense layout (a chain of
+one-atom merges).
+
+Every rank table comes from the cached multiset table of each (m, n), the
+merge table or, in ``wickcalc``, the simplex of all degrees <= N, so the
+hot paths are vectorized gathers.  Each is checked against one entry
+budget, ``MAX_ENTRIES``, before it is allocated.
 """
 
 from __future__ import annotations
@@ -19,15 +28,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError, SizeError
 
-# Hard caps keeping table sizes at desk scale.
-MAX_DENSE = 4_000_000
+# Most entries one table or tensor may hold (2^26 int64 entries are
+# 512 MB).  It admits the 16-atom degree-8 Wick kernels and the 60-atom
+# degree-4 tables, and refuses the many-atom tables that would take
+# gigabytes before allocating them.
+MAX_ENTRIES = 1 << 26
+# perm_counts divides int64 factorials, which are exact only up to 20!;
+# 16 keeps a margin and lies past every degree the suites use.
 MAX_DEGREE = 16
+
+
+def _check_entries(entries: int, what: str) -> None:
+    if entries > MAX_ENTRIES:
+        raise SizeError(f"{what} needs {entries} entries, over the budget of "
+                        f"{MAX_ENTRIES}")
 
 
 @dataclass(frozen=True)
@@ -65,6 +85,7 @@ def _tables(m: int, n: int) -> _MultisetTable:
         raise DimensionError("need at least one atom")
     if n < 0 or n > MAX_DEGREE:
         raise SizeError(f"degree {n} outside supported range 0..{MAX_DEGREE}")
+    _check_entries(math.comb(n + m - 1, n) * max(m, n), f"multiset table (m={m}, n={n})")
     if n == 0:
         reps = np.zeros((1, 0), dtype=np.int64)
     else:
@@ -81,44 +102,35 @@ def _tables(m: int, n: int) -> _MultisetTable:
 
 
 @lru_cache(maxsize=None)
+def _merge_ranks(m: int, a: int, b: int) -> np.ndarray:
+    """(R_a, R_b) table: degree-(a+b) rank of the union of degree-a rep i and
+    degree-b rep j, i.e. of the occupation counts k_i + k_j.  Callers put the
+    larger degree first, so the product and slot operators share tables."""
+    ta = _tables(m, a)
+    _check_entries(len(ta.reps) * math.comb(b + m - 1, b), f"merge table ({a}, {b})")
+    if b != 1:
+        r = np.arange(len(ta.reps))[:, None]
+        for p, atoms in enumerate(_tables(m, b).reps.T):
+            r = _merge_ranks(m, a + p, 1)[r, atoms]
+        return r
+    # Inserting atom x behind the p entries <= x multiplies the key digits
+    # of those p entries by m and writes x at digit a - p.
+    p = np.cumsum(ta.occ, axis=1)
+    head = np.zeros((len(ta.reps), a + 1), dtype=np.int64)
+    np.cumsum(ta.reps * ta.powers, axis=1, out=head[:, 1:])
+    keys = ta.keys[:, None] + (m - 1) * np.take_along_axis(head, p, axis=1) \
+        + np.arange(m) * m ** (a - p)
+    return np.searchsorted(_tables(m, a + 1).keys, keys)
+
+
+@lru_cache(maxsize=None)
 def _ordered_ranks(m: int, n: int) -> np.ndarray:
     """Rank of the sorted version of every ordered tuple, in C order (m^n,)."""
-    if m ** n > MAX_DENSE:
-        raise SizeError(f"dense table m^n = {m}^{n} too large")
-    grid = np.indices((m,) * n).reshape(n, -1).T if n else np.zeros((1, 0), np.int64)
-    return _tables(m, n).rank_rows(grid)
-
-
-@lru_cache(maxsize=None)
-def _insert_ranks(m: int, n: int) -> np.ndarray:
-    """(R_n, m) table: rank in degree n+1 of rep with one extra atom appended."""
-    tab = _tables(m, n)
-    big = _tables(m, n + 1)
-    R = len(tab.reps)
-    rows = np.empty((R, m, n + 1), dtype=np.int64)
-    rows[:, :, :n] = tab.reps[:, None, :]
-    rows[:, :, n] = np.arange(m)[None, :]
-    return big.rank_rows(rows.reshape(R * m, n + 1)).reshape(R, m)
-
-
-@lru_cache(maxsize=None)
-def _split_ranks(m: int, na: int, nb: int):
-    """Position-split tables for the symmetrized product.
-
-    For every degree-(na+nb) rep and every choice of na positions, the ranks
-    of the two sorted sub-tuples.  Returns (ranks_a, ranks_b), each of shape
-    (R, C(na+nb, na)).
-    """
-    n = na + nb
-    tab = _tables(m, n)
-    combs = np.array(list(combinations(range(n), na)), dtype=np.int64).reshape(-1, na)
-    comp = np.array([sorted(set(range(n)) - set(c.tolist())) for c in combs],
-                    dtype=np.int64).reshape(-1, nb)
-    sub_a = tab.reps[:, combs]    # (R, C, na), rows already sorted
-    sub_b = tab.reps[:, comp]
-    ra = _tables(m, na).rank_sorted_rows(sub_a.reshape(-1, na)).reshape(len(tab.reps), -1)
-    rb = _tables(m, nb).rank_sorted_rows(sub_b.reshape(-1, nb)).reshape(len(tab.reps), -1)
-    return ra, rb
+    _check_entries(m ** n, f"dense table {m}^{n}")
+    r = np.zeros(1, dtype=np.int64)
+    for d in range(n):
+        r = _merge_ranks(m, d, 1)[r].ravel()
+    return r
 
 
 class SymTensor:
@@ -128,6 +140,7 @@ class SymTensor:
         self.m = int(m)
         self.degree = int(degree)
         R = math.comb(self.degree + self.m - 1, self.degree)
+        _check_entries(R, f"degree-{self.degree} tensor over {self.m} atoms")
         if values is None:
             self.values = np.zeros(R)
         else:
@@ -211,7 +224,6 @@ class SymTensor:
     def from_index_map(cls, m: int, degree: int, d: dict) -> "SymTensor":
         t = cls(m, degree)
         vals = t.values.copy()
-        tab = _tables(m, degree)
         for key, v in d.items():
             idx = np.array(sorted(int(x) for x in key.split()), dtype=np.int64)
             if idx.shape != (degree,):
@@ -221,7 +233,7 @@ class SymTensor:
             x = float(v)
             if not math.isfinite(x):
                 raise DomainError(f"value of index key '{key}' is not finite")
-            vals[int(tab.rank_sorted_rows(idx[None, :])[0])] = x
+            vals[int(_tables(m, degree).rank_sorted_rows(idx[None, :])[0])] = x
         t.values = vals
         return t
 
@@ -241,16 +253,17 @@ def rank_one(f, degree: int) -> SymTensor:
 
 
 def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
-    """Symmetrized tensor product (mean over position splits)."""
+    """Symmetrized tensor product (mean over position splits): the product
+    of the polynomials sum_k perm_count(k) f[k] s^k of the two factors."""
     if a.m != b.m:
         raise DimensionError("tensors live over different atom sets")
-    if a.degree == 0:
-        return SymTensor(b.m, b.degree, a.values[0] * b.values)
-    if b.degree == 0:
-        return SymTensor(a.m, a.degree, b.values[0] * a.values)
-    ra, rb = _split_ranks(a.m, a.degree, b.degree)
-    vals = np.mean(a.values[ra] * b.values[rb], axis=1)
-    return SymTensor(a.m, a.degree + b.degree, vals)
+    if a.degree < b.degree:
+        a, b = b, a
+    coeff = np.outer(a.perm_counts * a.values, b.perm_counts * b.values)
+    tab = _tables(a.m, a.degree + b.degree)
+    vals = np.zeros(len(tab.reps), dtype=coeff.dtype)
+    np.add.at(vals, _merge_ranks(a.m, a.degree, b.degree).ravel(), coeff.ravel())
+    return SymTensor(a.m, a.degree + b.degree, vals / tab.perm_counts)
 
 
 def multiply_pointwise_first_slot(t: SymTensor, g) -> SymTensor:

@@ -56,10 +56,17 @@ def _random_omega(rng: np.random.Generator, m: int) -> OmegaSample:
     return OmegaSample(rng.uniform(0.05, 2.5, m))
 
 
+def _random_tensor(rng: np.random.Generator, m: int, n: int) -> SymTensor:
+    """Uniform(-1, 1) kernel.  The tensor is built before the draw, so a
+    size over the entry budget is refused before anything is allocated."""
+    t = SymTensor(m, n)
+    t.values = rng.uniform(-1.0, 1.0, t.values.size)
+    return t
+
+
 def _random_poly(rng: np.random.Generator, m: int, N: int,
                  basis: Basis = Basis.MONOMIAL) -> PolyFunctional:
-    ks = [SymTensor(m, n, rng.uniform(-1.0, 1.0, math.comb(m + n - 1, n)))
-          for n in range(N + 1)]
+    ks = [_random_tensor(rng, m, n) for n in range(N + 1)]
     return PolyFunctional(basis, FockVector(ks))
 
 
@@ -321,7 +328,7 @@ def chaos_suite(seed: int, measure: AtomicMeasure | None = None,
     cfg = SamplerConfig(seed=seed, n_samples=samples)
     cases = []
     for n in (1, 2):
-        fst = SymTensor(m, n, rng.uniform(-1.0, 1.0, math.comb(m + n - 1, n)))
+        fst = _random_tensor(rng, m, n)
         est = chaos_projection_check(mu, fst, cfg)
         cases.append(absolute_case(f"projection_orthogonality_degree_{n}",
                                    est.mean, 0.0, se_mult * est.std_error,

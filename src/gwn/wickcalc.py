@@ -44,6 +44,10 @@ from .fieldops import _three_term
 from .measure import AtomicMeasure
 from .symtensor import FockVector, SymTensor, _tables, rank_one, sym_product
 
+# Accuracy cap of basis conversion: the per-atom transforms lose digits
+# fast past it.  At m = 2 the monomial -> Wick -> monomial round trip of
+# Uniform(-1, 1) kernels is off by 3e-9 at N = 8, 1e-3 at N = 12 and 1e4
+# at N = 16.
 WICK_MAX_DEGREE = 8
 
 
@@ -185,14 +189,10 @@ class PolyFunctional:
         _check_sample(omega, measure)
         if self.m != measure.m:
             raise DimensionError("functional and measure atom counts differ")
-        total = 0.0
         if self.basis is Basis.MONOMIAL:
-            for n in range(self.degree + 1):
-                f = self.kernels.get(n)
-                sprod = np.prod(omega.masses[f.reps], axis=1) if n else np.ones(1)
-                total += float((f.perm_counts * sprod) @ f.values)
-            return total
+            return float(evaluate_batch(self, omega.masses[None, :], measure)[0])
         ks = wick_kernels(omega, measure, self.degree)
+        total = 0.0
         for n in range(self.degree + 1):
             total += fock_inner_n(measure, ks[n], self.kernels.get(n))
         return total
@@ -227,7 +227,15 @@ class PolyFunctional:
         try:
             basis = Basis(d["basis"])
             m = int(d["m"])
-            entries = {int(k["degree"]): k["values"] for k in d["kernels"]}
+            entries = {}
+            for k in d["kernels"]:
+                n = int(k["degree"])
+                if n < 0 or n in entries:
+                    raise ValueError(f"kernel degree {n} is negative or repeated")
+                if not isinstance(k["values"], dict):
+                    raise ValueError(f"values of the degree-{n} kernel are not "
+                                     f"an index map")
+                entries[n] = k["values"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ContractError(f"malformed functional JSON: {exc}") from exc
         N = max(entries) if entries else 0

@@ -26,7 +26,7 @@ import numpy as np
 from gwn.errors import ContractError, DimensionError, SizeError
 from gwn.extfock import loop_partitions
 from gwn.measure import AtomicMeasure
-from gwn.symtensor import MAX_DENSE, FockVector, SymTensor, _tables, sym_product
+from gwn.symtensor import MAX_ENTRIES, FockVector, SymTensor, _tables, sym_product
 from gwn.wickcalc import WICK_MAX_DEGREE, Basis, OmegaSample, PolyFunctional
 
 MAX_ASSIGNMENTS = 4_000_000
@@ -167,7 +167,7 @@ def diagonal_restrict(t: SymTensor, blocks) -> np.ndarray:
     """
     bl = _check_partition(blocks, t.degree)
     k = len(bl)
-    if t.m ** k > MAX_DENSE:
+    if t.m ** k > MAX_ENTRIES:
         raise SizeError("diagonal restriction too large to hold densely")
     pos_to_block = np.empty(t.degree, dtype=np.int64)
     for bi, b in enumerate(bl):
@@ -317,3 +317,38 @@ def convert_by_partitions(p: PolyFunctional, measure: AtomicMeasure) -> PolyFunc
         for deg, t in expansion(p.kernels.get(n), measure, to_monomial).items():
             acc.kernels[deg] = acc.get(deg) + t
     return PolyFunctional(Basis.MONOMIAL if to_monomial else Basis.GAMMA_WICK, acc)
+
+
+# --- dense routes of the field operators and slot derivatives --------------
+
+def symmetrize_dense(A: np.ndarray) -> np.ndarray:
+    """Mean of A over all orderings of its axes."""
+    n = A.ndim
+    return sum(np.transpose(A, p) for p in permutations(range(n))) / math.factorial(n)
+
+
+def _along_first_axis(v: np.ndarray, n: int) -> np.ndarray:
+    return v.reshape((-1,) + (1,) * (n - 1))
+
+
+def neutral_dense(xi: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """n Sym[xi(x_1) F(x_1, ..., x_n)], n >= 1."""
+    n = F.ndim
+    return n * symmetrize_dense(_along_first_axis(xi, n) * F)
+
+
+def contraction_dense(v: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """n sum_y v(y) F(y, .), n >= 1."""
+    return F.ndim * np.tensordot(v, F, axes=1)
+
+
+def diagonal_slice_dense(xi: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """n(n-1) Sym[xi(x) F(x, x, .)], n >= 2."""
+    n = F.ndim
+    D = np.moveaxis(np.diagonal(F, axis1=0, axis2=1), -1, 0)
+    return n * (n - 1) * symmetrize_dense(_along_first_axis(xi, n - 1) * D)
+
+
+def slot_evaluation_dense(F: np.ndarray, atom: int) -> np.ndarray:
+    """n F(atom, .), n >= 1."""
+    return F.ndim * F[atom]

@@ -258,3 +258,29 @@ def test_json_output_is_strict():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             to_json({"x": bad})
+
+
+def test_stransform_refuses_a_many_atom_functional(tmp_path, capsys):
+    save_measure(AtomicMeasure(np.ones(60)), tmp_path / "mu.json")
+    functional = {"basis": "gamma_wick", "m": 60, "kernels": [
+        {"degree": 8, "values": {"0 1 2 3 4 5 6 7": 1.0}}]}
+    (tmp_path / "p.json").write_text(json.dumps(functional))
+    assert_input_error(capsys, "stransform",
+                       "--functional", str(tmp_path / "p.json"),
+                       "--theta", json.dumps([0.1] * 60),
+                       "--measure", str(tmp_path / "mu.json"))
+
+
+@pytest.mark.parametrize("kernels", [
+    [{"degree": 1, "values": [1.0, 2.0]}],
+    [{"degree": 0, "values": {"": 1.0}}, {"degree": -1, "values": {}}],
+    [{"degree": 1, "values": {"0": 1.0}}, {"degree": 1, "values": {"1": 2.0}}],
+], ids=["values_not_a_map", "negative_degree", "repeated_degree"])
+def test_stransform_rejects_malformed_functional(tmp_path, capsys, kernels):
+    save_measure(AtomicMeasure([2.0, 0.5]), tmp_path / "mu.json")
+    functional = {"basis": "gamma_wick", "m": 2, "kernels": kernels}
+    (tmp_path / "p.json").write_text(json.dumps(functional))
+    assert_input_error(capsys, "stransform",
+                       "--functional", str(tmp_path / "p.json"),
+                       "--theta", "[0.1, 0.2]",
+                       "--measure", str(tmp_path / "mu.json"))

@@ -7,7 +7,8 @@
   permutation sum, wick_kernels against the five-term recurrence, and both
   basis conversions against the loop-partition expansion, plus the round
   trip;
-* sym_product against the dense average over slot orderings;
+* sym_product against the dense average over slot orderings, and the
+  field operators and slot derivatives against dense-array routes;
 * the batched MC reducer against mean and std(ddof=1)/sqrt(n) of the
   concatenated statistic, for any split into batches.
 
@@ -26,6 +27,8 @@ from hypothesis import strategies as st
 import oracles
 from gwn.errors import DomainError
 from gwn.extfock import ext_inner_n, fock_inner_n
+from gwn.fieldops import annihilate1, annihilate2, create, neutral
+from gwn.funcalc import nabla, wick_del
 from gwn.gammasample import mean_and_se
 from gwn.measure import AtomicMeasure
 from gwn.symtensor import FockVector, SymTensor, _tables, rank_one, sym_product
@@ -197,6 +200,53 @@ def test_sym_product_matches_dense_average(m, degrees, seed):
     want = oracles.sym_product_dense(oracles.dense_from_symtensor(x),
                                      oracles.dense_from_symtensor(y))
     assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, float(np.max(np.abs(want))))
+
+
+@st.composite
+def operator_inputs(draw):
+    mu = draw(weights(max_m=4))
+    n = draw(st.integers(0, 5))
+    f = complex_tensor(draw(seeds), mu.m, n)
+    if draw(st.booleans()):
+        f = SymTensor(mu.m, n, f.values.real)
+    xi = np.array([draw(unit) for _ in range(mu.m)])
+    return mu, f, xi, draw(st.integers(0, mu.m - 1))
+
+
+def assert_single_degree(got: FockVector, degree: int, route, *args):
+    """got is route(*args) at degree and zero at every other degree (all of
+    it when degree is -1), up to rounding scaled by route applied to
+    absolute values."""
+    want, scale = 0.0, 1.0
+    if degree >= 0:
+        want = route(*args)
+        scale = max(1.0, np.max(route(*(np.abs(x) for x in args))))
+    for d, k in enumerate(got.kernels):
+        ref = want if d == degree else 0.0
+        assert np.max(np.abs(oracles.dense_from_symtensor(k) - ref)) <= 1e-13 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(operator_inputs())
+def test_field_operators_and_slot_derivatives_match_dense_routes(case):
+    mu, f, xi, atom = case
+    n = f.degree
+    F = oracles.dense_from_symtensor(f)
+    vec = FockVector.single(f)
+    # an operator that needs more slots than f has returns zero (degree -1)
+    lowered = n - 1 if n >= 1 else -1
+    assert_single_degree(create(xi, vec), n + 1, oracles.sym_product_dense, xi, F)
+    assert_single_degree(neutral(xi, vec), n if n >= 1 else -1,
+                         oracles.neutral_dense, xi, F)
+    assert_single_degree(annihilate1(xi, vec, mu), lowered,
+                         oracles.contraction_dense, mu.weights * xi, F)
+    assert_single_degree(annihilate2(xi, vec), lowered if n >= 2 else -1,
+                         oracles.diagonal_slice_dense, xi, F)
+    for basis, derivative in ((Basis.MONOMIAL, nabla), (Basis.GAMMA_WICK, wick_del)):
+        got = derivative(PolyFunctional(basis, vec), atom)
+        assert got.basis is basis
+        assert_single_degree(got.kernels, lowered,
+                             lambda F: oracles.slot_evaluation_dense(F, atom), F)
 
 
 @st.composite

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_measure, random_tensor
-from gwn.errors import ContractError, DimensionError, DomainError
+from gwn.errors import ContractError, DimensionError, DomainError, SizeError
 from gwn.measure import AtomicMeasure
 from gwn.symtensor import (FockVector, SymTensor, _tables,
                            multiply_pointwise_first_slot, rank_one, sym_product)
@@ -190,3 +190,12 @@ def test_vacuum():
 def test_from_index_map_rejects_non_finite_values(value):
     with pytest.raises(DomainError):
         SymTensor.from_index_map(2, 1, {"0": 1.0, "1": value})
+
+
+def test_entry_budget_refuses_oversized_tensors_and_tables():
+    with pytest.raises(SizeError):
+        SymTensor(60, 8)
+    with pytest.raises(SizeError):
+        rank_one(np.ones(60), 5)          # the 60-atom degree-5 table
+    with pytest.raises(SizeError):
+        rank_one(np.ones(16), 7).to_dense()   # 16^7 ordered tuples
