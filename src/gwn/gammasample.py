@@ -112,7 +112,7 @@ def _draw_cp_batch(measure: AtomicMeasure, eps: float,
             continue
         jumps = _sample_jumps(rng, total, eps)
         owner = np.repeat(np.arange(size), counts)
-        out[:, i] = np.bincount(owner, weights=jumps, minlength=size)
+        np.add.at(out[:, i], owner, jumps)
         owners.append(owner)
         atoms.append(np.full(total, i, dtype=np.int64))
         sizes.append(jumps)

@@ -50,6 +50,11 @@ def _check_entries(entries: int, what: str) -> None:
                         f"{MAX_ENTRIES}")
 
 
+def _check_degree(n: int) -> None:
+    if n < 0 or n > MAX_DEGREE:
+        raise SizeError(f"degree {n} outside supported range 0..{MAX_DEGREE}")
+
+
 @dataclass(frozen=True)
 class _MultisetTable:
     m: int
@@ -83,8 +88,7 @@ class _MultisetTable:
 def _tables(m: int, n: int) -> _MultisetTable:
     if m < 1:
         raise DimensionError("need at least one atom")
-    if n < 0 or n > MAX_DEGREE:
-        raise SizeError(f"degree {n} outside supported range 0..{MAX_DEGREE}")
+    _check_degree(n)
     _check_entries(math.comb(n + m - 1, n) * max(m, n), f"multiset table (m={m}, n={n})")
     if n == 0:
         reps = np.zeros((1, 0), dtype=np.int64)
@@ -139,6 +143,7 @@ class SymTensor:
     def __init__(self, m: int, degree: int, values=None):
         self.m = int(m)
         self.degree = int(degree)
+        _check_degree(self.degree)
         R = math.comb(self.degree + self.m - 1, self.degree)
         _check_entries(R, f"degree-{self.degree} tensor over {self.m} atoms")
         if values is None:

@@ -226,10 +226,10 @@ class PolyFunctional:
     def from_json_dict(cls, d: dict) -> "PolyFunctional":
         try:
             basis = Basis(d["basis"])
-            m = int(d["m"])
+            m = _json_int(d["m"], "m")
             entries = {}
             for k in d["kernels"]:
-                n = int(k["degree"])
+                n = _json_int(k["degree"], "kernel degree")
                 if n < 0 or n in entries:
                     raise ValueError(f"kernel degree {n} is negative or repeated")
                 if not isinstance(k["values"], dict):
@@ -242,6 +242,13 @@ class PolyFunctional:
         kernels = [SymTensor.from_index_map(m, n, entries.get(n, {}))
                    for n in range(N + 1)]
         return cls(basis, FockVector(kernels))
+
+
+def _json_int(x, what: str) -> int:
+    """x if it is a JSON integer; a float such as 1.7 is refused, not cut."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
 
 
 def constant_functional(m: int, value: float, basis: Basis = Basis.GAMMA_WICK) -> PolyFunctional:

@@ -271,14 +271,20 @@ def test_stransform_refuses_a_many_atom_functional(tmp_path, capsys):
                        "--measure", str(tmp_path / "mu.json"))
 
 
-@pytest.mark.parametrize("kernels", [
-    [{"degree": 1, "values": [1.0, 2.0]}],
-    [{"degree": 0, "values": {"": 1.0}}, {"degree": -1, "values": {}}],
-    [{"degree": 1, "values": {"0": 1.0}}, {"degree": 1, "values": {"1": 2.0}}],
-], ids=["values_not_a_map", "negative_degree", "repeated_degree"])
-def test_stransform_rejects_malformed_functional(tmp_path, capsys, kernels):
+@pytest.mark.parametrize("fields", [
+    {"kernels": [{"degree": 1, "values": [1.0, 2.0]}]},
+    {"kernels": [{"degree": 0, "values": {"": 1.0}}, {"degree": -1, "values": {}}]},
+    {"kernels": [{"degree": 1, "values": {"0": 1.0}},
+                 {"degree": 1, "values": {"1": 2.0}}]},
+    {"kernels": [{"degree": 1.7, "values": {"0": 1.0}}]},
+    {"kernels": [{"degree": 100000, "values": {}}]},
+    {"m": 2.5},
+], ids=["values_not_a_map", "negative_degree", "repeated_degree",
+        "fractional_degree", "degree_over_cap", "fractional_m"])
+def test_stransform_rejects_malformed_functional(tmp_path, capsys, fields):
     save_measure(AtomicMeasure([2.0, 0.5]), tmp_path / "mu.json")
-    functional = {"basis": "gamma_wick", "m": 2, "kernels": kernels}
+    functional = {"basis": "gamma_wick", "m": 2,
+                  "kernels": [{"degree": 1, "values": {"0": 1.0}}], **fields}
     (tmp_path / "p.json").write_text(json.dumps(functional))
     assert_input_error(capsys, "stransform",
                        "--functional", str(tmp_path / "p.json"),

@@ -7,7 +7,7 @@ import pytest
 from conftest import random_measure, random_tensor
 from gwn.errors import ContractError, DimensionError, DomainError, SizeError
 from gwn.measure import AtomicMeasure
-from gwn.symtensor import (FockVector, SymTensor, _tables,
+from gwn.symtensor import (MAX_DEGREE, FockVector, SymTensor, _tables,
                            multiply_pointwise_first_slot, rank_one, sym_product)
 from oracles import (append_tied_slots, dense_from_symtensor, diagonal_restrict,
                      sym_product_dense)
@@ -195,6 +195,8 @@ def test_from_index_map_rejects_non_finite_values(value):
 def test_entry_budget_refuses_oversized_tensors_and_tables():
     with pytest.raises(SizeError):
         SymTensor(60, 8)
+    with pytest.raises(SizeError):
+        SymTensor(2, MAX_DEGREE + 1)      # small, but past the degree cap
     with pytest.raises(SizeError):
         rank_one(np.ones(60), 5)          # the 60-atom degree-5 table
     with pytest.raises(SizeError):
