@@ -95,16 +95,18 @@ def _laguerre_csv(sigma: float, N: int) -> str:
 
 
 def _parse_theta(spec: str) -> np.ndarray:
+    # JSON integers are read as floats, so a huge one becomes inf, not an
+    # OverflowError
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=float)
         if isinstance(data, dict):
             data = data.get("values")
     else:
-        data = json.loads(spec)
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("theta must be a flat list of atom values")
+        data = json.loads(spec, parse_int=float)
+    if not (isinstance(data, list) and all(type(x) is float for x in data)):
+        raise ValueError("theta must be a flat JSON list of numbers")
+    arr = np.array(data)
     if not np.all(np.isfinite(arr)):
         raise ValueError("theta values must be finite")
     return arr

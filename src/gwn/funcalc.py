@@ -15,27 +15,31 @@ They are linked by the exact operator series
 
 which terminate on polynomials since each term lowers degree, and by an
 integral representation: applying the Wick derivative equals integrating
-phi(omega + s delta_x) - phi(omega) against e^(-s) ds (computed here with
-Gauss-Laguerre quadrature, exact for polynomial integrands).
+phi(omega + s delta_x) - phi(omega) against e^(-s) ds.  Every integral form
+uses one 64-node Gauss-Laguerre rule, built once on first use; it is exact
+for s-polynomials up to degree 127.
 
 The coordinate multiplication operator omega(x). decomposes into Wick
 derivative/adjoint compositions, and the check_* functions compare the
 Fock-side creation, neutral, and two annihilation operators against their
-gradient-form expressions at sampled configurations.  D_xi denotes the
-Gateaux derivative in the direction of the measure with density xi, i.e.
-D_xi = sum_i w_i xi_i nabla_i.
+gradient-form expressions at sampled configurations.  The reassembly check
+applies the Gamma field itself (creation + 2 neutral + <xi> id + both
+annihilations) on the Fock side and compares it with multiplication by
+<omega, xi>.  D_xi denotes the Gateaux derivative in the direction of the
+measure with density xi, i.e. D_xi = sum_i w_i xi_i nabla_i.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_laguerre
 
-from .errors import ContractError, DimensionError, DomainError
-from .fieldops import annihilate1, annihilate2, create, neutral
+from .errors import DimensionError, DomainError
+from .fieldops import annihilate1, annihilate2, create, gamma_field, neutral
 from .gammasample import (MCEstimate, SamplerConfig, iter_jump_batches,
                           mean_and_se)
 from .measure import AtomicMeasure
@@ -73,20 +77,11 @@ def gauss_laguerre_rule(n_nodes: int = DEFAULT_QUAD_NODES) -> QuadratureRule:
     return QuadratureRule(x, w)
 
 
-def _as_monomial(p: PolyFunctional, measure: AtomicMeasure | None) -> PolyFunctional:
-    if p.basis is Basis.MONOMIAL:
-        return p
-    if measure is None:
-        raise ContractError("basis conversion requires the reference measure")
-    return p.to_basis(Basis.MONOMIAL, measure)
-
-
-def _as_wick(p: PolyFunctional, measure: AtomicMeasure | None) -> PolyFunctional:
-    if p.basis is Basis.GAMMA_WICK:
-        return p
-    if measure is None:
-        raise ContractError("basis conversion requires the reference measure")
-    return p.to_basis(Basis.GAMMA_WICK, measure)
+@lru_cache(maxsize=None)
+def _rule() -> QuadratureRule:
+    """The rule of every integral form, built on first use: building it
+    loads scipy.linalg, which the MC commands never need."""
+    return gauss_laguerre_rule()
 
 
 def _check_atom(atom: int, m: int) -> None:
@@ -109,7 +104,7 @@ def _slot_lower(kernels: FockVector, atom: int) -> FockVector:
 def nabla(p: PolyFunctional, atom: int,
           measure: AtomicMeasure | None = None) -> PolyFunctional:
     """Gateaux derivative in the unit point-mass direction at one atom."""
-    pm = _as_monomial(p, measure)
+    pm = p.to_basis(Basis.MONOMIAL, measure)
     _check_atom(atom, pm.m)
     return PolyFunctional(Basis.MONOMIAL, _slot_lower(pm.kernels, atom))
 
@@ -117,7 +112,7 @@ def nabla(p: PolyFunctional, atom: int,
 def d_xi(p: PolyFunctional, xi, measure: AtomicMeasure) -> PolyFunctional:
     """Derivative in the direction of the measure xi dsigma:
     D_xi = sum_i w_i xi_i nabla_i (one fused kernel contraction)."""
-    pm = _as_monomial(p, measure)
+    pm = p.to_basis(Basis.MONOMIAL, measure)
     xi = measure.check_function(np.asarray(xi, dtype=float))
     return PolyFunctional(Basis.MONOMIAL, annihilate1(xi, pm.kernels, measure))
 
@@ -125,7 +120,7 @@ def d_xi(p: PolyFunctional, xi, measure: AtomicMeasure) -> PolyFunctional:
 def wick_del(p: PolyFunctional, atom: int,
              measure: AtomicMeasure | None = None) -> PolyFunctional:
     """The Wick derivative: slot evaluation on Gamma-Wick kernels."""
-    pw = _as_wick(p, measure)
+    pw = p.to_basis(Basis.GAMMA_WICK, measure)
     _check_atom(atom, pw.m)
     return PolyFunctional(Basis.GAMMA_WICK, _slot_lower(pw.kernels, atom))
 
@@ -134,7 +129,7 @@ def del_dagger(p: PolyFunctional, atom: int,
                measure: AtomicMeasure) -> PolyFunctional:
     """Adjoint of the Wick derivative under the dualization pairing:
     symmetrized insertion of the point-mass density delta_atom/w_atom."""
-    pw = _as_wick(p, measure)
+    pw = p.to_basis(Basis.GAMMA_WICK, measure)
     _check_atom(atom, pw.m)
     dens = SymTensor(pw.m, 1, measure.delta_density(atom))
     out = [SymTensor(pw.m, 0)]
@@ -143,33 +138,31 @@ def del_dagger(p: PolyFunctional, atom: int,
     return PolyFunctional(Basis.GAMMA_WICK, FockVector(out))
 
 
-def _shifted_values(pm: PolyFunctional, omega: OmegaSample, atom: int,
-                    rule: QuadratureRule, measure: AtomicMeasure) -> np.ndarray:
+def _shifted_integral(pm: PolyFunctional, omega: OmegaSample, atom: int,
+                      measure: AtomicMeasure) -> float:
+    """int_0^inf phi(omega + s delta_atom) e^(-s) ds for a monomial phi."""
+    rule = _rule()
     masses = np.repeat(omega.masses[None, :], rule.nodes.size, axis=0)
     masses[:, atom] += rule.nodes
-    return evaluate_batch(pm, masses, measure)
+    return rule.integrate(evaluate_batch(pm, masses, measure))
 
 
 def del_integral(p: PolyFunctional, atom: int, omega: OmegaSample,
-                 measure: AtomicMeasure,
-                 rule: QuadratureRule | None = None) -> float:
+                 measure: AtomicMeasure) -> float:
     """Integral form of the Wick derivative at one configuration:
     int_0^inf (phi(omega + s delta_atom) - phi(omega)) e^(-s) ds."""
-    if rule is None:
-        rule = gauss_laguerre_rule()
-    pm = _as_monomial(p, measure)
+    pm = p.to_basis(Basis.MONOMIAL, measure)
     _check_atom(atom, pm.m)
     base = pm.evaluate(omega, measure)
-    vals = _shifted_values(pm, omega, atom, rule, measure)
-    return rule.integrate(vals) - base * float(np.sum(rule.weights))
+    return _shifted_integral(pm, omega, atom, measure) \
+        - base * float(np.sum(_rule().weights))
 
 
 def annihilate1_integral(p: PolyFunctional, xi, measure: AtomicMeasure,
-                         omega: OmegaSample,
-                         rule: QuadratureRule | None = None) -> float:
+                         omega: OmegaSample) -> float:
     """Smeared integral form: sum_i w_i xi_i del_integral(p, i)."""
     xi = measure.check_function(np.asarray(xi, dtype=float))
-    return math.fsum(float(w * x) * del_integral(p, i, omega, measure, rule)
+    return math.fsum(float(w * x) * del_integral(p, i, omega, measure)
                      for i, (w, x) in enumerate(zip(measure.weights, xi))
                      if x != 0.0)
 
@@ -178,7 +171,7 @@ def coordinate_multiply(p: PolyFunctional, atom: int,
                         measure: AtomicMeasure) -> PolyFunctional:
     """Multiplication by the configuration density at one atom:
     dagger + 2 dagger del + id + del + dagger del del on Wick kernels."""
-    pw = _as_wick(p, measure)
+    pw = p.to_basis(Basis.GAMMA_WICK, measure)
     _check_atom(atom, pw.m)
     d1 = wick_del(pw, atom)
     d2 = wick_del(d1, atom)
@@ -190,8 +183,8 @@ def coordinate_multiply(p: PolyFunctional, atom: int,
 def functional_max_diff(a: PolyFunctional, b: PolyFunctional,
                         measure: AtomicMeasure) -> float:
     """Kernelwise max abs difference, compared in the monomial basis."""
-    am = _as_monomial(a, measure)
-    bm = _as_monomial(b, measure)
+    am = a.to_basis(Basis.MONOMIAL, measure)
+    bm = b.to_basis(Basis.MONOMIAL, measure)
     return (am.kernels - bm.kernels).max_abs()
 
 
@@ -212,31 +205,26 @@ class SeriesReport:
 def series_identities_check(p: PolyFunctional, atom: int,
                             measure: AtomicMeasure,
                             other_atom: int | None = None) -> SeriesReport:
-    pm = _as_monomial(p, measure)
-    pw = _as_wick(p, measure)
+    pm = p.to_basis(Basis.MONOMIAL, measure)
+    pw = p.to_basis(Basis.GAMMA_WICK, measure)
     N = p.degree
     _check_atom(atom, p.m)
     j = atom if other_atom is None else other_atom
     _check_atom(j, p.m)
 
-    acc = None
+    acc = PolyFunctional(Basis.MONOMIAL, FockVector.zeros(p.m, 0))
     term = pm
-    for _ in range(1, N + 1):
+    for _ in range(N):
         term = nabla(term, atom)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        acc = PolyFunctional(Basis.MONOMIAL, FockVector.zeros(p.m, 0))
+        acc = acc + term
     dev1 = functional_max_diff(wick_del(pw, atom), acc, measure)
 
-    acc2 = None
-    termw = pw
+    acc = PolyFunctional(Basis.GAMMA_WICK, FockVector.zeros(p.m, 0))
+    term = pw
     for k in range(1, N + 1):
-        termw = wick_del(termw, atom)
-        signed = termw if k % 2 == 1 else (-1.0) * termw
-        acc2 = signed if acc2 is None else acc2 + signed
-    if acc2 is None:
-        acc2 = PolyFunctional(Basis.GAMMA_WICK, FockVector.zeros(p.m, 0))
-    dev2 = functional_max_diff(nabla(pm, atom), acc2, measure)
+        term = wick_del(term, atom)
+        acc = acc + (-1.0) ** (k + 1) * term
+    dev2 = functional_max_diff(nabla(pm, atom), acc, measure)
 
     ab = nabla(wick_del(pw, j), atom, measure)
     ba = wick_del(nabla(pm, atom), j, measure)
@@ -272,10 +260,10 @@ def creation_gradient_check(p: PolyFunctional, xi, omega: OmegaSample,
     """Creation operator vs its gradient form:
     <omega(x), xi (nabla - 1)^2 phi> + (D_xi - <xi>) phi."""
     xi = measure.check_function(np.asarray(xi, dtype=float))
-    pw = _as_wick(p, measure)
+    pw = p.to_basis(Basis.GAMMA_WICK, measure)
     lhs = PolyFunctional(Basis.GAMMA_WICK,
                          create(xi, pw.kernels)).evaluate(omega, measure)
-    pm = _as_monomial(p, measure)
+    pm = p.to_basis(Basis.MONOMIAL, measure)
     base, g1, g2 = _gradient_terms(pm, omega, measure)
     dphi = d_xi(pm, xi, measure).evaluate(omega, measure)
     rhs = float(omega.masses @ (xi * (g2 - 2.0 * g1 + base))) \
@@ -287,10 +275,10 @@ def neutral_gradient_check(p: PolyFunctional, xi, omega: OmegaSample,
                            measure: AtomicMeasure) -> CheckReport:
     """Neutral operator vs <omega(x), xi nabla(1 - nabla) phi> - D_xi phi."""
     xi = measure.check_function(np.asarray(xi, dtype=float))
-    pw = _as_wick(p, measure)
+    pw = p.to_basis(Basis.GAMMA_WICK, measure)
     lhs = PolyFunctional(Basis.GAMMA_WICK,
                          neutral(xi, pw.kernels)).evaluate(omega, measure)
-    pm = _as_monomial(p, measure)
+    pm = p.to_basis(Basis.MONOMIAL, measure)
     _, g1, g2 = _gradient_terms(pm, omega, measure)
     dphi = d_xi(pm, xi, measure).evaluate(omega, measure)
     rhs = float(omega.masses @ (xi * (g1 - g2))) - dphi
@@ -324,32 +312,22 @@ class SecondAnnihilationReport:
 
 
 def second_annihilation_check(p: PolyFunctional, xi, omega: OmegaSample,
-                              measure: AtomicMeasure,
-                              rule: QuadratureRule | None = None
-                              ) -> SecondAnnihilationReport:
-    if rule is None:
-        rule = gauss_laguerre_rule()
+                              measure: AtomicMeasure) -> SecondAnnihilationReport:
     xi = measure.check_function(np.asarray(xi, dtype=float))
-    pw = _as_wick(p, measure)
+    pw = p.to_basis(Basis.GAMMA_WICK, measure)
     lhs = PolyFunctional(Basis.GAMMA_WICK,
                          annihilate2(xi, pw.kernels)).evaluate(omega, measure)
-    pm = _as_monomial(p, measure)
+    pm = p.to_basis(Basis.MONOMIAL, measure)
     base, _, g2 = _gradient_terms(pm, omega, measure)
     dphi = d_xi(pm, xi, measure).evaluate(omega, measure)
     lead = float(omega.masses @ (xi * g2)) + dphi
-    a1 = annihilate1_integral(pm, xi, measure, omega, rule)
-    rhs_comp = lead - a1
-    shift = 0.0
-    for i in range(pm.m):
-        if xi[i] == 0.0:
-            continue
-        vals = _shifted_values(nabla(pm, i), omega, i, rule, measure)
-        shift += float(measure.weights[i] * xi[i]) * rule.integrate(vals)
+    rhs_comp = lead - annihilate1_integral(pm, xi, measure, omega)
+    shift = uncomp = 0.0
+    for i in np.flatnonzero(xi):
+        c = float(measure.weights[i] * xi[i])
+        shift += c * _shifted_integral(nabla(pm, i), omega, i, measure)
+        uncomp += c * _shifted_integral(pm, omega, i, measure)
     rhs_grad = lead - shift
-    uncomp = 0.0
-    for i in range(pm.m):
-        vals = _shifted_values(pm, omega, i, rule, measure)
-        uncomp += float(measure.weights[i] * xi[i]) * rule.integrate(vals)
     rhs_unc = lead - uncomp - measure.integrate(xi) * base
     return SecondAnnihilationReport(lhs, rhs_comp, rhs_grad, rhs_unc)
 
@@ -360,7 +338,7 @@ def stransform_multiplication_check(p: PolyFunctional, theta,
     (theta_x + 1) U + (1 + 2 theta_x) grad_x U + theta_x grad_x^2 U,
     maximized over atoms.  grad here differentiates U in theta."""
     theta = measure.check_function(np.asarray(theta, dtype=float))
-    pw = _as_wick(p, measure)
+    pw = p.to_basis(Basis.GAMMA_WICK, measure)
     U = s_transform(pw, theta, measure)
     worst = 0.0
     for i in range(pw.m):
@@ -380,7 +358,7 @@ def a1_plus_explicit(p: PolyFunctional, xi, omega: OmegaSample,
     """Adjoint of the smeared difference operator at an explicit
     configuration: sum_i s_i xi_i phi(omega with atom i removed) - <xi> phi."""
     xi = measure.check_function(np.asarray(xi, dtype=float))
-    pm = _as_monomial(p, measure)
+    pm = p.to_basis(Basis.MONOMIAL, measure)
     total = 0.0
     for i in range(pm.m):
         if omega.masses[i] == 0.0 or xi[i] == 0.0:
@@ -402,12 +380,11 @@ def a1_plus_mc_adjointness_check(phi: PolyFunctional, psi: PolyFunctional, xi,
     Truncating jumps below cfg.cp_truncation biases the identity by O(eps).
     """
     xi = measure.check_function(np.asarray(xi, dtype=float))
-    phi_m = _as_monomial(phi, measure)
-    psi_m = _as_monomial(psi, measure)
-    psi_w = _as_wick(psi, measure)
-    a1_psi = _as_monomial(PolyFunctional(Basis.GAMMA_WICK,
-                                         annihilate1(xi, psi_w.kernels, measure)),
-                          measure)
+    phi_m = phi.to_basis(Basis.MONOMIAL, measure)
+    psi_m = psi.to_basis(Basis.MONOMIAL, measure)
+    psi_w = psi.to_basis(Basis.GAMMA_WICK, measure)
+    a1_psi = PolyFunctional(Basis.GAMMA_WICK, annihilate1(
+        xi, psi_w.kernels, measure)).to_basis(Basis.MONOMIAL, measure)
     xi_mass = measure.integrate(xi)
 
     def stat(masses, owners, atoms, sizes):
@@ -430,18 +407,12 @@ def a1_plus_mc_adjointness_check(phi: PolyFunctional, psi: PolyFunctional, xi,
 
 
 def multiplication_reassembly_check(p: PolyFunctional, xi, omega: OmegaSample,
-                                    measure: AtomicMeasure,
-                                    rule: QuadratureRule | None = None
-                                    ) -> CheckReport:
-    """Creation + 2 neutral + <xi> id + both annihilations, each through its
-    gradient/integral form, against multiplication by <omega, xi>."""
+                                    measure: AtomicMeasure) -> CheckReport:
+    """The Gamma field applied on the Fock side (creation + 2 neutral +
+    <xi> id + both annihilations) against multiplication by <omega, xi>."""
     xi = measure.check_function(np.asarray(xi, dtype=float))
-    pm = _as_monomial(p, measure)
-    base = pm.evaluate(omega, measure)
-    aplus = creation_gradient_check(p, xi, omega, measure).rhs
-    azero = neutral_gradient_check(p, xi, omega, measure).rhs
-    a1 = annihilate1_integral(pm, xi, measure, omega, rule)
-    a2 = second_annihilation_check(p, xi, omega, measure, rule).rhs_compensated
-    lhs = aplus + 2.0 * azero + measure.integrate(xi) * base + a1 + a2
-    rhs = omega.pair(xi) * base
-    return CheckReport(lhs, rhs)
+    pw = p.to_basis(Basis.GAMMA_WICK, measure)
+    field = PolyFunctional(Basis.GAMMA_WICK,
+                           gamma_field(xi, pw.kernels, measure))
+    return CheckReport(field.evaluate(omega, measure),
+                       omega.pair(xi) * p.evaluate(omega, measure))

@@ -100,8 +100,13 @@ def _tables(m: int, n: int) -> _MultisetTable:
     R = len(reps)
     occ = np.bincount((np.arange(R) + R * reps.T).ravel(),
                       minlength=R * m).reshape(m, R).T
-    fact = np.array([math.factorial(k) for k in range(n + 1)], dtype=np.int64)
-    pc = fact[n] // np.prod(fact[occ], axis=1)
+    # n! / prod_i k_i!, where prod_i k_i! is the product of the positions
+    # of each slot within its run of equal atoms in the sorted rep
+    pc = np.full(R, math.factorial(n), dtype=np.int64)
+    run = np.ones(R, dtype=np.int64)
+    for p in range(1, n):
+        run = np.where(reps[:, p] == reps[:, p - 1], run + 1, 1)
+        pc //= run
     return _MultisetTable(m, n, reps, keys, powers, occ, pc)
 
 

@@ -137,46 +137,38 @@ def difference_representation_check(seed: int,
     return RunReport("theorem6", cases, seed)
 
 
-def creation_formula_check(seed: int,
-                           measure: AtomicMeasure | None = None) -> RunReport:
-    """Creation operator against its gradient form at sampled points."""
-    rng = _suite_rng(seed, "theorem7")
+def _gradient_form_suite(suite: str, check, seed: int,
+                         measure: AtomicMeasure | None) -> RunReport:
+    """A Fock-side operator against its gradient form at sampled points."""
+    rng = _suite_rng(seed, suite)
     mu = _pick_measure(rng, measure)
     m = mu.m
     cases = []
     xi = rng.uniform(-1.0, 1.0, m)
     om = _random_omega(rng, m)
-    rep = creation_gradient_check(constant_functional(m, 1.0), xi, om, mu)
+    rep = check(constant_functional(m, 1.0), xi, om, mu)
     cases.append(scaled_case("constant_functional", rep.lhs, rep.rhs, 1e-12))
     for N in (1, 2, 3):
-        rep = creation_gradient_check(_random_poly(rng, m, N),
-                                      rng.uniform(-1.0, 1.0, m),
-                                      _random_omega(rng, m), mu)
+        rep = check(_random_poly(rng, m, N), rng.uniform(-1.0, 1.0, m),
+                    _random_omega(rng, m), mu)
         cases.append(scaled_case(f"random_degree_{N}", rep.lhs, rep.rhs, 1e-8))
-    rep = creation_gradient_check(_random_poly(rng, m, 2), np.zeros(m), om, mu)
+    rep = check(_random_poly(rng, m, 2), np.zeros(m), om, mu)
     cases.append(scaled_case("zero_direction", rep.lhs, rep.rhs, 1e-14))
-    return RunReport("theorem7", cases, seed)
+    return RunReport(suite, cases, seed)
+
+
+def creation_formula_check(seed: int,
+                           measure: AtomicMeasure | None = None) -> RunReport:
+    """Creation operator against its gradient form at sampled points."""
+    return _gradient_form_suite("theorem7", creation_gradient_check, seed,
+                                measure)
 
 
 def neutral_formula_check(seed: int,
                           measure: AtomicMeasure | None = None) -> RunReport:
     """Neutral operator against its gradient form at sampled points."""
-    rng = _suite_rng(seed, "theorem8")
-    mu = _pick_measure(rng, measure)
-    m = mu.m
-    cases = []
-    xi = rng.uniform(-1.0, 1.0, m)
-    om = _random_omega(rng, m)
-    rep = neutral_gradient_check(constant_functional(m, 1.0), xi, om, mu)
-    cases.append(scaled_case("constant_functional", rep.lhs, rep.rhs, 1e-12))
-    for N in (1, 2, 3):
-        rep = neutral_gradient_check(_random_poly(rng, m, N),
-                                     rng.uniform(-1.0, 1.0, m),
-                                     _random_omega(rng, m), mu)
-        cases.append(scaled_case(f"random_degree_{N}", rep.lhs, rep.rhs, 1e-8))
-    rep = neutral_gradient_check(_random_poly(rng, m, 2), np.zeros(m), om, mu)
-    cases.append(scaled_case("zero_direction", rep.lhs, rep.rhs, 1e-14))
-    return RunReport("theorem8", cases, seed)
+    return _gradient_form_suite("theorem8", neutral_gradient_check, seed,
+                                measure)
 
 
 def annihilate2_formula_check(seed: int,

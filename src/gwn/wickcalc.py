@@ -42,7 +42,8 @@ from .errors import ContractError, DimensionError, DomainError, SizeError
 from .extfock import fock_inner_n
 from .fieldops import _three_term
 from .measure import AtomicMeasure
-from .symtensor import FockVector, SymTensor, _tables, rank_one, sym_product
+from .symtensor import (FockVector, SymTensor, _check_entries, _tables,
+                        rank_one, sym_product)
 
 # Accuracy cap of basis conversion: the per-atom transforms lose digits
 # fast past it.  At m = 2 the monomial -> Wick -> monomial round trip of
@@ -197,9 +198,14 @@ class PolyFunctional:
             total += fock_inner_n(measure, ks[n], self.kernels.get(n))
         return total
 
-    def to_basis(self, basis: Basis, measure: AtomicMeasure) -> "PolyFunctional":
+    def to_basis(self, basis: Basis,
+                 measure: AtomicMeasure | None = None) -> "PolyFunctional":
+        """This functional in ``basis``: itself when it is already there,
+        else converted, which needs the reference measure."""
         if basis is self.basis:
-            return PolyFunctional(self.basis, FockVector([k.copy() for k in self.kernels.kernels]))
+            return self
+        if measure is None:
+            raise ContractError("basis conversion requires the reference measure")
         if basis is Basis.MONOMIAL:
             return wick_to_monomial(self, measure)
         return monomial_to_wick(self, measure)
@@ -343,17 +349,13 @@ def _convert(p: PolyFunctional, measure: AtomicMeasure, expect: Basis,
          for n, (k, pos) in enumerate(zip(ks, sx.pos))]))
 
 
-def wick_to_monomial(p: PolyFunctional, measure: AtomicMeasure | None = None) -> PolyFunctional:
+def wick_to_monomial(p: PolyFunctional, measure: AtomicMeasure) -> PolyFunctional:
     """Re-express Gamma-Wick kernels in the monomial basis (same functional)."""
-    if measure is None:
-        raise ContractError("conversion requires the reference measure")
     return _convert(p, measure, Basis.GAMMA_WICK, Basis.MONOMIAL)
 
 
-def monomial_to_wick(p: PolyFunctional, measure: AtomicMeasure | None = None) -> PolyFunctional:
+def monomial_to_wick(p: PolyFunctional, measure: AtomicMeasure) -> PolyFunctional:
     """Re-express monomial kernels in the Gamma-Wick basis (same functional)."""
-    if measure is None:
-        raise ContractError("conversion requires the reference measure")
     return _convert(p, measure, Basis.MONOMIAL, Basis.GAMMA_WICK)
 
 
@@ -427,6 +429,7 @@ def laguerre_system(sigma: float, N: int) -> LaguerreSystem:
     P_{n+1} = ((s - beta_n) P_n - alpha_n P_{n-1}) / alpha_{n+1}."""
     if N < 0:
         raise DomainError("N must be >= 0")
+    _check_entries((N + 1) ** 2, f"Laguerre coefficient table (N={N})")
     alphas, betas = _three_term(sigma, N + 1)
     coeffs = np.zeros((N + 1, N + 1))
     coeffs[0, 0] = 1.0

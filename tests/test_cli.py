@@ -210,6 +210,7 @@ def test_se_mult_must_be_finite_and_positive(capsys, command, se_mult):
     ("jacobi", "--sigma", "1", "--n", "-2"),
     ("jacobi", "--sigma", "1e300", "--n", "3"),
     ("laguerre", "--sigma", "1e300", "--n", "3"),
+    ("laguerre", "--sigma", "1", "--n", "100000"),
 ])
 def test_table_commands_validate_inputs(capsys, argv):
     assert_input_error(capsys, *argv)
@@ -251,6 +252,26 @@ def test_stransform_rejects_non_finite_inputs(tmp_path, capsys):
                            "--functional", str(tmp_path / name),
                            "--theta", theta,
                            "--measure", str(tmp_path / "mu.json"))
+
+
+@pytest.mark.parametrize("theta, in_file", [
+    ('{"a": 1}', False),
+    ('{"values": {"a": 1}}', True),
+    ("[1" + "0" * 400 + ", 1]", False),
+], ids=["object_argument", "object_values_in_file", "huge_integer"])
+def test_stransform_rejects_theta_that_is_not_a_list_of_numbers(
+        tmp_path, capsys, theta, in_file):
+    save_measure(AtomicMeasure([2.0, 0.5]), tmp_path / "mu.json")
+    functional = {"basis": "gamma_wick", "m": 2,
+                  "kernels": [{"degree": 1, "values": {"0": 1.0}}]}
+    (tmp_path / "p.json").write_text(json.dumps(functional))
+    if in_file:
+        (tmp_path / "theta.json").write_text(theta)
+        theta = str(tmp_path / "theta.json")
+    assert_input_error(capsys, "stransform",
+                       "--functional", str(tmp_path / "p.json"),
+                       "--theta", theta,
+                       "--measure", str(tmp_path / "mu.json"))
 
 
 def test_json_output_is_strict():

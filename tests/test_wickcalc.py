@@ -191,6 +191,16 @@ def test_centered_first_power_conversion():
     assert abs(pm.kernels.get(0).values[0] + mu.integrate(xi)) < 1e-14
 
 
+def test_to_basis_returns_self_and_needs_measure(rng):
+    for basis, other in ((Basis.MONOMIAL, Basis.GAMMA_WICK),
+                         (Basis.GAMMA_WICK, Basis.MONOMIAL)):
+        p = PolyFunctional(basis, FockVector(
+            [random_tensor(rng, 3, n) for n in range(3)]))
+        assert p.to_basis(basis) is p
+        with pytest.raises(ContractError):
+            p.to_basis(other)
+
+
 def test_mixed_basis_addition_rejected():
     a = constant_functional(2, 1.0, Basis.MONOMIAL)
     b = constant_functional(2, 1.0, Basis.GAMMA_WICK)
