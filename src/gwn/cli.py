@@ -20,6 +20,7 @@ output unless ``--timing`` is given.  Exit codes: 0 all cases passed,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -43,11 +44,16 @@ def _f(x) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
+    _emit_lines((text,), out)
+
+
+def _emit_lines(lines, out: str | None) -> None:
+    """Write each string of lines as it is produced."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _pretty_csv(csv_text: str) -> str:
@@ -85,13 +91,14 @@ def _jacobi_csv(sigma: float, N: int) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _laguerre_csv(sigma: float, N: int) -> str:
+def _laguerre_csv(sigma: float, N: int):
+    """CSV lines of the coefficient table, formatted one at a time; the
+    table is computed (and its input checked) before the first line."""
     ls = laguerre_system(sigma, N)
-    header = "n," + ",".join(f"coeff_{k}" for k in range(N + 1))
-    rows = [header]
-    for n in range(N + 1):
-        rows.append(str(n) + "," + ",".join(_f(c) for c in ls.coeffs[n]))
-    return "\n".join(rows) + "\n"
+    header = "n," + ",".join(f"coeff_{k}" for k in range(N + 1)) + "\n"
+    return itertools.chain((header,), (
+        str(n) + "," + ",".join(_f(c) for c in row) + "\n"
+        for n, row in enumerate(ls.coeffs)))
 
 
 def _parse_theta(spec: str) -> np.ndarray:
@@ -136,8 +143,11 @@ def _cmd_jacobi(args) -> int:
 
 
 def _cmd_laguerre(args) -> int:
-    text = _laguerre_csv(args.sigma, args.n)
-    _emit(_pretty_csv(text) if args.pretty else text, args.out)
+    lines = _laguerre_csv(args.sigma, args.n)
+    if args.pretty:  # column widths need the whole table
+        _emit(_pretty_csv("".join(lines)), args.out)
+    else:
+        _emit_lines(lines, args.out)
     return 0
 
 

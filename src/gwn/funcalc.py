@@ -367,6 +367,42 @@ def a1_plus_explicit(p: PolyFunctional, xi, omega: OmegaSample,
     return total - measure.integrate(xi) * pm.evaluate(omega, measure)
 
 
+def _removal_derivatives(phi_m: PolyFunctional, xi: np.ndarray):
+    """(a, [nabla_a^j phi for j = 1..N]) for each atom a with xi_a != 0:
+    the Taylor coefficients of a monomial phi along the mass of atom a."""
+    out = []
+    for a in np.flatnonzero(xi):
+        ds = [phi_m]
+        for _ in range(phi_m.degree):
+            ds.append(nabla(ds[-1], int(a)))
+        out.append((int(a), ds[1:]))
+    return out
+
+
+def _jump_removal_sum(phi0: np.ndarray, derivs, xi: np.ndarray,
+                      masses: np.ndarray, owners: np.ndarray,
+                      atoms: np.ndarray, sizes: np.ndarray,
+                      measure: AtomicMeasure) -> np.ndarray:
+    """Per sample row b, the sum of s xi_a phi(omega_b - s e_a) over the
+    jumps (a, s) of row b, by the Taylor identity stated in
+    a1_plus_mc_adjointness_check; phi0 = phi(omega_b) and derivs come from
+    _removal_derivatives.  Every evaluation runs on the sample rows."""
+    rows = masses.shape[0]
+    total = np.zeros(rows)
+    for a, ds in derivs:
+        mine = atoms == a
+        own, s = owners[mine], sizes[mine]
+        power = s
+        acc = phi0 * np.bincount(own, weights=power, minlength=rows)
+        for j, d in enumerate(ds, start=1):
+            power = power * s
+            acc += ((-1.0) ** j / math.factorial(j)) \
+                * evaluate_batch(d, masses, measure) \
+                * np.bincount(own, weights=power, minlength=rows)
+        total += xi[a] * acc
+    return total
+
+
 def a1_plus_mc_adjointness_check(phi: PolyFunctional, psi: PolyFunctional, xi,
                                  measure: AtomicMeasure,
                                  cfg: SamplerConfig) -> MCEstimate:
@@ -377,7 +413,13 @@ def a1_plus_mc_adjointness_check(phi: PolyFunctional, psi: PolyFunctional, xi,
     zeroing an atom's whole aggregated mass is not the adjoint (removal of
     a point of the configuration means removal of a single jump).  The
     smeared difference operator a1- is applied to psi on the kernel side.
-    Truncating jumps below cfg.cp_truncation biases the identity by O(eps).
+
+    The removals are summed without forming one configuration per jump:
+    phi is a polynomial of degree N, so by Taylor's formula the jump sum
+    of a sample is sum_a xi_a sum_{j<=N} (-1)^j/j! (nabla_a^j phi)(omega)
+    P_{a,j+1}, with P_{a,r} the sum of s^r over the sample's jumps at
+    atom a.  Jump removal is thereby exact up to rounding; truncating
+    jumps below cfg.cp_truncation still biases the identity by O(eps).
     """
     xi = measure.check_function(np.asarray(xi, dtype=float))
     phi_m = phi.to_basis(Basis.MONOMIAL, measure)
@@ -386,19 +428,14 @@ def a1_plus_mc_adjointness_check(phi: PolyFunctional, psi: PolyFunctional, xi,
     a1_psi = PolyFunctional(Basis.GAMMA_WICK, annihilate1(
         xi, psi_w.kernels, measure)).to_basis(Basis.MONOMIAL, measure)
     xi_mass = measure.integrate(xi)
+    derivs = _removal_derivatives(phi_m, xi)
 
     def stat(masses, owners, atoms, sizes):
         phi0 = evaluate_batch(phi_m, masses, measure)
         psi0 = evaluate_batch(psi_m, masses, measure)
         a1v = evaluate_batch(a1_psi, masses, measure)
-        aplus = -xi_mass * phi0
-        if owners.size:
-            removed = masses[owners]
-            removed[np.arange(owners.size), atoms] -= sizes
-            np.maximum(removed, 0.0, out=removed)  # clear rounding dust
-            contrib = sizes * xi[atoms] * evaluate_batch(phi_m, removed, measure)
-            aplus = aplus + np.bincount(owners, weights=contrib,
-                                        minlength=masses.shape[0])
+        aplus = _jump_removal_sum(phi0, derivs, xi, masses, owners, atoms,
+                                  sizes, measure) - xi_mass * phi0
         return aplus * psi0 - phi0 * a1v
 
     mean, se = mean_and_se(stat(*batch)

@@ -1,6 +1,6 @@
 """Independent reference implementations used only by the tests.
 
-Two kinds live here.
+Three kinds live here.
 
 * Brute-force routes that avoid the package's multiset tables and partition
   code: dense arrays are built straight from the documented storage order
@@ -13,6 +13,9 @@ Two kinds live here.
   expansion of basis conversion.  They work on the multiset storage and
   loop partitions, and share none of the occupation-count formulas they
   are compared with.
+* The jump sum of the adjointness check by literal removal: one
+  configuration per jump, each evaluated directly, where the package sums
+  Taylor terms against per-sample jump power sums.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from gwn.errors import ContractError, DimensionError, SizeError
 from gwn.extfock import loop_partitions
 from gwn.measure import AtomicMeasure
 from gwn.symtensor import MAX_ENTRIES, FockVector, SymTensor, _tables, sym_product
-from gwn.wickcalc import WICK_MAX_DEGREE, Basis, OmegaSample, PolyFunctional
+from gwn.wickcalc import (WICK_MAX_DEGREE, Basis, OmegaSample, PolyFunctional,
+                          evaluate_batch)
 
 MAX_ASSIGNMENTS = 4_000_000
 
@@ -352,3 +356,24 @@ def diagonal_slice_dense(xi: np.ndarray, F: np.ndarray) -> np.ndarray:
 def slot_evaluation_dense(F: np.ndarray, atom: int) -> np.ndarray:
     """n F(atom, .), n >= 1."""
     return F.ndim * F[atom]
+
+
+# --- jump removal, one configuration per jump ------------------------------
+
+def jump_removal_sum(phi: PolyFunctional, xi: np.ndarray, masses: np.ndarray,
+                     owners: np.ndarray, atoms: np.ndarray, sizes: np.ndarray,
+                     measure: AtomicMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """Per sample row, the sum of s xi_a phi(omega - s e_a) over the row's
+    jumps (a, s), and the sum of the absolute values of those terms.
+
+    Each jump gets its own copy of its row's masses with the jump taken
+    off (rounding dust below zero cleared), evaluated on its own."""
+    rows = masses.shape[0]
+    if owners.size == 0:
+        return np.zeros(rows), np.zeros(rows)
+    removed = masses[owners]
+    removed[np.arange(owners.size), atoms] -= sizes
+    np.maximum(removed, 0.0, out=removed)
+    terms = sizes * xi[atoms] * evaluate_batch(phi, removed, measure)
+    return (np.bincount(owners, weights=terms, minlength=rows),
+            np.bincount(owners, weights=np.abs(terms), minlength=rows))

@@ -225,6 +225,18 @@ def test_laguerre_high_degree_table_is_finite(capsys):
     assert all(math.isfinite(float(v)) for r in rows for v in r.split(",")[1:])
 
 
+def test_laguerre_out_file_matches_stdout(tmp_path, capsys):
+    argv = ("laguerre", "--sigma", "1.7", "--n", "4")
+    _, out = run_cli(capsys, *argv)
+    code, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "t.csv"))
+    assert code == 0
+    assert (tmp_path / "t.csv").read_text(encoding="utf-8") == out
+    # a rejected table is refused before the output file is opened
+    assert_input_error(capsys, "laguerre", "--sigma", "1", "--n", "100000",
+                       "--out", str(tmp_path / "big.csv"))
+    assert not (tmp_path / "big.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["all", "mc"])
 def test_samples_checked_before_any_suite_runs(capsys, monkeypatch, command):
     import gwn.cli

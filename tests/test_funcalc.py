@@ -360,9 +360,8 @@ def test_a1_plus_explicit_constant():
     assert a1_plus_explicit(one, np.zeros(2), om, mu) == 0.0
 
 
-def test_a1_plus_mc_adjointness():
-    # E[(a1+ phi) psi] = E[phi (a1- psi)]; removal acts on single jumps of
-    # the configuration, hence the jump-resolved sampler
+def adjointness_case():
+    """Inputs of the MC adjointness check: phi, psi, xi, measure, cfg."""
     mu = AtomicMeasure([1.0, 0.7])
     xi = np.array([0.6, -0.4])
     rng = np.random.default_rng(424242)
@@ -373,9 +372,24 @@ def test_a1_plus_mc_adjointness():
                 SymTensor(2, 1, rng.uniform(-1, 1, 2)),
                 SymTensor(2, 2, rng.uniform(-1, 1, 3))])
     cfg = SamplerConfig(seed=777, n_samples=30000, cp_truncation=1e-3)
-    est = a1_plus_mc_adjointness_check(phi, psi, xi, mu, cfg)
+    return phi, psi, xi, mu, cfg
+
+
+def test_a1_plus_mc_adjointness():
+    # E[(a1+ phi) psi] = E[phi (a1- psi)]; removal acts on single jumps of
+    # the configuration, hence the jump-resolved sampler
+    est = a1_plus_mc_adjointness_check(*adjointness_case())
     assert est.n == 30000 and est.std_error > 0.0
     assert abs(est.mean) < 4 * est.std_error
+
+
+def test_adjointness_detects_a_broken_annihilation(monkeypatch):
+    import gwn.funcalc
+
+    monkeypatch.setattr(gwn.funcalc, "annihilate1",
+                        lambda xi, f, measure: FockVector.zeros(f.m, f.degree))
+    est = a1_plus_mc_adjointness_check(*adjointness_case())
+    assert abs(est.mean) > 4 * est.std_error
 
 
 def test_reassembly(rng):

@@ -10,7 +10,9 @@
 * sym_product against the dense average over slot orderings, and the
   field operators and slot derivatives against dense-array routes;
 * the batched MC reducer against mean and std(ddof=1)/sqrt(n) of the
-  concatenated statistic, for any split into batches.
+  concatenated statistic, for any split into batches;
+* the Taylor / jump-power-sum route of the adjointness check's jump sum
+  against removing each jump from its own copy of the configuration.
 
 Each comparison is scaled by the size of the terms being summed, computed
 from absolute values, so cancellation in the result cannot fail a correct
@@ -28,13 +30,14 @@ import oracles
 from gwn.errors import DomainError
 from gwn.extfock import ext_inner_n, fock_inner_n
 from gwn.fieldops import annihilate1, annihilate2, create, neutral
-from gwn.funcalc import nabla, wick_del
-from gwn.gammasample import mean_and_se
+from gwn.funcalc import (_jump_removal_sum, _removal_derivatives, nabla,
+                         wick_del)
+from gwn.gammasample import SamplerConfig, iter_jump_batches, mean_and_se
 from gwn.measure import AtomicMeasure
 from gwn.symtensor import FockVector, SymTensor, _tables, rank_one, sym_product
 from gwn.wickcalc import (Basis, OmegaSample, PolyFunctional, _single_atom_q,
-                          monomial_to_wick, wick_kernels, wick_pair_rank_one,
-                          wick_to_monomial)
+                          evaluate_batch, monomial_to_wick, wick_kernels,
+                          wick_pair_rank_one, wick_to_monomial)
 
 from conftest import rel_err
 
@@ -279,3 +282,33 @@ def test_reducer_matches_mean_and_sample_std(case):
 def test_reducer_needs_two_samples(batches):
     with pytest.raises(DomainError):
         mean_and_se(batches)
+
+
+@st.composite
+def jump_batches(draw):
+    m = draw(st.integers(1, 6))
+    # a weight of 1e-6 leaves its atom without jumps in almost every batch
+    mu = AtomicMeasure([draw(st.one_of(st.just(1e-6), st.floats(0.01, 3.0)))
+                        for _ in range(m)])
+    N = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(seeds))
+    phi = PolyFunctional(Basis.MONOMIAL, FockVector(
+        [SymTensor(m, n, rng.uniform(-1, 1, _tables(m, n).reps.shape[0]))
+         for n in range(N + 1)]))
+    xi = np.array([draw(st.one_of(st.just(0.0), unit)) for _ in range(m)])
+    cfg = SamplerConfig(seed=draw(seeds), n_samples=draw(st.integers(1, 40)),
+                        cp_truncation=draw(st.sampled_from([1e-3, 1e-6])))
+    return mu, phi, xi, next(iter_jump_batches(mu, cfg))
+
+
+@settings(max_examples=60, deadline=None)
+@given(jump_batches())
+def test_jump_power_sums_match_removal_per_jump(case):
+    mu, phi, xi, (masses, owners, atoms, sizes) = case
+    phi0 = evaluate_batch(phi, masses, mu)
+    got = _jump_removal_sum(phi0, _removal_derivatives(phi, xi), xi,
+                            masses, owners, atoms, sizes, mu)
+    want, term_sizes = oracles.jump_removal_sum(phi, xi, masses, owners,
+                                                atoms, sizes, mu)
+    scale = np.maximum(1.0, np.maximum(np.abs(want), term_sizes))
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
