@@ -32,7 +32,7 @@ from .extfock import ext_inner_n, iter_loop_partitions
 from .fieldops import jacobi_coefficients
 from .measure import AtomicMeasure, load_measure
 from .report import combine_reports, render_pretty, to_json
-from .symtensor import SymTensor
+from .symtensor import MAX_DEGREE, SymTensor
 from .verify import (DEFAULT_MC_SAMPLES, DEFAULT_SE_MULT, MC_SUITES,
                      VERIFY_SUITES, run_mc_all, run_mc_suite, run_verify_all,
                      run_verify_suite)
@@ -239,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="three-term coefficients for one cell mass")
     p.add_argument("--sigma", type=float, required=True, help="cell mass")
     p.add_argument("--n", type=int, required=True, metavar="N",
-                   help="highest degree")
+                   help=f"highest degree, at most {MAX_DEGREE} (the "
+                        f"c_n_from_extnorm column builds a degree-N tensor)")
     p.set_defaults(func=_cmd_jacobi)
 
     p = sub.add_parser("laguerre", parents=[shared],

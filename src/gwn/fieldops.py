@@ -17,7 +17,8 @@ y from s itself, n * sum_p xi(s_p) f^(n)(s with s_p duplicated).
 On indicator powers chi^(x)n the field acts by a three-term recurrence whose
 coefficients are the Jacobi parameters of the orthonormal Laguerre system
 with shape sigma = Integral(chi); the norms c_n of the indicator powers obey
-c_n^2 = n! * sigma(sigma+1)...(sigma+n-1).
+c_n^2 = n! * sigma(sigma+1)...(sigma+n-1).  ``_three_term`` is the one
+source of these parameters for every one-atom table, here and in ``wickcalc``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import ContractError, DimensionError, DomainError
 from .extfock import ext_inner_n
 from .measure import AtomicMeasure
-from .symtensor import (FockVector, SymTensor, _merge_ranks,
+from .symtensor import (FockVector, SymTensor, _check_entries, _merge_ranks,
                         multiply_pointwise_first_slot, rank_one, sym_product)
 
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
@@ -117,19 +118,27 @@ class JacobiCoefficients:
     norms: np.ndarray
 
 
-def _three_term(sigma: float, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """alphas[n] = sqrt(n (n-1+sigma)) and betas[n] = 2n + sigma, n = 0..N."""
+def _three_term(w, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """alpha_k^2 = k (k-1+w) and beta_k = 2k + w for k = 0..N (last axis),
+    over a weight w or an array of weights; unchecked."""
+    k = np.arange(N + 1, dtype=float)
+    w = np.asarray(w, dtype=float)[..., None]
+    with np.errstate(over="ignore"):
+        return k * (k - 1.0 + w), 2.0 * k + w
+
+
+def _checked_three_term(sigma: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """_three_term(sigma, N) for a finite sigma > 0 and an N >= 0 within
+    the entry budget whose alpha_N does not overflow."""
     if not (math.isfinite(sigma) and sigma > 0):
         raise DomainError("sigma must be finite and > 0")
     if N < 0:
         raise DomainError("N must be >= 0")
-    n = np.arange(N + 1, dtype=float)
-    with np.errstate(over="ignore"):
-        alphas = np.sqrt(n * (n - 1.0 + sigma))
-    if not np.all(np.isfinite(alphas)):
-        raise DomainError(f"sigma={sigma!r}, N={N}: alpha_n = sqrt(n (n-1+sigma)) "
-                          f"overflows")
-    return alphas, 2.0 * n + sigma
+    _check_entries(N + 1, f"three-term coefficients (N={N})")
+    alpha_sq, betas = _three_term(sigma, N)
+    if not np.all(np.isfinite(alpha_sq)):
+        raise DomainError(f"sigma={sigma!r}, N={N}: alpha_N overflows")
+    return alpha_sq, betas
 
 
 def jacobi_coefficients(sigma: float, N: int) -> JacobiCoefficients:
@@ -139,7 +148,8 @@ def jacobi_coefficients(sigma: float, N: int) -> JacobiCoefficients:
     leaves the float range: that square is what the extended inner product
     of chi^(x)n returns, so past it neither side of the norm check is finite.
     """
-    alphas, betas = _three_term(sigma, N)
+    alpha_sq, betas = _checked_three_term(sigma, N)
+    alphas = np.sqrt(alpha_sq)
     with np.errstate(over="ignore"):
         norms = np.cumprod(np.concatenate(([1.0], alphas[1:])))
     if not np.max(norms) <= _SQRT_FLOAT_MAX:
@@ -180,15 +190,14 @@ def jacobi_action_check(measure: AtomicMeasure, chi, N: int) -> JacobiActionRepo
     if sigma <= 0:
         raise DomainError("indicator must have positive mass")
     coeff = jacobi_coefficients(sigma, N + 1)
+    alpha_sq, betas = _three_term(sigma, N)
     action_devs, norm_devs = [], []
+    powers = [FockVector.single(rank_one(chi, n)) for n in range(N + 2)]
     for n in range(N + 1):
-        vec = FockVector.single(rank_one(chi, n))
-        lhs = gamma_field(chi, vec, measure)
-        rhs = FockVector.single(rank_one(chi, n + 1)) \
-            + (2.0 * n + sigma) * FockVector.single(rank_one(chi, n)).pad_to(n + 1)
+        lhs = gamma_field(chi, powers[n], measure)
+        rhs = powers[n + 1] + betas[n] * powers[n].pad_to(n + 1)
         if n >= 1:
-            rhs = rhs + n * (n - 1.0 + sigma) * \
-                FockVector.single(rank_one(chi, n - 1)).pad_to(n + 1)
+            rhs = rhs + alpha_sq[n] * powers[n - 1].pad_to(n + 1)
         action_devs.append((lhs - rhs).max_abs())
         sq = math.factorial(n) * ext_inner_n(measure, rank_one(chi, n), rank_one(chi, n))
         c_ext = math.sqrt(max(sq, 0.0))

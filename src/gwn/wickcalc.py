@@ -22,9 +22,10 @@ Polynomial functionals carry their kernels in either the monomial basis
 polynomials sum_k A[k] prod_i b_{k_i}(s_i) with A[k] = perm_count(k) f[k],
 in the per-atom bases b = s^k and b = q_k, so conversion is a lower
 triangular change of basis along each atom's axis of A, over all total
-degrees <= N at once.  Monomial to Wick uses the expansion of s^l in the
-q_j, read off the Jacobi relation s q_j = q_{j+1} + (2j+w) q_j +
-j(j-1+w) q_{j-1}; its coefficients are nonnegative.  The S-transform reads
+degrees <= N at once.  The s^l coefficient of q_n is (-1)^(n-l) C(n, l)
+rising(w+l, n-l) and the inverse drops the signs, s^l = sum_j C(l, j)
+rising(w+j, l-j) q_j, so both tables come from the Laguerre coefficient
+recurrence (q_n = c_n P_n).  The S-transform reads
 Gamma-Wick kernels against powers of a test function; products of
 functionals multiply their S-transforms.
 """
@@ -40,7 +41,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError, SizeError
 from .extfock import fock_inner_n
-from .fieldops import _three_term
+from .fieldops import _checked_three_term, _three_term
 from .measure import AtomicMeasure
 from .symtensor import (FockVector, SymTensor, _check_entries, _tables,
                         rank_one, sym_product)
@@ -120,13 +121,14 @@ def wick_kernel(omega: OmegaSample, measure: AtomicMeasure, n: int) -> SymTensor
 def _single_atom_q(s: np.ndarray, w, N: int) -> np.ndarray:
     """Scalar Wick powers q_0..q_N of one-atom configurations with masses s
     (one row per mass) and weight w (a scalar, or one weight per mass):
-    three-term recurrence."""
+    three-term recurrence q_{k+1} = (s - beta_k) q_k - alpha_k^2 q_{k-1}."""
+    alpha_sq, betas = _three_term(w, N)
     q = np.empty((s.size, N + 1))
     q[:, 0] = 1.0
     if N >= 1:
-        q[:, 1] = s - w
+        q[:, 1] = s - betas[..., 0]
     for k in range(1, N):
-        q[:, k + 1] = (s - 2.0 * k - w) * q[:, k] - k * (k - 1.0 + w) * q[:, k - 1]
+        q[:, k + 1] = (s - betas[..., k]) * q[:, k] - alpha_sq[..., k] * q[:, k - 1]
     return q
 
 
@@ -263,29 +265,11 @@ def constant_functional(m: int, value: float, basis: Basis = Basis.GAMMA_WICK) -
 
 def _wick_coefficients(w: np.ndarray, N: int) -> np.ndarray:
     """(len(w), N+1, N+1) array; [i, j, l] is the s^l coefficient of
-    q_j(s; w_i) (lower triangular, unit diagonal)."""
-    C = np.zeros((w.size, N + 1, N + 1))
-    C[:, 0, 0] = 1.0
-    for j in range(N):
-        C[:, j + 1, 1:] = C[:, j, :-1]
-        C[:, j + 1] -= (2.0 * j + w)[:, None] * C[:, j]
-        if j:
-            C[:, j + 1] -= (j * (j - 1.0 + w))[:, None] * C[:, j - 1]
-    return C
-
-
-def _monomial_coefficients(w: np.ndarray, N: int) -> np.ndarray:
-    """(len(w), N+1, N+1) array; [i, l, j] is the q_j(s; w_i) coefficient
-    of s^l, the inverse of _wick_coefficients, from the Jacobi relation
-    s q_j = q_{j+1} + (2j+w) q_j + j(j-1+w) q_{j-1}.  All entries are >= 0."""
-    D = np.zeros((w.size, N + 1, N + 1))
-    D[:, 0, 0] = 1.0
-    j = np.arange(N + 1.0)
-    for l in range(N):
-        D[:, l + 1, 1:] = D[:, l, :-1]
-        D[:, l + 1] += (2.0 * j + w[:, None]) * D[:, l]
-        D[:, l + 1, :-1] += (j[1:] * (j[:-1] + w[:, None])) * D[:, l, 1:]
-    return D
+    q_j(s; w_i) (lower triangular, unit diagonal): P_j scaled to a unit
+    leading coefficient.  Its absolute value is its inverse: [i, l, j] is
+    the q_j(s; w_i) coefficient of s^l."""
+    P = _orthonormal_coefficients(*_three_term(w, N))
+    return P / np.diagonal(P, axis1=1, axis2=2)[..., None]
 
 
 @dataclass(frozen=True)
@@ -335,10 +319,9 @@ def _convert(p: PolyFunctional, measure: AtomicMeasure, expect: Basis,
     a = np.zeros(len(sx.occ), dtype=np.result_type(*(k.values for k in ks)))
     for k, pos in zip(ks, sx.pos):
         a[pos] = k.perm_counts * k.values
-    if target is Basis.MONOMIAL:
-        mats = _wick_coefficients(measure.weights, N)
-    else:
-        mats = _monomial_coefficients(measure.weights, N)
+    mats = _wick_coefficients(measure.weights, N)
+    if target is Basis.GAMMA_WICK:
+        mats = np.abs(mats)
     for i, T in enumerate(mats):
         grid = np.zeros((sx.n_rows, N + 1), dtype=a.dtype)
         cell = (sx.rows[i], sx.occ[:, i])
@@ -402,7 +385,7 @@ def wick_exp(omega: OmegaSample, phi, measure: AtomicMeasure,
 
 @dataclass(frozen=True)
 class LaguerreSystem:
-    """Monic-free orthonormal Laguerre-type system for shape sigma.
+    """Orthonormal Laguerre-type system P_n = q_n / c_n for shape sigma.
 
     coeffs[n] holds the ascending monomial coefficients of P_n; the P_n are
     orthonormal for the Gamma(sigma) density s^(sigma-1) e^(-s)/Gamma(sigma)
@@ -424,23 +407,29 @@ class LaguerreSystem:
                                                 self.coeffs[n, : n + 1])
 
 
-def laguerre_system(sigma: float, N: int) -> LaguerreSystem:
-    """Orthonormal polynomials from the three-term recurrence
-    P_{n+1} = ((s - beta_n) P_n - alpha_n P_{n-1}) / alpha_{n+1}."""
-    if N < 0:
-        raise DomainError("N must be >= 0")
-    _check_entries((N + 1) ** 2, f"Laguerre coefficient table (N={N})")
-    alphas, betas = _three_term(sigma, N + 1)
-    coeffs = np.zeros((N + 1, N + 1))
-    coeffs[0, 0] = 1.0
+def _orthonormal_coefficients(alpha_sq: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """[..., n, l] = s^l coefficient of P_n for the ``_three_term`` parameters
+    of one weight or many: P_{n+1} = ((s - beta_n) P_n - alpha_n P_{n-1})
+    / alpha_{n+1} from P_{-1} = 0, P_0 = 1."""
+    alphas = np.sqrt(alpha_sq)
+    N = alphas.shape[-1] - 1
+    coeffs = np.zeros(alphas.shape[:-1] + (N + 2, N + 1))   # row n + 1 holds P_n
+    coeffs[..., 1, 0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(N):
-            shifted = np.zeros(N + 1)
-            shifted[1: n + 2] = coeffs[n, : n + 1]
-            nxt = shifted - betas[n] * coeffs[n]
-            if n >= 1:
-                nxt = nxt - alphas[n] * coeffs[n - 1]
-            coeffs[n + 1] = nxt / alphas[n + 1]
+            nxt = np.zeros(alphas.shape)
+            nxt[..., 1:] = coeffs[..., n + 1, :-1]
+            nxt -= betas[..., n, None] * coeffs[..., n + 1, :]
+            nxt -= alphas[..., n, None] * coeffs[..., n, :]
+            coeffs[..., n + 2, :] = nxt / alphas[..., n + 1, None]
+    return coeffs[..., 1:, :]
+
+
+def laguerre_system(sigma: float, N: int) -> LaguerreSystem:
+    """Orthonormal polynomials P_0..P_N from the three-term recurrence."""
+    alpha_sq, betas = _checked_three_term(sigma, N)
+    _check_entries((N + 1) ** 2, f"Laguerre coefficient table (N={N})")
+    coeffs = _orthonormal_coefficients(alpha_sq, betas)
     if not np.all(np.isfinite(coeffs)):
         raise DomainError(f"sigma={sigma!r}, N={N}: Laguerre coefficients overflow")
     return LaguerreSystem(float(sigma), coeffs)

@@ -1,6 +1,6 @@
 """Independent reference implementations used only by the tests.
 
-Three kinds live here.
+Four kinds live here.
 
 * Brute-force routes that avoid the package's multiset tables and partition
   code: dense arrays are built straight from the documented storage order
@@ -16,6 +16,9 @@ Three kinds live here.
 * The jump sum of the adjointness check by literal removal: one
   configuration per jump, each evaluated directly, where the package sums
   Taylor terms against per-sample jump power sums.
+* Closed forms of the one-atom tables the package builds by three-term
+  recurrence: products of binomials and rising factorials, and the
+  orthonormal coefficients P_n = q_n / c_n through log-gamma values.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import string
 from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
+from scipy.special import poch
 
 from gwn.errors import ContractError, DimensionError, SizeError
 from gwn.extfock import loop_partitions
@@ -377,3 +381,30 @@ def jump_removal_sum(phi: PolyFunctional, xi: np.ndarray, masses: np.ndarray,
     terms = sizes * xi[atoms] * evaluate_batch(phi, removed, measure)
     return (np.bincount(owners, weights=terms, minlength=rows),
             np.bincount(owners, weights=np.abs(terms), minlength=rows))
+
+
+def wick_monic_table(w: float, N: int) -> np.ndarray:
+    """[n, l] = s^l coefficient of the one-atom Wick power q_n(s; w):
+    (-1)^(n-l) C(n, l) rising(w+l, n-l)."""
+    return np.array([[(-1) ** (n - l) * math.comb(n, l) * poch(w + l, n - l)
+                      if l <= n else 0.0 for l in range(N + 1)]
+                     for n in range(N + 1)])
+
+
+def wick_inverse_table(w: float, N: int) -> np.ndarray:
+    """[l, j] = q_j(s; w) coefficient of s^l: C(l, j) rising(w+j, l-j)."""
+    return np.array([[math.comb(l, j) * poch(w + j, l - j) if j <= l else 0.0
+                      for j in range(N + 1)] for l in range(N + 1)])
+
+
+def laguerre_closed_form(sigma: float, N: int) -> np.ndarray:
+    """[n, l] = s^l coefficient of P_n = q_n / c_n, c_n^2 = n! rising(sigma, n),
+    summed in log space so that neither q_n nor c_n overflows."""
+    out = np.zeros((N + 1, N + 1))
+    for n in range(N + 1):
+        log_c = 0.5 * (math.lgamma(n + 1) + math.lgamma(sigma + n) - math.lgamma(sigma))
+        for l in range(n + 1):
+            log_q = (math.log(math.comb(n, l)) + math.lgamma(sigma + n)
+                     - math.lgamma(sigma + l))
+            out[n, l] = (-1) ** (n - l) * math.exp(log_q - log_c)
+    return out

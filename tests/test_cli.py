@@ -209,6 +209,7 @@ def test_se_mult_must_be_finite_and_positive(capsys, command, se_mult):
     ("jacobi", "--sigma", "inf", "--n", "2"),
     ("jacobi", "--sigma", "1", "--n", "-2"),
     ("jacobi", "--sigma", "1e300", "--n", "3"),
+    ("jacobi", "--sigma", "1", "--n", "1000000000"),
     ("laguerre", "--sigma", "1e300", "--n", "3"),
     ("laguerre", "--sigma", "1", "--n", "100000"),
 ])

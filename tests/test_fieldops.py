@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import random_measure, random_tensor, rel_err
-from gwn.errors import ContractError, DomainError
+import gwn.fieldops
+from gwn.errors import ContractError, DomainError, SizeError
 from gwn.extfock import ext_inner
 from gwn.fieldops import (annihilate1, annihilate2, create, gamma_field,
                           jacobi_action_check, jacobi_coefficients, neutral)
 from gwn.measure import AtomicMeasure
-from gwn.symtensor import FockVector, rank_one, sym_product
+from gwn.symtensor import MAX_ENTRIES, FockVector, rank_one, sym_product
 
 
 def _vec(rng, m, N):
@@ -146,6 +147,9 @@ def test_jacobi_coefficients_domain():
         with pytest.raises(DomainError):
             jacobi_coefficients(sigma, N)
     assert jacobi_coefficients(1e300, 1).norms[1] == pytest.approx(1e150)
+    # the entry budget is checked before the N + 1 parameters are built
+    with pytest.raises(SizeError):
+        jacobi_coefficients(1.0, MAX_ENTRIES)
 
 
 def test_norm_ratio_is_alpha(rng):
@@ -169,6 +173,20 @@ def test_jacobi_action_subset_indicator(rng):
     assert rep.sigma == pytest.approx(1.1)
     assert rep.max_action_dev <= 1e-11
     assert rep.max_norm_dev <= 1e-11
+
+
+def test_jacobi_action_check_sees_wrong_coefficients(monkeypatch):
+    # the right-hand side reads _three_term and gamma_field does not, so a
+    # parameter table off by a relative 1e-6 must show in the deviation
+    three_term = gwn.fieldops._three_term
+
+    def off(w, N):
+        alpha_sq, betas = three_term(w, N)
+        return alpha_sq * (1.0 + 1e-6) ** 2, betas
+
+    monkeypatch.setattr(gwn.fieldops, "_three_term", off)
+    meas = AtomicMeasure([0.7, 1.1, 0.4])
+    assert jacobi_action_check(meas, meas.indicator([0, 2]), 4).max_action_dev > 1e-10
 
 
 def test_jacobi_action_rejects_non_indicator():

@@ -12,7 +12,9 @@
 * the batched MC reducer against mean and std(ddof=1)/sqrt(n) of the
   concatenated statistic, for any split into batches;
 * the Taylor / jump-power-sum route of the adjointness check's jump sum
-  against removing each jump from its own copy of the configuration.
+  against removing each jump from its own copy of the configuration;
+* the one-atom Laguerre coefficients and the basis-conversion tables
+  against their closed forms, entry by entry in relative terms.
 
 Each comparison is scaled by the size of the terms being summed, computed
 from absolute values, so cancellation in the result cannot fail a correct
@@ -36,8 +38,9 @@ from gwn.gammasample import SamplerConfig, iter_jump_batches, mean_and_se
 from gwn.measure import AtomicMeasure
 from gwn.symtensor import FockVector, SymTensor, _tables, rank_one, sym_product
 from gwn.wickcalc import (Basis, OmegaSample, PolyFunctional, _single_atom_q,
-                          evaluate_batch, monomial_to_wick, wick_kernels,
-                          wick_pair_rank_one, wick_to_monomial)
+                          _wick_coefficients, evaluate_batch, laguerre_system,
+                          monomial_to_wick, wick_kernels, wick_pair_rank_one,
+                          wick_to_monomial)
 
 from conftest import rel_err
 
@@ -312,3 +315,31 @@ def test_jump_power_sums_match_removal_per_jump(case):
                                                 atoms, sizes, mu)
     scale = np.maximum(1.0, np.maximum(np.abs(want), term_sizes))
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def entry_gap(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest relative gap over the nonzero entries of ``want``; its zero
+    entries must be exact zeros in ``got``."""
+    nz = want != 0.0
+    assert np.array_equal(got != 0.0, nz)
+    return float(np.max(np.abs(got[nz] - want[nz]) / np.abs(want[nz])))
+
+
+shapes = st.floats(0.05, 20.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shapes, st.integers(0, 150))
+def test_laguerre_coefficients_match_closed_form(sigma, N):
+    got = laguerre_system(sigma, N).coeffs
+    assert entry_gap(got, oracles.laguerre_closed_form(sigma, N)) <= 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(shapes, min_size=1, max_size=4), st.integers(0, 16))
+def test_conversion_tables_match_closed_forms(ws, N):
+    monic = _wick_coefficients(np.array(ws), N)
+    for w, table in zip(ws, monic):
+        assert entry_gap(table, oracles.wick_monic_table(w, N)) <= 1e-12
+        # monomial -> Wick uses the same table without its signs
+        assert entry_gap(np.abs(table), oracles.wick_inverse_table(w, N)) <= 1e-12
