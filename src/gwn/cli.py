@@ -80,11 +80,8 @@ def _jacobi_csv(sigma: float, N: int) -> str:
     cell = AtomicMeasure([sigma])
     rows = ["n,alpha_n,beta_n,c_n,c_n_from_extnorm,abs_err"]
     for n in range(N + 1):
-        if n == 0:
-            ext = 1.0
-        else:
-            t = SymTensor(1, n, np.ones(1))
-            ext = math.sqrt(math.factorial(n) * ext_inner_n(cell, t, t))
+        t = SymTensor(1, n, np.ones(1))
+        ext = math.sqrt(math.factorial(n) * ext_inner_n(cell, t, t))
         rows.append(",".join([str(n), _f(jc.alphas[n]), _f(jc.betas[n]),
                               _f(jc.norms[n]), _f(ext),
                               _f(abs(float(jc.norms[n]) - ext))]))
@@ -170,36 +167,32 @@ def _resolve_suite(args, parser: argparse.ArgumentParser) -> str:
     return pos or opt or "all"
 
 
-def _cmd_verify(args) -> int:
-    suite = _resolve_suite(args, args.parser)
+def _emit_payload(args, payload: dict) -> int:
+    _emit(render_pretty(payload) if args.pretty else to_json(payload), args.out)
+    return 0 if payload["pass"] else 1
+
+
+def _run_suites(args, suite: str, run_one, run_all, *extra) -> int:
+    """One suite's report, or the combined report of all of them."""
     mu = load_measure(args.measure) if args.measure else None
     if suite == "all":
-        reps = run_verify_all(args.seed, mu)
-        payload = combine_reports(reps, args.seed, args.timing)
-        ok = bool(payload["pass"])
-    else:
-        rep = run_verify_suite(suite, args.seed, mu)
-        payload = rep.to_json_dict(args.timing)
-        ok = rep.passed
-    _emit(render_pretty(payload) if args.pretty else to_json(payload), args.out)
-    return 0 if ok else 1
+        return _emit_payload(args, combine_reports(
+            run_all(args.seed, mu, *extra), args.seed, args.timing))
+    return _emit_payload(args, run_one(suite, args.seed, mu, *extra)
+                         .to_json_dict(args.timing))
+
+
+def _cmd_verify(args) -> int:
+    return _run_suites(args, _resolve_suite(args, args.parser),
+                       run_verify_suite, run_verify_all)
 
 
 def _cmd_mc(args) -> int:
     suite = _resolve_suite(args, args.parser)
     _check_se_mult(args.se_mult)
     _check_samples(args.samples)
-    mu = load_measure(args.measure) if args.measure else None
-    if suite == "all":
-        reps = run_mc_all(args.seed, mu, args.samples, args.se_mult)
-        payload = combine_reports(reps, args.seed, args.timing)
-        ok = bool(payload["pass"])
-    else:
-        rep = run_mc_suite(suite, args.seed, mu, args.samples, args.se_mult)
-        payload = rep.to_json_dict(args.timing)
-        ok = rep.passed
-    _emit(render_pretty(payload) if args.pretty else to_json(payload), args.out)
-    return 0 if ok else 1
+    return _run_suites(args, suite, run_mc_suite, run_mc_all, args.samples,
+                       args.se_mult)
 
 
 def _cmd_all(args) -> int:
@@ -208,9 +201,7 @@ def _cmd_all(args) -> int:
     mu = load_measure(args.measure) if args.measure else None
     reps = run_verify_all(args.seed, mu) \
         + run_mc_all(args.seed, mu, args.samples, args.se_mult)
-    payload = combine_reports(reps, args.seed, args.timing)
-    _emit(render_pretty(payload) if args.pretty else to_json(payload), args.out)
-    return 0 if payload["pass"] else 1
+    return _emit_payload(args, combine_reports(reps, args.seed, args.timing))
 
 
 def build_parser() -> argparse.ArgumentParser:

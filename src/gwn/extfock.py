@@ -13,9 +13,9 @@ identity, sum_pi prod_B (|B|-1)! w_i^|pi| = w_i (w_i+1) ... (w_i+k_i-1).  So
 
     ext_inner_n(f, g) = sum_k perm_count(k) prod_i rising(w_i, k_i) conj(f[k]) g[k]
 
-over the occupation counts k of the stored multi-indices, one vectorized
-gather.  The ordinary product is the same sum with w_i^k_i in place of the
-rising factorials.  Kernels vanishing on all diagonals (every k_i <= 1)
+over the occupation counts k of the stored multi-indices.  The ordinary
+product is the same sum with w_i^k_i in place of the rising factorials,
+one body for both.  Kernels vanishing on all diagonals (every k_i <= 1)
 make the two agree: the off-diagonal subspace embeds isometrically.
 
 The loop partitions themselves are kept for the census table of
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, SizeError
 from .measure import AtomicMeasure
-from .symtensor import FockVector, SymTensor, _tables
+from .symtensor import FockVector, SymTensor, _tables, atom_products
 
 # Loop partitions are enumerated and cached in Python: order 10 has
 # Bell(10) = 115975 of them (52 MB, 3 s to build), and each further order
@@ -92,11 +92,19 @@ def loop_census(n: int) -> int:
     return sum(p.multiplicity for p in iter_loop_partitions(n))
 
 
-def _check_pair(measure: AtomicMeasure, f: SymTensor, g: SymTensor) -> None:
+def _weighted_inner_n(measure: AtomicMeasure, f: SymTensor, g: SymTensor,
+                      step: float) -> float:
+    """sum_k perm_count(k) prod_i t_i(k_i) conj(f[k]) g[k] with the per-atom
+    weights t_i(k) = w_i (w_i + step) ... (w_i + (k-1) step)."""
     if f.m != g.m or f.m != measure.m:
         raise DimensionError("kernels and measure must share the atom set")
     if f.degree != g.degree:
         raise ContractError("kernels must have equal degree")
+    n = f.degree
+    table = np.ones((measure.m, n + 1))
+    table[:, 1:] = np.cumprod(measure.weights[:, None] + step * np.arange(n), axis=1)
+    wprod = atom_products(table, n)[n]
+    return ((f.perm_counts * wprod) @ (np.conj(f.values) * g.values)).item()
 
 
 def ext_inner_n(measure: AtomicMeasure, f: SymTensor, g: SymTensor) -> float:
@@ -105,51 +113,37 @@ def ext_inner_n(measure: AtomicMeasure, f: SymTensor, g: SymTensor) -> float:
     The loop-partition sum in closed form: each stored multi-index with
     occupation counts k is weighted by perm_count(k) prod_i rising(w_i, k_i).
     """
-    _check_pair(measure, f, g)
-    if f.degree == 0:
-        return (np.conj(f.values[0]) * g.values[0]).item()
-    rising = np.ones((measure.m, f.degree + 1))
-    rising[:, 1:] = np.cumprod(measure.weights[:, None] + np.arange(f.degree), axis=1)
-    wprod = _tables(f.m, f.degree).atom_product(rising)
-    return ((f.perm_counts * wprod) @ (np.conj(f.values) * g.values)).item()
+    return _weighted_inner_n(measure, f, g, 1.0)
 
 
 def fock_inner_n(measure: AtomicMeasure, f: SymTensor, g: SymTensor) -> float:
     """Ordinary symmetric-power inner product sum over ordered tuples of
-    prod_k w_{i_k} conj(f) g (no n! factor)."""
-    _check_pair(measure, f, g)
-    if f.degree == 0:
-        return (np.conj(f.values[0]) * g.values[0]).item()
-    wprod = np.prod(measure.weights[f.reps], axis=1)
-    return ((f.perm_counts * wprod) @ (np.conj(f.values) * g.values)).item()
+    prod_k w_{i_k} conj(f) g (no n! factor): weights prod_i w_i^k_i."""
+    return _weighted_inner_n(measure, f, g, 0.0)
+
+
+def _fock_sum(measure: AtomicMeasure, f: FockVector, g: FockVector,
+              inner_n) -> float:
+    """sum_n n! * inner_n(f_n, g_n)."""
+    if f.m != g.m or f.m != measure.m:
+        raise DimensionError("vectors and measure must share the atom set")
+    total = 0.0
+    for n in range(max(f.degree, g.degree) + 1):
+        total += math.factorial(n) * inner_n(measure, f.get(n), g.get(n))
+    return total
 
 
 def ext_inner(measure: AtomicMeasure, f: FockVector, g: FockVector) -> float:
     """Full extended Fock inner product: sum_n n! * ext_inner_n."""
-    if f.m != g.m or f.m != measure.m:
-        raise DimensionError("vectors and measure must share the atom set")
-    total = 0.0
-    for n in range(max(f.degree, g.degree) + 1):
-        total += math.factorial(n) * ext_inner_n(measure, f.get(n), g.get(n))
-    return total
+    return _fock_sum(measure, f, g, ext_inner_n)
 
 
 def fock_inner(measure: AtomicMeasure, f: FockVector, g: FockVector) -> float:
     """Ordinary Fock inner product: sum_n n! * fock_inner_n."""
-    if f.m != g.m or f.m != measure.m:
-        raise DimensionError("vectors and measure must share the atom set")
-    total = 0.0
-    for n in range(max(f.degree, g.degree) + 1):
-        total += math.factorial(n) * fock_inner_n(measure, f.get(n), g.get(n))
-    return total
+    return _fock_sum(measure, f, g, fock_inner_n)
 
 
 def is_off_diagonal(f: SymTensor, tol: float = 1e-12) -> bool:
     """True when every entry with a repeated atom index is below tol."""
-    if f.degree < 2:
-        return True
-    reps = f.reps
-    has_repeat = np.any(reps[:, 1:] == reps[:, :-1], axis=1)
-    if not has_repeat.any():
-        return True
-    return float(np.max(np.abs(f.values[has_repeat]))) <= tol
+    repeated = np.any(_tables(f.m, f.degree).occ > 1, axis=1)
+    return not repeated.any() or float(np.max(np.abs(f.values[repeated]))) <= tol

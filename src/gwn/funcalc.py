@@ -138,23 +138,22 @@ def del_dagger(p: PolyFunctional, atom: int,
     return PolyFunctional(Basis.GAMMA_WICK, FockVector(out))
 
 
-def _shifted_integral(pm: PolyFunctional, omega: OmegaSample, atom: int,
+def _shifted_integral(p: PolyFunctional, omega: OmegaSample, atom: int,
                       measure: AtomicMeasure) -> float:
-    """int_0^inf phi(omega + s delta_atom) e^(-s) ds for a monomial phi."""
+    """int_0^inf phi(omega + s delta_atom) e^(-s) ds."""
     rule = _rule()
     masses = np.repeat(omega.masses[None, :], rule.nodes.size, axis=0)
     masses[:, atom] += rule.nodes
-    return rule.integrate(evaluate_batch(pm, masses, measure))
+    return rule.integrate(evaluate_batch(p, masses, measure))
 
 
 def del_integral(p: PolyFunctional, atom: int, omega: OmegaSample,
                  measure: AtomicMeasure) -> float:
     """Integral form of the Wick derivative at one configuration:
     int_0^inf (phi(omega + s delta_atom) - phi(omega)) e^(-s) ds."""
-    pm = p.to_basis(Basis.MONOMIAL, measure)
-    _check_atom(atom, pm.m)
-    base = pm.evaluate(omega, measure)
-    return _shifted_integral(pm, omega, atom, measure) \
+    _check_atom(atom, p.m)
+    base = p.evaluate(omega, measure)
+    return _shifted_integral(p, omega, atom, measure) \
         - base * float(np.sum(_rule().weights))
 
 
@@ -358,13 +357,12 @@ def a1_plus_explicit(p: PolyFunctional, xi, omega: OmegaSample,
     """Adjoint of the smeared difference operator at an explicit
     configuration: sum_i s_i xi_i phi(omega with atom i removed) - <xi> phi."""
     xi = measure.check_function(np.asarray(xi, dtype=float))
-    pm = p.to_basis(Basis.MONOMIAL, measure)
     total = 0.0
-    for i in range(pm.m):
+    for i in range(p.m):
         if omega.masses[i] == 0.0 or xi[i] == 0.0:
             continue
-        total += omega.masses[i] * xi[i] * pm.evaluate(omega.without_atom(i), measure)
-    return total - measure.integrate(xi) * pm.evaluate(omega, measure)
+        total += omega.masses[i] * xi[i] * p.evaluate(omega.without_atom(i), measure)
+    return total - measure.integrate(xi) * p.evaluate(omega, measure)
 
 
 def _removal_derivatives(phi_m: PolyFunctional, xi: np.ndarray):
@@ -423,16 +421,15 @@ def a1_plus_mc_adjointness_check(phi: PolyFunctional, psi: PolyFunctional, xi,
     """
     xi = measure.check_function(np.asarray(xi, dtype=float))
     phi_m = phi.to_basis(Basis.MONOMIAL, measure)
-    psi_m = psi.to_basis(Basis.MONOMIAL, measure)
     psi_w = psi.to_basis(Basis.GAMMA_WICK, measure)
     a1_psi = PolyFunctional(Basis.GAMMA_WICK, annihilate1(
-        xi, psi_w.kernels, measure)).to_basis(Basis.MONOMIAL, measure)
+        xi, psi_w.kernels, measure))
     xi_mass = measure.integrate(xi)
     derivs = _removal_derivatives(phi_m, xi)
 
     def stat(masses, owners, atoms, sizes):
         phi0 = evaluate_batch(phi_m, masses, measure)
-        psi0 = evaluate_batch(psi_m, masses, measure)
+        psi0 = evaluate_batch(psi, masses, measure)
         a1v = evaluate_batch(a1_psi, masses, measure)
         aplus = _jump_removal_sum(phi0, derivs, xi, masses, owners, atoms,
                                   sizes, measure) - xi_mass * phi0

@@ -28,10 +28,10 @@ from scipy.special import exp1
 from .errors import ContractError, DimensionError, DomainError, SizeError
 from .extfock import ext_inner_n, fock_inner_n
 from .measure import AtomicMeasure
-from .symtensor import SymTensor, rank_one, sym_product
+from .symtensor import SymTensor, _check_entries, rank_one, sym_product
 from .wickcalc import (WICK_MAX_DEGREE, Basis, FockVector, OmegaSample,
                        PolyFunctional, evaluate_batch, wick_kernel,
-                       wick_pair_rank_one_batch, wick_to_monomial)
+                       wick_pair_rank_one_batch)
 
 DEFAULT_BATCH = 4096
 
@@ -101,13 +101,17 @@ def _sample_jumps(rng: np.random.Generator, count: int, eps: float) -> np.ndarra
 def _draw_cp_batch(measure: AtomicMeasure, eps: float,
                    rng: np.random.Generator, size: int):
     """Masses plus the individual jumps building them: (masses, owner
-    sample index, atom index, jump size), flat over all jumps."""
+    sample index, atom index, jump size), flat over all jumps; the jump
+    count is checked against the entry budget before the jumps are drawn."""
     out = np.zeros((size, measure.m))
     lam_unit = float(exp1(eps))
     owners, atoms, sizes = [], [], []
+    drawn = 0
     for i, w in enumerate(measure.weights):
         counts = rng.poisson(w * lam_unit, size=size)
         total = int(counts.sum())
+        drawn += total
+        _check_entries(drawn, f"compound-Poisson batch of {size} samples")
         if total == 0:
             continue
         jumps = _sample_jumps(rng, total, eps)
@@ -313,20 +317,13 @@ def chaos_projection_check(measure: AtomicMeasure, f: SymTensor,
     gdraw = np.random.default_rng(cfg.seed)
     g = SymTensor(f.m, n, gdraw.uniform(-1.0, 1.0, size=f.values.size))
 
-    def mono(t: SymTensor) -> PolyFunctional:
-        ks = [SymTensor(f.m, d) for d in range(t.degree)] + [t]
-        return PolyFunctional(Basis.MONOMIAL, FockVector(ks))
-
-    def wick(t: SymTensor) -> PolyFunctional:
-        ks = [SymTensor(f.m, d) for d in range(t.degree)] + [t]
-        return wick_to_monomial(PolyFunctional(Basis.GAMMA_WICK, FockVector(ks)),
-                                measure)
-
-    low_part = mono(f) - wick(f)
-    wick_g = wick(g)
+    mono_f = PolyFunctional(Basis.MONOMIAL, FockVector.single(f))
+    wick_f = PolyFunctional(Basis.GAMMA_WICK, FockVector.single(f))
+    wick_g = PolyFunctional(Basis.GAMMA_WICK, FockVector.single(g))
 
     def stat(S):
-        return evaluate_batch(low_part, S, measure) * evaluate_batch(wick_g, S, measure)
+        low_part = evaluate_batch(mono_f, S, measure) - evaluate_batch(wick_f, S, measure)
+        return low_part * evaluate_batch(wick_g, S, measure)
 
     mean, se = _mc_accumulate(measure, cfg, stat)
     return MCEstimate(float(mean[0]), float(se[0]), cfg.n_samples)

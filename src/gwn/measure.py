@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import ContractError, DimensionError, DomainError
 
 
 @dataclass(frozen=True)
@@ -107,9 +108,17 @@ class AtomicMeasure:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "AtomicMeasure":
-        if "weights" not in d:
-            raise DomainError("measure JSON must contain a 'weights' array")
-        return cls(np.asarray(d["weights"], dtype=float))
+        w = d.get("weights") if isinstance(d, dict) else None
+        if not isinstance(w, list):
+            raise DomainError("measure JSON must be an object with a 'weights' array")
+        return cls(np.asarray([_json_number(x, "a weight") for x in w], dtype=float))
+
+
+def _json_number(x, what: str) -> float:
+    """float(x) for a JSON number or numeric string, refusing true and false."""
+    if isinstance(x, bool) or not isinstance(x, (numbers.Real, str)):
+        raise ContractError(f"{what} must be a number, got {x!r}")
+    return float(x)
 
 
 def load_measure(path) -> AtomicMeasure:

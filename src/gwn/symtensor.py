@@ -8,6 +8,12 @@ tensor f is thereby the polynomial sum_k perm_count(k) f[k] s^k in the
 atom variables, which is how the inner products, Wick kernels and basis
 conversions factor over atoms.
 
+Every product prod_i t_i(k_i) of a per-atom table t comes from one kernel,
+``atom_products``: rank-one powers (f^k), inner-product weights (w^k,
+rising(w, k)), Wick densities and functional values (s^k, q_k(s)).  A rep
+ending in k copies of atom a is its parent (those copies removed) times
+t_a(k), so all degrees 0..N cost one multiply per entry.
+
 Symmetrization convention: the symmetrized product is the arithmetic mean
 over position splits, so phi-tensor-phi equals the plain tensor square with
 no combinatorial prefactor.  It is the product of the two polynomials: the
@@ -17,10 +23,10 @@ their union (occupation counts k_a + k_b).  The same table serves the slot
 operators (one extra atom, degree b = 1) and the dense layout (a chain of
 one-atom merges).
 
-Every rank table comes from the cached multiset table of each (m, n), the
-merge table or, in ``wickcalc``, the simplex of all degrees <= N, so the
-hot paths are vectorized gathers.  Each is checked against one entry
-budget, ``MAX_ENTRIES``, before it is allocated.
+Every rank table comes from the cached multiset and last-run tables of
+each (m, n), the merge table or, in ``wickcalc``, the simplex of all
+degrees <= N, so the hot paths are vectorized gathers.  Each is checked
+against one entry budget, ``MAX_ENTRIES``, before it is allocated.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError, SizeError
+from .measure import _json_number
 
 # Most entries one table or tensor may hold (2^26 int64 entries are
 # 512 MB).  It admits the 16-atom degree-8 Wick kernels and the 60-atom
@@ -62,8 +69,7 @@ class _MultisetTable:
     reps: np.ndarray         # (R, n) sorted representative tuples, lex order
     keys: np.ndarray         # (R,) strictly increasing integer keys
     powers: np.ndarray       # (n,) big-endian base-m digit weights
-    occ: np.ndarray          # (R, m) occupation counts, column-major so
-                             # atom_product reads one atom at a time
+    occ: np.ndarray          # (R, m) occupation counts
     perm_counts: np.ndarray  # (R,) number of distinct orderings of each rep
 
     def rank_sorted_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -74,14 +80,6 @@ class _MultisetTable:
     def rank_rows(self, rows: np.ndarray) -> np.ndarray:
         """Ranks of arbitrary index rows; rows are sorted internally."""
         return self.rank_sorted_rows(np.sort(rows, axis=-1))
-
-    def atom_product(self, table: np.ndarray) -> np.ndarray:
-        """prod_i table[i, k_i] for the occupation counts k of every rep,
-        given an (m, n+1) per-atom table."""
-        out = np.ones(len(self.reps), dtype=table.dtype)
-        for i in range(self.m):
-            out *= table[i, self.occ[:, i]]
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -108,6 +106,47 @@ def _tables(m: int, n: int) -> _MultisetTable:
         run = np.where(reps[:, p] == reps[:, p - 1], run + 1, 1)
         pc //= run
     return _MultisetTable(m, n, reps, keys, powers, occ, pc)
+
+
+def _start(m: int, n: int) -> int:
+    """Offset of degree n when the reps of every degree are laid out in turn."""
+    return math.comb(n + m - 1, m)
+
+
+@lru_cache(maxsize=None)
+def _last_runs(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(parent, a, k) per degree-n rep, n >= 1: it ends in k copies of atom a;
+    parent is the ``_start`` offset of the rep without them (k key digits)."""
+    tab = _tables(m, n)
+    a = tab.reps[:, -1]
+    k = tab.occ[np.arange(len(a)), a]
+    parent = tab.keys // m ** k
+    for j in np.unique(k).tolist():
+        run = k == j
+        parent[run] = _start(m, n - j) + np.searchsorted(_tables(m, n - j).keys,
+                                                         parent[run])
+    return parent, a, k
+
+
+def atom_products(table, N: int) -> list[np.ndarray]:
+    """P_0..P_N for an (m, N+1, ...) per-atom table t: P_n[r, ...] =
+    prod_i t[i, k_i(r), ...] over the occupation counts of each degree-n rep
+    r, built as P_{n-k}[parent] * t[a, k] in one buffer.  t[:, 0] stands
+    for t_i(0) = 1 and is never read."""
+    _check_degree(N)
+    table = np.asarray(table)
+    m, tail = table.shape[0], table.shape[2:]
+    starts = [_start(m, n) for n in range(N + 2)]
+    _check_entries(starts[-1] * math.prod(tail), f"atom products up to degree {N}")
+    flat = np.empty((starts[-1],) + tail, dtype=table.dtype)
+    flat[0] = 1
+    for n in range(1, N + 1):
+        parent, a, k = _last_runs(m, n)
+        lo, hi = starts[n], starts[n + 1]
+        # the parents lie below lo, so with mode="clip" take makes no copy
+        flat[:lo].take(parent, axis=0, out=flat[lo:hi], mode="clip")
+        flat[lo:hi] *= table[a, k]
+    return [flat[lo:hi] for lo, hi in zip(starts, starts[1:])]
 
 
 @lru_cache(maxsize=None)
@@ -240,7 +279,7 @@ class SymTensor:
                 raise ContractError(f"index key '{key}' has wrong arity for degree {degree}")
             if idx.size and (idx.min() < 0 or idx.max() >= m):
                 raise DimensionError(f"index key '{key}' out of range for m={m}")
-            x = float(v)
+            x = _json_number(v, f"value of index key '{key}'")
             if not math.isfinite(x):
                 raise DomainError(f"value of index key '{key}' is not finite")
             vals[int(_tables(m, degree).rank_sorted_rows(idx[None, :])[0])] = x
@@ -254,12 +293,11 @@ class SymTensor:
 def rank_one(f, degree: int) -> SymTensor:
     """The symmetric power f^{(x) degree} of a test function (no prefactor)."""
     f = np.asarray(f)
-    if f.ndim != 1:
+    if f.ndim != 1 or f.size == 0:
         raise DimensionError("rank_one expects a vector of atom values")
-    m = f.size
-    reps = _tables(m, degree).reps
-    vals = np.prod(f[reps], axis=1) if degree else np.ones(1, dtype=f.dtype)
-    return SymTensor(m, degree, vals)
+    _check_degree(degree)
+    powers = f[:, None] ** np.arange(degree + 1)
+    return SymTensor(f.size, degree, atom_products(powers, degree)[degree])
 
 
 def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -155,20 +156,6 @@ def _gradient_form_suite(suite: str, check, seed: int,
     rep = check(_random_poly(rng, m, 2), np.zeros(m), om, mu)
     cases.append(scaled_case("zero_direction", rep.lhs, rep.rhs, 1e-14))
     return RunReport(suite, cases, seed)
-
-
-def creation_formula_check(seed: int,
-                           measure: AtomicMeasure | None = None) -> RunReport:
-    """Creation operator against its gradient form at sampled points."""
-    return _gradient_form_suite("theorem7", creation_gradient_check, seed,
-                                measure)
-
-
-def neutral_formula_check(seed: int,
-                          measure: AtomicMeasure | None = None) -> RunReport:
-    """Neutral operator against its gradient form at sampled points."""
-    return _gradient_form_suite("theorem8", neutral_gradient_check, seed,
-                                measure)
 
 
 def annihilate2_formula_check(seed: int,
@@ -339,8 +326,8 @@ def chaos_suite(seed: int, measure: AtomicMeasure | None = None,
 VERIFY_SUITES = {
     "theorem5": stransform_product_check,
     "theorem6": difference_representation_check,
-    "theorem7": creation_formula_check,
-    "theorem8": neutral_formula_check,
+    "theorem7": partial(_gradient_form_suite, "theorem7", creation_gradient_check),
+    "theorem8": partial(_gradient_form_suite, "theorem8", neutral_gradient_check),
     "theorem9": annihilate2_formula_check,
     "series": operator_series_check,
     "multiplication": multiplication_identity_check,

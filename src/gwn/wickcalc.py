@@ -20,13 +20,16 @@ often atom i appears; see ``symtensor``):
 Polynomial functionals carry their kernels in either the monomial basis
 (<omega^(x)n, f>) or the Gamma-Wick basis (<:omega^n:, f>).  Both are
 polynomials sum_k A[k] prod_i b_{k_i}(s_i) with A[k] = perm_count(k) f[k],
-in the per-atom bases b = s^k and b = q_k, so conversion is a lower
-triangular change of basis along each atom's axis of A, over all total
-degrees <= N at once.  The s^l coefficient of q_n is (-1)^(n-l) C(n, l)
-rising(w+l, n-l) and the inverse drops the signs, s^l = sum_j C(l, j)
-rising(w+j, l-j) q_j, so both tables come from the Laguerre coefficient
-recurrence (q_n = c_n P_n).  The S-transform reads
-Gamma-Wick kernels against powers of a test function; products of
+in the per-atom bases b = s^k and b = q_k.  So each basis evaluates
+natively, ``atom_products`` multiplying out its table b, and
+WICK_MAX_DEGREE caps conversion (and the kernels K_n), not evaluation.
+Conversion is a lower triangular change of basis along each atom's axis
+of A, over all total degrees <= N at once.  The s^l coefficient of q_n is
+(-1)^(n-l) C(n, l) rising(w+l, n-l) and the inverse drops the signs, s^l
+= sum_j C(l, j) rising(w+j, l-j) q_j, so both tables come from the
+Laguerre coefficient recurrence (q_n = c_n P_n).  The S-transform pairs
+Gamma-Wick kernels F with powers of a test function theta, which is the
+monomial functional with kernels F at s = w theta; products of
 functionals multiply their S-transforms.
 """
 
@@ -40,11 +43,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError, SizeError
-from .extfock import fock_inner_n
+from .extfock import fock_inner
 from .fieldops import _checked_three_term, _three_term
 from .measure import AtomicMeasure
 from .symtensor import (FockVector, SymTensor, _check_entries, _tables,
-                        rank_one, sym_product)
+                        atom_products, sym_product)
 
 # Accuracy cap of basis conversion: the per-atom transforms lose digits
 # fast past it.  At m = 2 the monomial -> Wick -> monomial round trip of
@@ -84,12 +87,6 @@ class OmegaSample:
             raise DimensionError("test function length mismatch")
         return float(self.masses @ f)
 
-    def shifted(self, atom: int, s: float) -> "OmegaSample":
-        """New sample with mass s added at one atom."""
-        masses = self.masses.copy()
-        masses[atom] += s
-        return OmegaSample(masses)
-
     def without_atom(self, atom: int) -> "OmegaSample":
         """New sample with the mass at one atom removed."""
         masses = self.masses.copy()
@@ -109,8 +106,7 @@ def wick_kernels(omega: OmegaSample, measure: AtomicMeasure, N: int) -> list[Sym
         raise SizeError(f"Wick degree must be in 0..{WICK_MAX_DEGREE}")
     w = measure.weights
     q = _single_atom_q(omega.masses, w, N) / w[:, None] ** np.arange(N + 1)
-    return [SymTensor(measure.m, n, _tables(measure.m, n).atom_product(q))
-            for n in range(N + 1)]
+    return [SymTensor(measure.m, n, P) for n, P in enumerate(atom_products(q, N))]
 
 
 def wick_kernel(omega: OmegaSample, measure: AtomicMeasure, n: int) -> SymTensor:
@@ -119,17 +115,18 @@ def wick_kernel(omega: OmegaSample, measure: AtomicMeasure, n: int) -> SymTensor
 
 
 def _single_atom_q(s: np.ndarray, w, N: int) -> np.ndarray:
-    """Scalar Wick powers q_0..q_N of one-atom configurations with masses s
-    (one row per mass) and weight w (a scalar, or one weight per mass):
-    three-term recurrence q_{k+1} = (s - beta_k) q_k - alpha_k^2 q_{k-1}."""
+    """Scalar Wick powers q_0..q_N (last axis) of one-atom configurations
+    with masses s (an array) and weights w broadcast against s: three-term
+    recurrence q_{k+1} = (s - beta_k) q_k - alpha_k^2 q_{k-1}.  Each q_k is
+    stored contiguously."""
     alpha_sq, betas = _three_term(w, N)
-    q = np.empty((s.size, N + 1))
-    q[:, 0] = 1.0
+    q = np.empty((N + 1,) + np.broadcast(s, w).shape)
+    q[0] = 1.0
     if N >= 1:
-        q[:, 1] = s - betas[..., 0]
+        q[1] = s - betas[..., 0]
     for k in range(1, N):
-        q[:, k + 1] = (s - betas[..., k]) * q[:, k] - alpha_sq[..., k] * q[:, k - 1]
-    return q
+        q[k + 1] = (s - betas[..., k]) * q[k] - alpha_sq[..., k] * q[k - 1]
+    return q.transpose(*range(1, q.ndim), 0)
 
 
 def wick_pair_rank_one(omega: OmegaSample, xi, measure: AtomicMeasure,
@@ -185,20 +182,8 @@ class PolyFunctional:
         return self.kernels.degree
 
     def evaluate(self, omega: OmegaSample, measure: AtomicMeasure) -> float:
-        """Value at one configuration.
-
-        The Gamma-Wick path pairs each kernel against the Wick density of
-        omega under the product measure weights."""
-        _check_sample(omega, measure)
-        if self.m != measure.m:
-            raise DimensionError("functional and measure atom counts differ")
-        if self.basis is Basis.MONOMIAL:
-            return float(evaluate_batch(self, omega.masses[None, :], measure)[0])
-        ks = wick_kernels(omega, measure, self.degree)
-        total = 0.0
-        for n in range(self.degree + 1):
-            total += fock_inner_n(measure, ks[n], self.kernels.get(n))
-        return total
+        """Value at one configuration."""
+        return float(evaluate_batch(self, omega.masses[None, :], measure)[0])
 
     def to_basis(self, basis: Basis,
                  measure: AtomicMeasure | None = None) -> "PolyFunctional":
@@ -344,24 +329,27 @@ def monomial_to_wick(p: PolyFunctional, measure: AtomicMeasure) -> PolyFunctiona
 
 def evaluate_batch(p: PolyFunctional, masses: np.ndarray,
                    measure: AtomicMeasure) -> np.ndarray:
-    """Vectorized evaluation over rows of a (B, m) mass matrix.
-
-    Gamma-Wick functionals are converted to the monomial basis once; the
-    per-sample wick_kernel pairing path is the reference for single points.
-    """
-    if p.basis is Basis.GAMMA_WICK:
-        p = wick_to_monomial(p, measure)
+    """Vectorized evaluation over rows of a (B, m) mass matrix, in the
+    functional's own basis: sum_k A[k] prod_i b_{k_i}(s_i) with the
+    per-atom table b = s^k or q_k(s; w_i) multiplied out by atom_products."""
     S = np.asarray(masses, dtype=float)
-    if S.ndim != 2 or S.shape[1] != p.m:
-        raise DimensionError("mass matrix must have one column per atom")
-    total = np.zeros(S.shape[0])
-    for n in range(p.degree + 1):
-        f = p.kernels.get(n)
-        if n == 0:
-            total += f.values[0]
-            continue
-        prods = np.prod(S[:, f.reps], axis=2)
-        total += prods @ (f.perm_counts * f.values)
+    if S.ndim != 2 or not S.shape[1] == p.m == measure.m:
+        raise DimensionError("masses, functional and measure differ in atom count")
+    N = p.degree
+    _check_entries(math.comb(N + p.m, p.m) * len(S),
+                   f"evaluation of {len(S)} rows at degree {N}")
+    s = np.ascontiguousarray(S.T)
+    if p.basis is Basis.MONOMIAL:
+        table = np.empty((N + 1,) + s.shape)
+        table[1:] = s
+        for k in range(2, N + 1):   # repeated products: faster than pow
+            table[k] *= table[k - 1]
+        table = table.swapaxes(0, 1)
+    else:
+        table = _single_atom_q(s, measure.weights[:, None], N).swapaxes(1, 2)
+    total = np.zeros(len(S))
+    for f, P in zip(p.kernels.kernels, atom_products(table, N)):
+        total += (f.perm_counts * f.values) @ P
     return total
 
 
@@ -451,20 +439,17 @@ def wick_product(p: PolyFunctional, q: PolyFunctional,
 
 def s_transform(p: PolyFunctional, theta, measure: AtomicMeasure) -> float:
     """S[p](theta) = sum_n <F^(n), theta^(x)n> with measure weights, where
-    F are the Gamma-Wick kernels of p."""
+    F are the Gamma-Wick kernels of p: their monomial value at s = w theta."""
     theta = measure.check_function(np.asarray(theta, dtype=float))
-    pw = p.to_basis(Basis.GAMMA_WICK, measure)
-    return math.fsum(fock_inner_n(measure, pw.kernels.get(n), rank_one(theta, n))
-                     for n in range(pw.degree + 1))
+    pm = PolyFunctional(Basis.MONOMIAL, p.to_basis(Basis.GAMMA_WICK, measure).kernels)
+    return float(evaluate_batch(pm, (measure.weights * theta)[None, :], measure)[0])
 
 
 def dual_pair(F: PolyFunctional, f: PolyFunctional, measure: AtomicMeasure) -> float:
     """Dualization <<F, f>> = sum_n n! <F^(n), f^(n)> on Gamma-Wick kernels."""
     Fw = F.to_basis(Basis.GAMMA_WICK, measure)
     fw = f.to_basis(Basis.GAMMA_WICK, measure)
-    return math.fsum(math.factorial(n)
-                     * fock_inner_n(measure, Fw.kernels.get(n), fw.kernels.get(n))
-                     for n in range(max(Fw.degree, fw.degree) + 1))
+    return fock_inner(measure, Fw.kernels, fw.kernels)
 
 
 def delta_functional(upsilon: OmegaSample, measure: AtomicMeasure,

@@ -4,9 +4,10 @@ Four kinds live here.
 
 * Brute-force routes that avoid the package's multiset tables and partition
   code: dense arrays are built straight from the documented storage order
-  (combinations_with_replacement), and the extended inner product is the
+  (combinations_with_replacement), the extended inner product is the
   literal sum over all n! permutations, each contributing the diagonal
-  integral of its cycle decomposition via einsum.
+  integral of its cycle decomposition via einsum, and a product over atoms
+  of a per-atom table counts each multi-index's atoms in Python.
 * Combinatorial routes to what the package computes by per-atom closed
   forms: the loop-partition sum of the extended inner product, the
   five-term Wick kernel recurrence with tied slots, and the loop-partition
@@ -50,6 +51,23 @@ def dense_from_symtensor(t) -> np.ndarray:
     for idx in product(range(t.m), repeat=t.degree):
         out[idx] = lookup[tuple(sorted(idx))]
     return out
+
+
+def occupation_products(table: np.ndarray, m: int, n: int) -> np.ndarray:
+    """prod_i table[i, k_i, ...] for every stored degree-n multi-index, with
+    k_i counted from the index tuple."""
+    return np.array([math.prod((table[i, rep.count(i)] for i in range(m)),
+                               start=np.ones(table.shape[2:]))
+                     for rep in combinations_with_replacement(range(m), n)])
+
+
+def ordered_sum(t, s: np.ndarray) -> float:
+    """sum over ordered index tuples i of t[i_1..i_n] s_{i_1} ... s_{i_n}:
+    the monomial <omega^(x)n, t> at masses s, on the dense array."""
+    out = dense_from_symtensor(t)
+    for _ in range(t.degree):
+        out = np.tensordot(s, out, axes=1)
+    return complex(out) if np.iscomplexobj(out) else float(out)
 
 
 def _cycles(perm: tuple[int, ...]) -> list[list[int]]:

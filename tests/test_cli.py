@@ -313,8 +313,12 @@ def test_stransform_refuses_a_many_atom_functional(tmp_path, capsys):
     {"kernels": [{"degree": 1.7, "values": {"0": 1.0}}]},
     {"kernels": [{"degree": 100000, "values": {}}]},
     {"m": 2.5},
+    {"kernels": [{"degree": 1, "values": {"0": None}}]},
+    {"kernels": [{"degree": 1, "values": {"0": [1.0]}}]},
+    {"kernels": [{"degree": 1, "values": {"0": True}}]},
 ], ids=["values_not_a_map", "negative_degree", "repeated_degree",
-        "fractional_degree", "degree_over_cap", "fractional_m"])
+        "fractional_degree", "degree_over_cap", "fractional_m", "null_value",
+        "array_value", "bool_value"])
 def test_stransform_rejects_malformed_functional(tmp_path, capsys, fields):
     save_measure(AtomicMeasure([2.0, 0.5]), tmp_path / "mu.json")
     functional = {"basis": "gamma_wick", "m": 2,
@@ -323,4 +327,22 @@ def test_stransform_rejects_malformed_functional(tmp_path, capsys, fields):
     assert_input_error(capsys, "stransform",
                        "--functional", str(tmp_path / "p.json"),
                        "--theta", "[0.1, 0.2]",
+                       "--measure", str(tmp_path / "mu.json"))
+
+
+@pytest.mark.parametrize("text", [
+    "5", '["weights"]', '{"weights": {"a": 1}}', '{"weights": [true, 1.0]}',
+    '{"weights": [null, 1.0]}',
+], ids=["number", "array", "weights_not_an_array", "bool_weight", "null_weight"])
+def test_malformed_measure_file_is_an_input_error(tmp_path, capsys, text):
+    (tmp_path / "mu.json").write_text(text)
+    assert_input_error(capsys, "verify", "theorem5",
+                       "--measure", str(tmp_path / "mu.json"))
+
+
+def test_compound_poisson_jumps_past_the_entry_budget_exit_2(tmp_path, capsys):
+    # E1(1e-3) ~ 6.3 jumps per unit weight and sample: a weight of 1e6 asks
+    # for ~6e9 jumps in one batch of 1000, refused before any is drawn
+    save_measure(AtomicMeasure([1e6, 1.0]), tmp_path / "mu.json")
+    assert_input_error(capsys, "mc", "chaos", "--samples", "1000",
                        "--measure", str(tmp_path / "mu.json"))

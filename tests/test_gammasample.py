@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
-from gwn.errors import ContractError, DomainError
+from gwn.errors import ContractError, DomainError, SizeError
 from gwn.extfock import ext_inner_n
 from gwn.gammasample import (ChaosGramReport, MCEstimate, SamplerConfig,
-                             SamplerMode, _sample_jumps, _stream,
+                             SamplerMode, _draw_cp_batch, _sample_jumps, _stream,
                              chaos_projection_check, iter_sample_batches,
                              laplace_target, mc_chaos_gram, mc_laplace,
                              multiple_integral_identity, sample_omega)
@@ -244,3 +244,9 @@ def test_single_sample_estimate_is_rejected():
     mu = AtomicMeasure([1.0, 0.5])
     with pytest.raises(DomainError):
         mc_laplace(mu, [0.1, -0.2], SamplerConfig(seed=3, n_samples=1))
+
+
+def test_compound_poisson_batch_refuses_jumps_past_the_entry_budget():
+    # the counts are drawn and checked before any jump array is allocated
+    with pytest.raises(SizeError):
+        _draw_cp_batch(AtomicMeasure([1e6]), 1e-6, _stream(0, 0), 4096)

@@ -95,3 +95,11 @@ def test_json_missing_weights_key(tmp_path):
     p.write_text("{}")
     with pytest.raises(DomainError):
         load_measure(p)
+
+
+@pytest.mark.parametrize("d", [5, ["weights"], {"weights": {"a": 1}},
+                               {"weights": [True, 1.0]}, {"weights": [None, 1.0]}])
+def test_json_refuses_what_is_not_an_array_of_numbers(d):
+    # a bool is refused, not read as 1.0
+    with pytest.raises(ValueError):
+        AtomicMeasure.from_json_dict(d)

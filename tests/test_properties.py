@@ -14,13 +14,19 @@
 * the Taylor / jump-power-sum route of the adjointness check's jump sum
   against removing each jump from its own copy of the configuration;
 * the one-atom Laguerre coefficients and the basis-conversion tables
-  against their closed forms, entry by entry in relative terms.
+  against their closed forms, entry by entry in relative terms;
+* the product kernel ``atom_products`` against products counted atom by
+  atom, and the routes built on it against dense sums over ordered index
+  tuples: ``rank_one``, ``fock_inner_n``, ``s_transform`` and
+  ``evaluate_batch`` in both bases, Gamma-Wick input through the
+  five-term kernels.
 
 Each comparison is scaled by the size of the terms being summed, computed
 from absolute values, so cancellation in the result cannot fail a correct
 route.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -36,11 +42,12 @@ from gwn.funcalc import (_jump_removal_sum, _removal_derivatives, nabla,
                          wick_del)
 from gwn.gammasample import SamplerConfig, iter_jump_batches, mean_and_se
 from gwn.measure import AtomicMeasure
-from gwn.symtensor import FockVector, SymTensor, _tables, rank_one, sym_product
+from gwn.symtensor import (FockVector, SymTensor, _tables, atom_products, rank_one,
+                           sym_product)
 from gwn.wickcalc import (Basis, OmegaSample, PolyFunctional, _single_atom_q,
                           _wick_coefficients, evaluate_batch, laguerre_system,
-                          monomial_to_wick, wick_kernels, wick_pair_rank_one,
-                          wick_to_monomial)
+                          monomial_to_wick, s_transform, wick_kernels,
+                          wick_pair_rank_one, wick_to_monomial)
 
 from conftest import rel_err
 
@@ -125,7 +132,7 @@ def test_wick_kernels_match_five_term_recurrence(mu, N, data):
     qmag = (-1.0) ** k * _single_atom_q(-om.masses, mu.weights, N) \
         / mu.weights[:, None] ** k
     for n in range(N + 1):
-        scale = np.max(_tables(mu.m, n).atom_product(qmag))
+        scale = np.max(atom_products(qmag, n)[n])
         assert np.max(np.abs(got[n].values - want[n].values)) <= 1e-10 * scale
 
 
@@ -343,3 +350,113 @@ def test_conversion_tables_match_closed_forms(ws, N):
         assert entry_gap(table, oracles.wick_monic_table(w, N)) <= 1e-12
         # monomial -> Wick uses the same table without its signs
         assert entry_gap(np.abs(table), oracles.wick_inverse_table(w, N)) <= 1e-12
+
+
+# --- the one product kernel and the routes built on it ----------------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 6), st.sampled_from([(), (1,), (3,)]),
+       seeds)
+def test_atom_products_match_counted_occupations(m, N, tail, seed):
+    table = np.random.default_rng(seed).uniform(-2.0, 2.0, (m, N + 1) + tail)
+    table[:, 0] = 1.0
+    for n, got in enumerate(atom_products(table, N)):
+        want = oracles.occupation_products(table, m, n)
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights(max_m=3), st.integers(0, 8), seeds)
+def test_rank_one_matches_outer_product(mu, n, seed):
+    f = np.random.default_rng(seed).uniform(-2.0, 2.0, mu.m)
+    want = np.ones(())
+    for _ in range(n):
+        want = np.multiply.outer(want, f)
+    got = oracles.dense_from_symtensor(rank_one(f, n))
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights(max_m=3), st.integers(0, 8), seeds)
+def test_fock_inner_matches_ordered_tuples(mu, n, seed):
+    f = complex_tensor(seed, mu.m, n)
+    g = complex_tensor(seed + 1, mu.m, n)
+    F, G = oracles.dense_from_symtensor(f), oracles.dense_from_symtensor(g)
+    # conj(F) G split into real products, which fock_inner_n_dense takes
+    dense = functools.partial(oracles.fock_inner_n_dense, mu.weights)
+    want = dense(F.real, G.real) + dense(F.imag, G.imag) \
+        + 1j * (dense(F.real, G.imag) - dense(F.imag, G.real))
+    scale = oracles.fock_inner_n_dense(mu.weights, np.abs(F), np.abs(G))
+    assert abs(fock_inner_n(mu, f, g) - want) <= 1e-12 * scale
+
+
+@st.composite
+def evaluation_inputs(draw, basis=None):
+    """A measure of 1..3 atoms, a functional of degree <= 8 and 1..3 rows of
+    masses on the scale of the weights, some atoms left empty."""
+    mu = draw(weights(max_m=3))
+    N = draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(seeds))
+    kernels = [SymTensor(mu.m, n, rng.uniform(-1.0, 1.0, math.comb(mu.m + n - 1, n)))
+               for n in range(N + 1)]
+    p = PolyFunctional(basis or draw(st.sampled_from(Basis)), FockVector(kernels))
+    rows = draw(st.integers(1, 3))
+    masses = np.array([[w * draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
+                        for w in mu.weights] for _ in range(rows)])
+    return mu, p, masses
+
+
+def wick_magnitudes(mu: AtomicMeasure, s: np.ndarray, N: int) -> np.ndarray:
+    """(m, N+1) bound sum_l |c_kl| s_i^l / w_i^k on |q_k(s_i; w_i)| / w_i^k
+    from the closed-form coefficients c_kl of q_k."""
+    k = np.arange(N + 1)
+    return np.array([np.abs(oracles.wick_monic_table(w, N)) @ si ** k / w ** k
+                     for w, si in zip(mu.weights, s)])
+
+
+def abs_dense(t: SymTensor) -> np.ndarray:
+    return np.abs(oracles.dense_from_symtensor(t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(evaluation_inputs())
+def test_evaluate_batch_matches_ordered_tuples(case):
+    """Monomial input: sum_n of the dense kernel against s^(x)n.  Gamma-Wick
+    input: sum_n of the dense kernel against the five-term Wick density
+    under the product measure."""
+    mu, p, masses = case
+    got = evaluate_batch(p, masses, mu)
+    for b, s in enumerate(masses):
+        if p.basis is Basis.MONOMIAL:
+            want = sum(oracles.ordered_sum(f, s) for f in p.kernels.kernels)
+            scale = sum(oracles.ordered_sum(abs_tensor(f), s)
+                        for f in p.kernels.kernels)
+            tol = 1e-12
+        else:
+            K = oracles.wick_kernels_recurrence(OmegaSample(s), mu, p.degree)
+            mag = wick_magnitudes(mu, s, p.degree)
+            want = sum(oracles.fock_inner_n_dense(
+                mu.weights, oracles.dense_from_symtensor(k),
+                oracles.dense_from_symtensor(f))
+                for k, f in zip(K, p.kernels.kernels))
+            scale = sum(oracles.fock_inner_n_dense(
+                mu.weights, oracles.dense_from_symtensor(
+                    SymTensor(mu.m, n, oracles.occupation_products(mag, mu.m, n))),
+                abs_dense(f)) for n, f in enumerate(p.kernels.kernels))
+            tol = 1e-10
+        assert abs(got[b] - want) <= tol * max(1.0, scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(evaluation_inputs(Basis.GAMMA_WICK), st.data())
+def test_s_transform_matches_ordered_tuples(case, data):
+    mu, p, _ = case
+    theta = np.array([data.draw(st.floats(-2.0, 2.0)) for _ in range(mu.m)])
+    want = scale = 0.0
+    power = np.ones(())
+    for f in p.kernels.kernels:
+        want += oracles.fock_inner_n_dense(mu.weights, oracles.dense_from_symtensor(f),
+                                           power)
+        scale += oracles.fock_inner_n_dense(mu.weights, abs_dense(f), np.abs(power))
+        power = np.multiply.outer(power, theta)
+    assert abs(s_transform(p, theta, mu) - want) <= 1e-12 * max(1.0, scale)

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gamma as gamma_fn, roots_genlaguerre
 
-from gwn.errors import ContractError, DomainError, SizeError
+from gwn.errors import ContractError, DimensionError, DomainError, SizeError
 from gwn.extfock import fock_inner_n
 from gwn.measure import AtomicMeasure
-from gwn.symtensor import FockVector, SymTensor, rank_one, sym_product
+from gwn.symtensor import MAX_ENTRIES, FockVector, SymTensor, rank_one, sym_product
 from gwn.wickcalc import (Basis, LaguerreSystem, OmegaSample, PolyFunctional,
                           constant_functional, delta_functional, dual_pair,
                           evaluate_batch, laguerre_system, monomial_to_wick,
@@ -216,6 +216,24 @@ def test_evaluate_batch_matches_pointwise(rng):
     vals = evaluate_batch(p, S, mu)
     for b in range(6):
         assert rel_err(vals[b], p.evaluate(OmegaSample(S[b]), mu)) < 1e-9
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_evaluate_batch_refuses_measure_of_other_atom_count(rng, basis):
+    # the Gamma-Wick table reads the weights: a 1-atom measure would broadcast
+    p = PolyFunctional(basis, FockVector([random_tensor(rng, 3, n) for n in range(3)]))
+    S = rng.uniform(0.0, 2.0, size=(4, 3))
+    for mu in (AtomicMeasure([1.0]), random_measure(rng, 4)):
+        with pytest.raises(DimensionError):
+            evaluate_batch(p, S, mu)
+
+
+def test_evaluate_batch_refuses_rows_past_the_entry_budget():
+    p = PolyFunctional(Basis.MONOMIAL, FockVector([SymTensor(3, n) for n in range(4)]))
+    rows = MAX_ENTRIES // math.comb(3 + 3, 3) + 1
+    masses = np.broadcast_to(np.ones(3), (rows, 3))   # a view: nothing allocated
+    with pytest.raises(SizeError):
+        evaluate_batch(p, masses, AtomicMeasure(np.ones(3)))
 
 
 def test_wick_exp_frozen_example():
