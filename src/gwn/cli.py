@@ -31,7 +31,7 @@ import numpy as np
 from .extfock import ext_inner_n, iter_loop_partitions
 from .fieldops import jacobi_coefficients
 from .measure import AtomicMeasure, load_measure
-from .report import combine_reports, render_pretty, to_json
+from .report import align_columns, combine_reports, render_pretty, to_json
 from .symtensor import MAX_DEGREE, SymTensor
 from .verify import (DEFAULT_MC_SAMPLES, DEFAULT_SE_MULT, MC_SUITES,
                      VERIFY_SUITES, run_mc_all, run_mc_suite, run_verify_all,
@@ -54,14 +54,6 @@ def _emit_lines(lines, out: str | None) -> None:
             fh.writelines(lines)
     else:
         sys.stdout.writelines(lines)
-
-
-def _pretty_csv(csv_text: str) -> str:
-    rows = [line.split(",") for line in csv_text.strip().split("\n")]
-    widths = [max(len(r[k]) if k < len(r) else 0 for r in rows)
-              for k in range(max(map(len, rows)))]
-    return "\n".join("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip()
-                     for r in rows) + "\n"
 
 
 def _loops_csv(n: int) -> str:
@@ -127,22 +119,12 @@ def _check_samples(n: int) -> None:
                          f"samples for its standard error), got {n}")
 
 
-def _cmd_loops(args) -> int:
-    text = _loops_csv(args.n)
-    _emit(_pretty_csv(text) if args.pretty else text, args.out)
-    return 0
-
-
-def _cmd_jacobi(args) -> int:
-    text = _jacobi_csv(args.sigma, args.n)
-    _emit(_pretty_csv(text) if args.pretty else text, args.out)
-    return 0
-
-
-def _cmd_laguerre(args) -> int:
-    lines = _laguerre_csv(args.sigma, args.n)
-    if args.pretty:  # column widths need the whole table
-        _emit(_pretty_csv("".join(lines)), args.out)
+def _emit_table(args, lines) -> int:
+    """A table command's CSV lines, or under --pretty their aligned columns
+    (the widths need the whole table)."""
+    if args.pretty:
+        rows = [line.split(",") for line in "".join(lines).strip().split("\n")]
+        _emit("\n".join(align_columns(rows)) + "\n", args.out)
     else:
         _emit_lines(lines, args.out)
     return 0
@@ -224,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="partition census for one tensor degree")
     p.add_argument("--n", type=int, required=True, metavar="K",
                    help="tensor degree (census sums to K!)")
-    p.set_defaults(func=_cmd_loops)
+    p.set_defaults(func=lambda a: _emit_table(a, [_loops_csv(a.n)]))
 
     p = sub.add_parser("jacobi", parents=[shared],
                        help="three-term coefficients for one cell mass")
@@ -232,14 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, metavar="N",
                    help=f"highest degree, at most {MAX_DEGREE} (the "
                         f"c_n_from_extnorm column builds a degree-N tensor)")
-    p.set_defaults(func=_cmd_jacobi)
+    p.set_defaults(func=lambda a: _emit_table(a, [_jacobi_csv(a.sigma, a.n)]))
 
     p = sub.add_parser("laguerre", parents=[shared],
                        help="orthonormal polynomial coefficients")
     p.add_argument("--sigma", type=float, required=True, help="shape parameter")
     p.add_argument("--n", type=int, required=True, metavar="N",
                    help="highest degree")
-    p.set_defaults(func=_cmd_laguerre)
+    p.set_defaults(func=lambda a: _emit_table(a, _laguerre_csv(a.sigma, a.n)))
 
     p = sub.add_parser("stransform", parents=[shared],
                        help="evaluate the S-transform of a stored functional")

@@ -27,6 +27,10 @@ applies the Gamma field itself (creation + 2 neutral + <xi> id + both
 annihilations) on the Fock side and compares it with multiplication by
 <omega, xi>.  D_xi denotes the Gateaux derivative in the direction of the
 measure with density xi, i.e. D_xi = sum_i w_i xi_i nabla_i.
+
+A check evaluates the functionals it needs at the same configurations in
+one ``evaluate_batch`` call per basis; the gradient forms take D_xi phi
+from the per-atom nabla values.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .fieldops import annihilate1, annihilate2, create, gamma_field, neutral
 from .gammasample import (MCEstimate, SamplerConfig, iter_jump_batches,
                           mean_and_se)
 from .measure import AtomicMeasure
-from .symtensor import FockVector, SymTensor, _merge_ranks, sym_product
+from .symtensor import FockVector, SymTensor, _merge_ranks
 from .wickcalc import (Basis, OmegaSample, PolyFunctional, evaluate_batch,
                        s_transform)
 
@@ -127,24 +131,21 @@ def wick_del(p: PolyFunctional, atom: int,
 
 def del_dagger(p: PolyFunctional, atom: int,
                measure: AtomicMeasure) -> PolyFunctional:
-    """Adjoint of the Wick derivative under the dualization pairing:
-    symmetrized insertion of the point-mass density delta_atom/w_atom."""
+    """Adjoint of the Wick derivative under the dualization pairing: the
+    creation operator at the point-mass density delta_atom/w_atom."""
     pw = p.to_basis(Basis.GAMMA_WICK, measure)
     _check_atom(atom, pw.m)
-    dens = SymTensor(pw.m, 1, measure.delta_density(atom))
-    out = [SymTensor(pw.m, 0)]
-    for n in range(pw.degree + 1):
-        out.append(sym_product(dens, pw.kernels.get(n)))
-    return PolyFunctional(Basis.GAMMA_WICK, FockVector(out))
+    return PolyFunctional(Basis.GAMMA_WICK,
+                          create(measure.delta_density(atom), pw.kernels))
 
 
-def _shifted_integral(p: PolyFunctional, omega: OmegaSample, atom: int,
-                      measure: AtomicMeasure) -> float:
-    """int_0^inf phi(omega + s delta_atom) e^(-s) ds."""
+def _shifted_integral(p, omega: OmegaSample, atom: int, measure: AtomicMeasure):
+    """int_0^inf phi(omega + s delta_atom) e^(-s) ds, for one functional or
+    (as an array) for each of a sequence in one basis."""
     rule = _rule()
     masses = np.repeat(omega.masses[None, :], rule.nodes.size, axis=0)
     masses[:, atom] += rule.nodes
-    return rule.integrate(evaluate_batch(p, masses, measure))
+    return rule.weights @ evaluate_batch(p, masses, measure)
 
 
 def del_integral(p: PolyFunctional, atom: int, omega: OmegaSample,
@@ -153,7 +154,7 @@ def del_integral(p: PolyFunctional, atom: int, omega: OmegaSample,
     int_0^inf (phi(omega + s delta_atom) - phi(omega)) e^(-s) ds."""
     _check_atom(atom, p.m)
     base = p.evaluate(omega, measure)
-    return _shifted_integral(p, omega, atom, measure) \
+    return float(_shifted_integral(p, omega, atom, measure)) \
         - base * float(np.sum(_rule().weights))
 
 
@@ -241,17 +242,19 @@ class CheckReport:
         return abs(self.lhs - self.rhs)
 
 
-def _gradient_terms(pm: PolyFunctional, omega: OmegaSample,
-                    measure: AtomicMeasure) -> tuple[float, np.ndarray, np.ndarray]:
-    """phi(omega), first and second per-atom nabla values at omega."""
-    base = pm.evaluate(omega, measure)
-    g1 = np.empty(pm.m)
-    g2 = np.empty(pm.m)
+def _gradient_terms(pm: PolyFunctional, xi: np.ndarray, omega: OmegaSample,
+                    measure: AtomicMeasure
+                    ) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """phi(omega), the first and second per-atom nabla values at omega, and
+    D_xi phi(omega) = sum_i w_i xi_i nabla_i phi(omega), from one evaluation
+    of [phi, nabla_0 phi, nabla_0^2 phi, nabla_1 phi, ...]."""
+    stack = [pm]
     for i in range(pm.m):
-        ni = nabla(pm, i)
-        g1[i] = ni.evaluate(omega, measure)
-        g2[i] = nabla(ni, i).evaluate(omega, measure)
-    return base, g1, g2
+        stack.append(nabla(pm, i))
+        stack.append(nabla(stack[-1], i))
+    values = evaluate_batch(stack, omega.masses[None, :], measure)[0]
+    g1, g2 = values[1::2], values[2::2]
+    return float(values[0]), g1, g2, float((measure.weights * xi) @ g1)
 
 
 def creation_gradient_check(p: PolyFunctional, xi, omega: OmegaSample,
@@ -263,8 +266,7 @@ def creation_gradient_check(p: PolyFunctional, xi, omega: OmegaSample,
     lhs = PolyFunctional(Basis.GAMMA_WICK,
                          create(xi, pw.kernels)).evaluate(omega, measure)
     pm = p.to_basis(Basis.MONOMIAL, measure)
-    base, g1, g2 = _gradient_terms(pm, omega, measure)
-    dphi = d_xi(pm, xi, measure).evaluate(omega, measure)
+    base, g1, g2, dphi = _gradient_terms(pm, xi, omega, measure)
     rhs = float(omega.masses @ (xi * (g2 - 2.0 * g1 + base))) \
         + dphi - measure.integrate(xi) * base
     return CheckReport(lhs, rhs)
@@ -278,8 +280,7 @@ def neutral_gradient_check(p: PolyFunctional, xi, omega: OmegaSample,
     lhs = PolyFunctional(Basis.GAMMA_WICK,
                          neutral(xi, pw.kernels)).evaluate(omega, measure)
     pm = p.to_basis(Basis.MONOMIAL, measure)
-    _, g1, g2 = _gradient_terms(pm, omega, measure)
-    dphi = d_xi(pm, xi, measure).evaluate(omega, measure)
+    _, g1, g2, dphi = _gradient_terms(pm, xi, omega, measure)
     rhs = float(omega.masses @ (xi * (g1 - g2))) - dphi
     return CheckReport(lhs, rhs)
 
@@ -317,15 +318,13 @@ def second_annihilation_check(p: PolyFunctional, xi, omega: OmegaSample,
     lhs = PolyFunctional(Basis.GAMMA_WICK,
                          annihilate2(xi, pw.kernels)).evaluate(omega, measure)
     pm = p.to_basis(Basis.MONOMIAL, measure)
-    base, _, g2 = _gradient_terms(pm, omega, measure)
-    dphi = d_xi(pm, xi, measure).evaluate(omega, measure)
+    base, _, g2, dphi = _gradient_terms(pm, xi, omega, measure)
     lead = float(omega.masses @ (xi * g2)) + dphi
     rhs_comp = lead - annihilate1_integral(pm, xi, measure, omega)
-    shift = uncomp = 0.0
-    for i in np.flatnonzero(xi):
-        c = float(measure.weights[i] * xi[i])
-        shift += c * _shifted_integral(nabla(pm, i), omega, i, measure)
-        uncomp += c * _shifted_integral(pm, omega, i, measure)
+    atoms = np.flatnonzero(xi)
+    shifted = [_shifted_integral([pm, nabla(pm, i)], omega, i, measure)
+               for i in atoms]
+    uncomp, shift = (measure.weights * xi)[atoms] @ np.reshape(shifted, (-1, 2))
     rhs_grad = lead - shift
     rhs_unc = lead - uncomp - measure.integrate(xi) * base
     return SecondAnnihilationReport(lhs, rhs_comp, rhs_grad, rhs_unc)
@@ -341,12 +340,10 @@ def stransform_multiplication_check(p: PolyFunctional, theta,
     U = s_transform(pw, theta, measure)
     worst = 0.0
     for i in range(pw.m):
-        # theta-derivative toward delta_i: slot evaluation of the kernels
-        dU_f = PolyFunctional(Basis.GAMMA_WICK, _slot_lower(pw.kernels, i))
-        d2U_f = PolyFunctional(Basis.GAMMA_WICK, _slot_lower(dU_f.kernels, i))
-        dU = s_transform(dU_f, theta, measure)
-        d2U = s_transform(d2U_f, theta, measure)
-        lhs = s_transform(coordinate_multiply(pw, i, measure), theta, measure)
+        # theta-derivatives toward delta_i: slot evaluation of the kernels
+        d1 = wick_del(pw, i)
+        dU, d2U, lhs = (s_transform(q, theta, measure) for q in (
+            d1, wick_del(d1, i), coordinate_multiply(pw, i, measure)))
         rhs = (theta[i] + 1.0) * U + (1.0 + 2.0 * theta[i]) * dU + theta[i] * d2U
         worst = max(worst, abs(lhs - rhs))
     return worst
@@ -355,50 +352,49 @@ def stransform_multiplication_check(p: PolyFunctional, theta,
 def a1_plus_explicit(p: PolyFunctional, xi, omega: OmegaSample,
                      measure: AtomicMeasure) -> float:
     """Adjoint of the smeared difference operator at an explicit
-    configuration: sum_i s_i xi_i phi(omega with atom i removed) - <xi> phi."""
+    configuration: sum_i s_i xi_i phi(omega with atom i removed) - <xi> phi,
+    evaluated on omega and its m removed configurations as one batch."""
     xi = measure.check_function(np.asarray(xi, dtype=float))
-    total = 0.0
-    for i in range(p.m):
-        if omega.masses[i] == 0.0 or xi[i] == 0.0:
-            continue
-        total += omega.masses[i] * xi[i] * p.evaluate(omega.without_atom(i), measure)
-    return total - measure.integrate(xi) * p.evaluate(omega, measure)
+    rows = np.repeat(omega.masses[None, :], p.m + 1, axis=0)
+    rows[np.arange(1, p.m + 1), np.arange(p.m)] = 0.0
+    values = evaluate_batch(p, rows, measure)
+    return float((omega.masses * xi) @ values[1:]) \
+        - measure.integrate(xi) * float(values[0])
 
 
-def _removal_derivatives(phi_m: PolyFunctional, xi: np.ndarray):
-    """(a, [nabla_a^j phi for j = 1..N]) for each atom a with xi_a != 0:
-    the Taylor coefficients of a monomial phi along the mass of atom a."""
-    out = []
+def _taylor_stack(phi_m: PolyFunctional, xi: np.ndarray) -> list[PolyFunctional]:
+    """[phi, nabla_a^j phi for j = 1..N] for each atom a with xi_a != 0, in
+    that order: the Taylor coefficients of a monomial phi of degree N along
+    the mass of each atom that the jump sum reads."""
+    stack = [phi_m]
     for a in np.flatnonzero(xi):
-        ds = [phi_m]
+        d = phi_m
         for _ in range(phi_m.degree):
-            ds.append(nabla(ds[-1], int(a)))
-        out.append((int(a), ds[1:]))
-    return out
+            d = nabla(d, int(a))
+            stack.append(d)
+    return stack
 
 
-def _jump_removal_sum(phi0: np.ndarray, derivs, xi: np.ndarray,
-                      masses: np.ndarray, owners: np.ndarray,
-                      atoms: np.ndarray, sizes: np.ndarray,
-                      measure: AtomicMeasure) -> np.ndarray:
+def _jump_removal_sum(taylor: np.ndarray, xi: np.ndarray, owners: np.ndarray,
+                      atoms: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Per sample row b, the sum of s xi_a phi(omega_b - s e_a) over the
     jumps (a, s) of row b, by the Taylor identity stated in
-    a1_plus_mc_adjointness_check; phi0 = phi(omega_b) and derivs come from
-    _removal_derivatives.  Every evaluation runs on the sample rows."""
-    rows = masses.shape[0]
-    total = np.zeros(rows)
-    for a, ds in derivs:
-        mine = atoms == a
-        own, s = owners[mine], sizes[mine]
-        power = s
-        acc = phi0 * np.bincount(own, weights=power, minlength=rows)
-        for j, d in enumerate(ds, start=1):
-            power = power * s
-            acc += ((-1.0) ** j / math.factorial(j)) \
-                * evaluate_batch(d, masses, measure) \
-                * np.bincount(own, weights=power, minlength=rows)
-        total += xi[a] * acc
-    return total
+    a1_plus_mc_adjointness_check.  taylor holds the values of
+    _taylor_stack(phi, xi) on the rows; the power sums P_{a,r} take one
+    bincount per r = 1..N+1 over all jumps."""
+    support = np.flatnonzero(xi)
+    rows, m, K = taylor.shape[0], xi.size, support.size
+    N = (taylor.shape[1] - 1) // max(K, 1)
+    cols = np.hstack([np.zeros((K, 1), dtype=int),    # [k, j]: nabla_a^j phi
+                      1 + np.arange(K * N).reshape(K, N)])
+    cell, power, sums = owners * m + atoms, sizes, []
+    for _ in range(N + 1):
+        sums.append(np.bincount(cell, weights=power, minlength=rows * m)
+                    .reshape(rows, m)[:, support])
+        power = power * sizes
+    signs = np.array([(-1.0) ** j / math.factorial(j) for j in range(N + 1)])
+    return np.einsum("bkj,jbk,j,k->b", taylor[:, cols], np.stack(sums), signs,
+                     xi[support])
 
 
 def a1_plus_mc_adjointness_check(phi: PolyFunctional, psi: PolyFunctional, xi,
@@ -416,23 +412,24 @@ def a1_plus_mc_adjointness_check(phi: PolyFunctional, psi: PolyFunctional, xi,
     phi is a polynomial of degree N, so by Taylor's formula the jump sum
     of a sample is sum_a xi_a sum_{j<=N} (-1)^j/j! (nabla_a^j phi)(omega)
     P_{a,j+1}, with P_{a,r} the sum of s^r over the sample's jumps at
-    atom a.  Jump removal is thereby exact up to rounding; truncating
-    jumps below cfg.cp_truncation still biases the identity by O(eps).
+    atom a.  Each batch takes two evaluate_batch calls: the monomial stack
+    [phi, nabla_a^j phi for xi_a != 0, j <= N] and the Gamma-Wick pair
+    [psi, a1- psi].  Jump removal is thereby exact up to rounding;
+    truncating jumps below cfg.cp_truncation still biases the identity by
+    O(eps).
     """
     xi = measure.check_function(np.asarray(xi, dtype=float))
-    phi_m = phi.to_basis(Basis.MONOMIAL, measure)
+    stack = _taylor_stack(phi.to_basis(Basis.MONOMIAL, measure), xi)
     psi_w = psi.to_basis(Basis.GAMMA_WICK, measure)
-    a1_psi = PolyFunctional(Basis.GAMMA_WICK, annihilate1(
-        xi, psi_w.kernels, measure))
+    wick = [psi_w, PolyFunctional(Basis.GAMMA_WICK,
+                                  annihilate1(xi, psi_w.kernels, measure))]
     xi_mass = measure.integrate(xi)
-    derivs = _removal_derivatives(phi_m, xi)
 
     def stat(masses, owners, atoms, sizes):
-        phi0 = evaluate_batch(phi_m, masses, measure)
-        psi0 = evaluate_batch(psi, masses, measure)
-        a1v = evaluate_batch(a1_psi, masses, measure)
-        aplus = _jump_removal_sum(phi0, derivs, xi, masses, owners, atoms,
-                                  sizes, measure) - xi_mass * phi0
+        taylor = evaluate_batch(stack, masses, measure)
+        psi0, a1v = evaluate_batch(wick, masses, measure).T
+        phi0 = taylor[:, 0]
+        aplus = _jump_removal_sum(taylor, xi, owners, atoms, sizes) - xi_mass * phi0
         return aplus * psi0 - phi0 * a1v
 
     mean, se = mean_and_se(stat(*batch)

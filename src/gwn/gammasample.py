@@ -190,11 +190,14 @@ def _mc_accumulate(measure: AtomicMeasure, cfg: SamplerConfig, stat_fn):
 
 
 def laplace_target(measure: AtomicMeasure, phi) -> float:
-    """exp[-Integral(log(1 - phi))] for phi < 1 pointwise."""
+    """exp[-Integral(log(1 - phi))] for phi < 1 pointwise, if it is finite."""
     phi = measure.check_function(np.asarray(phi, dtype=float))
     if np.any(phi >= 1.0):
         raise DomainError("Laplace functional requires phi < 1 pointwise")
-    return math.exp(-float(measure.weights @ np.log1p(-phi)))
+    exponent = -float(measure.weights @ np.log1p(-phi))
+    if exponent > math.log(np.finfo(float).max):
+        raise DomainError(f"the Laplace target exp({exponent!r}) overflows")
+    return math.exp(exponent)
 
 
 def mc_laplace(measure: AtomicMeasure, phi, cfg: SamplerConfig) -> MCEstimate:
@@ -318,12 +321,12 @@ def chaos_projection_check(measure: AtomicMeasure, f: SymTensor,
     g = SymTensor(f.m, n, gdraw.uniform(-1.0, 1.0, size=f.values.size))
 
     mono_f = PolyFunctional(Basis.MONOMIAL, FockVector.single(f))
-    wick_f = PolyFunctional(Basis.GAMMA_WICK, FockVector.single(f))
-    wick_g = PolyFunctional(Basis.GAMMA_WICK, FockVector.single(g))
+    wick_fg = [PolyFunctional(Basis.GAMMA_WICK, FockVector.single(t))
+               for t in (f, g)]
 
     def stat(S):
-        low_part = evaluate_batch(mono_f, S, measure) - evaluate_batch(wick_f, S, measure)
-        return low_part * evaluate_batch(wick_g, S, measure)
+        wick_f, wick_g = evaluate_batch(wick_fg, S, measure).T
+        return (evaluate_batch(mono_f, S, measure) - wick_f) * wick_g
 
     mean, se = _mc_accumulate(measure, cfg, stat)
     return MCEstimate(float(mean[0]), float(se[0]), cfg.n_samples)

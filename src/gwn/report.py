@@ -121,6 +121,15 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def align_columns(rows) -> list[str]:
+    """Each row with its cells padded to the width of their column, two
+    spaces apart, trailing blanks dropped; a row may be short of cells."""
+    widths = [max(len(r[k]) for r in rows if k < len(r))
+              for k in range(max(map(len, rows)))]
+    return ["  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip()
+            for r in rows]
+
+
 def render_pretty(payload: dict) -> str:
     """Human-readable table for a single- or multi-suite payload."""
     suites = payload.get("suites", [payload]) if "suite" not in payload \
@@ -134,9 +143,7 @@ def render_pretty(payload: dict) -> str:
             rows.append((c["name"], _fmt(c["value"]), _fmt(c["target"]),
                          _fmt(c["deviation"]), _fmt(c["tolerance"]),
                          _fmt(bool(c["pass"]))))
-        widths = [max(len(r[k]) for r in rows) for k in range(6)]
-        for r in rows:
-            lines.append("  " + "  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
+        lines.extend("  " + line for line in align_columns(rows))
         if "wall_time" in s:
             lines.append(f"  wall_time {s['wall_time']:.3f}s")
         lines.append("")

@@ -23,6 +23,9 @@ polynomials sum_k A[k] prod_i b_{k_i}(s_i) with A[k] = perm_count(k) f[k],
 in the per-atom bases b = s^k and b = q_k.  So each basis evaluates
 natively, ``atom_products`` multiplying out its table b, and
 WICK_MAX_DEGREE caps conversion (and the kernels K_n), not evaluation.
+The table and its products depend on the rows and the basis only, so
+``evaluate_batch`` evaluates F functionals of one basis with one of each
+and one (F, R_n) @ (R_n, B) product per degree n.
 Conversion is a lower triangular change of basis along each atom's axis
 of A, over all total degrees <= N at once.  The s^l coefficient of q_n is
 (-1)^(n-l) C(n, l) rising(w+l, n-l) and the inverse drops the signs, s^l
@@ -86,12 +89,6 @@ class OmegaSample:
         if f.shape != (self.m,):
             raise DimensionError("test function length mismatch")
         return float(self.masses @ f)
-
-    def without_atom(self, atom: int) -> "OmegaSample":
-        """New sample with the mass at one atom removed."""
-        masses = self.masses.copy()
-        masses[atom] = 0.0
-        return OmegaSample(masses)
 
 
 def _check_sample(omega: OmegaSample, measure: AtomicMeasure) -> None:
@@ -327,19 +324,23 @@ def monomial_to_wick(p: PolyFunctional, measure: AtomicMeasure) -> PolyFunctiona
     return _convert(p, measure, Basis.MONOMIAL, Basis.GAMMA_WICK)
 
 
-def evaluate_batch(p: PolyFunctional, masses: np.ndarray,
-                   measure: AtomicMeasure) -> np.ndarray:
+def evaluate_batch(p, masses: np.ndarray, measure: AtomicMeasure) -> np.ndarray:
     """Vectorized evaluation over rows of a (B, m) mass matrix, in the
-    functional's own basis: sum_k A[k] prod_i b_{k_i}(s_i) with the
-    per-atom table b = s^k or q_k(s; w_i) multiplied out by atom_products."""
+    functionals' own basis: sum_k A[k] prod_i b_{k_i}(s_i) with the
+    per-atom table b = s^k or q_k(s; w_i) multiplied out by atom_products.
+    p is one PolyFunctional, giving (B,) values, or a non-empty sequence of
+    them in one basis, giving (B, F) values from one table and product."""
+    ps = [p] if isinstance(p, PolyFunctional) else list(p)
+    if not ps or any(q.basis is not ps[0].basis for q in ps):
+        raise ContractError("evaluate_batch takes one or more functionals in one basis")
     S = np.asarray(masses, dtype=float)
-    if S.ndim != 2 or not S.shape[1] == p.m == measure.m:
-        raise DimensionError("masses, functional and measure differ in atom count")
-    N = p.degree
-    _check_entries(math.comb(N + p.m, p.m) * len(S),
+    if S.ndim != 2 or any(q.m != S.shape[1] for q in ps) or S.shape[1] != measure.m:
+        raise DimensionError("masses, functionals and measure differ in atom count")
+    N = max(q.degree for q in ps)
+    _check_entries(math.comb(N + measure.m, N) * len(S),
                    f"evaluation of {len(S)} rows at degree {N}")
     s = np.ascontiguousarray(S.T)
-    if p.basis is Basis.MONOMIAL:
+    if ps[0].basis is Basis.MONOMIAL:
         table = np.empty((N + 1,) + s.shape)
         table[1:] = s
         for k in range(2, N + 1):   # repeated products: faster than pow
@@ -347,10 +348,11 @@ def evaluate_batch(p: PolyFunctional, masses: np.ndarray,
         table = table.swapaxes(0, 1)
     else:
         table = _single_atom_q(s, measure.weights[:, None], N).swapaxes(1, 2)
-    total = np.zeros(len(S))
-    for f, P in zip(p.kernels.kernels, atom_products(table, N)):
-        total += (f.perm_counts * f.values) @ P
-    return total
+    total = np.zeros((len(ps), len(S)))
+    for n, P in enumerate(atom_products(table, N)):
+        ks = [q.kernels.get(n) for q in ps]
+        total += np.stack([k.perm_counts * k.values for k in ks]) @ P
+    return total[0] if isinstance(p, PolyFunctional) else total.T
 
 
 def wick_exp(omega: OmegaSample, phi, measure: AtomicMeasure,
@@ -439,10 +441,15 @@ def wick_product(p: PolyFunctional, q: PolyFunctional,
 
 def s_transform(p: PolyFunctional, theta, measure: AtomicMeasure) -> float:
     """S[p](theta) = sum_n <F^(n), theta^(x)n> with measure weights, where
-    F are the Gamma-Wick kernels of p: their monomial value at s = w theta."""
+    F are the Gamma-Wick kernels of p: their monomial value at s = w theta.
+    A value past the float range is a DomainError."""
     theta = measure.check_function(np.asarray(theta, dtype=float))
     pm = PolyFunctional(Basis.MONOMIAL, p.to_basis(Basis.GAMMA_WICK, measure).kernels)
-    return float(evaluate_batch(pm, (measure.weights * theta)[None, :], measure)[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(evaluate_batch(pm, (measure.weights * theta)[None, :], measure)[0])
+    if not math.isfinite(value):
+        raise DomainError("the S-transform leaves the float range at this theta")
+    return value
 
 
 def dual_pair(F: PolyFunctional, f: PolyFunctional, measure: AtomicMeasure) -> float:

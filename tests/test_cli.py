@@ -346,3 +346,24 @@ def test_compound_poisson_jumps_past_the_entry_budget_exit_2(tmp_path, capsys):
     save_measure(AtomicMeasure([1e6, 1.0]), tmp_path / "mu.json")
     assert_input_error(capsys, "mc", "chaos", "--samples", "1000",
                        "--measure", str(tmp_path / "mu.json"))
+
+
+def test_laplace_target_past_the_float_range_exit_2(tmp_path, capsys):
+    # at seed 1 the drawn phi puts -sum w log(1 - phi) near 1.5e3, past
+    # log(float max); the target is refused before any sample is drawn
+    save_measure(AtomicMeasure([3000.0, 1.0]), tmp_path / "mu.json")
+    assert_input_error(capsys, "mc", "laplace", "--samples", "200",
+                       "--seed", "1", "--measure", str(tmp_path / "mu.json"))
+
+
+def test_stransform_past_the_float_range_exit_2(tmp_path, capsys):
+    save_measure(AtomicMeasure([1.0, 2.0]), tmp_path / "mu.json")
+    p = PolyFunctional(Basis.GAMMA_WICK, FockVector(
+        [SymTensor(2, 0, np.array([1.0])),
+         SymTensor(2, 1, np.array([0.5, -0.2])),
+         SymTensor(2, 2, np.array([0.3, 0.1, 0.2]))]))
+    (tmp_path / "p.json").write_text(json.dumps(p.to_json_dict()))
+    assert_input_error(capsys, "stransform",
+                       "--functional", str(tmp_path / "p.json"),
+                       "--theta", "[1e200, 1e200]",
+                       "--measure", str(tmp_path / "mu.json"))

@@ -19,7 +19,7 @@
   atom, and the routes built on it against dense sums over ordered index
   tuples: ``rank_one``, ``fock_inner_n``, ``s_transform`` and
   ``evaluate_batch`` in both bases, Gamma-Wick input through the
-  five-term kernels.
+  five-term kernels, every column of a stacked evaluation on its own.
 
 Each comparison is scaled by the size of the terms being summed, computed
 from absolute values, so cancellation in the result cannot fail a correct
@@ -38,8 +38,7 @@ import oracles
 from gwn.errors import DomainError
 from gwn.extfock import ext_inner_n, fock_inner_n
 from gwn.fieldops import annihilate1, annihilate2, create, neutral
-from gwn.funcalc import (_jump_removal_sum, _removal_derivatives, nabla,
-                         wick_del)
+from gwn.funcalc import _jump_removal_sum, _taylor_stack, nabla, wick_del
 from gwn.gammasample import SamplerConfig, iter_jump_batches, mean_and_se
 from gwn.measure import AtomicMeasure
 from gwn.symtensor import (FockVector, SymTensor, _tables, atom_products, rank_one,
@@ -315,9 +314,8 @@ def jump_batches(draw):
 @given(jump_batches())
 def test_jump_power_sums_match_removal_per_jump(case):
     mu, phi, xi, (masses, owners, atoms, sizes) = case
-    phi0 = evaluate_batch(phi, masses, mu)
-    got = _jump_removal_sum(phi0, _removal_derivatives(phi, xi), xi,
-                            masses, owners, atoms, sizes, mu)
+    taylor = evaluate_batch(_taylor_stack(phi, xi), masses, mu)
+    got = _jump_removal_sum(taylor, xi, owners, atoms, sizes)
     want, term_sizes = oracles.jump_removal_sum(phi, xi, masses, owners,
                                                 atoms, sizes, mu)
     scale = np.maximum(1.0, np.maximum(np.abs(want), term_sizes))
@@ -391,19 +389,24 @@ def test_fock_inner_matches_ordered_tuples(mu, n, seed):
 
 
 @st.composite
-def evaluation_inputs(draw, basis=None):
-    """A measure of 1..3 atoms, a functional of degree <= 8 and 1..3 rows of
-    masses on the scale of the weights, some atoms left empty."""
+def evaluation_inputs(draw, basis=None, max_functionals=1):
+    """A measure of 1..3 atoms, 1..max_functionals functionals in one basis,
+    each of its own degree <= 8, and 1..3 rows of masses on the scale of
+    the weights, some atoms left empty."""
     mu = draw(weights(max_m=3))
-    N = draw(st.integers(0, 8))
+    basis = basis or draw(st.sampled_from(Basis))
     rng = np.random.default_rng(draw(seeds))
-    kernels = [SymTensor(mu.m, n, rng.uniform(-1.0, 1.0, math.comb(mu.m + n - 1, n)))
-               for n in range(N + 1)]
-    p = PolyFunctional(basis or draw(st.sampled_from(Basis)), FockVector(kernels))
+    ps = []
+    for _ in range(draw(st.integers(1, max_functionals))):
+        N = draw(st.integers(0, 8))
+        kernels = [SymTensor(mu.m, n, rng.uniform(-1.0, 1.0,
+                                                  math.comb(mu.m + n - 1, n)))
+                   for n in range(N + 1)]
+        ps.append(PolyFunctional(basis, FockVector(kernels)))
     rows = draw(st.integers(1, 3))
     masses = np.array([[w * draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
                         for w in mu.weights] for _ in range(rows)])
-    return mu, p, masses
+    return mu, ps, masses
 
 
 def wick_magnitudes(mu: AtomicMeasure, s: np.ndarray, N: int) -> np.ndarray:
@@ -418,39 +421,52 @@ def abs_dense(t: SymTensor) -> np.ndarray:
     return np.abs(oracles.dense_from_symtensor(t))
 
 
-@settings(max_examples=60, deadline=None)
-@given(evaluation_inputs())
-def test_evaluate_batch_matches_ordered_tuples(case):
+def ordered_tuple_value(p: PolyFunctional, s: np.ndarray,
+                        mu: AtomicMeasure) -> tuple[float, float]:
     """Monomial input: sum_n of the dense kernel against s^(x)n.  Gamma-Wick
     input: sum_n of the dense kernel against the five-term Wick density
-    under the product measure."""
-    mu, p, masses = case
-    got = evaluate_batch(p, masses, mu)
+    under the product measure.  Also the tolerance, scaled by the size of
+    the summed terms."""
+    if p.basis is Basis.MONOMIAL:
+        want = sum(oracles.ordered_sum(f, s) for f in p.kernels.kernels)
+        scale = sum(oracles.ordered_sum(abs_tensor(f), s)
+                    for f in p.kernels.kernels)
+        return want, 1e-12 * max(1.0, scale)
+    K = oracles.wick_kernels_recurrence(OmegaSample(s), mu, p.degree)
+    mag = wick_magnitudes(mu, s, p.degree)
+    want = sum(oracles.fock_inner_n_dense(
+        mu.weights, oracles.dense_from_symtensor(k),
+        oracles.dense_from_symtensor(f))
+        for k, f in zip(K, p.kernels.kernels))
+    scale = sum(oracles.fock_inner_n_dense(
+        mu.weights, oracles.dense_from_symtensor(
+            SymTensor(mu.m, n, oracles.occupation_products(mag, mu.m, n))),
+        abs_dense(f)) for n, f in enumerate(p.kernels.kernels))
+    return want, 1e-10 * max(1.0, scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(evaluation_inputs(max_functionals=3))
+def test_evaluate_batch_matches_ordered_tuples(case):
+    """Every column of a stacked evaluation, and the first functional on
+    its own, against the ordered-tuple sums."""
+    mu, ps, masses = case
+    got = evaluate_batch(ps, masses, mu)
+    single = evaluate_batch(ps[0], masses, mu)
+    assert got.shape == (len(masses), len(ps))
+    assert single.shape == (len(masses),)
     for b, s in enumerate(masses):
-        if p.basis is Basis.MONOMIAL:
-            want = sum(oracles.ordered_sum(f, s) for f in p.kernels.kernels)
-            scale = sum(oracles.ordered_sum(abs_tensor(f), s)
-                        for f in p.kernels.kernels)
-            tol = 1e-12
-        else:
-            K = oracles.wick_kernels_recurrence(OmegaSample(s), mu, p.degree)
-            mag = wick_magnitudes(mu, s, p.degree)
-            want = sum(oracles.fock_inner_n_dense(
-                mu.weights, oracles.dense_from_symtensor(k),
-                oracles.dense_from_symtensor(f))
-                for k, f in zip(K, p.kernels.kernels))
-            scale = sum(oracles.fock_inner_n_dense(
-                mu.weights, oracles.dense_from_symtensor(
-                    SymTensor(mu.m, n, oracles.occupation_products(mag, mu.m, n))),
-                abs_dense(f)) for n, f in enumerate(p.kernels.kernels))
-            tol = 1e-10
-        assert abs(got[b] - want) <= tol * max(1.0, scale)
+        for j, p in enumerate(ps):
+            want, tol = ordered_tuple_value(p, s, mu)
+            assert abs(got[b, j] - want) <= tol
+            if j == 0:
+                assert abs(single[b] - want) <= tol
 
 
 @settings(max_examples=60, deadline=None)
 @given(evaluation_inputs(Basis.GAMMA_WICK), st.data())
 def test_s_transform_matches_ordered_tuples(case, data):
-    mu, p, _ = case
+    mu, (p,), _ = case
     theta = np.array([data.draw(st.floats(-2.0, 2.0)) for _ in range(mu.m)])
     want = scale = 0.0
     power = np.ones(())

@@ -228,6 +228,22 @@ def test_evaluate_batch_refuses_measure_of_other_atom_count(rng, basis):
             evaluate_batch(p, S, mu)
 
 
+def test_evaluate_batch_refuses_a_mixed_or_empty_sequence(rng):
+    mu = random_measure(rng, 3)
+    S = rng.uniform(0.0, 2.0, size=(4, 3))
+    mono = PolyFunctional(Basis.MONOMIAL,
+                          FockVector([random_tensor(rng, 3, n) for n in range(3)]))
+    with pytest.raises(ContractError):
+        evaluate_batch([], S, mu)
+    with pytest.raises(ContractError):
+        evaluate_batch([mono, mono.to_basis(Basis.GAMMA_WICK, mu)], S, mu)
+    two_atoms = PolyFunctional(Basis.MONOMIAL,
+                               FockVector([random_tensor(rng, 2, n) for n in range(2)]))
+    for ps in ([mono, two_atoms], [two_atoms, mono]):
+        with pytest.raises(DimensionError):
+            evaluate_batch(ps, S, mu)
+
+
 def test_evaluate_batch_refuses_rows_past_the_entry_budget():
     p = PolyFunctional(Basis.MONOMIAL, FockVector([SymTensor(3, n) for n in range(4)]))
     rows = MAX_ENTRIES // math.comb(3 + 3, 3) + 1
