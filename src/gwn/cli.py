@@ -119,6 +119,12 @@ def _check_samples(n: int) -> None:
                          f"samples for its standard error), got {n}")
 
 
+def _check_seed(seed: int) -> None:
+    # SamplerConfig's contract, for every command before any suite runs
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"--seed must be in 0..2**64-1, got {seed}")
+
+
 def _emit_table(args, lines) -> int:
     """A table command's CSV lines, or under --pretty their aligned columns
     (the widths need the whole table)."""
@@ -165,12 +171,14 @@ def _run_suites(args, suite: str, run_one, run_all, *extra) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_seed(args.seed)
     return _run_suites(args, _resolve_suite(args, args.parser),
                        run_verify_suite, run_verify_all)
 
 
 def _cmd_mc(args) -> int:
     suite = _resolve_suite(args, args.parser)
+    _check_seed(args.seed)
     _check_se_mult(args.se_mult)
     _check_samples(args.samples)
     return _run_suites(args, suite, run_mc_suite, run_mc_all, args.samples,
@@ -178,6 +186,7 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_all(args) -> int:
+    _check_seed(args.seed)
     _check_se_mult(args.se_mult)
     _check_samples(args.samples)
     mu = load_measure(args.measure) if args.measure else None

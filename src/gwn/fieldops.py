@@ -1,18 +1,21 @@
 """Field operators on finite Fock vectors.
 
-The Gamma field a(xi) splits into five parts acting on symmetric kernels:
+A degree-n kernel f is the polynomial F(s) = sum_k perm_count(k) f[k] s^k
+in the atom variables (see ``symtensor``).  The Gamma field a(xi) is
+sum_a xi_a (s_a (1 + d_a) + w_a)(1 + d_a), d_a = d/ds_a: five parts, each
+built from raise (s_a), number (s_a d_a) and lower (d_a) steps per atom:
 
-* creation:          f^(n) -> xi sym-tensor f^(n)                  (degree +1)
-* neutral (doubled): f^(n) -> n * Sym[xi(x_1) f^(n)]               (degree 0)
-* constant:          f^(n) -> Integral(xi) * f^(n)
-* annihilation-1:    f^(n) -> n * Integral(xi(y) f^(n)(y, .) dsigma)  (degree -1)
-* annihilation-2:    f^(n) -> n(n-1) * Sym[xi(x) f^(n)(x, x, .)]      (degree -1)
+* creation:          F -> sum_a xi_a s_a F            (degree +1)
+* neutral (doubled): F -> sum_a xi_a s_a d_a F        (degree 0)
+* constant:          F -> sum_a xi_a w_a F = Integral(xi) F
+* annihilation-1:    F -> sum_a xi_a w_a d_a F        (degree -1)
+* annihilation-2:    F -> sum_a xi_a s_a d_a^2 F      (degree -1)
 
-On multiset storage creation is a symmetrized product with the degree-1
-kernel xi, and both annihilations read f^(n) through the one-atom merge
-table of ``symtensor``: entry (s, y) is the rank of s with atom y added.
-Annihilation-1 contracts that axis against w * xi; annihilation-2 takes
-y from s itself, n * sum_p xi(s_p) f^(n)(s with s_p duplicated).
+Creation is the symmetrized product with xi, and neutral scales f[r] by
+sum_p xi(r_p).  Every lowering is the one kernel ``_lower`` over the
+one-atom merge table: annihilation-1 sums over every atom with weights
+w xi, annihilation-2 over the slots of r with xi there, and the slot
+derivatives of ``funcalc`` read one atom's column.
 
 On indicator powers chi^(x)n the field acts by a three-term recurrence whose
 coefficients are the Jacobi parameters of the orthonormal Laguerre system
@@ -33,7 +36,7 @@ from .errors import ContractError, DimensionError, DomainError
 from .extfock import ext_inner_n
 from .measure import AtomicMeasure
 from .symtensor import (FockVector, SymTensor, _check_entries, _merge_ranks,
-                        multiply_pointwise_first_slot, rank_one, sym_product)
+                        _tables, rank_one, sym_product)
 
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
@@ -47,53 +50,44 @@ def _check_xi(xi, m: int) -> np.ndarray:
 
 def create(xi, f: FockVector) -> FockVector:
     """Creation operator: each kernel gains one symmetrized xi slot."""
-    xi = _check_xi(xi, f.m)
-    xi1 = rank_one(xi, 1)
-    out = FockVector.zeros(f.m, f.degree + 1)
-    for n in range(f.degree + 1):
-        out.kernels[n + 1] = sym_product(xi1, f.get(n))
-    return out
+    xi1 = rank_one(_check_xi(xi, f.m), 1)
+    return FockVector([SymTensor(f.m, 0)] + [sym_product(xi1, k) for k in f.kernels])
 
 
 def neutral(xi, f: FockVector) -> FockVector:
-    """Neutral operator: multiply one slot by xi pointwise, weight n."""
+    """Neutral operator n Sym[xi(x_1) f(x_1, ...)]: each entry f[r] times
+    sum_p xi(r_p)."""
     xi = _check_xi(xi, f.m)
-    out = FockVector.zeros(f.m, f.degree)
+    return FockVector([SymTensor(f.m, 0)]
+                      + [k * np.sum(xi[k.reps], axis=1) for k in f.kernels[1:]])
+
+
+def _lower(f: FockVector, c: np.ndarray, atoms=None) -> FockVector:
+    """The one lowering kernel, degreewise g_{n-1}[r] = n sum_j c[a_j]
+    f_n[merge(r, a_j)] over the one-atom merge table: the atoms a_j are the
+    list ``atoms`` for every r, or the slots of r when it is None."""
+    out = []
     for n in range(1, f.degree + 1):
-        out.kernels[n] = n * multiply_pointwise_first_slot(f.get(n), xi)
-    return out
+        a = _tables(f.m, n - 1).reps if atoms is None else np.reshape(atoms, (1, -1))
+        cols = np.take_along_axis(_merge_ranks(f.m, n - 1, 1), a, axis=1)
+        out.append(SymTensor(f.m, n - 1,
+                             n * np.sum(c[a] * f.get(n).values[cols], axis=1)))
+    return FockVector(out or [SymTensor(f.m, 0)])
 
 
 def annihilate1(xi, f: FockVector, measure: AtomicMeasure) -> FockVector:
-    """First annihilation: contract one slot against xi under the measure."""
+    """First annihilation n Integral(xi(y) f(y, .) dsigma): every atom,
+    weighted by w xi."""
     xi = _check_xi(xi, f.m)
     if measure.m != f.m:
         raise DimensionError("measure and vector atom counts differ")
-    out = FockVector.zeros(f.m, max(f.degree - 1, 0))
-    wxi = measure.weights * xi
-    for n in range(1, f.degree + 1):
-        tab = _merge_ranks(f.m, n - 1, 1)        # (R_{n-1}, m)
-        vals = n * (f.get(n).values[tab] @ wxi)
-        out.kernels[n - 1] = out.get(n - 1) + SymTensor(f.m, n - 1, vals)
-    return out
+    return _lower(f, measure.weights * xi, np.arange(f.m))
 
 
 def annihilate2(xi, f: FockVector) -> FockVector:
-    """Second annihilation: identify two slots, multiply by xi there,
-    re-symmetrize; weight n(n-1).
-
-    On multiset storage the degree-(n-1) result at s is
-    n * sum_p xi(s_p) f^(n)(s with s_p duplicated).
-    """
-    xi = _check_xi(xi, f.m)
-    out = FockVector.zeros(f.m, max(f.degree - 1, 0))
-    for n in range(2, f.degree + 1):
-        tab = _merge_ranks(f.m, n - 1, 1)
-        reps = out.get(n - 1).reps               # (R_{n-1}, n-1)
-        dup = np.take_along_axis(tab, reps, axis=1)
-        vals = n * np.sum(xi[reps] * f.get(n).values[dup], axis=1)
-        out.kernels[n - 1] = out.get(n - 1) + SymTensor(f.m, n - 1, vals)
-    return out
+    """Second annihilation n(n-1) Sym[xi(x) f(x, x, .)]: the slots of each
+    degree-(n-1) entry, weighted by xi there (none at degree 0)."""
+    return _lower(f, _check_xi(xi, f.m))
 
 
 def gamma_field(xi, f: FockVector, measure: AtomicMeasure) -> FockVector:

@@ -16,8 +16,10 @@ They are linked by the exact operator series
 which terminate on polynomials since each term lowers degree, and by an
 integral representation: applying the Wick derivative equals integrating
 phi(omega + s delta_x) - phi(omega) against e^(-s) ds.  Every integral form
-uses one 64-node Gauss-Laguerre rule, built once on first use; it is exact
-for s-polynomials up to degree 127.
+is one evaluation, ``_shifted_rows``, of the functionals it needs at omega
+and at omega + s_k delta_a for each atom a it reads and each node s_k of
+one 64-node Gauss-Laguerre rule (built on first use, exact for
+s-polynomials up to degree 127).
 
 The coordinate multiplication operator omega(x). decomposes into Wick
 derivative/adjoint compositions, and the check_* functions compare the
@@ -29,8 +31,9 @@ annihilations) on the Fock side and compares it with multiplication by
 measure with density xi, i.e. D_xi = sum_i w_i xi_i nabla_i.
 
 A check evaluates the functionals it needs at the same configurations in
-one ``evaluate_batch`` call per basis; the gradient forms take D_xi phi
-from the per-atom nabla values.
+one ``evaluate_batch`` call per basis, the S-transform check one stacked
+``s_transform``; the gradient forms take D_xi phi from the per-atom nabla
+values.
 """
 
 from __future__ import annotations
@@ -43,11 +46,12 @@ import numpy as np
 from scipy.special import roots_laguerre
 
 from .errors import DimensionError, DomainError
-from .fieldops import annihilate1, annihilate2, create, gamma_field, neutral
+from .fieldops import (_lower, annihilate1, annihilate2, create, gamma_field,
+                       neutral)
 from .gammasample import (MCEstimate, SamplerConfig, iter_jump_batches,
                           mean_and_se)
 from .measure import AtomicMeasure
-from .symtensor import FockVector, SymTensor, _merge_ranks
+from .symtensor import FockVector
 from .wickcalc import (Basis, OmegaSample, PolyFunctional, evaluate_batch,
                        s_transform)
 
@@ -93,24 +97,13 @@ def _check_atom(atom: int, m: int) -> None:
         raise DimensionError(f"atom index {atom} outside 0..{m - 1}")
 
 
-def _slot_lower(kernels: FockVector, atom: int) -> FockVector:
-    """f_n -> n f_n(atom, .) degreewise; shared by both derivative bases."""
-    m = kernels.m
-    if kernels.degree == 0:
-        return FockVector.zeros(m, 0)
-    out = []
-    for n in range(1, kernels.degree + 1):
-        tab = _merge_ranks(m, n - 1, 1)
-        out.append(SymTensor(m, n - 1, n * kernels.get(n).values[tab[:, atom]]))
-    return FockVector(out)
-
-
 def nabla(p: PolyFunctional, atom: int,
           measure: AtomicMeasure | None = None) -> PolyFunctional:
-    """Gateaux derivative in the unit point-mass direction at one atom."""
+    """Gateaux derivative in the unit point-mass direction at one atom:
+    slot evaluation f_n -> n f_n(atom, .) of the monomial kernels."""
     pm = p.to_basis(Basis.MONOMIAL, measure)
     _check_atom(atom, pm.m)
-    return PolyFunctional(Basis.MONOMIAL, _slot_lower(pm.kernels, atom))
+    return PolyFunctional(Basis.MONOMIAL, _lower(pm.kernels, np.ones(pm.m), [atom]))
 
 
 def d_xi(p: PolyFunctional, xi, measure: AtomicMeasure) -> PolyFunctional:
@@ -126,7 +119,7 @@ def wick_del(p: PolyFunctional, atom: int,
     """The Wick derivative: slot evaluation on Gamma-Wick kernels."""
     pw = p.to_basis(Basis.GAMMA_WICK, measure)
     _check_atom(atom, pw.m)
-    return PolyFunctional(Basis.GAMMA_WICK, _slot_lower(pw.kernels, atom))
+    return PolyFunctional(Basis.GAMMA_WICK, _lower(pw.kernels, np.ones(pw.m), [atom]))
 
 
 def del_dagger(p: PolyFunctional, atom: int,
@@ -139,13 +132,23 @@ def del_dagger(p: PolyFunctional, atom: int,
                           create(measure.delta_density(atom), pw.kernels))
 
 
-def _shifted_integral(p, omega: OmegaSample, atom: int, measure: AtomicMeasure):
-    """int_0^inf phi(omega + s delta_atom) e^(-s) ds, for one functional or
-    (as an array) for each of a sequence in one basis."""
+def _shifted_rows(ps: list[PolyFunctional], omega: OmegaSample, atoms,
+                  measure: AtomicMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """The functionals ps (one basis) at omega, (F,), and the rule integrals
+    int_0^inf phi(omega + s delta_a) e^(-s) ds for each atom a of atoms,
+    (len(atoms), F), from one evaluation of the rows [omega; omega +
+    s_k delta_a for each a and each rule node s_k]."""
     rule = _rule()
-    masses = np.repeat(omega.masses[None, :], rule.nodes.size, axis=0)
-    masses[:, atom] += rule.nodes
-    return rule.weights @ evaluate_batch(p, masses, measure)
+    shifts = np.eye(omega.m)[np.asarray(atoms, dtype=int), None] * rule.nodes[:, None]
+    rows = np.vstack([omega.masses, (omega.masses + shifts).reshape(-1, omega.m)])
+    values = evaluate_batch(ps, rows, measure)
+    return values[0], rule.weights @ values[1:].reshape(shifts.shape[:2] + (len(ps),))
+
+
+def _difference_integral(c: np.ndarray, base: float, shifted: np.ndarray) -> float:
+    """sum_a c_a int_0^inf (phi(omega + s delta_a) - phi(omega)) e^(-s) ds,
+    from phi's values base and shifted (one per atom a) of _shifted_rows."""
+    return math.fsum(c * (shifted - base * float(np.sum(_rule().weights))))
 
 
 def del_integral(p: PolyFunctional, atom: int, omega: OmegaSample,
@@ -153,18 +156,18 @@ def del_integral(p: PolyFunctional, atom: int, omega: OmegaSample,
     """Integral form of the Wick derivative at one configuration:
     int_0^inf (phi(omega + s delta_atom) - phi(omega)) e^(-s) ds."""
     _check_atom(atom, p.m)
-    base = p.evaluate(omega, measure)
-    return float(_shifted_integral(p, omega, atom, measure)) \
-        - base * float(np.sum(_rule().weights))
+    base, shifted = _shifted_rows([p], omega, [atom], measure)
+    return _difference_integral(np.ones(1), base[0], shifted[:, 0])
 
 
 def annihilate1_integral(p: PolyFunctional, xi, measure: AtomicMeasure,
                          omega: OmegaSample) -> float:
-    """Smeared integral form: sum_i w_i xi_i del_integral(p, i)."""
+    """Smeared integral form: sum_i w_i xi_i del_integral(p, i), over the
+    atoms with xi_i != 0 in one evaluation."""
     xi = measure.check_function(np.asarray(xi, dtype=float))
-    return math.fsum(float(w * x) * del_integral(p, i, omega, measure)
-                     for i, (w, x) in enumerate(zip(measure.weights, xi))
-                     if x != 0.0)
+    atoms = np.flatnonzero(xi)
+    base, shifted = _shifted_rows([p], omega, atoms, measure)
+    return _difference_integral((measure.weights * xi)[atoms], base[0], shifted[:, 0])
 
 
 def coordinate_multiply(p: PolyFunctional, atom: int,
@@ -242,19 +245,24 @@ class CheckReport:
         return abs(self.lhs - self.rhs)
 
 
-def _gradient_terms(pm: PolyFunctional, xi: np.ndarray, omega: OmegaSample,
-                    measure: AtomicMeasure
-                    ) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """phi(omega), the first and second per-atom nabla values at omega, and
-    D_xi phi(omega) = sum_i w_i xi_i nabla_i phi(omega), from one evaluation
-    of [phi, nabla_0 phi, nabla_0^2 phi, nabla_1 phi, ...]."""
-    stack = [pm]
-    for i in range(pm.m):
-        stack.append(nabla(pm, i))
+def _gradient_terms(op, p: PolyFunctional, xi: np.ndarray, omega: OmegaSample,
+                    measure: AtomicMeasure, atoms=()) -> tuple:
+    """Both sides of a gradient-form check, one evaluation per basis: the
+    Fock side op(xi, .) of p's Gamma-Wick kernels at omega; and from the
+    monomial stack [phi, nabla_0 phi, nabla_0^2 phi, nabla_1 phi, ...],
+    phi(omega), the first and second per-atom nabla values at omega,
+    D_xi phi(omega) = sum_i w_i xi_i nabla_i phi(omega) and the stack's
+    rule integrals over the shifted rows of each atom of atoms."""
+    pw = p.to_basis(Basis.GAMMA_WICK, measure)
+    lhs = PolyFunctional(Basis.GAMMA_WICK, op(xi, pw.kernels)).evaluate(omega, measure)
+    stack = [p.to_basis(Basis.MONOMIAL, measure)]
+    for i in range(p.m):
+        stack.append(nabla(stack[0], i))
         stack.append(nabla(stack[-1], i))
-    values = evaluate_batch(stack, omega.masses[None, :], measure)[0]
+    values, shifted = _shifted_rows(stack, omega, atoms, measure)
     g1, g2 = values[1::2], values[2::2]
-    return float(values[0]), g1, g2, float((measure.weights * xi) @ g1)
+    return (lhs, float(values[0]), g1, g2, float((measure.weights * xi) @ g1),
+            shifted)
 
 
 def creation_gradient_check(p: PolyFunctional, xi, omega: OmegaSample,
@@ -262,11 +270,7 @@ def creation_gradient_check(p: PolyFunctional, xi, omega: OmegaSample,
     """Creation operator vs its gradient form:
     <omega(x), xi (nabla - 1)^2 phi> + (D_xi - <xi>) phi."""
     xi = measure.check_function(np.asarray(xi, dtype=float))
-    pw = p.to_basis(Basis.GAMMA_WICK, measure)
-    lhs = PolyFunctional(Basis.GAMMA_WICK,
-                         create(xi, pw.kernels)).evaluate(omega, measure)
-    pm = p.to_basis(Basis.MONOMIAL, measure)
-    base, g1, g2, dphi = _gradient_terms(pm, xi, omega, measure)
+    lhs, base, g1, g2, dphi, _ = _gradient_terms(create, p, xi, omega, measure)
     rhs = float(omega.masses @ (xi * (g2 - 2.0 * g1 + base))) \
         + dphi - measure.integrate(xi) * base
     return CheckReport(lhs, rhs)
@@ -276,11 +280,7 @@ def neutral_gradient_check(p: PolyFunctional, xi, omega: OmegaSample,
                            measure: AtomicMeasure) -> CheckReport:
     """Neutral operator vs <omega(x), xi nabla(1 - nabla) phi> - D_xi phi."""
     xi = measure.check_function(np.asarray(xi, dtype=float))
-    pw = p.to_basis(Basis.GAMMA_WICK, measure)
-    lhs = PolyFunctional(Basis.GAMMA_WICK,
-                         neutral(xi, pw.kernels)).evaluate(omega, measure)
-    pm = p.to_basis(Basis.MONOMIAL, measure)
-    _, g1, g2, dphi = _gradient_terms(pm, xi, omega, measure)
+    lhs, _, g1, g2, dphi, _ = _gradient_terms(neutral, p, xi, omega, measure)
     rhs = float(omega.masses @ (xi * (g1 - g2))) - dphi
     return CheckReport(lhs, rhs)
 
@@ -314,19 +314,15 @@ class SecondAnnihilationReport:
 def second_annihilation_check(p: PolyFunctional, xi, omega: OmegaSample,
                               measure: AtomicMeasure) -> SecondAnnihilationReport:
     xi = measure.check_function(np.asarray(xi, dtype=float))
-    pw = p.to_basis(Basis.GAMMA_WICK, measure)
-    lhs = PolyFunctional(Basis.GAMMA_WICK,
-                         annihilate2(xi, pw.kernels)).evaluate(omega, measure)
-    pm = p.to_basis(Basis.MONOMIAL, measure)
-    base, _, g2, dphi = _gradient_terms(pm, xi, omega, measure)
-    lead = float(omega.masses @ (xi * g2)) + dphi
-    rhs_comp = lead - annihilate1_integral(pm, xi, measure, omega)
     atoms = np.flatnonzero(xi)
-    shifted = [_shifted_integral([pm, nabla(pm, i)], omega, i, measure)
-               for i in atoms]
-    uncomp, shift = (measure.weights * xi)[atoms] @ np.reshape(shifted, (-1, 2))
-    rhs_grad = lead - shift
-    rhs_unc = lead - uncomp - measure.integrate(xi) * base
+    lhs, base, _, g2, dphi, shifted = _gradient_terms(annihilate2, p, xi, omega,
+                                                      measure, atoms)
+    lead = float(omega.masses @ (xi * g2)) + dphi
+    # the shifted rows of atom a carry phi in column 0, nabla_a phi in 1 + 2a
+    wxi = (measure.weights * xi)[atoms]
+    rhs_comp = lead - _difference_integral(wxi, base, shifted[:, 0])
+    rhs_grad = lead - wxi @ shifted[np.arange(atoms.size), 1 + 2 * atoms]
+    rhs_unc = lead - wxi @ shifted[:, 0] - measure.integrate(xi) * base
     return SecondAnnihilationReport(lhs, rhs_comp, rhs_grad, rhs_unc)
 
 
@@ -337,16 +333,15 @@ def stransform_multiplication_check(p: PolyFunctional, theta,
     maximized over atoms.  grad here differentiates U in theta."""
     theta = measure.check_function(np.asarray(theta, dtype=float))
     pw = p.to_basis(Basis.GAMMA_WICK, measure)
-    U = s_transform(pw, theta, measure)
-    worst = 0.0
+    stack = [pw]
     for i in range(pw.m):
         # theta-derivatives toward delta_i: slot evaluation of the kernels
         d1 = wick_del(pw, i)
-        dU, d2U, lhs = (s_transform(q, theta, measure) for q in (
-            d1, wick_del(d1, i), coordinate_multiply(pw, i, measure)))
-        rhs = (theta[i] + 1.0) * U + (1.0 + 2.0 * theta[i]) * dU + theta[i] * d2U
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+        stack += [d1, wick_del(d1, i), coordinate_multiply(pw, i, measure)]
+    values = s_transform(stack, theta, measure)
+    U, dU, d2U, lhs = values[0], values[1::3], values[2::3], values[3::3]
+    rhs = (theta + 1.0) * U + (1.0 + 2.0 * theta) * dU + theta * d2U
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def a1_plus_explicit(p: PolyFunctional, xi, omega: OmegaSample,
@@ -445,5 +440,5 @@ def multiplication_reassembly_check(p: PolyFunctional, xi, omega: OmegaSample,
     pw = p.to_basis(Basis.GAMMA_WICK, measure)
     field = PolyFunctional(Basis.GAMMA_WICK,
                            gamma_field(xi, pw.kernels, measure))
-    return CheckReport(field.evaluate(omega, measure),
-                       omega.pair(xi) * p.evaluate(omega, measure))
+    lhs, phi = evaluate_batch([field, pw], omega.masses[None, :], measure)[0]
+    return CheckReport(float(lhs), omega.pair(xi) * float(phi))

@@ -19,9 +19,11 @@ over position splits, so phi-tensor-phi equals the plain tensor square with
 no combinatorial prefactor.  It is the product of the two polynomials: the
 coefficients perm_count(k) f[k] of the factors are multiplied and added
 onto the merge table, which maps a pair of multi-indices to the rank of
-their union (occupation counts k_a + k_b).  The same table serves the slot
-operators (one extra atom, degree b = 1) and the dense layout (a chain of
-one-atom merges).
+their union (occupation counts k_a + k_b).  The same table serves the one
+lowering kernel of ``fieldops`` (one extra atom, degree b = 1), through
+which both annihilations and both slot derivatives run, and the dense
+layout (a chain of one-atom merges).  Pointwise multiplication of a slot
+needs no table: it scales each entry by a sum over its slots.
 
 Every rank table comes from the cached multiset and last-run tables of
 each (m, n), the merge table or, in ``wickcalc``, the simplex of all
@@ -273,6 +275,7 @@ class SymTensor:
     def from_index_map(cls, m: int, degree: int, d: dict) -> "SymTensor":
         t = cls(m, degree)
         vals = t.values.copy()
+        seen = {}
         for key, v in d.items():
             idx = np.array(sorted(int(x) for x in key.split()), dtype=np.int64)
             if idx.shape != (degree,):
@@ -282,7 +285,11 @@ class SymTensor:
             x = _json_number(v, f"value of index key '{key}'")
             if not math.isfinite(x):
                 raise DomainError(f"value of index key '{key}' is not finite")
-            vals[int(_tables(m, degree).rank_sorted_rows(idx[None, :])[0])] = x
+            r = int(_tables(m, degree).rank_sorted_rows(idx[None, :])[0])
+            if seen.setdefault(r, key) != key:   # "0 1" and "1 0", say
+                raise ContractError(f"index keys '{seen[r]}' and '{key}' name "
+                                    f"the same multiset")
+            vals[r] = x
         t.values = vals
         return t
 
@@ -312,20 +319,6 @@ def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
     vals = np.zeros(len(tab.reps), dtype=coeff.dtype)
     np.add.at(vals, _merge_ranks(a.m, a.degree, b.degree).ravel(), coeff.ravel())
     return SymTensor(a.m, a.degree + b.degree, vals / tab.perm_counts)
-
-
-def multiply_pointwise_first_slot(t: SymTensor, g) -> SymTensor:
-    """Symmetrization of g(x_1) t(x_1, ..., x_n).
-
-    Because t is symmetric this is t multiplied by the mean of g over the
-    slots of each multi-index.
-    """
-    g = np.asarray(g)
-    if g.shape != (t.m,):
-        raise DimensionError("pointwise factor must be a test function")
-    if t.degree == 0:
-        raise ContractError("degree-0 tensor has no slot to multiply")
-    return SymTensor(t.m, t.degree, t.values * np.mean(g[t.reps], axis=1))
 
 
 class FockVector:

@@ -439,17 +439,21 @@ def wick_product(p: PolyFunctional, q: PolyFunctional,
     return PolyFunctional(Basis.GAMMA_WICK, out)
 
 
-def s_transform(p: PolyFunctional, theta, measure: AtomicMeasure) -> float:
+def s_transform(p, theta, measure: AtomicMeasure):
     """S[p](theta) = sum_n <F^(n), theta^(x)n> with measure weights, where
     F are the Gamma-Wick kernels of p: their monomial value at s = w theta.
-    A value past the float range is a DomainError."""
+    p is one PolyFunctional, giving a float, or a non-empty sequence of
+    them, giving an (F,) array from one evaluation.  A value past the
+    float range is a DomainError."""
     theta = measure.check_function(np.asarray(theta, dtype=float))
-    pm = PolyFunctional(Basis.MONOMIAL, p.to_basis(Basis.GAMMA_WICK, measure).kernels)
+    ps = [p] if isinstance(p, PolyFunctional) else list(p)
+    pm = [PolyFunctional(Basis.MONOMIAL, q.to_basis(Basis.GAMMA_WICK, measure).kernels)
+          for q in ps]
     with np.errstate(over="ignore", invalid="ignore"):
-        value = float(evaluate_batch(pm, (measure.weights * theta)[None, :], measure)[0])
-    if not math.isfinite(value):
+        values = evaluate_batch(pm, (measure.weights * theta)[None, :], measure)[0]
+    if not np.all(np.isfinite(values)):
         raise DomainError("the S-transform leaves the float range at this theta")
-    return value
+    return float(values[0]) if isinstance(p, PolyFunctional) else values
 
 
 def dual_pair(F: PolyFunctional, f: PolyFunctional, measure: AtomicMeasure) -> float:

@@ -316,9 +316,10 @@ def test_stransform_refuses_a_many_atom_functional(tmp_path, capsys):
     {"kernels": [{"degree": 1, "values": {"0": None}}]},
     {"kernels": [{"degree": 1, "values": {"0": [1.0]}}]},
     {"kernels": [{"degree": 1, "values": {"0": True}}]},
+    {"kernels": [{"degree": 2, "values": {"0 1": 1.0, "1 0": 5.0}}]},
 ], ids=["values_not_a_map", "negative_degree", "repeated_degree",
         "fractional_degree", "degree_over_cap", "fractional_m", "null_value",
-        "array_value", "bool_value"])
+        "array_value", "bool_value", "duplicate_multiset_key"])
 def test_stransform_rejects_malformed_functional(tmp_path, capsys, fields):
     save_measure(AtomicMeasure([2.0, 0.5]), tmp_path / "mu.json")
     functional = {"basis": "gamma_wick", "m": 2,
@@ -328,6 +329,16 @@ def test_stransform_rejects_malformed_functional(tmp_path, capsys, fields):
                        "--functional", str(tmp_path / "p.json"),
                        "--theta", "[0.1, 0.2]",
                        "--measure", str(tmp_path / "mu.json"))
+
+
+@pytest.mark.parametrize("command", ["verify", "mc", "all"])
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_outside_64_bits_exit_2(capsys, command, seed):
+    # refused before any suite runs, with one line naming the flag
+    code = main([command, "--seed", str(seed)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("gwn: error: --seed ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text", [

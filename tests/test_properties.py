@@ -19,7 +19,11 @@
   atom, and the routes built on it against dense sums over ordered index
   tuples: ``rank_one``, ``fock_inner_n``, ``s_transform`` and
   ``evaluate_batch`` in both bases, Gamma-Wick input through the
-  five-term kernels, every column of a stacked evaluation on its own.
+  five-term kernels, every column of a stacked evaluation or S-transform
+  on its own;
+* the integral form of the smeared Wick derivative, evaluated over the
+  shifted configurations of every atom in the support of xi, against the
+  slot evaluation of the Gamma-Wick kernels.
 
 Each comparison is scaled by the size of the terms being summed, computed
 from absolute values, so cancellation in the result cannot fail a correct
@@ -38,7 +42,8 @@ import oracles
 from gwn.errors import DomainError
 from gwn.extfock import ext_inner_n, fock_inner_n
 from gwn.fieldops import annihilate1, annihilate2, create, neutral
-from gwn.funcalc import _jump_removal_sum, _taylor_stack, nabla, wick_del
+from gwn.funcalc import (_jump_removal_sum, _taylor_stack, annihilate1_integral,
+                         nabla, wick_del)
 from gwn.gammasample import SamplerConfig, iter_jump_batches, mean_and_se
 from gwn.measure import AtomicMeasure
 from gwn.symtensor import (FockVector, SymTensor, _tables, atom_products, rank_one,
@@ -464,15 +469,62 @@ def test_evaluate_batch_matches_ordered_tuples(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(evaluation_inputs(Basis.GAMMA_WICK), st.data())
+@given(evaluation_inputs(Basis.GAMMA_WICK, max_functionals=3), st.data())
 def test_s_transform_matches_ordered_tuples(case, data):
-    mu, (p,), _ = case
+    """Every entry of a stacked S-transform, and the first functional on
+    its own, against the ordered-tuple sum of the Gamma-Wick kernels at
+    s = w theta."""
+    mu, ps, _ = case
     theta = np.array([data.draw(st.floats(-2.0, 2.0)) for _ in range(mu.m)])
-    want = scale = 0.0
-    power = np.ones(())
-    for f in p.kernels.kernels:
-        want += oracles.fock_inner_n_dense(mu.weights, oracles.dense_from_symtensor(f),
-                                           power)
-        scale += oracles.fock_inner_n_dense(mu.weights, abs_dense(f), np.abs(power))
-        power = np.multiply.outer(power, theta)
-    assert abs(s_transform(p, theta, mu) - want) <= 1e-12 * max(1.0, scale)
+    s = mu.weights * theta
+    got = s_transform(ps, theta, mu)
+    assert got.shape == (len(ps),)
+    for j, p in enumerate(ps):
+        want = sum(oracles.ordered_sum(f, s) for f in p.kernels.kernels)
+        scale = sum(oracles.ordered_sum(abs_tensor(f), np.abs(s))
+                    for f in p.kernels.kernels)
+        assert abs(got[j] - want) <= 1e-12 * max(1.0, scale)
+        if j == 0:
+            assert abs(s_transform(p, theta, mu) - want) <= 1e-12 * max(1.0, scale)
+
+
+@st.composite
+def smeared_integral_inputs(draw):
+    """3 or 4 atoms, a monomial functional of degree <= 4, a configuration
+    with some atoms empty, and a direction with at least one zero and at
+    least two nonzero entries."""
+    m = draw(st.integers(3, 4))
+    mu = AtomicMeasure([10.0 ** draw(st.floats(-1.0, 1.0)) for _ in range(m)])
+    rng = np.random.default_rng(draw(seeds))
+    kernels = [SymTensor(m, n, rng.uniform(-1.0, 1.0, math.comb(m + n - 1, n)))
+               for n in range(draw(st.integers(0, 4)) + 1)]
+    omega = OmegaSample([w * draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
+                         for w in mu.weights])
+    support = draw(st.sets(st.integers(0, m - 1), min_size=2, max_size=m - 1))
+    xi = np.zeros(m)
+    for i in support:
+        xi[i] = draw(st.one_of(st.floats(-1.0, -0.1), st.floats(0.1, 1.0)))
+    return mu, PolyFunctional(Basis.MONOMIAL, FockVector(kernels)), omega, xi
+
+
+@settings(max_examples=60, deadline=None)
+@given(smeared_integral_inputs())
+def test_annihilate1_integral_matches_algebraic_route(case):
+    """The integral form over shifted configurations against
+    sum_i w_i xi_i (wick_del(p, i))(omega), the slot evaluation of the
+    Gamma-Wick kernels.  The tolerance is scaled by the integral of the
+    functional with absolute kernels, by numpy's own Gauss-Laguerre rule
+    and the ordered-tuple sums."""
+    mu, p, omega, xi = case
+    got = annihilate1_integral(p, xi, mu, omega)
+    want = sum(mu.weights[i] * xi[i] * wick_del(p, int(i), mu).evaluate(omega, mu)
+               for i in np.flatnonzero(xi))
+    nodes, weights = np.polynomial.laguerre.laggauss(64)
+    scale = 0.0
+    for i in np.flatnonzero(xi):
+        for s, w in zip(nodes, weights):
+            shifted = omega.masses.copy()
+            shifted[i] += s
+            scale += abs(mu.weights[i] * xi[i]) * w * sum(
+                oracles.ordered_sum(abs_tensor(f), shifted) for f in p.kernels.kernels)
+    assert abs(got - want) <= 1e-10 * max(1.0, scale)

@@ -7,8 +7,8 @@ import pytest
 from conftest import random_measure, random_tensor
 from gwn.errors import ContractError, DimensionError, DomainError, SizeError
 from gwn.measure import AtomicMeasure
-from gwn.symtensor import (MAX_DEGREE, FockVector, SymTensor, _tables,
-                           multiply_pointwise_first_slot, rank_one, sym_product)
+from gwn.symtensor import (MAX_DEGREE, FockVector, SymTensor, _tables, rank_one,
+                           sym_product)
 from oracles import (append_tied_slots, dense_from_symtensor, diagonal_restrict,
                      sym_product_dense)
 
@@ -93,24 +93,6 @@ def test_diagonal_restrict_bad_partition(rng):
         diagonal_restrict(t, [[0, 1], [1, 2]])  # overlap
     with pytest.raises(ContractError):
         diagonal_restrict(t, [[0, 3], [1, 2]])  # out of range
-
-
-def test_multiply_pointwise_first_slot_frozen():
-    t = rank_one(np.array([1.0, 2.0]), 2)
-    out = multiply_pointwise_first_slot(t, np.array([3.0, 0.0]))
-    assert out.value_at((0, 0)) == pytest.approx(3.0)
-    assert out.value_at((0, 1)) == pytest.approx(3.0)
-    assert out.value_at((1, 1)) == pytest.approx(0.0)
-
-
-def test_multiply_pointwise_first_slot_rank_one_identity(rng):
-    # n * sym[ (g phi) otimes phi^(n-1) ] = n * multiply(phi^n, g)
-    phi = rng.normal(size=3)
-    g = rng.normal(size=3)
-    n = 4
-    lhs = multiply_pointwise_first_slot(rank_one(phi, n), g)
-    rhs = sym_product(rank_one(g * phi, 1), rank_one(phi, n - 1))
-    assert np.allclose(lhs.values, rhs.values, atol=1e-13)
 
 
 def test_dense_round_trip(rng):
