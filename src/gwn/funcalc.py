@@ -16,10 +16,8 @@ They are linked by the exact operator series
 which terminate on polynomials since each term lowers degree, and by an
 integral representation: applying the Wick derivative equals integrating
 phi(omega + s delta_x) - phi(omega) against e^(-s) ds.  Every integral form
-is one evaluation, ``_shifted_rows``, of the functionals it needs at omega
-and at omega + s_k delta_a for each atom a it reads and each node s_k of
-one 64-node Gauss-Laguerre rule (built on first use, exact for
-s-polynomials up to degree 127).
+uses one 64-node Gauss-Laguerre rule, built once on first use; it is exact
+for s-polynomials up to degree 127.
 
 The coordinate multiplication operator omega(x). decomposes into Wick
 derivative/adjoint compositions, and the check_* functions compare the
@@ -30,10 +28,10 @@ annihilations) on the Fock side and compares it with multiplication by
 <omega, xi>.  D_xi denotes the Gateaux derivative in the direction of the
 measure with density xi, i.e. D_xi = sum_i w_i xi_i nabla_i.
 
-A check evaluates the functionals it needs at the same configurations in
-one ``evaluate_batch`` call per basis, the S-transform check one stacked
-``s_transform``; the gradient forms take D_xi phi from the per-atom nabla
-values.
+A check evaluates the functionals it needs at the same rows together; the
+gradient forms take D_xi phi from the per-atom nabla values.  The shifted
+rows of an integral form and the S-transform check's functionals are
+evaluated one atom at a time, so no call grows with the atom count.
 """
 
 from __future__ import annotations
@@ -132,22 +130,20 @@ def del_dagger(p: PolyFunctional, atom: int,
                           create(measure.delta_density(atom), pw.kernels))
 
 
-def _shifted_rows(ps: list[PolyFunctional], omega: OmegaSample, atoms,
-                  measure: AtomicMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """The functionals ps (one basis) at omega, (F,), and the rule integrals
-    int_0^inf phi(omega + s delta_a) e^(-s) ds for each atom a of atoms,
-    (len(atoms), F), from one evaluation of the rows [omega; omega +
-    s_k delta_a for each a and each rule node s_k]."""
+def _shifted_integral(ps: list[PolyFunctional], omega: OmegaSample, atom: int,
+                      measure: AtomicMeasure) -> np.ndarray:
+    """int_0^inf phi(omega + s delta_atom) e^(-s) ds for each functional of
+    ps (one basis), (F,), from one evaluation of the rows omega + s_k
+    delta_atom over the rule nodes s_k."""
     rule = _rule()
-    shifts = np.eye(omega.m)[np.asarray(atoms, dtype=int), None] * rule.nodes[:, None]
-    rows = np.vstack([omega.masses, (omega.masses + shifts).reshape(-1, omega.m)])
-    values = evaluate_batch(ps, rows, measure)
-    return values[0], rule.weights @ values[1:].reshape(shifts.shape[:2] + (len(ps),))
+    rows = np.repeat(omega.masses[None, :], rule.nodes.size, axis=0)
+    rows[:, atom] += rule.nodes
+    return rule.weights @ evaluate_batch(ps, rows, measure)
 
 
 def _difference_integral(c: np.ndarray, base: float, shifted: np.ndarray) -> float:
     """sum_a c_a int_0^inf (phi(omega + s delta_a) - phi(omega)) e^(-s) ds,
-    from phi's values base and shifted (one per atom a) of _shifted_rows."""
+    from phi(omega) = base and phi's shifted integrals, one per atom a."""
     return math.fsum(c * (shifted - base * float(np.sum(_rule().weights))))
 
 
@@ -156,18 +152,19 @@ def del_integral(p: PolyFunctional, atom: int, omega: OmegaSample,
     """Integral form of the Wick derivative at one configuration:
     int_0^inf (phi(omega + s delta_atom) - phi(omega)) e^(-s) ds."""
     _check_atom(atom, p.m)
-    base, shifted = _shifted_rows([p], omega, [atom], measure)
-    return _difference_integral(np.ones(1), base[0], shifted[:, 0])
+    return _difference_integral(np.ones(1), p.evaluate(omega, measure),
+                                _shifted_integral([p], omega, atom, measure))
 
 
 def annihilate1_integral(p: PolyFunctional, xi, measure: AtomicMeasure,
                          omega: OmegaSample) -> float:
     """Smeared integral form: sum_i w_i xi_i del_integral(p, i), over the
-    atoms with xi_i != 0 in one evaluation."""
+    atoms with xi_i != 0."""
     xi = measure.check_function(np.asarray(xi, dtype=float))
     atoms = np.flatnonzero(xi)
-    base, shifted = _shifted_rows([p], omega, atoms, measure)
-    return _difference_integral((measure.weights * xi)[atoms], base[0], shifted[:, 0])
+    shifted = [_shifted_integral([p], omega, a, measure)[0] for a in atoms]
+    return _difference_integral((measure.weights * xi)[atoms],
+                                p.evaluate(omega, measure), np.array(shifted))
 
 
 def coordinate_multiply(p: PolyFunctional, atom: int,
@@ -245,24 +242,19 @@ class CheckReport:
         return abs(self.lhs - self.rhs)
 
 
-def _gradient_terms(op, p: PolyFunctional, xi: np.ndarray, omega: OmegaSample,
-                    measure: AtomicMeasure, atoms=()) -> tuple:
-    """Both sides of a gradient-form check, one evaluation per basis: the
-    Fock side op(xi, .) of p's Gamma-Wick kernels at omega; and from the
-    monomial stack [phi, nabla_0 phi, nabla_0^2 phi, nabla_1 phi, ...],
-    phi(omega), the first and second per-atom nabla values at omega,
-    D_xi phi(omega) = sum_i w_i xi_i nabla_i phi(omega) and the stack's
-    rule integrals over the shifted rows of each atom of atoms."""
-    pw = p.to_basis(Basis.GAMMA_WICK, measure)
-    lhs = PolyFunctional(Basis.GAMMA_WICK, op(xi, pw.kernels)).evaluate(omega, measure)
-    stack = [p.to_basis(Basis.MONOMIAL, measure)]
-    for i in range(p.m):
-        stack.append(nabla(stack[0], i))
+def _gradient_terms(pm: PolyFunctional, xi: np.ndarray, omega: OmegaSample,
+                    measure: AtomicMeasure
+                    ) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """phi(omega), the first and second per-atom nabla values at omega, and
+    D_xi phi(omega) = sum_i w_i xi_i nabla_i phi(omega), from one evaluation
+    of [phi, nabla_0 phi, nabla_0^2 phi, nabla_1 phi, ...]."""
+    stack = [pm]
+    for i in range(pm.m):
+        stack.append(nabla(pm, i))
         stack.append(nabla(stack[-1], i))
-    values, shifted = _shifted_rows(stack, omega, atoms, measure)
+    values = evaluate_batch(stack, omega.masses[None, :], measure)[0]
     g1, g2 = values[1::2], values[2::2]
-    return (lhs, float(values[0]), g1, g2, float((measure.weights * xi) @ g1),
-            shifted)
+    return float(values[0]), g1, g2, float((measure.weights * xi) @ g1)
 
 
 def creation_gradient_check(p: PolyFunctional, xi, omega: OmegaSample,
@@ -270,7 +262,11 @@ def creation_gradient_check(p: PolyFunctional, xi, omega: OmegaSample,
     """Creation operator vs its gradient form:
     <omega(x), xi (nabla - 1)^2 phi> + (D_xi - <xi>) phi."""
     xi = measure.check_function(np.asarray(xi, dtype=float))
-    lhs, base, g1, g2, dphi, _ = _gradient_terms(create, p, xi, omega, measure)
+    pw = p.to_basis(Basis.GAMMA_WICK, measure)
+    lhs = PolyFunctional(Basis.GAMMA_WICK,
+                         create(xi, pw.kernels)).evaluate(omega, measure)
+    pm = p.to_basis(Basis.MONOMIAL, measure)
+    base, g1, g2, dphi = _gradient_terms(pm, xi, omega, measure)
     rhs = float(omega.masses @ (xi * (g2 - 2.0 * g1 + base))) \
         + dphi - measure.integrate(xi) * base
     return CheckReport(lhs, rhs)
@@ -280,7 +276,11 @@ def neutral_gradient_check(p: PolyFunctional, xi, omega: OmegaSample,
                            measure: AtomicMeasure) -> CheckReport:
     """Neutral operator vs <omega(x), xi nabla(1 - nabla) phi> - D_xi phi."""
     xi = measure.check_function(np.asarray(xi, dtype=float))
-    lhs, _, g1, g2, dphi, _ = _gradient_terms(neutral, p, xi, omega, measure)
+    pw = p.to_basis(Basis.GAMMA_WICK, measure)
+    lhs = PolyFunctional(Basis.GAMMA_WICK,
+                         neutral(xi, pw.kernels)).evaluate(omega, measure)
+    pm = p.to_basis(Basis.MONOMIAL, measure)
+    _, g1, g2, dphi = _gradient_terms(pm, xi, omega, measure)
     rhs = float(omega.masses @ (xi * (g1 - g2))) - dphi
     return CheckReport(lhs, rhs)
 
@@ -314,14 +314,18 @@ class SecondAnnihilationReport:
 def second_annihilation_check(p: PolyFunctional, xi, omega: OmegaSample,
                               measure: AtomicMeasure) -> SecondAnnihilationReport:
     xi = measure.check_function(np.asarray(xi, dtype=float))
-    atoms = np.flatnonzero(xi)
-    lhs, base, _, g2, dphi, shifted = _gradient_terms(annihilate2, p, xi, omega,
-                                                      measure, atoms)
+    pw = p.to_basis(Basis.GAMMA_WICK, measure)
+    lhs = PolyFunctional(Basis.GAMMA_WICK,
+                         annihilate2(xi, pw.kernels)).evaluate(omega, measure)
+    pm = p.to_basis(Basis.MONOMIAL, measure)
+    base, _, g2, dphi = _gradient_terms(pm, xi, omega, measure)
     lead = float(omega.masses @ (xi * g2)) + dphi
-    # the shifted rows of atom a carry phi in column 0, nabla_a phi in 1 + 2a
+    atoms = np.flatnonzero(xi)
+    shifted = np.reshape([_shifted_integral([pm, nabla(pm, a)], omega, a, measure)
+                          for a in atoms], (-1, 2))
     wxi = (measure.weights * xi)[atoms]
     rhs_comp = lead - _difference_integral(wxi, base, shifted[:, 0])
-    rhs_grad = lead - wxi @ shifted[np.arange(atoms.size), 1 + 2 * atoms]
+    rhs_grad = lead - wxi @ shifted[:, 1]
     rhs_unc = lead - wxi @ shifted[:, 0] - measure.integrate(xi) * base
     return SecondAnnihilationReport(lhs, rhs_comp, rhs_grad, rhs_unc)
 
@@ -333,15 +337,16 @@ def stransform_multiplication_check(p: PolyFunctional, theta,
     maximized over atoms.  grad here differentiates U in theta."""
     theta = measure.check_function(np.asarray(theta, dtype=float))
     pw = p.to_basis(Basis.GAMMA_WICK, measure)
-    stack = [pw]
+    worst = 0.0
     for i in range(pw.m):
         # theta-derivatives toward delta_i: slot evaluation of the kernels
         d1 = wick_del(pw, i)
-        stack += [d1, wick_del(d1, i), coordinate_multiply(pw, i, measure)]
-    values = s_transform(stack, theta, measure)
-    U, dU, d2U, lhs = values[0], values[1::3], values[2::3], values[3::3]
-    rhs = (theta + 1.0) * U + (1.0 + 2.0 * theta) * dU + theta * d2U
-    return float(np.max(np.abs(lhs - rhs)))
+        U, dU, d2U, lhs = s_transform(
+            [pw, d1, wick_del(d1, i), coordinate_multiply(pw, i, measure)],
+            theta, measure)
+        rhs = (theta[i] + 1.0) * U + (1.0 + 2.0 * theta[i]) * dU + theta[i] * d2U
+        worst = max(worst, abs(lhs - rhs))
+    return float(worst)
 
 
 def a1_plus_explicit(p: PolyFunctional, xi, omega: OmegaSample,

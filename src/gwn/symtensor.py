@@ -19,11 +19,9 @@ over position splits, so phi-tensor-phi equals the plain tensor square with
 no combinatorial prefactor.  It is the product of the two polynomials: the
 coefficients perm_count(k) f[k] of the factors are multiplied and added
 onto the merge table, which maps a pair of multi-indices to the rank of
-their union (occupation counts k_a + k_b).  The same table serves the one
-lowering kernel of ``fieldops`` (one extra atom, degree b = 1), through
-which both annihilations and both slot derivatives run, and the dense
-layout (a chain of one-atom merges).  Pointwise multiplication of a slot
-needs no table: it scales each entry by a sum over its slots.
+their union (occupation counts k_a + k_b).  The same table serves the
+lowering kernel of ``fieldops`` (one extra atom, degree b = 1) and the
+dense layout (a chain of one-atom merges).
 
 Every rank table comes from the cached multiset and last-run tables of
 each (m, n), the merge table or, in ``wickcalc``, the simplex of all

@@ -337,8 +337,9 @@ def evaluate_batch(p, masses: np.ndarray, measure: AtomicMeasure) -> np.ndarray:
     if S.ndim != 2 or any(q.m != S.shape[1] for q in ps) or S.shape[1] != measure.m:
         raise DimensionError("masses, functionals and measure differ in atom count")
     N = max(q.degree for q in ps)
-    _check_entries(math.comb(N + measure.m, N) * len(S),
-                   f"evaluation of {len(S)} rows at degree {N}")
+    R = math.comb(N + measure.m, N)
+    _check_entries(R * len(S), f"evaluation of {len(S)} rows at degree {N}")
+    _check_entries(R * len(ps), f"a stack of {len(ps)} functionals at degree {N}")
     s = np.ascontiguousarray(S.T)
     if ps[0].basis is Basis.MONOMIAL:
         table = np.empty((N + 1,) + s.shape)

@@ -243,6 +243,22 @@ def test_annihilate1_integral_matches_fock_side(rng):
         assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
 
+def test_integral_forms_run_at_fifty_atoms(rng):
+    # each atom's shifted rows are their own evaluation: with all of them in
+    # one call, 50 atoms at degree 3 would exceed the entry budget
+    m = 50
+    mu = random_measure(rng, m)
+    p = random_poly(rng, m, 3)
+    xi = rng.uniform(0.5, 1.0, m)
+    om = OmegaSample(rng.uniform(0.0, 2.0, size=m))
+    fock = PolyFunctional(Basis.GAMMA_WICK, annihilate1(
+        xi, p.to_basis(Basis.GAMMA_WICK, mu).kernels, mu)).evaluate(om, mu)
+    got = annihilate1_integral(p, xi, mu, om)
+    assert abs(got - fock) < 1e-8 * max(1.0, abs(fock))
+    rep = second_annihilation_check(p, xi, om, mu)
+    assert rep.deviation < 1e-8 * max(1.0, abs(rep.lhs))
+
+
 def test_series_identities_degree_one():
     mu = AtomicMeasure([1.0, 1.0])
     p = mono([SymTensor(2, 0), SymTensor(2, 1, np.array([1.0, 2.0]))])

@@ -252,6 +252,15 @@ def test_evaluate_batch_refuses_rows_past_the_entry_budget():
         evaluate_batch(p, masses, AtomicMeasure(np.ones(3)))
 
 
+def test_evaluate_batch_refuses_a_stack_past_the_entry_budget(monkeypatch):
+    p = PolyFunctional(Basis.MONOMIAL, FockVector([SymTensor(3, n) for n in range(4)]))
+    monkeypatch.setattr("gwn.symtensor.MAX_ENTRIES", 10 * math.comb(3 + 3, 3))
+    mu, row = AtomicMeasure(np.ones(3)), np.ones((1, 3))
+    assert evaluate_batch([p] * 10, row, mu).shape == (1, 10)
+    with pytest.raises(SizeError):
+        evaluate_batch([p] * 11, row, mu)
+
+
 def test_wick_exp_frozen_example():
     mu = AtomicMeasure([1.0])
     om = OmegaSample([1.0])
