@@ -30,7 +30,7 @@ import numpy as np
 
 from .extfock import ext_inner_n, iter_loop_partitions
 from .fieldops import jacobi_coefficients
-from .measure import AtomicMeasure, load_measure
+from .measure import AtomicMeasure, _unique_keys, load_measure
 from .report import align_columns, combine_reports, render_pretty, to_json
 from .symtensor import MAX_DEGREE, SymTensor
 from .verify import (DEFAULT_MC_SAMPLES, DEFAULT_SE_MULT, MC_SUITES,
@@ -95,11 +95,11 @@ def _parse_theta(spec: str) -> np.ndarray:
     # OverflowError
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_int=float)
+            data = json.load(fh, parse_int=float, object_pairs_hook=_unique_keys)
         if isinstance(data, dict):
             data = data.get("values")
     else:
-        data = json.loads(spec, parse_int=float)
+        data = json.loads(spec, parse_int=float, object_pairs_hook=_unique_keys)
     if not (isinstance(data, list) and all(type(x) is float for x in data)):
         raise ValueError("theta must be a flat JSON list of numbers")
     arr = np.array(data)
@@ -139,7 +139,7 @@ def _emit_table(args, lines) -> int:
 def _cmd_stransform(args) -> int:
     measure = load_measure(args.measure)
     with open(args.functional, "r", encoding="utf-8") as fh:
-        p = PolyFunctional.from_json_dict(json.load(fh))
+        p = PolyFunctional.from_json_dict(json.load(fh, object_pairs_hook=_unique_keys))
     theta = _parse_theta(args.theta)
     value = s_transform(p, theta, measure)
     payload = {"value": value}

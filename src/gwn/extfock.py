@@ -145,5 +145,6 @@ def fock_inner(measure: AtomicMeasure, f: FockVector, g: FockVector) -> float:
 
 def is_off_diagonal(f: SymTensor, tol: float = 1e-12) -> bool:
     """True when every entry with a repeated atom index is below tol."""
-    repeated = np.any(_tables(f.m, f.degree).occ > 1, axis=1)
+    reps = _tables(f.m, f.degree).reps
+    repeated = np.any(reps[:, 1:] == reps[:, :-1], axis=1)
     return not repeated.any() or float(np.max(np.abs(f.values[repeated]))) <= tol

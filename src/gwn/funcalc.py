@@ -174,10 +174,14 @@ def coordinate_multiply(p: PolyFunctional, atom: int,
     pw = p.to_basis(Basis.GAMMA_WICK, measure)
     _check_atom(atom, pw.m)
     d1 = wick_del(pw, atom)
-    d2 = wick_del(d1, atom)
-    out = del_dagger(pw, atom, measure) + 2.0 * del_dagger(d1, atom, measure) \
+    return _multiply_from(pw, d1, wick_del(d1, atom), atom, measure)
+
+
+def _multiply_from(pw: PolyFunctional, d1: PolyFunctional, d2: PolyFunctional,
+                   atom: int, measure: AtomicMeasure) -> PolyFunctional:
+    """coordinate_multiply from pw and its Wick derivatives d1, d2 at atom."""
+    return del_dagger(pw, atom, measure) + 2.0 * del_dagger(d1, atom, measure) \
         + pw + d1 + del_dagger(d2, atom, measure)
-    return out
 
 
 def functional_max_diff(a: PolyFunctional, b: PolyFunctional,
@@ -293,9 +297,10 @@ class SecondAnnihilationReport:
     smeared difference integral, and the equivalent gradient-shift form,
     both agree with the Fock side.  The uncompensated variant that
     additionally subtracts <xi> phi does not: its residual equals
-    2 <xi> phi, which is reported rather than hidden.
+    2 <xi> phi, which is reported rather than hidden; phi is phi(omega).
     """
 
+    phi: float
     lhs: float
     rhs_compensated: float
     rhs_gradient_shift: float
@@ -327,7 +332,7 @@ def second_annihilation_check(p: PolyFunctional, xi, omega: OmegaSample,
     rhs_comp = lead - _difference_integral(wxi, base, shifted[:, 0])
     rhs_grad = lead - wxi @ shifted[:, 1]
     rhs_unc = lead - wxi @ shifted[:, 0] - measure.integrate(xi) * base
-    return SecondAnnihilationReport(lhs, rhs_comp, rhs_grad, rhs_unc)
+    return SecondAnnihilationReport(base, lhs, rhs_comp, rhs_grad, rhs_unc)
 
 
 def stransform_multiplication_check(p: PolyFunctional, theta,
@@ -341,9 +346,9 @@ def stransform_multiplication_check(p: PolyFunctional, theta,
     for i in range(pw.m):
         # theta-derivatives toward delta_i: slot evaluation of the kernels
         d1 = wick_del(pw, i)
+        d2 = wick_del(d1, i)
         U, dU, d2U, lhs = s_transform(
-            [pw, d1, wick_del(d1, i), coordinate_multiply(pw, i, measure)],
-            theta, measure)
+            [pw, d1, d2, _multiply_from(pw, d1, d2, i, measure)], theta, measure)
         rhs = (theta[i] + 1.0) * U + (1.0 + 2.0 * theta[i]) * dU + theta[i] * d2U
         worst = max(worst, abs(lhs - rhs))
     return float(worst)

@@ -121,10 +121,21 @@ def _json_number(x, what: str) -> float:
     return float(x)
 
 
+def _unique_keys(pairs) -> dict:
+    """object_pairs_hook for json: a key repeated in one object is refused,
+    where a plain dict would keep its last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ContractError(f"JSON key {key!r} is repeated in one object")
+        out[key] = value
+    return out
+
+
 def load_measure(path) -> AtomicMeasure:
     """Read an AtomicMeasure from a JSON file of the form {"weights": [...]}."""
     with open(path, "r", encoding="utf-8") as fh:
-        return AtomicMeasure.from_json_dict(json.load(fh))
+        return AtomicMeasure.from_json_dict(json.load(fh, object_pairs_hook=_unique_keys))
 
 
 def save_measure(measure: AtomicMeasure, path) -> None:

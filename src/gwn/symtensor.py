@@ -20,13 +20,14 @@ no combinatorial prefactor.  It is the product of the two polynomials: the
 coefficients perm_count(k) f[k] of the factors are multiplied and added
 onto the merge table, which maps a pair of multi-indices to the rank of
 their union (occupation counts k_a + k_b).  The same table serves the
-lowering kernel of ``fieldops`` (one extra atom, degree b = 1) and the
-dense layout (a chain of one-atom merges).
+lowering kernel of ``fieldops`` (one extra atom, degree b = 1).
 
-Every rank table comes from the cached multiset and last-run tables of
-each (m, n), the merge table or, in ``wickcalc``, the simplex of all
-degrees <= N, so the hot paths are vectorized gathers.  Each is checked
-against one entry budget, ``MAX_ENTRIES``, before it is allocated.
+Every rank table comes from the sorted reps of each (m, n): the cached
+multiset and last-run tables, the merge table, and the run table on which
+``wickcalc`` converts bases (each run of equal atoms in the reps of degrees
+1..N, with the flat rank of its rep without it).  No table stores a count
+per atom, and each is checked against one entry budget, ``MAX_ENTRIES``,
+before it is allocated.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -42,9 +42,10 @@ from .errors import ContractError, DimensionError, DomainError, SizeError
 from .measure import _json_number
 
 # Most entries one table or tensor may hold (2^26 int64 entries are
-# 512 MB).  It admits the 16-atom degree-8 Wick kernels and the 60-atom
-# degree-4 tables, and refuses the many-atom tables that would take
-# gigabytes before allocating them.
+# 512 MB).  A multiset table counts its reps and per-rep arrays, n + 3
+# entries a rep, so it admits the 16-atom degree-8 Wick kernels and every
+# table up to degree 5 at 60 atoms and degree 4 at 120, and refuses the
+# many-atom tables that would take gigabytes before allocating them.
 MAX_ENTRIES = 1 << 26
 # perm_counts divides int64 factorials, which are exact only up to 20!;
 # 16 keeps a margin and lies past every degree the suites use.
@@ -69,8 +70,8 @@ class _MultisetTable:
     reps: np.ndarray         # (R, n) sorted representative tuples, lex order
     keys: np.ndarray         # (R,) strictly increasing integer keys
     powers: np.ndarray       # (n,) big-endian base-m digit weights
-    occ: np.ndarray          # (R, m) occupation counts
     perm_counts: np.ndarray  # (R,) number of distinct orderings of each rep
+    last_run: np.ndarray     # (R,) copies of its last atom that each rep ends in
 
     def rank_sorted_rows(self, rows: np.ndarray) -> np.ndarray:
         """Ranks of already-sorted index rows (shape (..., n))."""
@@ -87,25 +88,27 @@ def _tables(m: int, n: int) -> _MultisetTable:
     if m < 1:
         raise DimensionError("need at least one atom")
     _check_degree(n)
-    _check_entries(math.comb(n + m - 1, n) * max(m, n), f"multiset table (m={m}, n={n})")
+    _check_entries(math.comb(n + m - 1, n) * (n + 3), f"multiset table (m={m}, n={n})")
     if n == 0:
         reps = np.zeros((1, 0), dtype=np.int64)
     else:
-        reps = np.array(list(combinations_with_replacement(range(m), n)),
-                        dtype=np.int64).reshape(-1, n)
+        # each degree-(n-1) rep extended by every atom at or past its last
+        # one, which keeps the lex order
+        prev = _tables(m, n - 1).reps
+        grow = m - prev[:, -1] if n > 1 else np.array([m])
+        parent = np.repeat(np.arange(len(prev)), grow)
+        atom = np.arange(len(parent)) - np.repeat(np.cumsum(grow) - m, grow)
+        reps = np.hstack([prev[parent], atom[:, None]])
     powers = (m ** np.arange(n - 1, -1, -1, dtype=np.int64)) if n else np.zeros(0, np.int64)
     keys = reps @ powers
-    R = len(reps)
-    occ = np.bincount((np.arange(R) + R * reps.T).ravel(),
-                      minlength=R * m).reshape(m, R).T
     # n! / prod_i k_i!, where prod_i k_i! is the product of the positions
     # of each slot within its run of equal atoms in the sorted rep
-    pc = np.full(R, math.factorial(n), dtype=np.int64)
-    run = np.ones(R, dtype=np.int64)
+    pc = np.full(len(reps), math.factorial(n), dtype=np.int64)
+    run = np.full(len(reps), min(n, 1), dtype=np.int64)
     for p in range(1, n):
         run = np.where(reps[:, p] == reps[:, p - 1], run + 1, 1)
         pc //= run
-    return _MultisetTable(m, n, reps, keys, powers, occ, pc)
+    return _MultisetTable(m, n, reps, keys, powers, pc, run)
 
 
 def _start(m: int, n: int) -> int:
@@ -118,14 +121,43 @@ def _last_runs(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(parent, a, k) per degree-n rep, n >= 1: it ends in k copies of atom a;
     parent is the ``_start`` offset of the rep without them (k key digits)."""
     tab = _tables(m, n)
-    a = tab.reps[:, -1]
-    k = tab.occ[np.arange(len(a)), a]
-    parent = tab.keys // m ** k
+    a, k = tab.reps[:, -1], tab.last_run
+    return _offsets(m, n, k, tab.keys // m ** k), a, k
+
+
+def _offsets(m: int, n: int, k: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``_start`` offsets of the degree-(n - k) reps with the given keys."""
+    out = np.empty_like(keys)
     for j in np.unique(k).tolist():
         run = k == j
-        parent[run] = _start(m, n - j) + np.searchsorted(_tables(m, n - j).keys,
-                                                         parent[run])
-    return parent, a, k
+        out[run] = _start(m, n - j) + np.searchsorted(_tables(m, n - j).keys, keys[run])
+    return out
+
+
+@lru_cache(maxsize=None)
+def _atom_runs(m: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(entry, k, base, bounds): every run of equal atoms in the reps of
+    degrees 1..N, grouped by atom.  Run j is k[j] copies of its atom in the
+    rep at ``_start`` offset entry[j], and base[j] is the offset of that rep
+    with the run removed; atom a owns the runs bounds[a]:bounds[a + 1].
+    The reps holding atom a are those of degree < N with one a added, so
+    there are m * _start(m, N) runs."""
+    _check_entries(3 * m * _start(m, N), f"run table (m={m}, N={N})")
+    parts = [(np.zeros(0, dtype=np.int64),) * 4]
+    for n in range(1, N + 1):
+        tab = _tables(m, n)
+        # run j starts at slot p[j] of rep r[j] and ends where the next
+        # run of that rep starts, or at slot n
+        r, p = np.nonzero(np.diff(tab.reps, axis=1, prepend=-1))
+        k = np.append(np.where(r[1:] == r[:-1], p[1:], n), n) - p
+        key = tab.keys[r]
+        # drop the key digits p..p+k-1 of the run
+        key = key // m ** (n - p) * m ** (n - p - k) + key % m ** (n - p - k)
+        parts.append((tab.reps[r, p], _start(m, n) + r, k, _offsets(m, n, k, key)))
+    atom, entry, k, base = map(np.concatenate, zip(*parts))
+    order = np.argsort(atom, kind="stable")
+    return (entry[order], k[order], base[order],
+            np.searchsorted(atom[order], np.arange(m + 1)))
 
 
 def atom_products(table, N: int) -> list[np.ndarray]:
@@ -138,10 +170,10 @@ def atom_products(table, N: int) -> list[np.ndarray]:
     m, tail = table.shape[0], table.shape[2:]
     starts = [_start(m, n) for n in range(N + 2)]
     _check_entries(starts[-1] * math.prod(tail), f"atom products up to degree {N}")
+    runs = [_last_runs(m, n) for n in range(1, N + 1)]   # tables refuse first
     flat = np.empty((starts[-1],) + tail, dtype=table.dtype)
     flat[0] = 1
-    for n in range(1, N + 1):
-        parent, a, k = _last_runs(m, n)
+    for n, (parent, a, k) in enumerate(runs, 1):
         lo, hi = starts[n], starts[n + 1]
         # the parents lie below lo, so with mode="clip" take makes no copy
         flat[:lo].take(parent, axis=0, out=flat[lo:hi], mode="clip")
@@ -163,22 +195,14 @@ def _merge_ranks(m: int, a: int, b: int) -> np.ndarray:
         return r
     # Inserting atom x behind the p entries <= x multiplies the key digits
     # of those p entries by m and writes x at digit a - p.
-    p = np.cumsum(ta.occ, axis=1)
+    p = np.zeros((len(ta.reps), m), dtype=np.int64)
+    for col in ta.reps.T:
+        p += col[:, None] <= np.arange(m)
     head = np.zeros((len(ta.reps), a + 1), dtype=np.int64)
     np.cumsum(ta.reps * ta.powers, axis=1, out=head[:, 1:])
     keys = ta.keys[:, None] + (m - 1) * np.take_along_axis(head, p, axis=1) \
         + np.arange(m) * m ** (a - p)
     return np.searchsorted(_tables(m, a + 1).keys, keys)
-
-
-@lru_cache(maxsize=None)
-def _ordered_ranks(m: int, n: int) -> np.ndarray:
-    """Rank of the sorted version of every ordered tuple, in C order (m^n,)."""
-    _check_entries(m ** n, f"dense table {m}^{n}")
-    r = np.zeros(1, dtype=np.int64)
-    for d in range(n):
-        r = _merge_ranks(m, d, 1)[r].ravel()
-    return r
 
 
 class SymTensor:
@@ -242,27 +266,6 @@ class SymTensor:
         return SymTensor(self.m, self.degree, self.values * c)
 
     __rmul__ = __mul__
-
-    def to_dense(self) -> np.ndarray:
-        """Full (m,)*degree array (small degrees only)."""
-        return self.values[_ordered_ranks(self.m, self.degree)].reshape(
-            (self.m,) * self.degree)
-
-    @classmethod
-    def from_dense(cls, arr: np.ndarray) -> "SymTensor":
-        """Symmetrize a full array into multiset storage (mean over orderings)."""
-        arr = np.asarray(arr)
-        n = arr.ndim
-        m = arr.shape[0] if n else 1
-        if n and arr.shape != (m,) * n:
-            raise DimensionError("dense array must be a hypercube")
-        if not n:
-            return cls(m, 0, np.asarray([complex(arr) if np.iscomplexobj(arr) else float(arr)]))
-        ranks = _ordered_ranks(m, n)
-        tab = _tables(m, n)
-        acc = np.zeros(len(tab.reps), dtype=complex if np.iscomplexobj(arr) else float)
-        np.add.at(acc, ranks, arr.ravel())
-        return cls(m, n, acc / tab.perm_counts)
 
     def to_index_map(self) -> dict:
         """JSON-friendly map from sorted multi-index strings to values."""

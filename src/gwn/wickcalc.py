@@ -27,7 +27,9 @@ The table and its products depend on the rows and the basis only, so
 ``evaluate_batch`` evaluates F functionals of one basis with one of each
 and one (F, R_n) @ (R_n, B) product per degree n.
 Conversion is a lower triangular change of basis along each atom's axis
-of A, over all total degrees <= N at once.  The s^l coefficient of q_n is
+of A, over all total degrees <= N at once, on the flat layout of
+``atom_products``: along atom i, each entry's line is its rep with the
+atom-i run removed.  The s^l coefficient of q_n is
 (-1)^(n-l) C(n, l) rising(w+l, n-l) and the inverse drops the signs, s^l
 = sum_j C(l, j) rising(w+j, l-j) q_j, so both tables come from the
 Laguerre coefficient recurrence (q_n = c_n P_n).  The S-transform pairs
@@ -41,7 +43,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -49,8 +50,8 @@ from .errors import ContractError, DimensionError, DomainError, SizeError
 from .extfock import fock_inner
 from .fieldops import _checked_three_term, _three_term
 from .measure import AtomicMeasure
-from .symtensor import (FockVector, SymTensor, _check_entries, _tables,
-                        atom_products, sym_product)
+from .symtensor import (FockVector, SymTensor, _atom_runs, _check_entries,
+                        _start, atom_products, sym_product)
 
 # Accuracy cap of basis conversion: the per-atom transforms lose digits
 # fast past it.  At m = 2 the monomial -> Wick -> monomial round trip of
@@ -254,38 +255,6 @@ def _wick_coefficients(w: np.ndarray, N: int) -> np.ndarray:
     return P / np.diagonal(P, axis1=1, axis2=2)[..., None]
 
 
-@dataclass(frozen=True)
-class _Simplex:
-    """The occupation vectors k over m atoms with |k| <= N, in one vector.
-
-    They are the degree-N multisets over m+1 symbols, symbol m marking an
-    empty slot, so ``_tables(m + 1, N)`` orders them.  ``pos[n]`` places the
-    degree-n kernel entries; along atom i, entry e sits in row ``rows[i][e]``
-    (its occupation vector with k_i set to 0) and column k_i."""
-
-    occ: np.ndarray            # (E, m+1) occupation counts, last = empty slots
-    pos: tuple                 # per degree n: (R_n,) positions in 0..E-1
-    rows: tuple                # per atom i: (E,) row of each entry
-    n_rows: int                # rows per atom: vectors with k_i = 0
-
-
-@lru_cache(maxsize=None)
-def _simplex(m: int, N: int) -> _Simplex:
-    big = _tables(m + 1, N)
-    pos = []
-    for n in range(N + 1):
-        reps = _tables(m, n).reps
-        pad = np.full((len(reps), N - n), m, dtype=np.int64)
-        pos.append(big.rank_sorted_rows(np.hstack([reps, pad])))
-    rows = []
-    for i in range(m):
-        empty_i = big.occ[:, i] == 0
-        rest = big.rank_rows(np.where(big.reps == i, m, big.reps))
-        rows.append((np.cumsum(empty_i) - 1)[rest])
-    n_rows = int(np.count_nonzero(big.occ[:, 0] == 0))
-    return _Simplex(big.occ, tuple(pos), tuple(rows), n_rows)
-
-
 def _convert(p: PolyFunctional, measure: AtomicMeasure, expect: Basis,
              target: Basis) -> PolyFunctional:
     """Per-atom change of basis of A[k] = perm_count(k) f[k]."""
@@ -296,22 +265,29 @@ def _convert(p: PolyFunctional, measure: AtomicMeasure, expect: Basis,
     N = p.degree
     if N > WICK_MAX_DEGREE:
         raise SizeError(f"basis conversion capped at degree {WICK_MAX_DEGREE}")
-    sx = _simplex(p.m, N)
+    # A on the flat layout of degrees 0..N.  Along atom i, entry e sits in
+    # row "e with its atom-i run removed" (e itself when i is absent) and
+    # column k_i.  The rows are entries of degree < N; a degree-N entry
+    # without atom i is alone in its row, at column 0, where T is 1.
+    starts = [_start(p.m, n) for n in range(N + 2)]
     ks = p.kernels.kernels
-    a = np.zeros(len(sx.occ), dtype=np.result_type(*(k.values for k in ks)))
-    for k, pos in zip(ks, sx.pos):
-        a[pos] = k.perm_counts * k.values
+    a = np.concatenate([k.perm_counts * k.values for k in ks])
     mats = _wick_coefficients(measure.weights, N)
     if target is Basis.GAMMA_WICK:
         mats = np.abs(mats)
-    for i, T in enumerate(mats):
-        grid = np.zeros((sx.n_rows, N + 1), dtype=a.dtype)
-        cell = (sx.rows[i], sx.occ[:, i])
-        grid[cell] = a
-        a = (grid @ T)[cell]
+    entry, col, row, bounds = _atom_runs(p.m, N)
+    lo = starts[N]
+    for T, i, j in zip(mats, bounds, bounds[1:]):
+        e, cell = entry[i:j], (row[i:j], col[i:j])
+        grid = np.zeros((lo, N + 1), dtype=a.dtype)
+        grid[:, 0] = a[:lo]
+        grid[cell] = a[e]
+        grid = grid @ T
+        a[:lo] = grid[:, 0]
+        a[e] = grid[cell]
     return PolyFunctional(target, FockVector(
-        [SymTensor(p.m, n, a[pos] / k.perm_counts)
-         for n, (k, pos) in enumerate(zip(ks, sx.pos))]))
+        [SymTensor(p.m, n, a[starts[n]:starts[n + 1]] / k.perm_counts)
+         for n, k in enumerate(ks)]))
 
 
 def wick_to_monomial(p: PolyFunctional, measure: AtomicMeasure) -> PolyFunctional:
@@ -351,8 +327,12 @@ def evaluate_batch(p, masses: np.ndarray, measure: AtomicMeasure) -> np.ndarray:
         table = _single_atom_q(s, measure.weights[:, None], N).swapaxes(1, 2)
     total = np.zeros((len(ps), len(S)))
     for n, P in enumerate(atom_products(table, N)):
-        ks = [q.kernels.get(n) for q in ps]
-        total += np.stack([k.perm_counts * k.values for k in ks]) @ P
+        coeff = np.zeros((len(ps), len(P)))   # rows past a degree stay 0
+        for row, q in zip(coeff, ps):
+            if n <= q.degree:
+                k = q.kernels.kernels[n]
+                np.multiply(k.perm_counts, k.values, out=row)
+        total += coeff @ P
     return total[0] if isinstance(p, PolyFunctional) else total.T
 
 

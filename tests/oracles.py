@@ -53,6 +53,17 @@ def dense_from_symtensor(t) -> np.ndarray:
     return out
 
 
+def symtensor_from_dense(arr: np.ndarray) -> SymTensor:
+    """Multiset storage of a hypercube array's symmetrization: the mean of
+    its entries over the orderings of each multi-index."""
+    m, n = arr.shape[0], arr.ndim
+    groups: dict[tuple, list] = {}
+    for idx in product(range(m), repeat=n):
+        groups.setdefault(tuple(sorted(idx)), []).append(arr[idx])
+    return SymTensor(m, n, np.array([np.mean(groups[rep]) for rep in
+                                     combinations_with_replacement(range(m), n)]))
+
+
 def occupation_products(table: np.ndarray, m: int, n: int) -> np.ndarray:
     """prod_i table[i, k_i, ...] for every stored degree-n multi-index, with
     k_i counted from the index tuple."""
@@ -330,7 +341,7 @@ def expansion(f: SymTensor, measure: AtomicMeasure, signed: bool) -> dict[int, S
             if deg == 0:
                 st = SymTensor(f.m, 0, np.array([coeff * arr.item()]))
             else:
-                st = coeff * SymTensor.from_dense(arr)
+                st = coeff * symtensor_from_dense(arr)
             out[deg] = out.get(deg, SymTensor(f.m, deg)) + st
     return out
 

@@ -187,6 +187,7 @@ def assert_input_error(capsys, *argv):
     assert code == 2
     assert out == ""
     assert err.startswith("gwn: error: ") and err.count("\n") == 1
+    return err
 
 
 @pytest.mark.parametrize("argv", [
@@ -378,3 +379,41 @@ def test_stransform_past_the_float_range_exit_2(tmp_path, capsys):
                        "--functional", str(tmp_path / "p.json"),
                        "--theta", "[1e200, 1e200]",
                        "--measure", str(tmp_path / "mu.json"))
+
+
+def assert_repeated_key_error(capsys, *argv):
+    assert "is repeated in one object" in assert_input_error(capsys, *argv)
+
+
+def test_repeated_key_in_measure_file_exit_2(tmp_path, capsys):
+    # json.load alone would keep the last "weights" and run on two atoms
+    (tmp_path / "mu.json").write_text('{"weights": [1.0], "weights": [2.0, 3.0]}')
+    assert_repeated_key_error(capsys, "verify", "theorem8",
+                              "--measure", str(tmp_path / "mu.json"))
+
+
+def test_repeated_key_in_functional_file_exit_2(tmp_path, capsys):
+    save_measure(AtomicMeasure([2.0, 0.5]), tmp_path / "mu.json")
+    (tmp_path / "p.json").write_text(
+        '{"basis": "gamma_wick", "m": 2, "kernels": '
+        '[{"degree": 2, "values": {"0 1": 1.0, "0 1": 5.0}}]}')
+    assert_repeated_key_error(capsys, "stransform",
+                              "--functional", str(tmp_path / "p.json"),
+                              "--theta", "[0.1, 0.2]",
+                              "--measure", str(tmp_path / "mu.json"))
+
+
+@pytest.mark.parametrize("in_file", [True, False], ids=["file", "inline"])
+def test_repeated_key_in_theta_exit_2(tmp_path, capsys, in_file):
+    save_measure(AtomicMeasure([2.0, 0.5]), tmp_path / "mu.json")
+    (tmp_path / "p.json").write_text(json.dumps(
+        {"basis": "gamma_wick", "m": 2,
+         "kernels": [{"degree": 1, "values": {"0": 1.0}}]}))
+    theta = '{"values": [0.1, 0.2], "values": [0.3, 0.4]}'
+    if in_file:
+        (tmp_path / "theta.json").write_text(theta)
+        theta = str(tmp_path / "theta.json")
+    assert_repeated_key_error(capsys, "stransform",
+                              "--functional", str(tmp_path / "p.json"),
+                              "--theta", theta,
+                              "--measure", str(tmp_path / "mu.json"))

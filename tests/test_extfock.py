@@ -1,5 +1,7 @@
 import math
 import time
+from collections import Counter
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -109,6 +111,15 @@ def test_off_diagonal_embedding_is_isometric(rng):
             t.values = np.where(repeat, 0.0, t.values)
         assert is_off_diagonal(f) and is_off_diagonal(g)
         assert rel_err(ext_inner_n(meas, f, g), fock_inner_n(meas, f, g)) <= 1e-13
+
+
+@pytest.mark.parametrize("m,n", [(1, 0), (1, 3), (3, 1), (3, 4), (5, 3)])
+def test_is_off_diagonal_matches_counted_repeats(m, n):
+    # one unit entry at a time: off-diagonal exactly when no atom repeats
+    for r, rep in enumerate(combinations_with_replacement(range(m), n)):
+        t = SymTensor(m, n)
+        t.values[r] = 1.0
+        assert is_off_diagonal(t) == (max(Counter(rep).values(), default=1) == 1)
 
 
 def test_is_off_diagonal_tolerance():

@@ -13,6 +13,9 @@
   concatenated statistic, for any split into batches;
 * the Taylor / jump-power-sum route of the adjointness check's jump sum
   against removing each jump from its own copy of the configuration;
+* the per-atom lines of basis conversion against a loop that removes each
+  atom's run from every multi-index and ranks the rest, and both
+  conversions at 20 to 24 atoms against the loop-partition expansion;
 * the one-atom Laguerre coefficients and the basis-conversion tables
   against their closed forms, entry by entry in relative terms;
 * the product kernel ``atom_products`` against products counted atom by
@@ -32,6 +35,7 @@ route.
 
 import functools
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -46,8 +50,8 @@ from gwn.funcalc import (_jump_removal_sum, _taylor_stack, annihilate1_integral,
                          nabla, wick_del)
 from gwn.gammasample import SamplerConfig, iter_jump_batches, mean_and_se
 from gwn.measure import AtomicMeasure
-from gwn.symtensor import (FockVector, SymTensor, _tables, atom_products, rank_one,
-                           sym_product)
+from gwn.symtensor import (FockVector, SymTensor, _atom_runs, _tables, atom_products,
+                           rank_one, sym_product)
 from gwn.wickcalc import (Basis, OmegaSample, PolyFunctional, _single_atom_q,
                           _wick_coefficients, evaluate_batch, laguerre_system,
                           monomial_to_wick, s_transform, wick_kernels,
@@ -186,11 +190,8 @@ def test_conversion_matches_partition_expansion(case):
         <= 1e-11 * term_sizes(p, mu)
 
 
-@settings(max_examples=100, deadline=None)
-@given(functionals())
-def test_conversion_round_trip(case):
-    mu, p = case
-    mid = convert(p, mu)
+def assert_round_trip(p: PolyFunctional, mid: PolyFunctional,
+                      mu: AtomicMeasure) -> None:
     back = convert(mid, mu)
     # rounding in mid is bounded by its term sizes; the way back scales it
     # by the term sizes of its own transform
@@ -199,6 +200,41 @@ def test_conversion_round_trip(case):
         [SymTensor(mu.m, n, np.full(k.values.size, size))
          for n, k in enumerate(mid.kernels.kernels)]))
     assert max_gap(back, p) <= 1e-11 * term_sizes(mid_err, mu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(functionals())
+def test_conversion_round_trip(case):
+    mu, p = case
+    assert_round_trip(p, convert(p, mu), mu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 8))
+def test_conversion_lines_match_run_removal(m, N):
+    # along atom i, entry e sits in row "e without its atom-i run" and
+    # column k_i; entries without atom i keep their own row, at column 0
+    flat = {rep: e for e, rep in enumerate(
+        rep for n in range(N + 1) for rep in combinations_with_replacement(range(m), n))}
+    entry, k, base, bounds = _atom_runs(m, N)
+    for i in range(m):
+        lines = slice(bounds[i], bounds[i + 1])
+        got = list(zip(entry[lines].tolist(), base[lines].tolist(), k[lines].tolist()))
+        want = [(e, flat[tuple(x for x in rep if x != i)], rep.count(i))
+                for rep, e in flat.items() if i in rep]
+        assert sorted(got) == want
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(20, 24), st.integers(0, 3), seeds, st.sampled_from(Basis))
+def test_conversion_at_many_atoms_matches_partition_expansion(m, N, seed, basis):
+    mu = AtomicMeasure(np.random.default_rng(seed).uniform(0.5, 2.0, m))
+    p = PolyFunctional(basis, FockVector([complex_tensor(seed + n, m, n)
+                                          for n in range(N + 1)]))
+    got = convert(p, mu)
+    assert max_gap(got, oracles.convert_by_partitions(p, mu)) \
+        <= 1e-11 * term_sizes(p, mu)
+    assert_round_trip(p, got, mu)
 
 
 @st.composite

@@ -10,7 +10,7 @@ from gwn.measure import AtomicMeasure
 from gwn.symtensor import (MAX_DEGREE, FockVector, SymTensor, _tables, rank_one,
                            sym_product)
 from oracles import (append_tied_slots, dense_from_symtensor, diagonal_restrict,
-                     sym_product_dense)
+                     sym_product_dense, symtensor_from_dense)
 
 
 def test_storage_size():
@@ -29,12 +29,12 @@ def test_rank_one_power_identity():
 @pytest.mark.parametrize("m,n", [(1, 0), (1, 5), (3, 4), (4, 6), (2, 16)])
 def test_occupation_table_matches_counting_loop(m, n):
     tab = _tables(m, n)
-    for rep, occ, pc in zip(tab.reps.tolist(), tab.occ.tolist(),
-                            tab.perm_counts.tolist()):
+    for rep, pc, last in zip(tab.reps.tolist(), tab.perm_counts.tolist(),
+                             tab.last_run.tolist()):
         counts = Counter(rep)
-        assert occ == [counts[i] for i in range(m)]
         assert pc == math.factorial(n) // math.prod(
             math.factorial(c) for c in counts.values())
+        assert last == (counts[rep[-1]] if rep else 0)
 
 
 def test_sym_product_basis_split():
@@ -96,14 +96,15 @@ def test_diagonal_restrict_bad_partition(rng):
 
 
 def test_dense_round_trip(rng):
+    # the two oracles between multiset storage and full arrays
     t = random_tensor(rng, 3, 4)
-    back = SymTensor.from_dense(t.to_dense())
+    back = symtensor_from_dense(dense_from_symtensor(t))
     assert np.allclose(back.values, t.values, atol=1e-14)
 
 
 def test_from_dense_symmetrizes():
     arr = np.array([[0.0, 2.0], [4.0, 6.0]])
-    t = SymTensor.from_dense(arr)
+    t = symtensor_from_dense(arr)
     assert t.value_at((0, 1)) == pytest.approx(3.0)
 
 
@@ -179,7 +180,5 @@ def test_entry_budget_refuses_oversized_tensors_and_tables():
         SymTensor(60, 8)
     with pytest.raises(SizeError):
         SymTensor(2, MAX_DEGREE + 1)      # small, but past the degree cap
-    with pytest.raises(SizeError):
-        rank_one(np.ones(60), 5)          # the 60-atom degree-5 table
-    with pytest.raises(SizeError):
-        rank_one(np.ones(16), 7).to_dense()   # 16^7 ordered tuples
+    with pytest.raises(SizeError, match="multiset table"):
+        rank_one(np.ones(40), 7)          # its products fit, its tables do not
