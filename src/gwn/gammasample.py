@@ -4,16 +4,24 @@ Two samplers produce the atom masses of a random configuration omega:
 
 * PerAtomGamma: masses are independent Gamma(w_i, scale 1) variates, which
   is the exact law of the random measure on disjoint atoms.
-* CompoundPoisson: each atom accumulates Poisson-many jumps drawn from the
-  truncated Levy density e^(-s)/s on [eps, inf).  Jumps below eps are
-  discarded (not compensated); the mean-mass bias is w_i (1 - e^(-eps)),
-  i.e. O(eps).
+* CompoundPoisson: each atom accumulates Poisson(w_i E1(eps))-many jumps
+  drawn from the truncated Levy density e^(-s)/s on [eps, inf).  Jumps
+  below eps are discarded (not compensated); the mean-mass bias is
+  w_i (1 - e^(-eps)), i.e. O(eps).  A batch draws all its (atom, sample)
+  jump counts in one Poisson call, checks their total against the entry
+  budget, then draws the jumps one atom at a time.  Each jump gets an
+  i.i.d. label for the piece [eps, 1] or [1, inf) by that piece's exact
+  Levy mass, and each piece is filled by its own rejection rounds, sized
+  by its exact acceptance rate.  Jumps are listed atom-major, owners
+  ascending within each atom.
 
 Streams are counter-based (Philox): batch b of a run uses the generator
 jumped b times from the seed key, and partial batch sums are reduced with
 np.sum over a stacked array.  Estimates are therefore bit-identical for a
 fixed seed and sample count no matter how batches would be scheduled.
-Every batch holds DEFAULT_BATCH samples except a shorter last one.
+Every batch holds DEFAULT_BATCH samples except a shorter last one.  The
+stacked estimators (mc_laplace_stack, chaos_projection_stack) reduce
+several statistics from one pass over a stream.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from .wickcalc import (WICK_MAX_DEGREE, Basis, FockVector, OmegaSample,
                        wick_pair_rank_one_batch)
 
 DEFAULT_BATCH = 4096
+_E1_ONE = float(exp1(1.0))    # Levy mass of the jumps >= 1
 
 
 class SamplerMode(str, Enum):
@@ -71,59 +80,82 @@ def _stream(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)).jumped(batch_index))
 
 
-def _sample_jumps(rng: np.random.Generator, count: int, eps: float) -> np.ndarray:
-    """Jumps from the density e^(-s)/s / E1(eps) on [eps, inf).
-
-    Two-piece envelope rejection: on [eps, 1] propose log-uniform (density
-    1/s up to normalization) and accept with e^(eps - s); on [1, inf)
-    propose 1 + Exp(1) and accept with 1/s.  The piece probabilities weight
-    each piece by its sup ratio so the accepted flux matches the target on
-    both sides of 1 (re-selecting the piece after a rejection stays exact).
-    """
+def _fill_piece(draw, count: int, acceptance: float) -> np.ndarray:
+    """count values from draw(n), which returns the accepted ones of n
+    proposals; each round proposes the remaining count over the exact
+    acceptance rate, plus a small margin, so one round nearly always
+    suffices."""
     out = np.empty(count)
     filled = 0
-    log_span = math.log(1.0 / eps)
-    p_low = log_span * math.exp(-eps) / (log_span * math.exp(-eps) + math.exp(-1.0))
     while filled < count:
-        n = max(2 * (count - filled), 256)
-        low = rng.random(n) < p_low
-        s_low = eps ** (1.0 - rng.random(n))
-        s_high = 1.0 + rng.exponential(size=n)
-        s = np.where(low, s_low, s_high)
-        accept = rng.random(n) < np.where(low, np.exp(eps - s), 1.0 / s)
-        kept = s[accept]
+        kept = draw(int((count - filled) / acceptance * 1.02) + 64)
         take = min(count - filled, kept.size)
         out[filled: filled + take] = kept[:take]
         filled += take
     return out
 
 
+def _sample_jumps(rng: np.random.Generator, count: int, eps: float) -> np.ndarray:
+    """count i.i.d. jumps from the density e^(-s)/s / E1(eps) on [eps, inf).
+
+    Each jump first gets a piece label: [eps, 1] with its exact mass
+    (E1(eps) - E1(1)) / E1(eps), else [1, inf).  Each piece is then filled
+    by its own rejection loop, whose rounds draw only that piece's
+    proposal and accept variables, sized by the exact acceptance rate:
+    on [eps, 1] propose log-uniform and accept with e^(eps - s) (rate
+    (E1(eps) - E1(1)) / (e^(-eps) log(1/eps))); on [1, inf) propose
+    1 + Exp(1) and accept with 1/s (rate e E1(1)).  The accepted values go
+    back to the positions of their labels, so the jumps stay i.i.d. in
+    position.
+    """
+    e1_eps = float(exp1(eps))
+    log_span = math.log(1.0 / eps)
+
+    def low(n):    # eps e^(u log(1/eps)) >= eps exactly
+        s = eps * np.exp(log_span * rng.random(n))
+        return s[rng.random(n) < np.exp(eps - s)]
+
+    def high(n):
+        s = 1.0 + rng.standard_exponential(n)
+        return s[rng.random(n) * s < 1.0]
+
+    mass_low = e1_eps - _E1_ONE
+    is_low = rng.random(count) < mass_low / e1_eps
+    n_low = int(np.count_nonzero(is_low))
+    out = np.empty(count)
+    out[is_low] = _fill_piece(low, n_low, mass_low / (math.exp(-eps) * log_span))
+    out[~is_low] = _fill_piece(high, count - n_low, math.e * _E1_ONE)
+    return out
+
+
 def _draw_cp_batch(measure: AtomicMeasure, eps: float,
                    rng: np.random.Generator, size: int):
     """Masses plus the individual jumps building them: (masses, owner
-    sample index, atom index, jump size), flat over all jumps; the jump
-    count is checked against the entry budget before the jumps are drawn."""
-    out = np.zeros((size, measure.m))
-    lam_unit = float(exp1(eps))
-    owners, atoms, sizes = [], [], []
-    drawn = 0
-    for i, w in enumerate(measure.weights):
-        counts = rng.poisson(w * lam_unit, size=size)
-        total = int(counts.sum())
-        drawn += total
-        _check_entries(drawn, f"compound-Poisson batch of {size} samples")
-        if total == 0:
-            continue
-        jumps = _sample_jumps(rng, total, eps)
-        owner = np.repeat(np.arange(size), counts)
-        out[:, i] = np.bincount(owner, weights=jumps, minlength=size)
-        owners.append(owner)
-        atoms.append(np.full(total, i, dtype=np.int64))
-        sizes.append(jumps)
-    if owners:
-        return out, np.concatenate(owners), np.concatenate(atoms), np.concatenate(sizes)
-    empty = np.empty(0, dtype=np.int64)
-    return out, empty, empty, np.empty(0)
+    sample index, atom index, jump size), flat over all jumps.
+
+    The (m, size) Poisson jump counts come from one draw, and their total
+    is checked against the entry budget before any jump array exists.
+    The counts lay out owners and atoms, atom-major with owners ascending
+    within each atom; the jump sizes are then drawn one atom at a time
+    into the preallocated flat sizes array.
+    """
+    counts = rng.poisson(float(exp1(eps)) * measure.weights[:, None],
+                         size=(measure.m, size))
+    per_atom = counts.sum(axis=1)
+    total = int(per_atom.sum())
+    _check_entries(total, f"compound-Poisson batch of {size} samples")
+    owners = np.repeat(np.tile(np.arange(size), measure.m), counts.ravel())
+    atoms = np.repeat(np.arange(measure.m), per_atom)
+    sizes = np.empty(total)
+    masses = np.empty((size, measure.m))
+    start = 0
+    for i, count in enumerate(per_atom.tolist()):
+        span = slice(start, start + count)
+        sizes[span] = _sample_jumps(rng, count, eps)
+        masses[:, i] = np.bincount(owners[span], weights=sizes[span],
+                                   minlength=size)
+        start += count
+    return masses, owners, atoms, sizes
 
 
 def _draw_batch(measure: AtomicMeasure, cfg: SamplerConfig,
@@ -158,9 +190,13 @@ def iter_jump_batches(measure: AtomicMeasure, cfg: SamplerConfig):
     """Jump-resolved compound-Poisson batches.
 
     Yields (masses, owners, atoms, sizes): masses aggregates the jumps per
-    sample row, and the three flat arrays list every individual jump.  Used
-    by checks that remove one configuration point at a time; cfg.mode is
-    ignored since only the compound-Poisson picture has jumps.
+    sample row, and the three flat arrays list every individual jump,
+    atom-major with owners ascending within each atom.  Each batch takes
+    one Poisson draw for its (atom, sample) jump counts, one entry-budget
+    check on their total, and then fills the jumps one atom at a time with
+    the piece-labelled sampler _sample_jumps.  Used by checks that remove
+    one configuration point at a time; cfg.mode is ignored since only the
+    compound-Poisson picture has jumps.
     """
     return _batches(cfg, lambda rng, size: _draw_cp_batch(
         measure, cfg.cp_truncation, rng, size))
@@ -200,13 +236,25 @@ def laplace_target(measure: AtomicMeasure, phi) -> float:
     return math.exp(exponent)
 
 
+def _estimates(means, ses, n: int) -> list[MCEstimate]:
+    return [MCEstimate(float(a), float(b), n) for a, b in zip(means, ses)]
+
+
+def mc_laplace_stack(measure: AtomicMeasure, phis,
+                     cfg: SamplerConfig) -> list[MCEstimate]:
+    """MC averages of exp<omega, phi> for each phi in phis, from one pass
+    over the samples; the targets are laplace_target."""
+    phis = np.array([measure.check_function(np.asarray(phi, dtype=float))
+                     for phi in phis])
+    if np.any(phis >= 1.0):
+        raise DomainError("Laplace functional requires phi < 1 pointwise")
+    return _estimates(*_mc_accumulate(measure, cfg, lambda S: np.exp(S @ phis.T)),
+                      cfg.n_samples)
+
+
 def mc_laplace(measure: AtomicMeasure, phi, cfg: SamplerConfig) -> MCEstimate:
     """MC average of exp<omega, phi>; target is laplace_target."""
-    phi = measure.check_function(np.asarray(phi, dtype=float))
-    if np.any(phi >= 1.0):
-        raise DomainError("Laplace functional requires phi < 1 pointwise")
-    mean, se = _mc_accumulate(measure, cfg, lambda S: np.exp(S @ phi))
-    return MCEstimate(float(mean[0]), float(se[0]), cfg.n_samples)
+    return mc_laplace_stack(measure, [phi], cfg)[0]
 
 
 @dataclass(frozen=True)
@@ -306,27 +354,34 @@ def multiple_integral_identity(measure: AtomicMeasure, indicators,
     return lhs, rhs
 
 
-def chaos_projection_check(measure: AtomicMeasure, f: SymTensor,
-                           cfg: SamplerConfig) -> MCEstimate:
-    """E[(<omega^(x)n, f> - <:omega^n:, f>) <:omega^n:, g>] for a random g.
+def chaos_projection_stack(measure: AtomicMeasure, fs,
+                           cfg: SamplerConfig) -> list[MCEstimate]:
+    """For each kernel f in fs, E[(<omega^(x)n, f> - <:omega^n:, f>)
+    <:omega^n:, g>] with n = f.degree and a random g, from one pass over
+    the samples.
 
     The difference is the part of the monomial that lives in lower chaoses,
-    so its covariance with any degree-n Wick monomial is 0.  g is drawn
-    from the config seed.
+    so its covariance with any degree-n Wick monomial is 0.  Each g is
+    drawn from a generator seeded with the config seed.
     """
-    n = f.degree
-    if f.m != measure.m:
+    fs = list(fs)
+    if any(f.m != measure.m for f in fs):
         raise DimensionError("kernel atom count mismatch")
-    gdraw = np.random.default_rng(cfg.seed)
-    g = SymTensor(f.m, n, gdraw.uniform(-1.0, 1.0, size=f.values.size))
-
-    mono_f = PolyFunctional(Basis.MONOMIAL, FockVector.single(f))
-    wick_fg = [PolyFunctional(Basis.GAMMA_WICK, FockVector.single(t))
-               for t in (f, g)]
+    gs = [SymTensor(f.m, f.degree, np.random.default_rng(cfg.seed).uniform(
+        -1.0, 1.0, size=f.values.size)) for f in fs]
+    mono = [PolyFunctional(Basis.MONOMIAL, FockVector.single(f)) for f in fs]
+    wick = [PolyFunctional(Basis.GAMMA_WICK, FockVector.single(t))
+            for t in fs + gs]
 
     def stat(S):
-        wick_f, wick_g = evaluate_batch(wick_fg, S, measure).T
-        return (evaluate_batch(mono_f, S, measure) - wick_f) * wick_g
+        wick_fg = evaluate_batch(wick, S, measure)
+        return (evaluate_batch(mono, S, measure) - wick_fg[:, :len(fs)]) \
+            * wick_fg[:, len(fs):]
 
-    mean, se = _mc_accumulate(measure, cfg, stat)
-    return MCEstimate(float(mean[0]), float(se[0]), cfg.n_samples)
+    return _estimates(*_mc_accumulate(measure, cfg, stat), cfg.n_samples)
+
+
+def chaos_projection_check(measure: AtomicMeasure, f: SymTensor,
+                           cfg: SamplerConfig) -> MCEstimate:
+    """chaos_projection_stack for the single kernel f."""
+    return chaos_projection_stack(measure, [f], cfg)[0]

@@ -23,8 +23,8 @@ from .funcalc import (a1_plus_mc_adjointness_check, annihilate1_integral,
                       neutral_gradient_check, second_annihilation_check,
                       series_identities_check, stransform_multiplication_check,
                       wick_del)
-from .gammasample import (SamplerConfig, chaos_projection_check, laplace_target,
-                          mc_chaos_gram, mc_laplace)
+from .gammasample import (SamplerConfig, chaos_projection_stack, laplace_target,
+                          mc_chaos_gram, mc_laplace_stack)
 from .measure import AtomicMeasure
 from .report import RunReport, absolute_case, scaled_case
 from .symtensor import FockVector, SymTensor, rank_one
@@ -261,11 +261,10 @@ def laplace_suite(seed: int, measure: AtomicMeasure | None = None,
     phi = rng.uniform(-0.4, 0.4, mu.m)
     target = laplace_target(mu, phi)   # refuses an overflow before sampling
     cfg = SamplerConfig(seed=seed, n_samples=samples)
-    est = mc_laplace(mu, phi, cfg)
+    est, est0 = mc_laplace_stack(mu, [phi, np.zeros(mu.m)], cfg)
     cases = [absolute_case("laplace_transform", est.mean, target,
                            se_mult * est.std_error,
                            se=est.std_error, n=est.n)]
-    est0 = mc_laplace(mu, np.zeros(mu.m), cfg)
     cases.append(absolute_case("zero_direction_exact", est0.mean, 1.0, 0.0,
                                se=est0.std_error, n=est0.n))
     return RunReport("laplace", cases, seed)
@@ -303,10 +302,9 @@ def chaos_suite(seed: int, measure: AtomicMeasure | None = None,
     mu = _pick_measure(rng, measure)
     m = mu.m
     cfg = SamplerConfig(seed=seed, n_samples=samples)
+    kernels = [_random_tensor(rng, m, n) for n in (1, 2)]
     cases = []
-    for n in (1, 2):
-        fst = _random_tensor(rng, m, n)
-        est = chaos_projection_check(mu, fst, cfg)
+    for n, est in zip((1, 2), chaos_projection_stack(mu, kernels, cfg)):
         cases.append(absolute_case(f"projection_orthogonality_degree_{n}",
                                    est.mean, 0.0, se_mult * est.std_error,
                                    se=est.std_error, n=est.n))

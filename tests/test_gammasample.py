@@ -14,11 +14,13 @@ from gwn.errors import ContractError, DomainError, SizeError
 from gwn.extfock import ext_inner_n
 from gwn.gammasample import (ChaosGramReport, MCEstimate, SamplerConfig,
                              SamplerMode, _draw_cp_batch, _sample_jumps, _stream,
-                             chaos_projection_check, iter_sample_batches,
-                             laplace_target, mc_chaos_gram, mc_laplace,
+                             chaos_projection_check, chaos_projection_stack,
+                             iter_sample_batches, laplace_target, mc_chaos_gram,
+                             mc_laplace, mc_laplace_stack,
                              multiple_integral_identity, sample_omega)
 from gwn.measure import AtomicMeasure
 from gwn.symtensor import SymTensor, rank_one
+from gwn.verify import laplace_suite
 from gwn.wickcalc import OmegaSample
 
 from conftest import rel_err
@@ -58,15 +60,44 @@ def test_unit_weight_exponential_tail():
 
 
 def test_jump_sampler_law():
-    eps = 1e-4
-    rng = _stream(5, 0)
-    s = _sample_jumps(rng, 60000, eps)
-    assert s.min() >= eps
-    want_mean = math.exp(-eps) / exp1(eps)
-    # second moment: int s e^{-s} / E1(eps) = (1+eps) e^{-eps} / E1(eps)
-    m2 = (1 + eps) * math.exp(-eps) / exp1(eps)
-    se = math.sqrt((m2 - want_mean ** 2) / s.size)
-    assert abs(s.mean() - want_mean) < 4 * se
+    # closed forms of the density e^(-s)/s / E1(eps) on [eps, inf):
+    # E s^k = Gamma(k, eps) / E1(eps) and P(s >= 1) = E1(1) / E1(eps)
+    n = 200000
+    for b, eps in enumerate((1e-6, 1e-3, 0.5, 0.99)):
+        s = _sample_jumps(_stream(5, b), n, eps)
+        assert s.shape == (n,) and s.min() >= eps
+        scale = math.exp(-eps) / exp1(eps)
+        m1, m2 = scale, (1 + eps) * scale
+        m4 = (6 + 6 * eps + 3 * eps ** 2 + eps ** 3) * scale
+        assert abs(s.mean() - m1) < 4 * math.sqrt((m2 - m1 ** 2) / n), eps
+        assert abs(np.mean(s * s) - m2) < 4 * math.sqrt((m4 - m2 ** 2) / n), eps
+        p = exp1(1.0) / exp1(eps)
+        assert abs(np.mean(s >= 1.0) - p) < 4 * math.sqrt(p * (1 - p) / n), eps
+    assert _sample_jumps(_stream(5, 9), 0, 1e-3).shape == (0,)
+    one = _sample_jumps(_stream(5, 9), 1, 1e-3)
+    assert one.shape == (1,) and one[0] >= 1e-3
+
+
+def test_compound_poisson_batch_layout():
+    mu = AtomicMeasure([0.7, 1.6, 0.3])
+    eps, size = 1e-3, 4096
+    masses, owners, atoms, sizes = _draw_cp_batch(mu, eps, _stream(21, 0), size)
+    # one Poisson draw of the (m, size) counts opens the batch's stream
+    counts = _stream(21, 0).poisson(exp1(eps) * mu.weights[:, None],
+                                    size=(mu.m, size))
+    total = int(counts.sum())
+    assert owners.shape == atoms.shape == sizes.shape == (total,)
+    # atom-major, owners ascending within each atom
+    cell = atoms * size + owners
+    assert np.all(np.diff(cell) >= 0)
+    assert np.array_equal(np.bincount(cell, minlength=mu.m * size),
+                          counts.ravel())
+    want = np.zeros((size, mu.m))
+    np.add.at(want, (owners, atoms), sizes)
+    assert np.array_equal(masses, want)
+    per_row = np.bincount(atoms, minlength=mu.m) / size
+    lam = mu.weights * exp1(eps)
+    assert np.all(np.abs(per_row - lam) < 4 * np.sqrt(lam / size))
 
 
 def test_compound_poisson_mean_mass():
@@ -206,6 +237,28 @@ def test_multiple_integral_identity_rejects_overlap():
         multiple_integral_identity(mu, [[1.0, 0.0], [1.0, 0.0]], om)
     with pytest.raises(ContractError):
         multiple_integral_identity(mu, [[0.5, 0.0]], om)
+
+
+def test_stacked_estimates_match_single_statistic_calls(rng):
+    mu = AtomicMeasure([0.9, 1.4, 0.6])
+    cfg = SamplerConfig(seed=61, n_samples=9000)
+
+    def close(a, b):
+        for x, y in ((a.mean, b.mean), (a.std_error, b.std_error)):
+            assert abs(x - y) <= 1e-12 * max(abs(x), abs(y))
+        assert a.n == b.n == cfg.n_samples
+
+    phis = [np.array([0.3, -0.2, 0.1]), np.zeros(3), np.array([-0.4, 0.2, 0.35])]
+    stacked = mc_laplace_stack(mu, phis, cfg)
+    for phi, est in zip(phis, stacked):
+        close(est, mc_laplace(mu, phi, cfg))
+    assert stacked[1].mean == 1.0 and stacked[1].std_error == 0.0
+    zero = laplace_suite(3, samples=3000).cases[1]
+    assert zero.name == "zero_direction_exact" and zero.value == 1.0 and zero.passed
+    fs = [SymTensor(3, n, rng.uniform(-1, 1, SymTensor(3, n).values.size))
+          for n in (1, 2, 2)]
+    for f, est in zip(fs, chaos_projection_stack(mu, fs, cfg)):
+        close(est, chaos_projection_check(mu, f, cfg))
 
 
 def test_chaos_projection_zero_kernel_exact():
