@@ -11,6 +11,10 @@ Subcommands:
                    series, multiplication)
 * ``all``        - every verify and mc suite in one report
 
+``verify``, ``mc`` and ``all`` share one handler, ``_cmd_suites``: it
+checks every input before any suite runs, then calls
+``verify.run_verify_suite`` or ``verify.run_mc_suite`` once per suite.
+
 JSON is the primary output (CSV for the three tables); ``--pretty`` renders
 a human table instead.  Identical argv and seed produce byte-identical
 output unless ``--timing`` is given.  Exit codes: 0 all cases passed,
@@ -34,8 +38,7 @@ from .measure import AtomicMeasure, _unique_keys, load_measure
 from .report import align_columns, combine_reports, render_pretty, to_json
 from .symtensor import MAX_DEGREE, SymTensor
 from .verify import (DEFAULT_MC_SAMPLES, DEFAULT_SE_MULT, MC_SUITES,
-                     VERIFY_SUITES, run_mc_all, run_mc_suite, run_verify_all,
-                     run_verify_suite)
+                     VERIFY_SUITES, run_mc_suite, run_verify_suite)
 from .wickcalc import PolyFunctional, laguerre_system, s_transform
 
 
@@ -108,23 +111,6 @@ def _parse_theta(spec: str) -> np.ndarray:
     return arr
 
 
-def _check_se_mult(x: float) -> None:
-    if not (math.isfinite(x) and x > 0):
-        raise ValueError(f"--se-mult must be finite and > 0, got {x!r}")
-
-
-def _check_samples(n: int) -> None:
-    if n < 2:
-        raise ValueError(f"--samples must be >= 2 (an MC estimate needs two "
-                         f"samples for its standard error), got {n}")
-
-
-def _check_seed(seed: int) -> None:
-    # SamplerConfig's contract, for every command before any suite runs
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError(f"--seed must be in 0..2**64-1, got {seed}")
-
-
 def _emit_table(args, lines) -> int:
     """A table command's CSV lines, or under --pretty their aligned columns
     (the widths need the whole table)."""
@@ -148,51 +134,35 @@ def _cmd_stransform(args) -> int:
     return 0
 
 
-def _resolve_suite(args, parser: argparse.ArgumentParser) -> str:
+def _cmd_suites(args) -> int:
+    """The one handler of verify, mc and all.  Every input is checked, in
+    this order, before any suite runs: the suite names, --seed (the
+    sampler's contract, which every suite stream shares), --se-mult,
+    --samples and the measure file.  Then one suite's report, or the
+    combined report of all the command's suites."""
     pos, opt = args.suite_pos, args.suite
     if pos is not None and opt is not None and pos != opt:
-        parser.error(f"conflicting suites {pos!r} and {opt!r}")
-    return pos or opt or "all"
-
-
-def _emit_payload(args, payload: dict) -> int:
+        args.parser.error(f"conflicting suites {pos!r} and {opt!r}")
+    if not 0 <= args.seed < 2 ** 64:
+        raise ValueError(f"--seed must be in 0..2**64-1, got {args.seed}")
+    mc = (args.samples, args.se_mult) if args.mc_suites else ()
+    if mc and not (math.isfinite(args.se_mult) and args.se_mult > 0):
+        raise ValueError(f"--se-mult must be finite and > 0, got "
+                         f"{args.se_mult!r}")
+    if mc and args.samples < 2:
+        raise ValueError(f"--samples must be >= 2 (an MC estimate needs two "
+                         f"samples for its standard error), got "
+                         f"{args.samples}")
+    mu = load_measure(args.measure) if args.measure else None
+    suite = pos or opt or "all"
+    reports = [run_verify_suite(n, args.seed, mu)
+               for n in sorted(args.verify_suites) if suite in (n, "all")]
+    reports += [run_mc_suite(n, args.seed, mu, *mc)
+                for n in sorted(args.mc_suites) if suite in (n, "all")]
+    payload = combine_reports(reports, args.seed, args.timing) \
+        if suite == "all" else reports[0].to_json_dict(args.timing)
     _emit(render_pretty(payload) if args.pretty else to_json(payload), args.out)
     return 0 if payload["pass"] else 1
-
-
-def _run_suites(args, suite: str, run_one, run_all, *extra) -> int:
-    """One suite's report, or the combined report of all of them."""
-    mu = load_measure(args.measure) if args.measure else None
-    if suite == "all":
-        return _emit_payload(args, combine_reports(
-            run_all(args.seed, mu, *extra), args.seed, args.timing))
-    return _emit_payload(args, run_one(suite, args.seed, mu, *extra)
-                         .to_json_dict(args.timing))
-
-
-def _cmd_verify(args) -> int:
-    _check_seed(args.seed)
-    return _run_suites(args, _resolve_suite(args, args.parser),
-                       run_verify_suite, run_verify_all)
-
-
-def _cmd_mc(args) -> int:
-    suite = _resolve_suite(args, args.parser)
-    _check_seed(args.seed)
-    _check_se_mult(args.se_mult)
-    _check_samples(args.samples)
-    return _run_suites(args, suite, run_mc_suite, run_mc_all, args.samples,
-                       args.se_mult)
-
-
-def _cmd_all(args) -> int:
-    _check_seed(args.seed)
-    _check_se_mult(args.se_mult)
-    _check_samples(args.samples)
-    mu = load_measure(args.measure) if args.measure else None
-    reps = run_verify_all(args.seed, mu) \
-        + run_mc_all(args.seed, mu, args.samples, args.se_mult)
-    return _emit_payload(args, combine_reports(reps, args.seed, args.timing))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,39 +212,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help="measure JSON file {\"weights\": [...]}")
     p.set_defaults(func=_cmd_stransform)
 
-    mc_names = sorted(MC_SUITES) + ["all"]
-    p = sub.add_parser("mc", parents=[shared],
-                       help="Monte Carlo suites against closed-form targets")
-    p.add_argument("suite_pos", nargs="?", choices=mc_names, metavar="suite",
-                   help=f"one of {', '.join(mc_names)} (default all)")
-    p.add_argument("--suite", choices=mc_names)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=DEFAULT_MC_SAMPLES,
-                   metavar="N")
-    p.add_argument("--se-mult", type=float, default=DEFAULT_SE_MULT,
-                   metavar="X", help="pass band half-width in SE units")
-    p.add_argument("--measure", metavar="FILE")
-    p.set_defaults(func=_cmd_mc, parser=p)
-
-    ver_names = sorted(VERIFY_SUITES) + ["all"]
-    p = sub.add_parser("verify", parents=[shared],
-                       help="deterministic identity suites")
-    p.add_argument("suite_pos", nargs="?", choices=ver_names, metavar="suite",
-                   help=f"one of {', '.join(ver_names)} (default all)")
-    p.add_argument("--suite", choices=ver_names)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--measure", metavar="FILE")
-    p.set_defaults(func=_cmd_verify, parser=p)
-
-    p = sub.add_parser("all", parents=[shared],
-                       help="every verify and mc suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=DEFAULT_MC_SAMPLES,
-                   metavar="N")
-    p.add_argument("--se-mult", type=float, default=DEFAULT_SE_MULT,
-                   metavar="X")
-    p.add_argument("--measure", metavar="FILE")
-    p.set_defaults(func=_cmd_all)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    seeded.add_argument("--measure", metavar="FILE")
+    sampled = argparse.ArgumentParser(add_help=False)
+    sampled.add_argument("--samples", type=int, default=DEFAULT_MC_SAMPLES,
+                         metavar="N")
+    sampled.add_argument("--se-mult", type=float, default=DEFAULT_SE_MULT,
+                         metavar="X", help="pass band half-width in SE units")
+    for command, verify_suites, mc_suites, help_text in (
+            ("mc", (), MC_SUITES,
+             "Monte Carlo suites against closed-form targets"),
+            ("verify", VERIFY_SUITES, (), "deterministic identity suites"),
+            ("all", VERIFY_SUITES, MC_SUITES, "every verify and mc suite")):
+        p = sub.add_parser(command, help=help_text, parents=[
+            shared, seeded] + ([sampled] if mc_suites else []))
+        p.set_defaults(func=_cmd_suites, parser=p, verify_suites=verify_suites,
+                       mc_suites=mc_suites, suite_pos=None, suite=None)
+        if command != "all":
+            names = sorted(verify_suites or mc_suites) + ["all"]
+            p.add_argument("suite_pos", nargs="?", choices=names,
+                           metavar="suite",
+                           help=f"one of {', '.join(names)} (default all)")
+            p.add_argument("--suite", choices=names)
 
     return parser
 

@@ -251,12 +251,9 @@ def _gradient_terms(pm: PolyFunctional, xi: np.ndarray, omega: OmegaSample,
                     ) -> tuple[float, np.ndarray, np.ndarray, float]:
     """phi(omega), the first and second per-atom nabla values at omega, and
     D_xi phi(omega) = sum_i w_i xi_i nabla_i phi(omega), from one evaluation
-    of [phi, nabla_0 phi, nabla_0^2 phi, nabla_1 phi, ...]."""
-    stack = [pm]
-    for i in range(pm.m):
-        stack.append(nabla(pm, i))
-        stack.append(nabla(stack[-1], i))
-    values = evaluate_batch(stack, omega.masses[None, :], measure)[0]
+    of the order-2 Taylor stack over all atoms."""
+    values = evaluate_batch(_taylor_stack(pm, range(pm.m), 2),
+                            omega.masses[None, :], measure)[0]
     g1, g2 = values[1::2], values[2::2]
     return float(values[0]), g1, g2, float((measure.weights * xi) @ g1)
 
@@ -367,14 +364,15 @@ def a1_plus_explicit(p: PolyFunctional, xi, omega: OmegaSample,
         - measure.integrate(xi) * float(values[0])
 
 
-def _taylor_stack(phi_m: PolyFunctional, xi: np.ndarray) -> list[PolyFunctional]:
-    """[phi, nabla_a^j phi for j = 1..N] for each atom a with xi_a != 0, in
-    that order: the Taylor coefficients of a monomial phi of degree N along
-    the mass of each atom that the jump sum reads."""
+def _taylor_stack(phi_m: PolyFunctional, atoms,
+                  J: int) -> list[PolyFunctional]:
+    """[phi, nabla_a^j phi for j = 1..J] for each atom a of atoms, in that
+    order: the Taylor coefficients of a monomial phi along the mass of
+    each of those atoms, up to order J."""
     stack = [phi_m]
-    for a in np.flatnonzero(xi):
+    for a in atoms:
         d = phi_m
-        for _ in range(phi_m.degree):
+        for _ in range(J):
             d = nabla(d, int(a))
             stack.append(d)
     return stack
@@ -385,8 +383,8 @@ def _jump_removal_sum(taylor: np.ndarray, xi: np.ndarray, owners: np.ndarray,
     """Per sample row b, the sum of s xi_a phi(omega_b - s e_a) over the
     jumps (a, s) of row b, by the Taylor identity stated in
     a1_plus_mc_adjointness_check.  taylor holds the values of
-    _taylor_stack(phi, xi) on the rows; the power sums P_{a,r} take one
-    bincount per r = 1..N+1 over all jumps."""
+    _taylor_stack(phi, support of xi, N) on the rows; the power sums
+    P_{a,r} take one bincount per r = 1..N+1 over all jumps."""
     support = np.flatnonzero(xi)
     rows, m, K = taylor.shape[0], xi.size, support.size
     N = (taylor.shape[1] - 1) // max(K, 1)
@@ -424,7 +422,8 @@ def a1_plus_mc_adjointness_check(phi: PolyFunctional, psi: PolyFunctional, xi,
     O(eps).
     """
     xi = measure.check_function(np.asarray(xi, dtype=float))
-    stack = _taylor_stack(phi.to_basis(Basis.MONOMIAL, measure), xi)
+    phi_m = phi.to_basis(Basis.MONOMIAL, measure)
+    stack = _taylor_stack(phi_m, np.flatnonzero(xi), phi_m.degree)
     psi_w = psi.to_basis(Basis.GAMMA_WICK, measure)
     wick = [psi_w, PolyFunctional(Basis.GAMMA_WICK,
                                   annihilate1(xi, psi_w.kernels, measure))]

@@ -1,14 +1,15 @@
 """Named verification suites behind ``gwn verify``, ``gwn mc``, ``gwn all``.
 
-Every suite draws its test inputs from a stream keyed by (seed, suite),
-runs the matching identity checks, and packs the measured deviations into
-a RunReport.  When no measure is supplied the atom weights come from the
-same stream, so a seed alone fully determines the report bytes.
+One runner serves every suite.  It owns the stream, keyed by (seed,
+suite); the measure, drawn from that stream when none is supplied; for
+the MC suites the sampler config; and the timing.  A suite draws its test
+inputs from the stream, runs the matching identity checks and returns the
+measured deviations as cases, which the runner packs into a RunReport.
+A seed alone therefore fully determines the report bytes.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import replace
 from functools import partial
@@ -23,13 +24,13 @@ from .funcalc import (a1_plus_mc_adjointness_check, annihilate1_integral,
                       neutral_gradient_check, second_annihilation_check,
                       series_identities_check, stransform_multiplication_check,
                       wick_del)
-from .gammasample import (SamplerConfig, chaos_projection_stack, laplace_target,
-                          mc_chaos_gram, mc_laplace_stack)
+from .gammasample import (MCEstimate, SamplerConfig, chaos_projection_stack,
+                          laplace_target, mc_chaos_gram, mc_laplace_stack)
 from .measure import AtomicMeasure
-from .report import RunReport, absolute_case, scaled_case
+from .report import CaseResult, RunReport, absolute_case, scaled_case
 from .symtensor import FockVector, SymTensor, rank_one
 from .wickcalc import (Basis, OmegaSample, PolyFunctional, constant_functional,
-                       evaluate_batch, monomial_to_wick)
+                       monomial_to_wick)
 
 # degree-4 Gram statistics are heavy-tailed; below ~1e5 samples the sample
 # SE understates the true sampling error and 4-SE bands break for bad seeds
@@ -71,12 +72,17 @@ def _random_poly(rng: np.random.Generator, m: int, N: int,
     return PolyFunctional(basis, FockVector(ks))
 
 
-def stransform_product_check(seed: int,
-                             measure: AtomicMeasure | None = None) -> RunReport:
+def _band_case(name: str, est: MCEstimate, target: float,
+               se_mult: float) -> CaseResult:
+    """An MC estimate against its target, within se_mult standard errors."""
+    return absolute_case(name, est.mean, target, se_mult * est.std_error,
+                         se=est.std_error, n=est.n)
+
+
+def stransform_product_check(rng: np.random.Generator,
+                             mu: AtomicMeasure) -> list[CaseResult]:
     """Coordinate multiplication in the S-domain: value, first and second
     directional derivative terms against the transformed product."""
-    rng = _suite_rng(seed, "theorem5")
-    mu = _pick_measure(rng, measure)
     m = mu.m
     cases = []
     theta = rng.uniform(-0.8, 0.8, m)
@@ -92,15 +98,12 @@ def stransform_product_check(seed: int,
     cases.append(scaled_case("zero_theta",
                              stransform_multiplication_check(p, np.zeros(m), mu),
                              0.0, 1e-10))
-    return RunReport("theorem5", cases, seed)
+    return cases
 
 
-def difference_representation_check(seed: int,
-                                    measure: AtomicMeasure | None = None
-                                    ) -> RunReport:
+def difference_representation_check(rng: np.random.Generator,
+                                    mu: AtomicMeasure) -> list[CaseResult]:
     """Integral form of the Wick derivative against its algebraic form."""
-    rng = _suite_rng(seed, "theorem6")
-    mu = _pick_measure(rng, measure)
     m = mu.m
     atom = int(rng.integers(m))
     om = _random_omega(rng, m)
@@ -135,14 +138,12 @@ def difference_representation_check(seed: int,
     cases.append(scaled_case("zero_direction",
                              annihilate1_integral(p, np.zeros(m), mu, om),
                              0.0, 1e-14))
-    return RunReport("theorem6", cases, seed)
+    return cases
 
 
-def _gradient_form_suite(suite: str, check, seed: int,
-                         measure: AtomicMeasure | None) -> RunReport:
+def _gradient_form_suite(check, rng: np.random.Generator,
+                         mu: AtomicMeasure) -> list[CaseResult]:
     """A Fock-side operator against its gradient form at sampled points."""
-    rng = _suite_rng(seed, suite)
-    mu = _pick_measure(rng, measure)
     m = mu.m
     cases = []
     xi = rng.uniform(-1.0, 1.0, m)
@@ -155,16 +156,14 @@ def _gradient_form_suite(suite: str, check, seed: int,
         cases.append(scaled_case(f"random_degree_{N}", rep.lhs, rep.rhs, 1e-8))
     rep = check(_random_poly(rng, m, 2), np.zeros(m), om, mu)
     cases.append(scaled_case("zero_direction", rep.lhs, rep.rhs, 1e-14))
-    return RunReport(suite, cases, seed)
+    return cases
 
 
-def annihilate2_formula_check(seed: int,
-                              measure: AtomicMeasure | None = None) -> RunReport:
+def annihilate2_formula_check(rng: np.random.Generator,
+                              mu: AtomicMeasure) -> list[CaseResult]:
     """Second annihilation operator against the compensated and the
     gradient-shift forms; the uncompensated variant's residual is pinned
     to its predicted value instead of being hidden."""
-    rng = _suite_rng(seed, "theorem9")
-    mu = _pick_measure(rng, measure)
     m = mu.m
     cases = []
     for k in range(3):
@@ -183,15 +182,13 @@ def annihilate2_formula_check(seed: int,
                                     _random_omega(rng, m), mu)
     cases.append(scaled_case("zero_direction",
                              rep.lhs, rep.rhs_compensated, 1e-14))
-    return RunReport("theorem9", cases, seed)
+    return cases
 
 
-def operator_series_check(seed: int,
-                          measure: AtomicMeasure | None = None) -> RunReport:
+def operator_series_check(rng: np.random.Generator,
+                          mu: AtomicMeasure) -> list[CaseResult]:
     """Truncating series expansions of each difference operator in powers
     of the other, plus cross-atom commutation."""
-    rng = _suite_rng(seed, "series")
-    mu = _pick_measure(rng, measure)
     m = mu.m
     atom = int(rng.integers(m))
     cases = []
@@ -210,16 +207,13 @@ def operator_series_check(seed: int,
     rep6 = series_identities_check(_random_poly(rng, m, 6), atom, mu)
     cases.append(scaled_case("degree_6_identities",
                              rep6.max_deviation, 0.0, 1e-8))
-    return RunReport("series", cases, seed)
+    return cases
 
 
-def multiplication_identity_check(seed: int,
-                                  measure: AtomicMeasure | None = None
-                                  ) -> RunReport:
+def multiplication_identity_check(rng: np.random.Generator,
+                                  mu: AtomicMeasure) -> list[CaseResult]:
     """Multiplication by the configuration density: five-term operator sum,
     smeared pairing identity, and the full operator reassembly."""
-    rng = _suite_rng(seed, "multiplication")
-    mu = _pick_measure(rng, measure)
     m = mu.m
     atom = int(rng.integers(m))
     om = _random_omega(rng, m)
@@ -232,10 +226,14 @@ def multiplication_identity_check(seed: int,
         p = _random_poly(rng, m, N)
         xi = rng.uniform(-1.0, 1.0, m)
         omN = _random_omega(rng, m)
-        mults = [coordinate_multiply(p, i, mu) for i in range(m)]
-        smeared = math.fsum(mu.weights * xi
-                            * evaluate_batch(mults, omN.masses[None, :], mu)[0])
-        cases.append(scaled_case(f"smeared_pairing_degree_{N}", smeared,
+        # sum_i w_i xi_i (multiplication at atom i), accumulated as one
+        # functional, so only one product is held at a time
+        pw = p.to_basis(Basis.GAMMA_WICK, mu)
+        smeared = PolyFunctional(Basis.GAMMA_WICK, FockVector.zeros(m, 0))
+        for i, c in enumerate(mu.weights * xi):
+            smeared = smeared + float(c) * coordinate_multiply(pw, i, mu)
+        cases.append(scaled_case(f"smeared_pairing_degree_{N}",
+                                 smeared.evaluate(omN, mu),
                                  omN.pair(xi) * p.evaluate(omN, mu), 1e-10))
     p = _random_poly(rng, m, 3)
     xi = rng.uniform(-1.0, 1.0, m)
@@ -248,82 +246,57 @@ def multiplication_identity_check(seed: int,
         + (-1.3) * coordinate_multiply(pb, atom, mu)
     dev = (combo.kernels - split.kernels).max_abs()
     cases.append(scaled_case("linearity", dev, 0.0, 1e-12))
-    return RunReport("multiplication", cases, seed)
+    return cases
 
 
-def laplace_suite(seed: int, measure: AtomicMeasure | None = None,
-                  samples: int = DEFAULT_MC_SAMPLES,
-                  se_mult: float = DEFAULT_SE_MULT) -> RunReport:
+def laplace_suite(rng: np.random.Generator, mu: AtomicMeasure,
+                  cfg: SamplerConfig, se_mult: float) -> list[CaseResult]:
     """MC Laplace transform of the noise against the closed form."""
-    rng = _suite_rng(seed, "laplace")
-    mu = _pick_measure(rng, measure)
     # |phi| <= 0.4 keeps the estimator variance finite
     phi = rng.uniform(-0.4, 0.4, mu.m)
     target = laplace_target(mu, phi)   # refuses an overflow before sampling
-    cfg = SamplerConfig(seed=seed, n_samples=samples)
     est, est0 = mc_laplace_stack(mu, [phi, np.zeros(mu.m)], cfg)
-    cases = [absolute_case("laplace_transform", est.mean, target,
-                           se_mult * est.std_error,
-                           se=est.std_error, n=est.n)]
-    cases.append(absolute_case("zero_direction_exact", est0.mean, 1.0, 0.0,
-                               se=est0.std_error, n=est0.n))
-    return RunReport("laplace", cases, seed)
+    # the zero direction is exactly 1 in every sample: a band of width 0
+    return [_band_case("laplace_transform", est, target, se_mult),
+            _band_case("zero_direction_exact", est0, 1.0, 0.0)]
 
 
-def gram_suite(seed: int, measure: AtomicMeasure | None = None,
-               samples: int = DEFAULT_MC_SAMPLES,
-               se_mult: float = DEFAULT_SE_MULT) -> RunReport:
+def gram_suite(rng: np.random.Generator, mu: AtomicMeasure,
+               cfg: SamplerConfig, se_mult: float) -> list[CaseResult]:
     """MC Gram matrix of Wick monomials, degrees 0..4, against the
     orthogonality targets."""
-    rng = _suite_rng(seed, "gram")
-    mu = _pick_measure(rng, measure)
     f = rng.uniform(-1.0, 1.0, mu.m)
     g = rng.uniform(-1.0, 1.0, mu.m)
-    cfg = SamplerConfig(seed=seed, n_samples=samples)
     rep = mc_chaos_gram(mu, f, g, cfg, 4)
-    cases = []
-    for n in range(5):
-        for k in range(n, 5):
-            est = rep.estimate(n, k)
-            cases.append(absolute_case(f"gram_{n}_{k}", est.mean,
-                                       float(rep.targets[n, k]),
-                                       se_mult * est.std_error,
-                                       se=est.std_error, n=est.n))
-    return RunReport("gram", cases, seed)
+    return [_band_case(f"gram_{n}_{k}", rep.estimate(n, k),
+                       rep.targets[n, k], se_mult)
+            for n in range(5) for k in range(n, 5)]
 
 
-def chaos_suite(seed: int, measure: AtomicMeasure | None = None,
-                samples: int = DEFAULT_MC_SAMPLES,
-                se_mult: float = DEFAULT_SE_MULT) -> RunReport:
+def chaos_suite(rng: np.random.Generator, mu: AtomicMeasure,
+                cfg: SamplerConfig, se_mult: float) -> list[CaseResult]:
     """Chaos-side MC identities: lower-chaos projections are orthogonal to
     degree-n Wick monomials, and single-jump removal is adjoint to the
     smeared difference operator."""
-    rng = _suite_rng(seed, "chaos")
-    mu = _pick_measure(rng, measure)
     m = mu.m
-    cfg = SamplerConfig(seed=seed, n_samples=samples)
     kernels = [_random_tensor(rng, m, n) for n in (1, 2)]
-    cases = []
-    for n, est in zip((1, 2), chaos_projection_stack(mu, kernels, cfg)):
-        cases.append(absolute_case(f"projection_orthogonality_degree_{n}",
-                                   est.mean, 0.0, se_mult * est.std_error,
-                                   se=est.std_error, n=est.n))
+    projections = chaos_projection_stack(mu, kernels, cfg)
+    cases = [_band_case(f"projection_orthogonality_degree_{n}", est, 0.0,
+                        se_mult) for n, est in zip((1, 2), projections)]
     phi = _random_poly(rng, m, 2)
     psi = _random_poly(rng, m, 2, Basis.GAMMA_WICK)
     xi = rng.uniform(-1.0, 1.0, m)
-    cfg_cp = SamplerConfig(seed=seed, n_samples=samples, cp_truncation=1e-3)
-    est = a1_plus_mc_adjointness_check(phi, psi, xi, mu, cfg_cp)
-    cases.append(absolute_case("configuration_adjointness", est.mean, 0.0,
-                               se_mult * est.std_error,
-                               se=est.std_error, n=est.n))
-    return RunReport("chaos", cases, seed)
+    est = a1_plus_mc_adjointness_check(phi, psi, xi, mu,
+                                       replace(cfg, cp_truncation=1e-3))
+    cases.append(_band_case("configuration_adjointness", est, 0.0, se_mult))
+    return cases
 
 
 VERIFY_SUITES = {
     "theorem5": stransform_product_check,
     "theorem6": difference_representation_check,
-    "theorem7": partial(_gradient_form_suite, "theorem7", creation_gradient_check),
-    "theorem8": partial(_gradient_form_suite, "theorem8", neutral_gradient_check),
+    "theorem7": partial(_gradient_form_suite, creation_gradient_check),
+    "theorem8": partial(_gradient_form_suite, neutral_gradient_check),
     "theorem9": annihilate2_formula_check,
     "series": operator_series_check,
     "multiplication": multiplication_identity_check,
@@ -336,35 +309,28 @@ MC_SUITES = {
 }
 
 
-def _timed(fn, *args, **kwargs) -> RunReport:
+def _run_suite(kind: str, suites: dict, name: str, seed: int,
+               measure: AtomicMeasure | None, *mc) -> RunReport:
+    """The one runner: the suite's stream, its measure (from that stream
+    when none is given), for an MC suite the sampler config built from
+    mc = (samples, se_mult), and the wall time around all of it."""
+    if name not in suites:
+        raise ContractError(f"unknown {kind} suite {name!r}")
     t0 = time.perf_counter()
-    rep = fn(*args, **kwargs)
-    return replace(rep, wall_time=time.perf_counter() - t0)
+    rng = _suite_rng(seed, name)
+    args = (rng, _pick_measure(rng, measure))
+    if mc:
+        samples, se_mult = mc
+        args += (SamplerConfig(seed=seed, n_samples=samples), se_mult)
+    return RunReport(name, suites[name](*args), seed, time.perf_counter() - t0)
 
 
 def run_verify_suite(name: str, seed: int,
                      measure: AtomicMeasure | None = None) -> RunReport:
-    if name not in VERIFY_SUITES:
-        raise ContractError(f"unknown verify suite {name!r}")
-    return _timed(VERIFY_SUITES[name], seed, measure)
+    return _run_suite("verify", VERIFY_SUITES, name, seed, measure)
 
 
 def run_mc_suite(name: str, seed: int, measure: AtomicMeasure | None = None,
                  samples: int = DEFAULT_MC_SAMPLES,
                  se_mult: float = DEFAULT_SE_MULT) -> RunReport:
-    if name not in MC_SUITES:
-        raise ContractError(f"unknown mc suite {name!r}")
-    return _timed(MC_SUITES[name], seed, measure, samples, se_mult)
-
-
-def run_verify_all(seed: int,
-                   measure: AtomicMeasure | None = None) -> list[RunReport]:
-    return sorted((run_verify_suite(n, seed, measure) for n in VERIFY_SUITES),
-                  key=lambda r: r.suite)
-
-
-def run_mc_all(seed: int, measure: AtomicMeasure | None = None,
-               samples: int = DEFAULT_MC_SAMPLES,
-               se_mult: float = DEFAULT_SE_MULT) -> list[RunReport]:
-    return sorted((run_mc_suite(n, seed, measure, samples, se_mult)
-                   for n in MC_SUITES), key=lambda r: r.suite)
+    return _run_suite("mc", MC_SUITES, name, seed, measure, samples, se_mult)

@@ -12,6 +12,7 @@ from gwn.measure import AtomicMeasure, save_measure
 from gwn.report import (CaseResult, RunReport, absolute_case, scaled_case,
                         to_json)
 from gwn.symtensor import FockVector, SymTensor
+from gwn.verify import MC_SUITES, VERIFY_SUITES
 from gwn.wickcalc import Basis, PolyFunctional, laguerre_system, s_transform
 
 
@@ -118,6 +119,24 @@ def test_all_subcommand_runs_every_suite(capsys):
     assert suites == ["chaos", "gram", "laplace", "multiplication", "series",
                       "theorem5", "theorem6", "theorem7", "theorem8",
                       "theorem9"]
+
+
+def test_single_suite_payload_is_its_block_in_all(capsys):
+    """`verify <suite>`, `mc <suite>`, `verify all`, `mc all` and `all`
+    print the same bytes for each suite."""
+    blocks = {}
+    for command, names, extra in (("verify", VERIFY_SUITES, ()),
+                                  ("mc", MC_SUITES, ("--samples", "2000"))):
+        _, out = run_cli(capsys, command, "all", "--seed", "5", *extra)
+        suites = json.loads(out)["suites"]
+        assert [s["suite"] for s in suites] == sorted(names)
+        for block in suites:
+            _, one = run_cli(capsys, command, block["suite"], "--seed", "5",
+                             *extra)
+            assert one == to_json(block)
+            blocks[block["suite"]] = block
+    _, out = run_cli(capsys, "all", "--seed", "5", "--samples", "2000")
+    assert json.loads(out)["suites"] == [blocks[n] for n in sorted(blocks)]
 
 
 def test_out_flag_leaves_stdout_empty(tmp_path, capsys):
@@ -246,8 +265,7 @@ def test_samples_checked_before_any_suite_runs(capsys, monkeypatch, command):
     def no_suite(*args, **kwargs):
         raise AssertionError("a suite ran")
 
-    for name in ("run_verify_all", "run_verify_suite", "run_mc_all",
-                 "run_mc_suite"):
+    for name in ("run_verify_suite", "run_mc_suite"):
         monkeypatch.setattr(gwn.cli, name, no_suite)
     assert_input_error(capsys, command, "--samples", "1")
 

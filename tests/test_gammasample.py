@@ -20,7 +20,7 @@ from gwn.gammasample import (ChaosGramReport, MCEstimate, SamplerConfig,
                              multiple_integral_identity, sample_omega)
 from gwn.measure import AtomicMeasure
 from gwn.symtensor import SymTensor, rank_one
-from gwn.verify import laplace_suite
+from gwn.verify import run_mc_suite
 from gwn.wickcalc import OmegaSample
 
 from conftest import rel_err
@@ -253,7 +253,7 @@ def test_stacked_estimates_match_single_statistic_calls(rng):
     for phi, est in zip(phis, stacked):
         close(est, mc_laplace(mu, phi, cfg))
     assert stacked[1].mean == 1.0 and stacked[1].std_error == 0.0
-    zero = laplace_suite(3, samples=3000).cases[1]
+    zero = run_mc_suite("laplace", 3, samples=3000).cases[1]
     assert zero.name == "zero_direction_exact" and zero.value == 1.0 and zero.passed
     fs = [SymTensor(3, n, rng.uniform(-1, 1, SymTensor(3, n).values.size))
           for n in (1, 2, 2)]
