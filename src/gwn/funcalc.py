@@ -383,20 +383,26 @@ def _jump_removal_sum(taylor: np.ndarray, xi: np.ndarray, owners: np.ndarray,
     """Per sample row b, the sum of s xi_a phi(omega_b - s e_a) over the
     jumps (a, s) of row b, by the Taylor identity stated in
     a1_plus_mc_adjointness_check.  taylor holds the values of
-    _taylor_stack(phi, support of xi, N) on the rows; the power sums
-    P_{a,r} take one bincount per r = 1..N+1 over all jumps."""
+    _taylor_stack(phi, support of xi, N) on the rows.  Jumps are atom-major
+    (atoms ascending), so each atom a of the support owns one segment of
+    the flat arrays; its power sums P_{a,r}, r = 1..N+1, take one bincount
+    per r over the segment's owners."""
     support = np.flatnonzero(xi)
-    rows, m, K = taylor.shape[0], xi.size, support.size
+    rows, K = taylor.shape[0], support.size
     N = (taylor.shape[1] - 1) // max(K, 1)
     cols = np.hstack([np.zeros((K, 1), dtype=int),    # [k, j]: nabla_a^j phi
                       1 + np.arange(K * N).reshape(K, N)])
-    cell, power, sums = owners * m + atoms, sizes, []
-    for _ in range(N + 1):
-        sums.append(np.bincount(cell, weights=power, minlength=rows * m)
-                    .reshape(rows, m)[:, support])
-        power = power * sizes
+    bounds = np.searchsorted(atoms, np.arange(xi.size + 1))
+    sums = np.empty((N + 1, rows, K))
+    for k, a in enumerate(support):
+        seg = slice(bounds[a], bounds[a + 1])
+        own, s = owners[seg], sizes[seg]
+        power = s
+        for j in range(N + 1):
+            sums[j, :, k] = np.bincount(own, weights=power, minlength=rows)
+            power = power * s
     signs = np.array([(-1.0) ** j / math.factorial(j) for j in range(N + 1)])
-    return np.einsum("bkj,jbk,j,k->b", taylor[:, cols], np.stack(sums), signs,
+    return np.einsum("bkj,jbk,j,k->b", taylor[:, cols], sums, signs,
                      xi[support])
 
 

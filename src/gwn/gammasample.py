@@ -7,13 +7,16 @@ Two samplers produce the atom masses of a random configuration omega:
 * CompoundPoisson: each atom accumulates Poisson(w_i E1(eps))-many jumps
   drawn from the truncated Levy density e^(-s)/s on [eps, inf).  Jumps
   below eps are discarded (not compensated); the mean-mass bias is
-  w_i (1 - e^(-eps)), i.e. O(eps).  A batch draws all its (atom, sample)
-  jump counts in one Poisson call, checks their total against the entry
-  budget, then draws the jumps one atom at a time.  Each jump gets an
-  i.i.d. label for the piece [eps, 1] or [1, inf) by that piece's exact
-  Levy mass, and each piece is filled by its own rejection rounds, sized
-  by its exact acceptance rate.  Jumps are listed atom-major, owners
-  ascending within each atom.
+  w_i (1 - e^(-eps)), i.e. O(eps).  A batch of B samples is drawn by
+  Poisson splitting: one Poisson(B w_i mass_p) total per atom i and piece
+  p of the density ([eps, 1] and [1, inf), with their exact Levy masses),
+  checked against the entry budget before any jump array exists; then an
+  i.i.d. uniform owner row per jump, and each (atom, piece) segment filled
+  by that piece's rejection rounds, sized by its exact acceptance rate.
+  Thinning the totals by uniform owners leaves the per-(row, atom) counts
+  independent Poisson(w_i E1(eps)) and the sizes i.i.d., so this is the
+  law above.  Jumps are listed atom-major, low piece first within each
+  atom, owners in no order.
 
 Streams are counter-based (Philox): batch b of a run uses the generator
 jumped b times from the seed key, and partial batch sums are reduced with
@@ -36,7 +39,8 @@ from scipy.special import exp1
 from .errors import ContractError, DimensionError, DomainError, SizeError
 from .extfock import ext_inner_n, fock_inner_n
 from .measure import AtomicMeasure
-from .symtensor import SymTensor, _check_entries, rank_one, sym_product
+from .symtensor import (MAX_ENTRIES, SymTensor, _check_entries, rank_one,
+                        sym_product)
 from .wickcalc import (WICK_MAX_DEGREE, Basis, FockVector, OmegaSample,
                        PolyFunctional, evaluate_batch, wick_kernel,
                        wick_pair_rank_one_batch)
@@ -95,20 +99,34 @@ def _fill_piece(draw, count: int, acceptance: float) -> np.ndarray:
     return out
 
 
-def _sample_jumps(rng: np.random.Generator, count: int, eps: float) -> np.ndarray:
-    """count i.i.d. jumps from the density e^(-s)/s / E1(eps) on [eps, inf).
+def _draw_cp_batch(measure: AtomicMeasure, eps: float,
+                   rng: np.random.Generator, size: int):
+    """Masses plus the individual jumps building them: (masses, owner
+    sample index, atom index, jump size), flat over all jumps.
 
-    Each jump first gets a piece label: [eps, 1] with its exact mass
-    (E1(eps) - E1(1)) / E1(eps), else [1, inf).  Each piece is then filled
-    by its own rejection loop, whose rounds draw only that piece's
-    proposal and accept variables, sized by the exact acceptance rate:
-    on [eps, 1] propose log-uniform and accept with e^(eps - s) (rate
-    (E1(eps) - E1(1)) / (e^(-eps) log(1/eps))); on [1, inf) propose
-    1 + Exp(1) and accept with 1/s (rate e E1(1)).  The accepted values go
-    back to the positions of their labels, so the jumps stay i.i.d. in
-    position.
+    A batch whose expected jump count size E1(eps) sum(w) is over the entry
+    budget is refused before any draw.  Then one Poisson draw gives the
+    (m, 2) jump totals per atom and piece, whose sum is checked against
+    the budget before any jump array exists.  Each jump gets a uniform
+    owner in 0..size-1, and each (atom, piece) segment is filled by its
+    piece's rejection rounds: on [eps, 1] propose log-uniform and accept
+    with e^(eps - s) (rate (E1(eps) - E1(1)) / (e^(-eps) log(1/eps))); on
+    [1, inf) propose 1 + Exp(1) and accept with 1/s (rate e E1(1)).
+    Each column of masses is one bincount over its atom's segment, which
+    holds less at once than one bincount over all (owner, atom) cells.
     """
-    e1_eps = float(exp1(eps))
+    m, e1_eps = measure.m, float(exp1(eps))
+    expected = size * e1_eps * float(measure.weights.sum())
+    if expected > MAX_ENTRIES:
+        raise SizeError(f"compound-Poisson batch of {size} samples expects "
+                        f"{expected:.3g} jumps, over the budget of {MAX_ENTRIES}")
+    mass_low = e1_eps - _E1_ONE
+    totals = rng.poisson(size * measure.weights[:, None]
+                         * np.array([mass_low, _E1_ONE]))
+    total = int(totals.sum())
+    _check_entries(total, f"compound-Poisson batch of {size} samples")
+    owners = rng.integers(0, size, total)
+    atoms = np.repeat(np.arange(m), totals.sum(axis=1))
     log_span = math.log(1.0 / eps)
 
     def low(n):    # eps e^(u log(1/eps)) >= eps exactly
@@ -119,42 +137,18 @@ def _sample_jumps(rng: np.random.Generator, count: int, eps: float) -> np.ndarra
         s = 1.0 + rng.standard_exponential(n)
         return s[rng.random(n) * s < 1.0]
 
-    mass_low = e1_eps - _E1_ONE
-    is_low = rng.random(count) < mass_low / e1_eps
-    n_low = int(np.count_nonzero(is_low))
-    out = np.empty(count)
-    out[is_low] = _fill_piece(low, n_low, mass_low / (math.exp(-eps) * log_span))
-    out[~is_low] = _fill_piece(high, count - n_low, math.e * _E1_ONE)
-    return out
-
-
-def _draw_cp_batch(measure: AtomicMeasure, eps: float,
-                   rng: np.random.Generator, size: int):
-    """Masses plus the individual jumps building them: (masses, owner
-    sample index, atom index, jump size), flat over all jumps.
-
-    The (m, size) Poisson jump counts come from one draw, and their total
-    is checked against the entry budget before any jump array exists.
-    The counts lay out owners and atoms, atom-major with owners ascending
-    within each atom; the jump sizes are then drawn one atom at a time
-    into the preallocated flat sizes array.
-    """
-    counts = rng.poisson(float(exp1(eps)) * measure.weights[:, None],
-                         size=(measure.m, size))
-    per_atom = counts.sum(axis=1)
-    total = int(per_atom.sum())
-    _check_entries(total, f"compound-Poisson batch of {size} samples")
-    owners = np.repeat(np.tile(np.arange(size), measure.m), counts.ravel())
-    atoms = np.repeat(np.arange(measure.m), per_atom)
+    pieces = ((low, mass_low / (math.exp(-eps) * log_span)),
+              (high, math.e * _E1_ONE))
     sizes = np.empty(total)
-    masses = np.empty((size, measure.m))
+    masses = np.empty((size, m))
     start = 0
-    for i, count in enumerate(per_atom.tolist()):
-        span = slice(start, start + count)
-        sizes[span] = _sample_jumps(rng, count, eps)
-        masses[:, i] = np.bincount(owners[span], weights=sizes[span],
+    for i, counts in enumerate(totals.tolist()):
+        seg = slice(start, start + sum(counts))
+        for count, (draw, acceptance) in zip(counts, pieces):
+            sizes[start: start + count] = _fill_piece(draw, count, acceptance)
+            start += count
+        masses[:, i] = np.bincount(owners[seg], weights=sizes[seg],
                                    minlength=size)
-        start += count
     return masses, owners, atoms, sizes
 
 
@@ -191,12 +185,9 @@ def iter_jump_batches(measure: AtomicMeasure, cfg: SamplerConfig):
 
     Yields (masses, owners, atoms, sizes): masses aggregates the jumps per
     sample row, and the three flat arrays list every individual jump,
-    atom-major with owners ascending within each atom.  Each batch takes
-    one Poisson draw for its (atom, sample) jump counts, one entry-budget
-    check on their total, and then fills the jumps one atom at a time with
-    the piece-labelled sampler _sample_jumps.  Used by checks that remove
-    one configuration point at a time; cfg.mode is ignored since only the
-    compound-Poisson picture has jumps.
+    atom-major, owners unordered within each atom (see _draw_cp_batch).
+    Used by checks that remove one configuration point at a time; cfg.mode
+    is ignored since only the compound-Poisson picture has jumps.
     """
     return _batches(cfg, lambda rng, size: _draw_cp_batch(
         measure, cfg.cp_truncation, rng, size))

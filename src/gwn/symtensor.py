@@ -83,12 +83,19 @@ class _MultisetTable:
         return self.rank_sorted_rows(np.sort(rows, axis=-1))
 
 
+def _check_table(m: int, n: int) -> None:
+    """The entry budget of the degree-n multiset table over m atoms,
+    checked without building it.  The table holds more entries than a
+    degree-n tensor, so it is the first of the two to be refused."""
+    _check_entries(math.comb(n + m - 1, n) * (n + 3), f"multiset table (m={m}, n={n})")
+
+
 @lru_cache(maxsize=None)
 def _tables(m: int, n: int) -> _MultisetTable:
     if m < 1:
         raise DimensionError("need at least one atom")
     _check_degree(n)
-    _check_entries(math.comb(n + m - 1, n) * (n + 3), f"multiset table (m={m}, n={n})")
+    _check_table(m, n)
     if n == 0:
         reps = np.zeros((1, 0), dtype=np.int64)
     else:

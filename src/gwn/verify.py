@@ -28,7 +28,7 @@ from .gammasample import (MCEstimate, SamplerConfig, chaos_projection_stack,
                           laplace_target, mc_chaos_gram, mc_laplace_stack)
 from .measure import AtomicMeasure
 from .report import CaseResult, RunReport, absolute_case, scaled_case
-from .symtensor import FockVector, SymTensor, rank_one
+from .symtensor import FockVector, SymTensor, _check_table, rank_one
 from .wickcalc import (Basis, OmegaSample, PolyFunctional, constant_functional,
                        monomial_to_wick)
 
@@ -190,6 +190,7 @@ def operator_series_check(rng: np.random.Generator,
     """Truncating series expansions of each difference operator in powers
     of the other, plus cross-atom commutation."""
     m = mu.m
+    _check_table(m, 6)   # the largest degree, refused before any draw
     atom = int(rng.integers(m))
     cases = []
     rep1 = series_identities_check(_random_poly(rng, m, 1), atom, mu)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gwn.cli import main
+from gwn.errors import SizeError
 from gwn.measure import AtomicMeasure, save_measure
 from gwn.report import (CaseResult, RunReport, absolute_case, scaled_case,
                         to_json)
@@ -376,6 +377,33 @@ def test_compound_poisson_jumps_past_the_entry_budget_exit_2(tmp_path, capsys):
     save_measure(AtomicMeasure([1e6, 1.0]), tmp_path / "mu.json")
     assert_input_error(capsys, "mc", "chaos", "--samples", "1000",
                        "--measure", str(tmp_path / "mu.json"))
+
+
+@pytest.mark.parametrize("weight", [1e17, 1e20])
+def test_compound_poisson_batch_past_numpy_poisson_range_exit_2(
+        tmp_path, capsys, weight):
+    # the per-atom Poisson totals would pass numpy's largest rate here; the
+    # expected jump count of the batch is refused before any Poisson draw
+    save_measure(AtomicMeasure([weight]), tmp_path / "mu.json")
+    err = assert_input_error(capsys, "mc", "chaos",
+                             "--measure", str(tmp_path / "mu.json"))
+    assert "compound-Poisson batch of 4096 samples expects" in err
+
+
+def test_series_refuses_80_atoms_before_any_draw(tmp_path, capsys):
+    # the degree-6 multiset table over 80 atoms is over the entry budget;
+    # the suite refuses it before it draws from its stream, so no tensor
+    # of a lower degree is built and checked first
+    mu = AtomicMeasure(np.ones(80))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(SizeError, match=r"multiset table \(m=80, n=6\)"):
+        VERIFY_SUITES["series"](rng, mu)
+    assert rng.bit_generator.state == state
+    save_measure(mu, tmp_path / "mu.json")
+    err = assert_input_error(capsys, "verify", "series",
+                             "--measure", str(tmp_path / "mu.json"))
+    assert "multiset table (m=80, n=6)" in err
 
 
 def test_laplace_target_past_the_float_range_exit_2(tmp_path, capsys):

@@ -13,9 +13,10 @@ from scipy.special import exp1
 from gwn.errors import ContractError, DomainError, SizeError
 from gwn.extfock import ext_inner_n
 from gwn.gammasample import (ChaosGramReport, MCEstimate, SamplerConfig,
-                             SamplerMode, _draw_cp_batch, _sample_jumps, _stream,
+                             SamplerMode, _draw_cp_batch, _stream,
                              chaos_projection_check, chaos_projection_stack,
-                             iter_sample_batches, laplace_target, mc_chaos_gram,
+                             iter_jump_batches, iter_sample_batches,
+                             laplace_target, mc_chaos_gram,
                              mc_laplace, mc_laplace_stack,
                              multiple_integral_identity, sample_omega)
 from gwn.measure import AtomicMeasure
@@ -61,11 +62,15 @@ def test_unit_weight_exponential_tail():
 
 def test_jump_sampler_law():
     # closed forms of the density e^(-s)/s / E1(eps) on [eps, inf):
-    # E s^k = Gamma(k, eps) / E1(eps) and P(s >= 1) = E1(1) / E1(eps)
-    n = 200000
+    # E s^k = Gamma(k, eps) / E1(eps) and P(s >= 1) = E1(1) / E1(eps);
+    # the jumps of a two-atom batch are pooled, about 200000 of them
+    size = 4096
     for b, eps in enumerate((1e-6, 1e-3, 0.5, 0.99)):
-        s = _sample_jumps(_stream(5, b), n, eps)
-        assert s.shape == (n,) and s.min() >= eps
+        w = 200000 / (size * exp1(eps))
+        mu = AtomicMeasure([0.25 * w, 0.75 * w])
+        s = _draw_cp_batch(mu, eps, _stream(5, b), size)[3]
+        n = s.size
+        assert abs(n - 200000) < 4 * math.sqrt(200000) and s.min() >= eps
         scale = math.exp(-eps) / exp1(eps)
         m1, m2 = scale, (1 + eps) * scale
         m4 = (6 + 6 * eps + 3 * eps ** 2 + eps ** 3) * scale
@@ -73,31 +78,60 @@ def test_jump_sampler_law():
         assert abs(np.mean(s * s) - m2) < 4 * math.sqrt((m4 - m2 ** 2) / n), eps
         p = exp1(1.0) / exp1(eps)
         assert abs(np.mean(s >= 1.0) - p) < 4 * math.sqrt(p * (1 - p) / n), eps
-    assert _sample_jumps(_stream(5, 9), 0, 1e-3).shape == (0,)
-    one = _sample_jumps(_stream(5, 9), 1, 1e-3)
-    assert one.shape == (1,) and one[0] >= 1e-3
+    # a weight this small leaves the batch without jumps
+    masses, owners, atoms, sizes = _draw_cp_batch(AtomicMeasure([1e-12]), 1e-3,
+                                                  _stream(5, 9), size)
+    assert owners.shape == atoms.shape == sizes.shape == (0,)
+    assert masses.shape == (size, 1) and not masses.any()
 
 
 def test_compound_poisson_batch_layout():
     mu = AtomicMeasure([0.7, 1.6, 0.3])
     eps, size = 1e-3, 4096
     masses, owners, atoms, sizes = _draw_cp_batch(mu, eps, _stream(21, 0), size)
-    # one Poisson draw of the (m, size) counts opens the batch's stream
-    counts = _stream(21, 0).poisson(exp1(eps) * mu.weights[:, None],
-                                    size=(mu.m, size))
-    total = int(counts.sum())
-    assert owners.shape == atoms.shape == sizes.shape == (total,)
-    # atom-major, owners ascending within each atom
-    cell = atoms * size + owners
-    assert np.all(np.diff(cell) >= 0)
-    assert np.array_equal(np.bincount(cell, minlength=mu.m * size),
-                          counts.ravel())
+    # one Poisson draw of the (atom, piece) totals opens the batch's stream
+    totals = _stream(21, 0).poisson(
+        size * mu.weights[:, None] * np.array([exp1(eps) - exp1(1.0), exp1(1.0)]))
+    assert owners.shape == atoms.shape == sizes.shape == (int(totals.sum()),)
+    # atom-major segments, each its [eps, 1] jumps then its [1, inf) ones
+    assert np.array_equal(atoms, np.repeat(np.arange(mu.m), totals.sum(axis=1)))
+    start = 0
+    for n_low, n_high in totals.tolist():
+        assert np.all((sizes[start: start + n_low] >= eps)
+                      & (sizes[start: start + n_low] <= 1.0))
+        assert np.all(sizes[start + n_low: start + n_low + n_high] >= 1.0)
+        start += n_low + n_high
+    assert owners.min() >= 0 and owners.max() < size
     want = np.zeros((size, mu.m))
     np.add.at(want, (owners, atoms), sizes)
     assert np.array_equal(masses, want)
     per_row = np.bincount(atoms, minlength=mu.m) / size
     lam = mu.weights * exp1(eps)
     assert np.all(np.abs(per_row - lam) < 4 * np.sqrt(lam / size))
+
+
+def test_compound_poisson_cell_counts_are_independent_poisson():
+    # per (row, atom) jump counts: Poisson(w E1(eps)) at each atom, so mean
+    # and variance both equal lam, and uncorrelated across atoms
+    mu = AtomicMeasure([0.7, 1.6, 0.3])
+    eps = 1e-3
+    cfg = SamplerConfig(seed=47, n_samples=40000, cp_truncation=eps)
+    counts = np.concatenate([
+        np.bincount(owners * mu.m + atoms, minlength=len(masses) * mu.m)
+        .reshape(len(masses), mu.m)
+        for masses, owners, atoms, _ in iter_jump_batches(mu, cfg)])
+    n = counts.shape[0]
+    lam = mu.weights * exp1(eps)
+    for i in range(mu.m):
+        c = counts[:, i]
+        assert abs(c.mean() - lam[i]) < 4 * math.sqrt(lam[i] / n)
+        # Var of the sample variance of Poisson(lam): (lam + 2 lam^2) / n
+        assert abs(c.var(ddof=1) - lam[i]) < 4 * math.sqrt(
+            (lam[i] + 2 * lam[i] ** 2) / n)
+    cov = np.cov(counts, rowvar=False)
+    for i in range(mu.m):
+        for j in range(i + 1, mu.m):
+            assert abs(cov[i, j]) < 4 * math.sqrt(lam[i] * lam[j] / n)
 
 
 def test_compound_poisson_mean_mass():
@@ -300,6 +334,6 @@ def test_single_sample_estimate_is_rejected():
 
 
 def test_compound_poisson_batch_refuses_jumps_past_the_entry_budget():
-    # the counts are drawn and checked before any jump array is allocated
+    # the expected jump count is checked before any Poisson draw
     with pytest.raises(SizeError):
         _draw_cp_batch(AtomicMeasure([1e6]), 1e-6, _stream(0, 0), 4096)

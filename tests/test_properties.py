@@ -334,6 +334,12 @@ def test_reducer_needs_two_samples(batches):
         mean_and_se(batches)
 
 
+def random_phi(rng: np.random.Generator, m: int, N: int) -> PolyFunctional:
+    return PolyFunctional(Basis.MONOMIAL, FockVector(
+        [SymTensor(m, n, rng.uniform(-1, 1, _tables(m, n).reps.shape[0]))
+         for n in range(N + 1)]))
+
+
 @st.composite
 def jump_batches(draw):
     m = draw(st.integers(1, 6))
@@ -341,20 +347,15 @@ def jump_batches(draw):
     mu = AtomicMeasure([draw(st.one_of(st.just(1e-6), st.floats(0.01, 3.0)))
                         for _ in range(m)])
     N = draw(st.integers(0, 4))
-    rng = np.random.default_rng(draw(seeds))
-    phi = PolyFunctional(Basis.MONOMIAL, FockVector(
-        [SymTensor(m, n, rng.uniform(-1, 1, _tables(m, n).reps.shape[0]))
-         for n in range(N + 1)]))
+    phi = random_phi(np.random.default_rng(draw(seeds)), m, N)
     xi = np.array([draw(st.one_of(st.just(0.0), unit)) for _ in range(m)])
     cfg = SamplerConfig(seed=draw(seeds), n_samples=draw(st.integers(1, 40)),
                         cp_truncation=draw(st.sampled_from([1e-3, 1e-6])))
     return mu, phi, xi, next(iter_jump_batches(mu, cfg))
 
 
-@settings(max_examples=60, deadline=None)
-@given(jump_batches())
-def test_jump_power_sums_match_removal_per_jump(case):
-    mu, phi, xi, (masses, owners, atoms, sizes) = case
+def assert_removal_sum_matches_oracle(mu, phi, xi, batch):
+    masses, owners, atoms, sizes = batch
     taylor = evaluate_batch(_taylor_stack(phi, np.flatnonzero(xi), phi.degree),
                             masses, mu)
     got = _jump_removal_sum(taylor, xi, owners, atoms, sizes)
@@ -362,6 +363,29 @@ def test_jump_power_sums_match_removal_per_jump(case):
                                                 atoms, sizes, mu)
     scale = np.maximum(1.0, np.maximum(np.abs(want), term_sizes))
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(jump_batches())
+def test_jump_power_sums_match_removal_per_jump(case):
+    assert_removal_sum_matches_oracle(*case)
+
+
+@pytest.mark.parametrize("weights, xi", [
+    # the middle atom has no jumps, and xi weighs it: an empty segment
+    ([1.2, 1e-12, 0.8], [0.5, -0.7, 0.3]),
+    # zero entries of xi skip the segments of atoms 0 and 3
+    ([1.2, 0.6, 0.9, 1.5], [0.0, -0.7, 0.4, 0.0]),
+], ids=["atom_without_jumps", "xi_with_zero_entries"])
+def test_jump_power_sums_edge_segments(weights, xi):
+    mu, xi = AtomicMeasure(weights), np.array(xi)
+    batch = next(iter_jump_batches(mu, SamplerConfig(seed=8, n_samples=30,
+                                                     cp_truncation=1e-3)))
+    atoms = batch[2]
+    jumpless = [a for a in range(mu.m) if not np.any(atoms == a)]
+    assert jumpless == [i for i, w in enumerate(weights) if w < 1e-6]
+    assert_removal_sum_matches_oracle(
+        mu, random_phi(np.random.default_rng(3), mu.m, 3), xi, batch)
 
 
 def entry_gap(got: np.ndarray, want: np.ndarray) -> float:
