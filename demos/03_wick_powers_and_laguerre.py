@@ -30,7 +30,8 @@ print("  by hand:", om.masses / mu.weights - 1.0)
 
 # ------------------------------------------- two routes to the same pairing
 # Kernel route: pair the degree-n kernel with xi^(x)n.
-# Scalar route: per-cell three-term recurrences combined multiplicatively.
+# Scalar route: Taylor coefficients of the Wick exponential, whose log is a
+# sum over cells.
 xi = np.array([0.6, -0.4])
 q = wick_pair_rank_one(om, xi, mu, 5)
 print("\npairings <:omega^n:, xi^n> by two independent routes:")

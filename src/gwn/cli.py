@@ -38,7 +38,8 @@ from .measure import AtomicMeasure, _unique_keys, load_measure
 from .report import align_columns, combine_reports, render_pretty, to_json
 from .symtensor import MAX_DEGREE, SymTensor
 from .verify import (DEFAULT_MC_SAMPLES, DEFAULT_SE_MULT, MC_SUITES,
-                     VERIFY_SUITES, run_mc_suite, run_verify_suite)
+                     VERIFY_SUITES, check_suite_sizes, run_mc_suite,
+                     run_verify_suite)
 from .wickcalc import PolyFunctional, laguerre_system, s_transform
 
 
@@ -138,8 +139,9 @@ def _cmd_suites(args) -> int:
     """The one handler of verify, mc and all.  Every input is checked, in
     this order, before any suite runs: the suite names, --seed (the
     sampler's contract, which every suite stream shares), --se-mult,
-    --samples and the measure file.  Then one suite's report, or the
-    combined report of all the command's suites."""
+    --samples, the measure file and its size against the selected suites'
+    limits.  Then one suite's report, or the combined report of all the
+    command's suites."""
     pos, opt = args.suite_pos, args.suite
     if pos is not None and opt is not None and pos != opt:
         args.parser.error(f"conflicting suites {pos!r} and {opt!r}")
@@ -155,10 +157,12 @@ def _cmd_suites(args) -> int:
                          f"{args.samples}")
     mu = load_measure(args.measure) if args.measure else None
     suite = pos or opt or "all"
-    reports = [run_verify_suite(n, args.seed, mu)
-               for n in sorted(args.verify_suites) if suite in (n, "all")]
-    reports += [run_mc_suite(n, args.seed, mu, *mc)
-                for n in sorted(args.mc_suites) if suite in (n, "all")]
+    verify_names = [n for n in sorted(args.verify_suites) if suite in (n, "all")]
+    mc_names = [n for n in sorted(args.mc_suites) if suite in (n, "all")]
+    if mu is not None:
+        check_suite_sizes(verify_names + mc_names, mu)
+    reports = [run_verify_suite(n, args.seed, mu) for n in verify_names]
+    reports += [run_mc_suite(n, args.seed, mu, *mc) for n in mc_names]
     payload = combine_reports(reports, args.seed, args.timing) \
         if suite == "all" else reports[0].to_json_dict(args.timing)
     _emit(render_pretty(payload) if args.pretty else to_json(payload), args.out)

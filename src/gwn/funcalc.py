@@ -379,20 +379,19 @@ def _taylor_stack(phi_m: PolyFunctional, atoms,
 
 
 def _jump_removal_sum(taylor: np.ndarray, xi: np.ndarray, owners: np.ndarray,
-                      atoms: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+                      bounds: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Per sample row b, the sum of s xi_a phi(omega_b - s e_a) over the
     jumps (a, s) of row b, by the Taylor identity stated in
     a1_plus_mc_adjointness_check.  taylor holds the values of
-    _taylor_stack(phi, support of xi, N) on the rows.  Jumps are atom-major
-    (atoms ascending), so each atom a of the support owns one segment of
-    the flat arrays; its power sums P_{a,r}, r = 1..N+1, take one bincount
-    per r over the segment's owners."""
+    _taylor_stack(phi, support of xi, N) on the rows.  Jumps are atom-major,
+    so each atom a of the support owns the segment bounds[a]:bounds[a+1]
+    of the flat arrays; its power sums P_{a,r}, r = 1..N+1, take one
+    bincount per r over the segment's owners."""
     support = np.flatnonzero(xi)
     rows, K = taylor.shape[0], support.size
     N = (taylor.shape[1] - 1) // max(K, 1)
     cols = np.hstack([np.zeros((K, 1), dtype=int),    # [k, j]: nabla_a^j phi
                       1 + np.arange(K * N).reshape(K, N)])
-    bounds = np.searchsorted(atoms, np.arange(xi.size + 1))
     sums = np.empty((N + 1, rows, K))
     for k, a in enumerate(support):
         seg = slice(bounds[a], bounds[a + 1])
@@ -435,11 +434,11 @@ def a1_plus_mc_adjointness_check(phi: PolyFunctional, psi: PolyFunctional, xi,
                                   annihilate1(xi, psi_w.kernels, measure))]
     xi_mass = measure.integrate(xi)
 
-    def stat(masses, owners, atoms, sizes):
+    def stat(masses, owners, bounds, sizes):
         taylor = evaluate_batch(stack, masses, measure)
         psi0, a1v = evaluate_batch(wick, masses, measure).T
         phi0 = taylor[:, 0]
-        aplus = _jump_removal_sum(taylor, xi, owners, atoms, sizes) - xi_mass * phi0
+        aplus = _jump_removal_sum(taylor, xi, owners, bounds, sizes) - xi_mass * phi0
         return aplus * psi0 - phi0 * a1v
 
     mean, se = mean_and_se(stat(*batch)

@@ -101,8 +101,9 @@ def _fill_piece(draw, count: int, acceptance: float) -> np.ndarray:
 
 def _draw_cp_batch(measure: AtomicMeasure, eps: float,
                    rng: np.random.Generator, size: int):
-    """Masses plus the individual jumps building them: (masses, owner
-    sample index, atom index, jump size), flat over all jumps.
+    """Masses plus the individual jumps building them: (masses, owners,
+    bounds, sizes).  owners and sizes are flat over all jumps, atom-major,
+    and the jumps of atom i are those in bounds[i]:bounds[i+1].
 
     A batch whose expected jump count size E1(eps) sum(w) is over the entry
     budget is refused before any draw.  Then one Poisson draw gives the
@@ -126,7 +127,7 @@ def _draw_cp_batch(measure: AtomicMeasure, eps: float,
     total = int(totals.sum())
     _check_entries(total, f"compound-Poisson batch of {size} samples")
     owners = rng.integers(0, size, total)
-    atoms = np.repeat(np.arange(m), totals.sum(axis=1))
+    bounds = np.concatenate([[0], np.cumsum(totals.sum(axis=1))])
     log_span = math.log(1.0 / eps)
 
     def low(n):    # eps e^(u log(1/eps)) >= eps exactly
@@ -141,15 +142,14 @@ def _draw_cp_batch(measure: AtomicMeasure, eps: float,
               (high, math.e * _E1_ONE))
     sizes = np.empty(total)
     masses = np.empty((size, m))
-    start = 0
     for i, counts in enumerate(totals.tolist()):
-        seg = slice(start, start + sum(counts))
+        start, seg = bounds[i], slice(bounds[i], bounds[i + 1])
         for count, (draw, acceptance) in zip(counts, pieces):
             sizes[start: start + count] = _fill_piece(draw, count, acceptance)
             start += count
         masses[:, i] = np.bincount(owners[seg], weights=sizes[seg],
                                    minlength=size)
-    return masses, owners, atoms, sizes
+    return masses, owners, bounds, sizes
 
 
 def _draw_batch(measure: AtomicMeasure, cfg: SamplerConfig,
@@ -183,9 +183,10 @@ def iter_sample_batches(measure: AtomicMeasure, cfg: SamplerConfig):
 def iter_jump_batches(measure: AtomicMeasure, cfg: SamplerConfig):
     """Jump-resolved compound-Poisson batches.
 
-    Yields (masses, owners, atoms, sizes): masses aggregates the jumps per
-    sample row, and the three flat arrays list every individual jump,
-    atom-major, owners unordered within each atom (see _draw_cp_batch).
+    Yields (masses, owners, bounds, sizes): masses aggregates the jumps
+    per sample row; owners and sizes list every individual jump,
+    atom-major, owners unordered within each atom, and the m+1 segment
+    bounds say where each atom's jumps start and end (see _draw_cp_batch).
     Used by checks that remove one configuration point at a time; cfg.mode
     is ignored since only the compound-Poisson picture has jumps.
     """
@@ -292,16 +293,18 @@ def mc_chaos_gram(measure: AtomicMeasure, f, g, cfg: SamplerConfig,
 
     Targets are delta_{nk} n! ext_inner_n(f^n, g^n): off-diagonal entries
     vanish (orthogonal chaoses), diagonals carry the extended Fock norm.
+    Each batch pairs its rows with f and g in one stacked
+    wick_pair_rank_one_batch call.
     """
     if not 0 <= N_wick <= WICK_MAX_DEGREE:
         raise SizeError(f"N_wick must be in 0..{WICK_MAX_DEGREE}")
     fv = _direction_vector(f, measure.m)
     gv = _direction_vector(g, measure.m)
+    fg = np.stack([fv, gv])
 
     def stat(S):
-        qf = wick_pair_rank_one_batch(S, fv, measure, N_wick)
-        qg = wick_pair_rank_one_batch(S, gv, measure, N_wick)
-        return np.einsum("bn,bk->bnk", qf, qg).reshape(S.shape[0], -1)
+        q = wick_pair_rank_one_batch(S, fg, measure, N_wick)
+        return np.einsum("bn,bk->bnk", q[:, 0], q[:, 1]).reshape(S.shape[0], -1)
 
     mean, se = _mc_accumulate(measure, cfg, stat)
     side = N_wick + 1

@@ -43,6 +43,10 @@ _SUITE_KEY = {name: idx for idx, name in enumerate((
     "series", "multiplication", "laplace", "gram", "chaos"))}
 
 
+# the largest tensor degree of the series suite
+SERIES_MAX_DEGREE = 6
+
+
 def _suite_rng(seed: int, suite: str) -> np.random.Generator:
     return np.random.default_rng([int(seed), 101 + _SUITE_KEY[suite]])
 
@@ -190,7 +194,7 @@ def operator_series_check(rng: np.random.Generator,
     """Truncating series expansions of each difference operator in powers
     of the other, plus cross-atom commutation."""
     m = mu.m
-    _check_table(m, 6)   # the largest degree, refused before any draw
+    _check_table(m, SERIES_MAX_DEGREE)   # refused before any draw
     atom = int(rng.integers(m))
     cases = []
     rep1 = series_identities_check(_random_poly(rng, m, 1), atom, mu)
@@ -324,6 +328,13 @@ def _run_suite(kind: str, suites: dict, name: str, seed: int,
         samples, se_mult = mc
         args += (SamplerConfig(seed=seed, n_samples=samples), se_mult)
     return RunReport(name, suites[name](*args), seed, time.perf_counter() - t0)
+
+
+def check_suite_sizes(names, measure: AtomicMeasure) -> None:
+    """Refuse a measure over the size limit of any suite in names before
+    the first of them runs: the series suite's degree-6 multiset table."""
+    if "series" in names:
+        _check_table(measure.m, SERIES_MAX_DEGREE)
 
 
 def run_verify_suite(name: str, seed: int,

@@ -1,6 +1,6 @@
 """Independent reference implementations used only by the tests.
 
-Four kinds live here.
+Five kinds live here.
 
 * Brute-force routes that avoid the package's multiset tables and partition
   code: dense arrays are built straight from the documented storage order
@@ -17,6 +17,9 @@ Four kinds live here.
 * The jump sum of the adjointness check by literal removal: one
   configuration per jump, each evaluated directly, where the package sums
   Taylor terms against per-sample jump power sums.
+* The rank-one Wick pairs <:omega^n:, xi^(x)n> as the product over atoms
+  of one-atom series, multiplied out by truncated convolution, where the
+  package reads them off the log of the Wick exponential.
 * Closed forms of the one-atom tables the package builds by three-term
   recurrence: products of binomials and rising factorials, and the
   orthonormal coefficients P_n = q_n / c_n through log-gamma values.
@@ -394,22 +397,60 @@ def slot_evaluation_dense(F: np.ndarray, atom: int) -> np.ndarray:
 # --- jump removal, one configuration per jump ------------------------------
 
 def jump_removal_sum(phi: PolyFunctional, xi: np.ndarray, masses: np.ndarray,
-                     owners: np.ndarray, atoms: np.ndarray, sizes: np.ndarray,
+                     owners: np.ndarray, bounds: np.ndarray, sizes: np.ndarray,
                      measure: AtomicMeasure) -> tuple[np.ndarray, np.ndarray]:
     """Per sample row, the sum of s xi_a phi(omega - s e_a) over the row's
     jumps (a, s), and the sum of the absolute values of those terms.
 
-    Each jump gets its own copy of its row's masses with the jump taken
-    off (rounding dust below zero cleared), evaluated on its own."""
+    Each jump gets its atom from the segment bounds and its own copy of its
+    row's masses with the jump taken off (rounding dust below zero
+    cleared), evaluated on its own."""
     rows = masses.shape[0]
     if owners.size == 0:
         return np.zeros(rows), np.zeros(rows)
+    atoms = np.repeat(np.arange(measure.m), np.diff(bounds))
     removed = masses[owners]
     removed[np.arange(owners.size), atoms] -= sizes
     np.maximum(removed, 0.0, out=removed)
     terms = sizes * xi[atoms] * evaluate_batch(phi, removed, measure)
     return (np.bincount(owners, weights=terms, minlength=rows),
             np.bincount(owners, weights=np.abs(terms), minlength=rows))
+
+
+# --- rank-one Wick pairs, atom by atom --------------------------------------
+
+def _atom_series_product(S: np.ndarray, xi: np.ndarray, weights: np.ndarray,
+                         N: int) -> np.ndarray:
+    """n! times the t^n coefficients, n <= N, of prod_i sum_k q_k(s_i; w_i)
+    (xi_i t)^k / k! for each row of S, the one-atom Wick powers from their
+    three-term recurrence q_{k+1} = (s - 2k - w) q_k - k(k-1+w) q_{k-1}."""
+    fact = np.array([math.factorial(k) for k in range(N + 1)], dtype=float)
+    poly = np.zeros((len(S), N + 1))
+    poly[:, 0] = 1.0
+    for s, w, x in zip(S.T, weights, xi):
+        q = [np.ones_like(s), s - w]
+        for k in range(1, N):
+            q.append((s - 2 * k - w) * q[k] - k * (k - 1 + w) * q[k - 1])
+        series = np.stack([q[k] * x ** k / fact[k] for k in range(N + 1)], axis=1)
+        poly = np.stack([np.sum(poly[:, : d + 1] * series[:, d::-1], axis=1)
+                         for d in range(N + 1)], axis=1)
+    return poly * fact
+
+
+def wick_pair_rank_one_convolution(masses: np.ndarray, xi: np.ndarray,
+                                   measure: AtomicMeasure,
+                                   N: int) -> tuple[np.ndarray, np.ndarray]:
+    """<:omega^n:, xi^(x)n> for n = 0..N and each row of a (B, m) mass
+    matrix, as (B, N+1): the Wick exponential factorizes over atoms, so the
+    one-atom series are multiplied out by truncated convolution.
+
+    Also returns the size of the terms summed, from the same product at
+    (-s, -|xi|): (-1)^k q_k(-s) has the absolute values of the monomial
+    coefficients of q_k, so every term there is >= 0."""
+    S = np.asarray(masses, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    return (_atom_series_product(S, xi, measure.weights, N),
+            _atom_series_product(-S, -np.abs(xi), measure.weights, N))
 
 
 def wick_monic_table(w: float, N: int) -> np.ndarray:

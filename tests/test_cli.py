@@ -406,6 +406,25 @@ def test_series_refuses_80_atoms_before_any_draw(tmp_path, capsys):
     assert "multiset table (m=80, n=6)" in err
 
 
+@pytest.mark.parametrize("argv", [("verify",), ("verify", "series"), ("all",)],
+                         ids=["verify_all", "verify_series", "all"])
+def test_series_table_refused_before_any_suite_runs(tmp_path, capsys,
+                                                    monkeypatch, argv):
+    # the 60-atom file of the CI step: theorem5-theorem9 would otherwise
+    # run for seconds before series refuses its degree-6 table
+    import gwn.cli
+
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    for name in ("run_verify_suite", "run_mc_suite"):
+        monkeypatch.setattr(gwn.cli, name, no_suite)
+    weights = np.round(np.random.default_rng(5).uniform(0.5, 2.0, 60), 3)
+    save_measure(AtomicMeasure(weights), tmp_path / "mu.json")
+    err = assert_input_error(capsys, *argv, "--measure", str(tmp_path / "mu.json"))
+    assert "multiset table (m=60, n=6)" in err
+
+
 def test_laplace_target_past_the_float_range_exit_2(tmp_path, capsys):
     # at seed 1 the drawn phi puts -sum w log(1 - phi) near 1.5e3, past
     # log(float max); the target is refused before any sample is drawn

@@ -79,22 +79,24 @@ def test_jump_sampler_law():
         p = exp1(1.0) / exp1(eps)
         assert abs(np.mean(s >= 1.0) - p) < 4 * math.sqrt(p * (1 - p) / n), eps
     # a weight this small leaves the batch without jumps
-    masses, owners, atoms, sizes = _draw_cp_batch(AtomicMeasure([1e-12]), 1e-3,
-                                                  _stream(5, 9), size)
-    assert owners.shape == atoms.shape == sizes.shape == (0,)
+    masses, owners, bounds, sizes = _draw_cp_batch(AtomicMeasure([1e-12]), 1e-3,
+                                                   _stream(5, 9), size)
+    assert owners.shape == sizes.shape == (0,) and bounds.tolist() == [0, 0]
     assert masses.shape == (size, 1) and not masses.any()
 
 
 def test_compound_poisson_batch_layout():
     mu = AtomicMeasure([0.7, 1.6, 0.3])
     eps, size = 1e-3, 4096
-    masses, owners, atoms, sizes = _draw_cp_batch(mu, eps, _stream(21, 0), size)
+    masses, owners, bounds, sizes = _draw_cp_batch(mu, eps, _stream(21, 0), size)
     # one Poisson draw of the (atom, piece) totals opens the batch's stream
     totals = _stream(21, 0).poisson(
         size * mu.weights[:, None] * np.array([exp1(eps) - exp1(1.0), exp1(1.0)]))
-    assert owners.shape == atoms.shape == sizes.shape == (int(totals.sum()),)
+    assert owners.shape == sizes.shape == (int(totals.sum()),)
     # atom-major segments, each its [eps, 1] jumps then its [1, inf) ones
-    assert np.array_equal(atoms, np.repeat(np.arange(mu.m), totals.sum(axis=1)))
+    per_atom = totals.sum(axis=1)
+    assert bounds.tolist() == [0] + np.cumsum(per_atom).tolist()
+    atoms = np.repeat(np.arange(mu.m), per_atom)
     start = 0
     for n_low, n_high in totals.tolist():
         assert np.all((sizes[start: start + n_low] >= eps)
@@ -105,7 +107,7 @@ def test_compound_poisson_batch_layout():
     want = np.zeros((size, mu.m))
     np.add.at(want, (owners, atoms), sizes)
     assert np.array_equal(masses, want)
-    per_row = np.bincount(atoms, minlength=mu.m) / size
+    per_row = per_atom / size
     lam = mu.weights * exp1(eps)
     assert np.all(np.abs(per_row - lam) < 4 * np.sqrt(lam / size))
 
@@ -117,9 +119,9 @@ def test_compound_poisson_cell_counts_are_independent_poisson():
     eps = 1e-3
     cfg = SamplerConfig(seed=47, n_samples=40000, cp_truncation=eps)
     counts = np.concatenate([
-        np.bincount(owners * mu.m + atoms, minlength=len(masses) * mu.m)
-        .reshape(len(masses), mu.m)
-        for masses, owners, atoms, _ in iter_jump_batches(mu, cfg)])
+        np.bincount(owners * mu.m + np.repeat(np.arange(mu.m), np.diff(bounds)),
+                    minlength=len(masses) * mu.m).reshape(len(masses), mu.m)
+        for masses, owners, bounds, _ in iter_jump_batches(mu, cfg)])
     n = counts.shape[0]
     lam = mu.weights * exp1(eps)
     for i in range(mu.m):

@@ -1,7 +1,9 @@
 """Randomized checks of the fast paths against independent routes.
 
-* the scalar rank-one route (per-atom three-term recurrence, batch of one)
-  against the Wick kernels paired through fock_inner_n;
+* the scalar rank-one route (the log of the Wick exponential), one
+  direction or a stack of them, against the Wick kernels paired through
+  fock_inner_n and against the product of one-atom series multiplied out
+  by truncated convolution;
 * the per-atom closed forms against the combinatorial routes they replaced
   (now in ``oracles``): ext_inner_n against the loop-partition sum and the
   permutation sum, wick_kernels against the five-term recurrence, and both
@@ -55,7 +57,8 @@ from gwn.symtensor import (FockVector, SymTensor, _atom_runs, _tables, atom_prod
 from gwn.wickcalc import (Basis, OmegaSample, PolyFunctional, _single_atom_q,
                           _wick_coefficients, evaluate_batch, laguerre_system,
                           monomial_to_wick, s_transform, wick_kernels,
-                          wick_pair_rank_one, wick_to_monomial)
+                          wick_pair_rank_one, wick_pair_rank_one_batch,
+                          wick_to_monomial)
 
 from conftest import rel_err
 
@@ -103,6 +106,59 @@ def abs_tensor(t: SymTensor) -> SymTensor:
 
 
 seeds = st.integers(0, 2 ** 32 - 1)
+
+
+def assert_rank_one_stack_matches_routes(mu, S, X, N):
+    """Each direction of the stacked kernel against the atom-by-atom
+    convolution, against its own 1-d call, and on the first row against
+    the Wick kernels paired through fock_inner_n."""
+    got = wick_pair_rank_one_batch(S, X, mu, N)
+    assert got.shape == (len(S), len(X), N + 1)
+    kernels = wick_kernels(OmegaSample(S[0]), mu, N)
+    for f, xi in enumerate(X):
+        want, size = oracles.wick_pair_rank_one_convolution(S, xi, mu, N)
+        scale = np.maximum(1.0, size)
+        assert np.all(np.abs(got[:, f] - want) <= 1e-13 * scale)
+        alone = wick_pair_rank_one_batch(S, xi, mu, N)
+        assert alone.shape == (len(S), N + 1)
+        assert np.all(np.abs(alone - got[:, f]) <= 1e-13 * scale)
+        for n in range(N + 1):
+            fock = fock_inner_n(mu, kernels[n], rank_one(xi, n))
+            assert abs(fock - got[0, f, n]) <= 1e-12 * scale[0, n]
+
+
+@st.composite
+def rank_one_stacks(draw):
+    m = draw(st.integers(1, 6))
+    mu = AtomicMeasure([10.0 ** draw(st.floats(-2.0, 2.0)) for _ in range(m)])
+    rng = np.random.default_rng(draw(seeds))
+    B, F = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    # masses on the scale of their weights and directions in [-1, 1], both
+    # with zero entries
+    S = mu.weights * rng.uniform(0.0, 4.0, (B, m)) * (rng.random((B, m)) < 0.8)
+    X = rng.uniform(-1.0, 1.0, (F, m)) * (rng.random((F, m)) < 0.7)
+    return mu, S, X, draw(st.integers(0, 7))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_one_stacks())
+def test_rank_one_stack_matches_convolution_and_kernel_routes(case):
+    assert_rank_one_stack_matches_routes(*case)
+
+
+@pytest.mark.parametrize("weights, N, X", [
+    ([0.7, 1.3, 2.1], 0, [[0.5, -0.2, 0.9], [-1.0, 0.3, 0.4]]),
+    ([1.6], 7, [[0.8], [-0.6], [0.0]]),
+    ([0.9, 1.4, 0.6, 1.1], 6, [[0.0, -0.7, 0.4, 0.0], [0.0] * 4]),
+    ([1e-2, 1e-2, 1e-2], 7, [[0.9, -0.8, 0.5], [-0.3, 1.0, -1.0]]),
+    ([1e2, 1e2, 1e2], 7, [[0.9, -0.8, 0.5], [-0.3, 1.0, -1.0]]),
+], ids=["degree_0", "one_atom", "xi_with_zero_entries", "weights_1e-2",
+        "weights_1e2"])
+def test_rank_one_stack_edge_inputs(weights, N, X):
+    mu = AtomicMeasure(weights)
+    S = mu.weights * np.random.default_rng(11).uniform(0.0, 3.0, (6, mu.m))
+    S[1, 0] = 0.0
+    assert_rank_one_stack_matches_routes(mu, S, np.array(X), N)
 
 
 @settings(max_examples=100, deadline=None)
@@ -355,12 +411,12 @@ def jump_batches(draw):
 
 
 def assert_removal_sum_matches_oracle(mu, phi, xi, batch):
-    masses, owners, atoms, sizes = batch
+    masses, owners, bounds, sizes = batch
     taylor = evaluate_batch(_taylor_stack(phi, np.flatnonzero(xi), phi.degree),
                             masses, mu)
-    got = _jump_removal_sum(taylor, xi, owners, atoms, sizes)
+    got = _jump_removal_sum(taylor, xi, owners, bounds, sizes)
     want, term_sizes = oracles.jump_removal_sum(phi, xi, masses, owners,
-                                                atoms, sizes, mu)
+                                                bounds, sizes, mu)
     scale = np.maximum(1.0, np.maximum(np.abs(want), term_sizes))
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
@@ -381,8 +437,7 @@ def test_jump_power_sums_edge_segments(weights, xi):
     mu, xi = AtomicMeasure(weights), np.array(xi)
     batch = next(iter_jump_batches(mu, SamplerConfig(seed=8, n_samples=30,
                                                      cp_truncation=1e-3)))
-    atoms = batch[2]
-    jumpless = [a for a in range(mu.m) if not np.any(atoms == a)]
+    jumpless = np.flatnonzero(np.diff(batch[2]) == 0).tolist()
     assert jumpless == [i for i, w in enumerate(weights) if w < 1e-6]
     assert_removal_sum_matches_oracle(
         mu, random_phi(np.random.default_rng(3), mu.m, 3), xi, batch)

@@ -68,7 +68,8 @@ def test_single_atom_matches_orthonormal_polynomials():
 
 
 def test_kernel_and_scalar_routes_agree(rng):
-    # the per-atom product density against the per-atom series product
+    # the per-atom product density against the Wick exponential's Taylor
+    # coefficients
     for _ in range(10):
         mu = random_measure(rng, 3)
         om = OmegaSample(rng.uniform(0.0, 3.0, size=3))
@@ -86,6 +87,21 @@ def test_batch_rank_one_matches_loop(rng):
     for b in range(7):
         row = wick_pair_rank_one(OmegaSample(S[b]), xi, mu, 5)
         assert np.allclose(batch[b], row, rtol=0, atol=1e-10 * max(1.0, np.max(np.abs(row))))
+
+
+def test_rank_one_batch_refuses_bad_shapes_and_non_finite_directions():
+    mu = AtomicMeasure([1.0, 2.0, 0.5])
+    S, xi = np.ones((4, 3)), np.array([0.3, -0.2, 0.1])
+    for masses, direction in [(np.ones((4, 2)), xi), (np.ones(3), xi),
+                              (S, xi[:2]), (S, np.ones((2, 2))),
+                              (S, np.ones((1, 2, 3)))]:
+        with pytest.raises(DimensionError):
+            wick_pair_rank_one_batch(masses, direction, mu, 3)
+    for bad in (math.nan, math.inf):
+        X = np.array([xi, xi])
+        X[1, 2] = bad
+        with pytest.raises(DomainError, match="xi must be finite"):
+            wick_pair_rank_one_batch(S, X, mu, 3)
 
 
 def test_disjoint_product_identity(rng):
