@@ -28,10 +28,11 @@ annihilations) on the Fock side and compares it with multiplication by
 <omega, xi>.  D_xi denotes the Gateaux derivative in the direction of the
 measure with density xi, i.e. D_xi = sum_i w_i xi_i nabla_i.
 
-A check evaluates the functionals it needs at the same rows together; the
-gradient forms take D_xi phi from the per-atom nabla values.  The shifted
-rows of an integral form and the S-transform check's functionals are
-evaluated one atom at a time, so no call grows with the atom count.
+Every form that varies one atom's mass reads phi's one-atom restrictions
+phi(omega with s_a := x) = sum_k C_{a,k} t_a(k; x) off the run table
+(``wickcalc._restrictions``): the integral forms at the rule nodes
+s_a + s_k, the gradient forms and the S-transform check (x = w theta)
+by their Taylor coefficients at s_a, and a removal at x = 0.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from .gammasample import (MCEstimate, SamplerConfig, iter_jump_batches,
                           mean_and_se)
 from .measure import AtomicMeasure
 from .symtensor import FockVector
-from .wickcalc import (Basis, OmegaSample, PolyFunctional, evaluate_batch,
-                       s_transform)
+from .wickcalc import (Basis, OmegaSample, PolyFunctional, _atom_table,
+                       _restrictions, evaluate_batch, s_transform)
 
 DEFAULT_QUAD_NODES = 64
 
@@ -130,21 +131,19 @@ def del_dagger(p: PolyFunctional, atom: int,
                           create(measure.delta_density(atom), pw.kernels))
 
 
-def _shifted_integral(ps: list[PolyFunctional], omega: OmegaSample, atom: int,
-                      measure: AtomicMeasure) -> np.ndarray:
-    """int_0^inf phi(omega + s delta_atom) e^(-s) ds for each functional of
-    ps (one basis), (F,), from one evaluation of the rows omega + s_k
-    delta_atom over the rule nodes s_k."""
-    rule = _rule()
-    rows = np.repeat(omega.masses[None, :], rule.nodes.size, axis=0)
-    rows[:, atom] += rule.nodes
-    return rule.weights @ evaluate_batch(ps, rows, measure)
-
-
-def _difference_integral(c: np.ndarray, base: float, shifted: np.ndarray) -> float:
-    """sum_a c_a int_0^inf (phi(omega + s delta_a) - phi(omega)) e^(-s) ds,
-    from phi(omega) = base and phi's shifted integrals, one per atom a."""
-    return math.fsum(c * (shifted - base * float(np.sum(_rule().weights))))
+def _shift_integrals(p: PolyFunctional, omega: OmegaSample, atoms,
+                     measure: AtomicMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """Per atom a of atoms, with f phi's one-atom restriction at a:
+    int_0^inf (f(s_a + s) - f(s_a)) e^(-s) ds and, for a monomial phi,
+    int_0^inf f'(s_a + s) e^(-s) ds = int nabla_a phi(omega + s delta_a).
+    Both by the rule, from one (K, N+1, 64) table at the nodes s_a + s_j."""
+    C = _restrictions(p, omega.masses[None, :], measure, atoms)[1][..., 0]
+    rule, N = _rule(), p.degree
+    s, w = omega.masses[atoms, None], measure.weights[atoms]
+    table = _atom_table(p.basis, s + np.append(0.0, rule.nodes), w, N)
+    moments, here = table[..., 1:] @ rule.weights, table[..., 0] * float(np.sum(rule.weights))
+    return (np.einsum("ak,ak->a", C[:, 1:], (moments - here)[:, 1:]),
+            np.einsum("ak,ak->a", C[:, 1:] * np.arange(1, N + 1), moments[:, :-1]))
 
 
 def del_integral(p: PolyFunctional, atom: int, omega: OmegaSample,
@@ -152,8 +151,7 @@ def del_integral(p: PolyFunctional, atom: int, omega: OmegaSample,
     """Integral form of the Wick derivative at one configuration:
     int_0^inf (phi(omega + s delta_atom) - phi(omega)) e^(-s) ds."""
     _check_atom(atom, p.m)
-    return _difference_integral(np.ones(1), p.evaluate(omega, measure),
-                                _shifted_integral([p], omega, atom, measure))
+    return float(_shift_integrals(p, omega, [atom], measure)[0][0])
 
 
 def annihilate1_integral(p: PolyFunctional, xi, measure: AtomicMeasure,
@@ -162,9 +160,8 @@ def annihilate1_integral(p: PolyFunctional, xi, measure: AtomicMeasure,
     atoms with xi_i != 0."""
     xi = measure.check_function(np.asarray(xi, dtype=float))
     atoms = np.flatnonzero(xi)
-    shifted = [_shifted_integral([p], omega, a, measure)[0] for a in atoms]
-    return _difference_integral((measure.weights * xi)[atoms],
-                                p.evaluate(omega, measure), np.array(shifted))
+    return math.fsum((measure.weights * xi)[atoms]
+                     * _shift_integrals(p, omega, atoms, measure)[0])
 
 
 def coordinate_multiply(p: PolyFunctional, atom: int,
@@ -174,12 +171,7 @@ def coordinate_multiply(p: PolyFunctional, atom: int,
     pw = p.to_basis(Basis.GAMMA_WICK, measure)
     _check_atom(atom, pw.m)
     d1 = wick_del(pw, atom)
-    return _multiply_from(pw, d1, wick_del(d1, atom), atom, measure)
-
-
-def _multiply_from(pw: PolyFunctional, d1: PolyFunctional, d2: PolyFunctional,
-                   atom: int, measure: AtomicMeasure) -> PolyFunctional:
-    """coordinate_multiply from pw and its Wick derivatives d1, d2 at atom."""
+    d2 = wick_del(d1, atom)
     return del_dagger(pw, atom, measure) + 2.0 * del_dagger(d1, atom, measure) \
         + pw + d1 + del_dagger(d2, atom, measure)
 
@@ -246,16 +238,32 @@ class CheckReport:
         return abs(self.lhs - self.rhs)
 
 
-def _gradient_terms(pm: PolyFunctional, xi: np.ndarray, omega: OmegaSample,
-                    measure: AtomicMeasure
-                    ) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """phi(omega), the first and second per-atom nabla values at omega, and
-    D_xi phi(omega) = sum_i w_i xi_i nabla_i phi(omega), from one evaluation
-    of the order-2 Taylor stack over all atoms."""
-    values = evaluate_batch(_taylor_stack(pm, range(pm.m), 2),
-                            omega.masses[None, :], measure)[0]
-    g1, g2 = values[1::2], values[2::2]
-    return float(values[0]), g1, g2, float((measure.weights * xi) @ g1)
+def _taylor(C: np.ndarray, s: np.ndarray, order: int = 0) -> np.ndarray:
+    """[:, j] = sum_k C(k, j) C[:, k] s^(k-j), j <= max(N, order): the
+    Taylor coefficients at x = s of monomial restrictions sum_k C[:, k] x^k
+    (axis 1), so that j! times entry j is nabla^j phi at omega.  s
+    broadcasts against C[:, 0]."""
+    N = C.shape[1] - 1
+    D = np.zeros((len(C), max(N, order) + 1) + C.shape[2:])
+    D[:, :N + 1] = C
+    for i in range(N):   # repeated synthetic division by x - s
+        for k in range(N - 1, i - 1, -1):
+            D[:, k] += s * D[:, k + 1]
+    return D
+
+
+def _gradient_form(op, p: PolyFunctional, xi: np.ndarray, omega: OmegaSample,
+                   measure: AtomicMeasure) -> tuple[float, ...]:
+    """The Fock side op(xi, .) on p's Gamma-Wick kernels at omega, then, from
+    the Taylor coefficients at s_a of phi's restriction to each atom a,
+    phi(omega), the first and second nabla_a phi(omega) and D_xi phi(omega)
+    = sum_a w_a xi_a nabla_a phi(omega) of its gradient form."""
+    pw = p.to_basis(Basis.GAMMA_WICK, measure)
+    lhs = PolyFunctional(Basis.GAMMA_WICK, op(xi, pw.kernels)).evaluate(omega, measure)
+    pm = p.to_basis(Basis.MONOMIAL, measure)
+    (base,), C = _restrictions(pm, omega.masses[None, :], measure, range(pm.m))
+    D = _taylor(C[..., 0], omega.masses, 2)
+    return lhs, float(base), D[:, 1], 2.0 * D[:, 2], float((measure.weights * xi) @ D[:, 1])
 
 
 def creation_gradient_check(p: PolyFunctional, xi, omega: OmegaSample,
@@ -263,11 +271,7 @@ def creation_gradient_check(p: PolyFunctional, xi, omega: OmegaSample,
     """Creation operator vs its gradient form:
     <omega(x), xi (nabla - 1)^2 phi> + (D_xi - <xi>) phi."""
     xi = measure.check_function(np.asarray(xi, dtype=float))
-    pw = p.to_basis(Basis.GAMMA_WICK, measure)
-    lhs = PolyFunctional(Basis.GAMMA_WICK,
-                         create(xi, pw.kernels)).evaluate(omega, measure)
-    pm = p.to_basis(Basis.MONOMIAL, measure)
-    base, g1, g2, dphi = _gradient_terms(pm, xi, omega, measure)
+    lhs, base, g1, g2, dphi = _gradient_form(create, p, xi, omega, measure)
     rhs = float(omega.masses @ (xi * (g2 - 2.0 * g1 + base))) \
         + dphi - measure.integrate(xi) * base
     return CheckReport(lhs, rhs)
@@ -277,13 +281,8 @@ def neutral_gradient_check(p: PolyFunctional, xi, omega: OmegaSample,
                            measure: AtomicMeasure) -> CheckReport:
     """Neutral operator vs <omega(x), xi nabla(1 - nabla) phi> - D_xi phi."""
     xi = measure.check_function(np.asarray(xi, dtype=float))
-    pw = p.to_basis(Basis.GAMMA_WICK, measure)
-    lhs = PolyFunctional(Basis.GAMMA_WICK,
-                         neutral(xi, pw.kernels)).evaluate(omega, measure)
-    pm = p.to_basis(Basis.MONOMIAL, measure)
-    _, g1, g2, dphi = _gradient_terms(pm, xi, omega, measure)
-    rhs = float(omega.masses @ (xi * (g1 - g2))) - dphi
-    return CheckReport(lhs, rhs)
+    lhs, _, g1, g2, dphi = _gradient_form(neutral, p, xi, omega, measure)
+    return CheckReport(lhs, float(omega.masses @ (xi * (g1 - g2))) - dphi)
 
 
 @dataclass(frozen=True)
@@ -316,19 +315,16 @@ class SecondAnnihilationReport:
 def second_annihilation_check(p: PolyFunctional, xi, omega: OmegaSample,
                               measure: AtomicMeasure) -> SecondAnnihilationReport:
     xi = measure.check_function(np.asarray(xi, dtype=float))
-    pw = p.to_basis(Basis.GAMMA_WICK, measure)
-    lhs = PolyFunctional(Basis.GAMMA_WICK,
-                         annihilate2(xi, pw.kernels)).evaluate(omega, measure)
-    pm = p.to_basis(Basis.MONOMIAL, measure)
-    base, _, g2, dphi = _gradient_terms(pm, xi, omega, measure)
+    lhs, base, _, g2, dphi = _gradient_form(annihilate2, p, xi, omega, measure)
     lead = float(omega.masses @ (xi * g2)) + dphi
     atoms = np.flatnonzero(xi)
-    shifted = np.reshape([_shifted_integral([pm, nabla(pm, a)], omega, a, measure)
-                          for a in atoms], (-1, 2))
+    diff, grad = _shift_integrals(p.to_basis(Basis.MONOMIAL, measure), omega,
+                                  atoms, measure)
     wxi = (measure.weights * xi)[atoms]
-    rhs_comp = lead - _difference_integral(wxi, base, shifted[:, 0])
-    rhs_grad = lead - wxi @ shifted[:, 1]
-    rhs_unc = lead - wxi @ shifted[:, 0] - measure.integrate(xi) * base
+    rhs_comp = lead - math.fsum(wxi * diff)
+    rhs_grad = lead - wxi @ grad
+    shifted = diff + base * float(np.sum(_rule().weights))
+    rhs_unc = lead - wxi @ shifted - measure.integrate(xi) * base
     return SecondAnnihilationReport(base, lhs, rhs_comp, rhs_grad, rhs_unc)
 
 
@@ -336,73 +332,51 @@ def stransform_multiplication_check(p: PolyFunctional, theta,
                                     measure: AtomicMeasure) -> float:
     """S-transform of coordinate multiplication against
     (theta_x + 1) U + (1 + 2 theta_x) grad_x U + theta_x grad_x^2 U,
-    maximized over atoms.  grad here differentiates U in theta."""
+    maximized over atoms; grad differentiates U in theta toward delta_x/w_x.
+    U is the monomial functional with p's Gamma-Wick kernels at s = w theta,
+    so grad_x^j U / j! are the Taylor coefficients of its restriction."""
     theta = measure.check_function(np.asarray(theta, dtype=float))
     pw = p.to_basis(Basis.GAMMA_WICK, measure)
-    worst = 0.0
-    for i in range(pw.m):
-        # theta-derivatives toward delta_i: slot evaluation of the kernels
-        d1 = wick_del(pw, i)
-        d2 = wick_del(d1, i)
-        U, dU, d2U, lhs = s_transform(
-            [pw, d1, d2, _multiply_from(pw, d1, d2, i, measure)], theta, measure)
-        rhs = (theta[i] + 1.0) * U + (1.0 + 2.0 * theta[i]) * dU + theta[i] * d2U
-        worst = max(worst, abs(lhs - rhs))
-    return float(worst)
+    lhs = np.array([s_transform(coordinate_multiply(pw, i, measure), theta, measure)
+                    for i in range(pw.m)])
+    s = measure.weights * theta
+    (U,), C = _restrictions(PolyFunctional(Basis.MONOMIAL, pw.kernels),
+                            s[None, :], measure, range(pw.m))
+    D = _taylor(C[..., 0], s, 2)
+    rhs = (theta + 1.0) * U + (1.0 + 2.0 * theta) * D[:, 1] + 2.0 * theta * D[:, 2]
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def a1_plus_explicit(p: PolyFunctional, xi, omega: OmegaSample,
                      measure: AtomicMeasure) -> float:
     """Adjoint of the smeared difference operator at an explicit
     configuration: sum_i s_i xi_i phi(omega with atom i removed) - <xi> phi,
-    evaluated on omega and its m removed configurations as one batch."""
+    each removal the one-atom restriction of phi at x = 0."""
     xi = measure.check_function(np.asarray(xi, dtype=float))
-    rows = np.repeat(omega.masses[None, :], p.m + 1, axis=0)
-    rows[np.arange(1, p.m + 1), np.arange(p.m)] = 0.0
-    values = evaluate_batch(p, rows, measure)
-    return float((omega.masses * xi) @ values[1:]) \
-        - measure.integrate(xi) * float(values[0])
-
-
-def _taylor_stack(phi_m: PolyFunctional, atoms,
-                  J: int) -> list[PolyFunctional]:
-    """[phi, nabla_a^j phi for j = 1..J] for each atom a of atoms, in that
-    order: the Taylor coefficients of a monomial phi along the mass of
-    each of those atoms, up to order J."""
-    stack = [phi_m]
-    for a in atoms:
-        d = phi_m
-        for _ in range(J):
-            d = nabla(d, int(a))
-            stack.append(d)
-    return stack
+    (phi,), C = _restrictions(p, omega.masses[None, :], measure, range(p.m))
+    at_zero = _atom_table(p.basis, np.zeros((p.m, 1)), measure.weights, p.degree)
+    removed = np.einsum("akb,akb->a", C, at_zero)
+    return float((omega.masses * xi) @ removed) - measure.integrate(xi) * float(phi)
 
 
 def _jump_removal_sum(taylor: np.ndarray, xi: np.ndarray, owners: np.ndarray,
                       bounds: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Per sample row b, the sum of s xi_a phi(omega_b - s e_a) over the
     jumps (a, s) of row b, by the Taylor identity stated in
-    a1_plus_mc_adjointness_check.  taylor holds the values of
-    _taylor_stack(phi, support of xi, N) on the rows.  Jumps are atom-major,
-    so each atom a of the support owns the segment bounds[a]:bounds[a+1]
-    of the flat arrays; its power sums P_{a,r}, r = 1..N+1, take one
-    bincount per r over the segment's owners."""
+    a1_plus_mc_adjointness_check, from the (K, N+1, B) Taylor coefficients
+    nabla_a^j phi / j! at each atom a of the support of xi and row.  Jumps
+    are atom-major, so atom a owns the segment bounds[a]:bounds[a+1]; its
+    power sums P_{a,r}, r <= N+1, take one bincount per r there."""
     support = np.flatnonzero(xi)
-    rows, K = taylor.shape[0], support.size
-    N = (taylor.shape[1] - 1) // max(K, 1)
-    cols = np.hstack([np.zeros((K, 1), dtype=int),    # [k, j]: nabla_a^j phi
-                      1 + np.arange(K * N).reshape(K, N)])
-    sums = np.empty((N + 1, rows, K))
+    sums = np.empty(taylor.shape)
     for k, a in enumerate(support):
         seg = slice(bounds[a], bounds[a + 1])
         own, s = owners[seg], sizes[seg]
-        power = s
-        for j in range(N + 1):
-            sums[j, :, k] = np.bincount(own, weights=power, minlength=rows)
-            power = power * s
-    signs = np.array([(-1.0) ** j / math.factorial(j) for j in range(N + 1)])
-    return np.einsum("bkj,jbk,j,k->b", taylor[:, cols], sums, signs,
-                     xi[support])
+        power, neg = s, -s
+        for j in range(taylor.shape[1]):   # (-1)^j P_{a,j+1}
+            sums[k, j] = np.bincount(own, weights=power, minlength=taylor.shape[2])
+            power = power * neg
+    return np.einsum("kjb,kjb,k->b", taylor, sums, xi[support])
 
 
 def a1_plus_mc_adjointness_check(phi: PolyFunctional, psi: PolyFunctional, xi,
@@ -420,24 +394,25 @@ def a1_plus_mc_adjointness_check(phi: PolyFunctional, psi: PolyFunctional, xi,
     phi is a polynomial of degree N, so by Taylor's formula the jump sum
     of a sample is sum_a xi_a sum_{j<=N} (-1)^j/j! (nabla_a^j phi)(omega)
     P_{a,j+1}, with P_{a,r} the sum of s^r over the sample's jumps at
-    atom a.  Each batch takes two evaluate_batch calls: the monomial stack
-    [phi, nabla_a^j phi for xi_a != 0, j <= N] and the Gamma-Wick pair
+    atom a.  Each batch takes the one-atom restrictions of the monomial phi
+    at the atoms with xi_a != 0, whose Taylor coefficients at s_a are the
+    nabla_a^j phi / j!, and one evaluate_batch call of the Gamma-Wick pair
     [psi, a1- psi].  Jump removal is thereby exact up to rounding;
     truncating jumps below cfg.cp_truncation still biases the identity by
     O(eps).
     """
     xi = measure.check_function(np.asarray(xi, dtype=float))
     phi_m = phi.to_basis(Basis.MONOMIAL, measure)
-    stack = _taylor_stack(phi_m, np.flatnonzero(xi), phi_m.degree)
+    support = np.flatnonzero(xi)
     psi_w = psi.to_basis(Basis.GAMMA_WICK, measure)
     wick = [psi_w, PolyFunctional(Basis.GAMMA_WICK,
                                   annihilate1(xi, psi_w.kernels, measure))]
     xi_mass = measure.integrate(xi)
 
     def stat(masses, owners, bounds, sizes):
-        taylor = evaluate_batch(stack, masses, measure)
+        phi0, C = _restrictions(phi_m, masses, measure, support)
+        taylor = _taylor(C, masses[:, support].T)
         psi0, a1v = evaluate_batch(wick, masses, measure).T
-        phi0 = taylor[:, 0]
         aplus = _jump_removal_sum(taylor, xi, owners, bounds, sizes) - xi_mass * phi0
         return aplus * psi0 - phi0 * a1v
 

@@ -24,8 +24,9 @@ lowering kernel of ``fieldops`` (one extra atom, degree b = 1).
 
 Every rank table comes from the sorted reps of each (m, n): the cached
 multiset and last-run tables, the merge table, and the run table on which
-``wickcalc`` converts bases (each run of equal atoms in the reps of degrees
-1..N, with the flat rank of its rep without it).  No table stores a count
+``wickcalc`` converts bases and restricts functionals to one atom (each run
+of equal atoms in the reps of degrees 1..N, with the flat rank of its rep
+without it).  No table stores a count
 per atom, and each is checked against one entry budget, ``MAX_ENTRIES``,
 before it is allocated.
 """
@@ -126,19 +127,15 @@ def _start(m: int, n: int) -> int:
 @lru_cache(maxsize=None)
 def _last_runs(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(parent, a, k) per degree-n rep, n >= 1: it ends in k copies of atom a;
-    parent is the ``_start`` offset of the rep without them (k key digits)."""
+    parent is the ``_start`` offset of the rep without them: the parent of
+    q, the rep of its first n - 1 atoms, when q ends in a too, else q."""
     tab = _tables(m, n)
     a, k = tab.reps[:, -1], tab.last_run
-    return _offsets(m, n, k, tab.keys // m ** k), a, k
-
-
-def _offsets(m: int, n: int, k: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """``_start`` offsets of the degree-(n - k) reps with the given keys."""
-    out = np.empty_like(keys)
-    for j in np.unique(k).tolist():
-        run = k == j
-        out[run] = _start(m, n - j) + np.searchsorted(_tables(m, n - j).keys, keys[run])
-    return out
+    if n == 1:
+        return np.zeros(m, dtype=np.int64), a, k
+    prev = _tables(m, n - 1).reps[:, -1]
+    q = np.repeat(np.arange(len(prev)), m - prev)
+    return np.where(k > 1, _last_runs(m, n - 1)[0][q], _start(m, n - 1) + q), a, k
 
 
 @lru_cache(maxsize=None)
@@ -148,23 +145,21 @@ def _atom_runs(m: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     rep at ``_start`` offset entry[j], and base[j] is the offset of that rep
     with the run removed; atom a owns the runs bounds[a]:bounds[a + 1].
     The reps holding atom a are those of degree < N with one a added, so
-    there are m * _start(m, N) runs."""
-    _check_entries(3 * m * _start(m, N), f"run table (m={m}, N={N})")
-    parts = [(np.zeros(0, dtype=np.int64),) * 4]
-    for n in range(1, N + 1):
-        tab = _tables(m, n)
-        # run j starts at slot p[j] of rep r[j] and ends where the next
-        # run of that rep starts, or at slot n
-        r, p = np.nonzero(np.diff(tab.reps, axis=1, prepend=-1))
-        k = np.append(np.where(r[1:] == r[:-1], p[1:], n), n) - p
-        key = tab.keys[r]
-        # drop the key digits p..p+k-1 of the run
-        key = key // m ** (n - p) * m ** (n - p - k) + key % m ** (n - p - k)
-        parts.append((tab.reps[r, p], _start(m, n) + r, k, _offsets(m, n, k, key)))
-    atom, entry, k, base = map(np.concatenate, zip(*parts))
-    order = np.argsort(atom, kind="stable")
-    return (entry[order], k[order], base[order],
-            np.searchsorted(atom[order], np.arange(m + 1)))
+    each atom owns _start(m, N) runs, at the offsets of those reps."""
+    size = _start(m, N)
+    _check_entries(3 * m * size, f"run table (m={m}, N={N})")
+    entry = np.empty(m * size, dtype=np.int64)
+    k, base = np.ones(m * size, dtype=np.int64), np.tile(np.arange(size), m)
+    for a in range(m):
+        e, c, b = (x[a * size:(a + 1) * size] for x in (entry, k, base))
+        for n in range(1, N + 1):
+            lo, hi = _start(m, n - 1), _start(m, n)
+            e[lo:hi] = hi + _insert_ranks(m, n - 1, np.array([a]))[:, 0]
+            # a rep made a degree lower that holds a already: its run grows
+            # by one copy and keeps its base
+            low = slice(_start(m, n - 2) if n > 1 else 0, lo)
+            c[e[low]], b[e[low]] = c[low] + 1, b[low]
+    return entry, k, base, np.arange(m + 1) * size
 
 
 def atom_products(table, N: int) -> list[np.ndarray]:
@@ -195,21 +190,28 @@ def _merge_ranks(m: int, a: int, b: int) -> np.ndarray:
     larger degree first, so the product and slot operators share tables."""
     ta = _tables(m, a)
     _check_entries(len(ta.reps) * math.comb(b + m - 1, b), f"merge table ({a}, {b})")
-    if b != 1:
-        r = np.arange(len(ta.reps))[:, None]
-        for p, atoms in enumerate(_tables(m, b).reps.T):
-            r = _merge_ranks(m, a + p, 1)[r, atoms]
-        return r
-    # Inserting atom x behind the p entries <= x multiplies the key digits
-    # of those p entries by m and writes x at digit a - p.
-    p = np.zeros((len(ta.reps), m), dtype=np.int64)
+    if b == 1:
+        return _insert_ranks(m, a, np.arange(m))
+    r = np.arange(len(ta.reps))[:, None]
+    for p, atoms in enumerate(_tables(m, b).reps.T):
+        r = _merge_ranks(m, a + p, 1)[r, atoms]
+    return r
+
+
+def _insert_ranks(m: int, n: int, atoms: np.ndarray) -> np.ndarray:
+    """(R_n, len(atoms)): degree-(n+1) rank of each degree-n rep with one
+    of the atoms inserted, the columns ``atoms`` of the merge table
+    (n, 1).  Inserting atom x behind the p entries <= x multiplies the key
+    digits of those p entries by m and writes x at digit n - p."""
+    ta = _tables(m, n)
+    p = np.zeros((len(ta.reps), len(atoms)), dtype=np.int64)
     for col in ta.reps.T:
-        p += col[:, None] <= np.arange(m)
-    head = np.zeros((len(ta.reps), a + 1), dtype=np.int64)
+        p += col[:, None] <= atoms
+    head = np.zeros((len(ta.reps), n + 1), dtype=np.int64)
     np.cumsum(ta.reps * ta.powers, axis=1, out=head[:, 1:])
     keys = ta.keys[:, None] + (m - 1) * np.take_along_axis(head, p, axis=1) \
-        + np.arange(m) * m ** (a - p)
-    return np.searchsorted(_tables(m, a + 1).keys, keys)
+        + atoms * m ** (n - p)
+    return np.searchsorted(_tables(m, n + 1).keys, keys)
 
 
 class SymTensor:

@@ -30,7 +30,9 @@ and one (F, R_n) @ (R_n, B) product per degree n.
 Conversion is a lower triangular change of basis along each atom's axis
 of A, over all total degrees <= N at once, on the flat layout of
 ``atom_products``: along atom i, each entry's line is its rep with the
-atom-i run removed.  The s^l coefficient of q_n is
+atom-i run removed.  At a row the same lines give phi's restriction to
+one atom, phi(omega with s_i := x) = sum_k C_{i,k} b_k(x) (``_restrictions``,
+which the difference calculus reads).  The s^l coefficient of q_n is
 (-1)^(n-l) C(n, l) rising(w+l, n-l) and the inverse drops the signs, s^l
 = sum_j C(l, j) rising(w+j, l-j) q_j, so both tables come from the
 Laguerre coefficient recurrence (q_n = c_n P_n).  The S-transform pairs
@@ -104,28 +106,14 @@ def wick_kernels(omega: OmegaSample, measure: AtomicMeasure, N: int) -> list[Sym
     if not 0 <= N <= WICK_MAX_DEGREE:
         raise SizeError(f"Wick degree must be in 0..{WICK_MAX_DEGREE}")
     w = measure.weights
-    q = _single_atom_q(omega.masses, w, N) / w[:, None] ** np.arange(N + 1)
+    q = _atom_table(Basis.GAMMA_WICK, omega.masses[:, None], w, N)[..., 0] \
+        / w[:, None] ** np.arange(N + 1)
     return [SymTensor(measure.m, n, P) for n, P in enumerate(atom_products(q, N))]
 
 
 def wick_kernel(omega: OmegaSample, measure: AtomicMeasure, n: int) -> SymTensor:
     """Density of :omega^n: with respect to the n-fold product measure."""
     return wick_kernels(omega, measure, n)[n]
-
-
-def _single_atom_q(s: np.ndarray, w, N: int) -> np.ndarray:
-    """Scalar Wick powers q_0..q_N (last axis) of one-atom configurations
-    with masses s (an array) and weights w broadcast against s: three-term
-    recurrence q_{k+1} = (s - beta_k) q_k - alpha_k^2 q_{k-1}.  Each q_k is
-    stored contiguously."""
-    alpha_sq, betas = _three_term(w, N)
-    q = np.empty((N + 1,) + np.broadcast(s, w).shape)
-    q[0] = 1.0
-    if N >= 1:
-        q[1] = s - betas[..., 0]
-    for k in range(1, N):
-        q[k + 1] = (s - betas[..., k]) * q[k] - alpha_sq[..., k] * q[k - 1]
-    return q.transpose(*range(1, q.ndim), 0)
 
 
 def wick_pair_rank_one(omega: OmegaSample, xi, measure: AtomicMeasure,
@@ -322,40 +310,74 @@ def monomial_to_wick(p: PolyFunctional, measure: AtomicMeasure) -> PolyFunctiona
     return _convert(p, measure, Basis.MONOMIAL, Basis.GAMMA_WICK)
 
 
+def _atom_table(basis: Basis, s: np.ndarray, weights: np.ndarray,
+                N: int) -> np.ndarray:
+    """[i, k, b] = t_i(k; s[i, b]) for an (m, B) array s, the one-atom
+    table of each basis: s^k, or the Wick powers q_k(s; w_i) by the
+    three-term recurrence q_{k+1} = (s - beta_k) q_k - alpha_k^2 q_{k-1}.
+    Each t(k) is stored contiguously."""
+    table = np.empty((N + 1,) + s.shape)
+    table[0] = 1.0
+    if basis is Basis.MONOMIAL:
+        table[1:] = s
+        for k in range(2, N + 1):   # repeated products: faster than pow
+            table[k] *= table[k - 1]
+    elif N >= 1:
+        alpha_sq, betas = _three_term(weights[:, None], N)
+        table[1] = s - betas[..., 0]
+        for k in range(1, N):
+            table[k + 1] = (s - betas[..., k]) * table[k] - alpha_sq[..., k] * table[k - 1]
+    return table.swapaxes(0, 1)
+
+
 def evaluate_batch(p, masses: np.ndarray, measure: AtomicMeasure) -> np.ndarray:
     """Vectorized evaluation over rows of a (B, m) mass matrix, in the
     functionals' own basis: sum_k A[k] prod_i b_{k_i}(s_i) with the
     per-atom table b = s^k or q_k(s; w_i) multiplied out by atom_products.
     p is one PolyFunctional, giving (B,) values, or a non-empty sequence of
     them in one basis, giving (B, F) values from one table and product."""
+    return _restrictions(p, masses, measure, ())[0]
+
+
+def _restrictions(p, masses: np.ndarray, measure: AtomicMeasure,
+                  atoms) -> tuple[np.ndarray, np.ndarray]:
+    """evaluate_batch's values, and the one-atom restrictions of every
+    functional and row at each atom a of ``atoms``: phi(omega with s_a :=
+    x) = sum_k C_{a,k} t_a(k; x), t the one-atom table of the basis.
+    C_{a,k}, k >= 1, sums A[entry] P[base] over the runs of k copies of a
+    in the run table, P the atom_products of the row; C_{a,0} is the rest
+    of phi(omega).  C is (K, N+1, B), or (K, F, N+1, B) for a sequence."""
     ps = [p] if isinstance(p, PolyFunctional) else list(p)
     if not ps or any(q.basis is not ps[0].basis for q in ps):
         raise ContractError("evaluate_batch takes one or more functionals in one basis")
     S = np.asarray(masses, dtype=float)
     if S.ndim != 2 or any(q.m != S.shape[1] for q in ps) or S.shape[1] != measure.m:
         raise DimensionError("masses, functionals and measure differ in atom count")
-    N = max(q.degree for q in ps)
+    (F, B), N = (len(ps), len(S)), max(q.degree for q in ps)
     R = math.comb(N + measure.m, N)
-    _check_entries(R * len(S), f"evaluation of {len(S)} rows at degree {N}")
-    _check_entries(R * len(ps), f"a stack of {len(ps)} functionals at degree {N}")
-    s = np.ascontiguousarray(S.T)
-    if ps[0].basis is Basis.MONOMIAL:
-        table = np.empty((N + 1,) + s.shape)
-        table[1:] = s
-        for k in range(2, N + 1):   # repeated products: faster than pow
-            table[k] *= table[k - 1]
-        table = table.swapaxes(0, 1)
-    else:
-        table = _single_atom_q(s, measure.weights[:, None], N).swapaxes(1, 2)
-    total = np.zeros((len(ps), len(S)))
-    for n, P in enumerate(atom_products(table, N)):
-        coeff = np.zeros((len(ps), len(P)))   # rows past a degree stay 0
-        for row, q in zip(coeff, ps):
-            if n <= q.degree:
-                k = q.kernels.kernels[n]
-                np.multiply(k.perm_counts, k.values, out=row)
-        total += coeff @ P
-    return total[0] if isinstance(p, PolyFunctional) else total.T
+    _check_entries(R * B, f"evaluation of {B} rows at degree {N}")
+    _check_entries(R * F, f"a stack of {F} functionals at degree {N}")
+    _check_entries(len(atoms) * F * (N + 1) * B,
+                   f"restrictions of {F} functionals at {len(atoms)} atoms")
+    table = _atom_table(ps[0].basis, np.ascontiguousarray(S.T), measure.weights, N)
+    P = atom_products(table, N)
+    A = [np.zeros((F, len(Pn))) for Pn in P]   # rows past a degree stay 0
+    for f, q in enumerate(ps):
+        for An, kern in zip(A, q.kernels.kernels):
+            np.multiply(kern.perm_counts, kern.values, out=An[f])
+    values = sum(An @ Pn for An, Pn in zip(A, P))
+    C = np.empty((len(atoms), F, N + 1, B))
+    if len(atoms):
+        A, P = np.hstack(A), np.concatenate(P)
+        entry, k, base, bounds = _atom_runs(measure.m, N)
+        for c, a in zip(C, atoms):
+            run = slice(bounds[a], bounds[a + 1])
+            # [f, k - 1, j]: the coefficient of run j where it holds k copies
+            held = A[:, None, entry[run]] * (k[run] == np.arange(1, N + 1)[:, None])
+            c[:, 1:] = held @ P[base[run]]
+        C[:, :, 0] = values - np.einsum("afkb,akb->afb", C[:, :, 1:],
+                                        table[atoms, 1:])
+    return (values[0], C[:, 0]) if isinstance(p, PolyFunctional) else (values.T, C)
 
 
 def wick_exp(omega: OmegaSample, phi, measure: AtomicMeasure,

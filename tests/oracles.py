@@ -1,6 +1,6 @@
 """Independent reference implementations used only by the tests.
 
-Five kinds live here.
+Six kinds live here.
 
 * Brute-force routes that avoid the package's multiset tables and partition
   code: dense arrays are built straight from the documented storage order
@@ -17,6 +17,12 @@ Five kinds live here.
 * The jump sum of the adjointness check by literal removal: one
   configuration per jump, each evaluated directly, where the package sums
   Taylor terms against per-sample jump power sums.
+* Every form that varies one atom's mass by whole rows: phi at the
+  configurations with that mass changed, the shifted rows of an integral
+  form at the rule nodes, and the per-atom nabla^j functionals of the
+  Taylor coefficients (``nabla``, on the Fock side), each evaluated by
+  ``evaluate_batch``, where the package reads one-atom restrictions off
+  the run table.
 * The rank-one Wick pairs <:omega^n:, xi^(x)n> as the product over atoms
   of one-atom series, multiplied out by truncated convolution, where the
   package reads them off the log of the Wick exponential.
@@ -37,6 +43,7 @@ from scipy.special import poch
 from gwn.errors import ContractError, DimensionError, SizeError
 from gwn.extfock import loop_partitions
 from gwn.measure import AtomicMeasure
+from gwn.funcalc import nabla
 from gwn.symtensor import MAX_ENTRIES, FockVector, SymTensor, _tables, sym_product
 from gwn.wickcalc import (WICK_MAX_DEGREE, Basis, OmegaSample, PolyFunctional,
                           evaluate_batch)
@@ -415,6 +422,69 @@ def jump_removal_sum(phi: PolyFunctional, xi: np.ndarray, masses: np.ndarray,
     terms = sizes * xi[atoms] * evaluate_batch(phi, removed, measure)
     return (np.bincount(owners, weights=terms, minlength=rows),
             np.bincount(owners, weights=np.abs(terms), minlength=rows))
+
+
+# --- one atom varied, by whole rows -------------------------------------------
+
+def varied_rows(masses: np.ndarray, atom: int, x) -> np.ndarray:
+    """One copy of the 1-d masses per value of x, with the mass at atom
+    set to that value."""
+    rows = np.repeat(np.asarray(masses, dtype=float)[None, :], np.size(x), axis=0)
+    rows[:, atom] = x
+    return rows
+
+
+def shifted_integral(ps, omega: OmegaSample, atom: int, measure: AtomicMeasure,
+                     nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """int_0^inf phi(omega + s delta_atom) e^(-s) ds for each functional of
+    ps (one basis), by the rule (nodes, weights), from one evaluation of
+    the rows omega + s_k delta_atom."""
+    rows = varied_rows(omega.masses, atom, omega.masses[atom] + nodes)
+    return weights @ evaluate_batch(ps, rows, measure)
+
+
+def taylor_stack(phi_m: PolyFunctional, atoms, J: int) -> list[PolyFunctional]:
+    """[phi, nabla_a^j phi for j = 1..J] for each atom a of atoms, in that
+    order: the Taylor coefficients of a monomial phi along the mass of
+    each of those atoms, up to order J, times j!."""
+    stack = [phi_m]
+    for a in atoms:
+        d = phi_m
+        for _ in range(J):
+            d = nabla(d, int(a))
+            stack.append(d)
+    return stack
+
+
+def taylor_values(phi_m: PolyFunctional, masses: np.ndarray, atoms,
+                  measure: AtomicMeasure, J: int) -> np.ndarray:
+    """(B, K, J+1): nabla_a^j phi / j! at each row of the (B, m) masses, for
+    each atom a of atoms, by evaluating the Taylor stack."""
+    values = evaluate_batch(taylor_stack(phi_m, atoms, J), masses, measure)
+    out = np.empty((len(values), len(atoms), J + 1))
+    out[..., 0] = values[:, :1]
+    out[..., 1:] = values[:, 1:].reshape(len(values), len(atoms), J)
+    return out / np.array([math.factorial(j) for j in range(J + 1)])
+
+
+def second_annihilation_forms(p: PolyFunctional, xi: np.ndarray,
+                              omega: OmegaSample, measure: AtomicMeasure,
+                              nodes: np.ndarray, weights: np.ndarray):
+    """phi(omega) and the compensated, gradient-shift and uncompensated
+    right sides of the second annihilation check, by whole rows: the order-2
+    Taylor stack over every atom and, per atom of the support of xi, the
+    shifted rows of [phi, nabla_a phi]."""
+    pm = p.to_basis(Basis.MONOMIAL, measure)
+    D = taylor_values(pm, omega.masses[None, :], range(pm.m), measure, 2)[0]
+    base, g1, g2 = D[0, 0], D[:, 1], 2.0 * D[:, 2]
+    lead = float(omega.masses @ (xi * g2)) + float((measure.weights * xi) @ g1)
+    atoms = np.flatnonzero(xi)
+    shifted = np.reshape([shifted_integral([pm, nabla(pm, a)], omega, a, measure,
+                                           nodes, weights) for a in atoms], (-1, 2))
+    wxi = (measure.weights * xi)[atoms]
+    comp = lead - math.fsum(wxi * (shifted[:, 0] - base * float(np.sum(weights))))
+    return (base, comp, lead - wxi @ shifted[:, 1],
+            lead - wxi @ shifted[:, 0] - measure.integrate(xi) * base)
 
 
 # --- rank-one Wick pairs, atom by atom --------------------------------------

@@ -244,8 +244,8 @@ def test_annihilate1_integral_matches_fock_side(rng):
 
 
 def test_integral_forms_run_at_fifty_atoms(rng):
-    # each atom's shifted rows are their own evaluation: with all of them in
-    # one call, 50 atoms at degree 3 would exceed the entry budget
+    # the integral forms of all 50 atoms read their one-atom restrictions
+    # from one pass over the degree-3 run table
     m = 50
     mu = random_measure(rng, m)
     p = random_poly(rng, m, 3)

@@ -13,8 +13,9 @@
   field operators and slot derivatives against dense-array routes;
 * the batched MC reducer against mean and std(ddof=1)/sqrt(n) of the
   concatenated statistic, for any split into batches;
-* the Taylor / jump-power-sum route of the adjointness check's jump sum
-  against removing each jump from its own copy of the configuration;
+* the Taylor / jump-power-sum route of the adjointness check's jump sum,
+  its Taylor coefficients read off the one-atom restrictions, against
+  removing each jump from its own copy of the configuration;
 * the per-atom lines of basis conversion against a loop that removes each
   atom's run from every multi-index and ranks the rest, and both
   conversions at 20 to 24 atoms against the loop-partition expansion;
@@ -48,15 +49,15 @@ import oracles
 from gwn.errors import DomainError
 from gwn.extfock import ext_inner_n, fock_inner_n
 from gwn.fieldops import annihilate1, annihilate2, create, neutral
-from gwn.funcalc import (_jump_removal_sum, _taylor_stack, annihilate1_integral,
+from gwn.funcalc import (_jump_removal_sum, _taylor, annihilate1_integral,
                          nabla, wick_del)
 from gwn.gammasample import SamplerConfig, iter_jump_batches, mean_and_se
 from gwn.measure import AtomicMeasure
 from gwn.symtensor import (FockVector, SymTensor, _atom_runs, _tables, atom_products,
                            rank_one, sym_product)
-from gwn.wickcalc import (Basis, OmegaSample, PolyFunctional, _single_atom_q,
-                          _wick_coefficients, evaluate_batch, laguerre_system,
-                          monomial_to_wick, s_transform, wick_kernels,
+from gwn.wickcalc import (Basis, OmegaSample, PolyFunctional, _atom_table,
+                          _restrictions, _wick_coefficients, evaluate_batch,
+                          laguerre_system, monomial_to_wick, s_transform, wick_kernels,
                           wick_pair_rank_one, wick_pair_rank_one_batch,
                           wick_to_monomial)
 
@@ -193,7 +194,8 @@ def test_wick_kernels_match_five_term_recurrence(mu, N, data):
     want = oracles.wick_kernels_recurrence(om, mu, N)
     # |q_k(s)| <= (-1)^k q_k(-s): the s^l coefficients of q_k alternate in sign
     k = np.arange(N + 1)
-    qmag = (-1.0) ** k * _single_atom_q(-om.masses, mu.weights, N) \
+    qmag = (-1.0) ** k * _atom_table(Basis.GAMMA_WICK, -om.masses[:, None],
+                                     mu.weights, N)[..., 0] \
         / mu.weights[:, None] ** k
     for n in range(N + 1):
         scale = np.max(atom_products(qmag, n)[n])
@@ -412,9 +414,10 @@ def jump_batches(draw):
 
 def assert_removal_sum_matches_oracle(mu, phi, xi, batch):
     masses, owners, bounds, sizes = batch
-    taylor = evaluate_batch(_taylor_stack(phi, np.flatnonzero(xi), phi.degree),
-                            masses, mu)
-    got = _jump_removal_sum(taylor, xi, owners, bounds, sizes)
+    support = np.flatnonzero(xi)
+    _, C = _restrictions(phi, masses, mu, support)
+    got = _jump_removal_sum(_taylor(C, masses[:, support].T), xi, owners, bounds,
+                            sizes)
     want, term_sizes = oracles.jump_removal_sum(phi, xi, masses, owners,
                                                 bounds, sizes, mu)
     scale = np.maximum(1.0, np.maximum(np.abs(want), term_sizes))

@@ -1,0 +1,251 @@
+"""One-atom restrictions against whole rows.
+
+Every form that varies one atom's mass reads the restrictions
+phi(omega with s_a := x) = sum_k C_{a,k} t_a(k; x) off the run table
+(``wickcalc._restrictions``).  Each is pinned here to the route that
+evaluates whole rows (``oracles``): phi at the configurations with s_a
+changed, the 64 shifted rows of an integral form, the per-atom nabla^j
+stack of the Taylor coefficients, and the removal rows of the explicit
+jump adjoint.  Both bases; zero kernels, one atom, weights 1e-2 and 1e2,
+degrees 0..4.
+
+A comparison is scaled by the size of the terms summed, from absolute
+values: |A| times |s|^k in the monomial basis, and |A| times
+(-1)^k q_k(-s) >= |q_k(s)| in the Gamma-Wick basis, whose coefficients
+alternate in sign.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from gwn.fieldops import create
+from gwn.funcalc import (_gradient_form, _rule, _taylor, a1_plus_explicit,
+                         annihilate1_integral, del_integral,
+                         second_annihilation_check)
+from gwn.measure import AtomicMeasure
+from gwn.symtensor import FockVector, SymTensor
+from gwn.wickcalc import (Basis, OmegaSample, PolyFunctional, _atom_table,
+                          _restrictions, evaluate_batch)
+
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+def random_functional(rng, m: int, N: int, basis: Basis,
+                      zero: bool = False) -> PolyFunctional:
+    ks = [SymTensor(m, n) for n in range(N + 1)]
+    if not zero:
+        for k in ks:
+            k.values = rng.uniform(-1.0, 1.0, k.values.size)
+    return PolyFunctional(basis, FockVector(ks))
+
+
+def term_size(p: PolyFunctional, rows: np.ndarray, mu: AtomicMeasure) -> np.ndarray:
+    """Per row, the sum of the absolute values of the terms of phi(row)."""
+    flip = -1.0 if p.basis is Basis.GAMMA_WICK else 1.0
+    kernels = [SymTensor(p.m, n, flip ** n * np.abs(k.values))
+               for n, k in enumerate(p.kernels.kernels)]
+    return np.abs(evaluate_batch(PolyFunctional(p.basis, FockVector(kernels)),
+                                 flip * np.abs(rows), mu))
+
+
+@st.composite
+def restriction_cases(draw):
+    """A measure with weights in 10^[-2, 2], a functional of degree 0..4 in
+    either basis (sometimes all zero), 1-3 rows of masses on the scale of
+    their weights with some empty atoms, and a list of atoms."""
+    m = draw(st.integers(1, 5))
+    w = [10.0 ** draw(st.one_of(st.sampled_from([-2.0, 2.0]), st.floats(-2.0, 2.0)))
+         for _ in range(m)]
+    mu = AtomicMeasure(w)
+    rng = np.random.default_rng(draw(seeds))
+    p = random_functional(rng, m, draw(st.integers(0, 4)),
+                          draw(st.sampled_from(Basis)),
+                          zero=draw(st.booleans()) and draw(st.booleans()))
+    B = draw(st.integers(1, 3))
+    masses = mu.weights * rng.uniform(0.0, 4.0, (B, m)) * (rng.random((B, m)) < 0.8)
+    atoms = draw(st.lists(st.integers(0, m - 1), max_size=m, unique=True))
+    return mu, p, masses, atoms
+
+
+EDGES = [
+    # (weights, degree, basis, zero kernels)
+    ([1.3], 4, Basis.MONOMIAL, False),
+    ([1.3], 4, Basis.GAMMA_WICK, False),
+    ([0.8, 1.7, 0.6], 0, Basis.GAMMA_WICK, False),
+    ([0.8, 1.7, 0.6], 3, Basis.MONOMIAL, True),
+    ([1e-2, 1e-2, 1e-2], 4, Basis.GAMMA_WICK, False),
+    ([1e-2, 1e-2, 1e-2], 4, Basis.MONOMIAL, False),
+    ([1e2, 1e2, 1e2], 4, Basis.GAMMA_WICK, False),
+    ([1e2, 1e2, 1e2], 4, Basis.MONOMIAL, False),
+]
+EDGE_IDS = ["one_atom_monomial", "one_atom_wick", "degree_0", "zero_kernels",
+            "weights_1e-2_wick", "weights_1e-2_monomial", "weights_1e2_wick",
+            "weights_1e2_monomial"]
+
+
+def edge_case(weights, N, basis, zero):
+    mu = AtomicMeasure(weights)
+    rng = np.random.default_rng(29)
+    masses = mu.weights * rng.uniform(0.0, 3.0, (2, mu.m))
+    masses[1, 0] = 0.0
+    return mu, random_functional(rng, mu.m, N, basis, zero), masses, list(range(mu.m))
+
+
+def assert_restrictions_match_rows(mu, p, masses, atoms):
+    values, C = _restrictions(p, masses, mu, atoms)
+    assert values.shape == (len(masses),) and C.shape == (len(atoms), p.degree + 1,
+                                                        len(masses))
+    # phi(omega) is evaluate_batch's own sum
+    assert np.array_equal(values, evaluate_batch(p, masses, mu))
+    stacked_values, stacked = _restrictions([p, 2.0 * p], masses, mu, atoms)
+    size = np.maximum(1.0, term_size(p, masses, mu))
+    assert np.all(np.abs(stacked_values - values[:, None] * [1.0, 2.0])
+                  <= 2e-12 * size[:, None])
+    for b, row in enumerate(masses):
+        for j, a in enumerate(atoms):
+            x = np.array([0.0, row[a], row[a] + 0.7, 0.5 * mu.weights[a],
+                          3.0 * mu.weights[a] + 1.0])
+            rows = oracles.varied_rows(row, a, x)
+            want = evaluate_batch(p, rows, mu)
+            table = _atom_table(p.basis, x[None, :], mu.weights[[a]], p.degree)[0]
+            got = C[j, :, b] @ table
+            scale = np.maximum(1.0, term_size(p, rows, mu)
+                               + term_size(p, row[None, :], mu))
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+            for f in range(2):
+                assert np.all(np.abs(stacked[j, f, :, b] @ table - (f + 1) * want)
+                              <= 2e-12 * scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(restriction_cases())
+def test_restrictions_match_varied_rows(case):
+    assert_restrictions_match_rows(*case)
+
+
+@pytest.mark.parametrize("edge", EDGES, ids=EDGE_IDS)
+def test_restrictions_edge_inputs(edge):
+    assert_restrictions_match_rows(*edge_case(*edge))
+
+
+def assert_integral_forms_match_rows(mu, p, masses, atoms):
+    """del_integral at each atom and annihilate1_integral over a direction
+    supported on the atoms, against the 64 shifted rows of each atom."""
+    rule = _rule()
+    omega = OmegaSample(masses[0])
+    base = p.evaluate(omega, mu)
+    total = float(np.sum(rule.weights))
+    xi = np.zeros(mu.m)
+    xi[atoms] = np.linspace(-1.0, 0.9, len(atoms))
+    terms, smeared_scale = [], 0.0
+    for a in range(mu.m):
+        want = oracles.shifted_integral(p, omega, a, mu, rule.nodes,
+                                        rule.weights) - base * total
+        rows = oracles.varied_rows(omega.masses, a, omega.masses[a] + rule.nodes)
+        scale = rule.weights @ term_size(p, rows, mu) \
+            + total * term_size(p, omega.masses[None, :], mu)[0]
+        assert abs(del_integral(p, a, omega, mu) - want) <= 1e-12 * max(1.0, scale)
+        terms.append(mu.weights[a] * xi[a] * want)
+        smeared_scale += abs(mu.weights[a] * xi[a]) * scale
+    got = annihilate1_integral(p, xi, mu, omega)
+    assert abs(got - math.fsum(terms)) <= 1e-12 * max(1.0, smeared_scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(restriction_cases())
+def test_integral_forms_match_shifted_rows(case):
+    assert_integral_forms_match_rows(*case)
+
+
+@pytest.mark.parametrize("edge", EDGES, ids=EDGE_IDS)
+def test_integral_forms_edge_inputs(edge):
+    assert_integral_forms_match_rows(*edge_case(*edge))
+
+
+def assert_gradient_forms_match_taylor_stack(mu, p, masses, atoms):
+    """The gradient terms, the Taylor coefficients of the MC jump sum and
+    the three right sides of the second annihilation check, against the
+    nabla^j stack and the shifted rows of [phi, nabla_a phi].  The Taylor
+    coefficients of phi with absolute kernels, at the same rows, are the
+    term sizes."""
+    rule = _rule()
+    pm = p.to_basis(Basis.MONOMIAL, mu)
+    size = PolyFunctional(Basis.MONOMIAL, FockVector(
+        [SymTensor(mu.m, n, np.abs(k.values)) for n, k in enumerate(pm.kernels.kernels)]))
+    omega = OmegaSample(masses[0])
+    # the Taylor coefficients at every row and atom of the list
+    _, C = _restrictions(pm, masses, mu, atoms)
+    want = oracles.taylor_values(pm, masses, atoms, mu, pm.degree)
+    scale = oracles.taylor_values(size, masses, atoms, mu, pm.degree)
+    assert np.all(np.abs(_taylor(C, masses[:, atoms].T).transpose(2, 0, 1) - want)
+                  <= 1e-12 * np.maximum(1.0, scale))
+    # the gradient terms at the first row, over every atom
+    xi = np.zeros(mu.m)
+    xi[atoms] = np.linspace(-1.0, 0.9, len(atoms))
+    _, base, g1, g2, dphi = _gradient_form(create, pm, xi, omega, mu)
+    D = oracles.taylor_values(pm, masses[:1], range(mu.m), mu, 2)[0]
+    Ds = np.maximum(1.0, oracles.taylor_values(size, masses[:1], range(mu.m), mu, 2)[0])
+    assert abs(base - D[0, 0]) <= 1e-12 * Ds[0, 0]
+    assert np.all(np.abs(g1 - D[:, 1]) <= 1e-12 * Ds[:, 1])
+    assert np.all(np.abs(g2 - 2.0 * D[:, 2]) <= 2e-12 * Ds[:, 2])
+    wxi = mu.weights * xi
+    assert abs(dphi - wxi @ D[:, 1]) <= 1e-12 * (np.abs(wxi) @ Ds[:, 1])
+    # the second annihilation check's right sides
+    rep = second_annihilation_check(p, xi, omega, mu)
+    phi, *forms = oracles.second_annihilation_forms(p, xi, omega, mu,
+                                                    rule.nodes, rule.weights)
+    lead = omega.masses @ np.abs(xi * 2.0 * Ds[:, 2]) + np.abs(wxi) @ Ds[:, 1]
+    comp, grad = lead + abs(mu.integrate(xi)) * Ds[0, 0], lead
+    for a in np.flatnonzero(xi):
+        rows = oracles.varied_rows(omega.masses, a, omega.masses[a] + rule.nodes)
+        shifted = oracles.taylor_values(size, rows, [a], mu, 1)[:, 0]
+        comp += abs(wxi[a]) * (rule.weights @ shifted[:, 0] + Ds[0, 0])
+        grad += abs(wxi[a]) * (rule.weights @ shifted[:, 1])
+    assert abs(rep.phi - phi) <= 1e-12 * Ds[0, 0]
+    got = (rep.rhs_compensated, rep.rhs_gradient_shift, rep.rhs_uncompensated)
+    for g, f, s in zip(got, forms, (comp, grad, comp)):
+        assert abs(g - f) <= 1e-12 * max(1.0, s)
+
+
+@settings(max_examples=80, deadline=None)
+@given(restriction_cases())
+def test_gradient_forms_match_taylor_stack(case):
+    assert_gradient_forms_match_taylor_stack(*case)
+
+
+@pytest.mark.parametrize("edge", EDGES, ids=EDGE_IDS)
+def test_gradient_forms_edge_inputs(edge):
+    assert_gradient_forms_match_taylor_stack(*edge_case(*edge))
+
+
+def assert_explicit_adjoint_matches_removal_rows(mu, p, masses, atoms):
+    """sum_i s_i xi_i phi(omega with s_i := 0) - <xi> phi(omega), each
+    removal one explicit row."""
+    omega = OmegaSample(masses[0])
+    xi = np.zeros(mu.m)
+    xi[atoms] = np.linspace(-1.0, 0.9, len(atoms))
+    removed = np.array([evaluate_batch(p, oracles.varied_rows(omega.masses, a, 0.0),
+                                       mu)[0] for a in range(mu.m)])
+    base = p.evaluate(omega, mu)
+    want = float((omega.masses * xi) @ removed) - mu.integrate(xi) * base
+    sizes = [term_size(p, oracles.varied_rows(omega.masses, a, [0.0, omega.masses[a]]),
+                       mu).sum() for a in range(mu.m)]
+    scale = float(np.abs(omega.masses * xi) @ sizes) \
+        + abs(mu.integrate(xi)) * term_size(p, masses[:1], mu)[0]
+    assert abs(a1_plus_explicit(p, xi, omega, mu) - want) <= 1e-12 * max(1.0, scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(restriction_cases())
+def test_a1_plus_explicit_matches_removal_rows(case):
+    assert_explicit_adjoint_matches_removal_rows(*case)
+
+
+@pytest.mark.parametrize("edge", EDGES, ids=EDGE_IDS)
+def test_a1_plus_explicit_edge_inputs(edge):
+    assert_explicit_adjoint_matches_removal_rows(*edge_case(*edge))
