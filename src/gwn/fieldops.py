@@ -11,11 +11,15 @@ built from raise (s_a), number (s_a d_a) and lower (d_a) steps per atom:
 * annihilation-1:    F -> sum_a xi_a w_a d_a F        (degree -1)
 * annihilation-2:    F -> sum_a xi_a s_a d_a^2 F      (degree -1)
 
-Creation is the symmetrized product with xi, and neutral scales f[r] by
-sum_p xi(r_p).  Every lowering is the one kernel ``_lower`` over the
-one-atom merge table: annihilation-1 sums over every atom with weights
+Both slot steps read the one-atom merge table, which maps a degree-n rep
+r and an atom a to the rank of r with a added.  Creation is the raising
+kernel ``_raise``, the dual of the lowering kernel ``_lower``: it adds
+perm_count(r) f[r] xi_a onto merge(r, a) for every atom a (the Wick
+adjoint ``funcalc.del_dagger`` onto one atom's column), while ``_lower`` reads
+f at merge(r, a).  Annihilation-1 lowers over every atom with weights
 w xi, annihilation-2 over the slots of r with xi there, and the slot
-derivatives of ``funcalc`` read one atom's column.
+derivatives of ``funcalc`` read one atom's column.  Neutral scales f[r]
+by sum_p xi(r_p).
 
 On indicator powers chi^(x)n the field acts by a three-term recurrence whose
 coefficients are the Jacobi parameters of the orthonormal Laguerre system
@@ -36,7 +40,7 @@ from .errors import ContractError, DimensionError, DomainError
 from .extfock import ext_inner_n
 from .measure import AtomicMeasure
 from .symtensor import (FockVector, SymTensor, _check_entries, _merge_ranks,
-                        _tables, rank_one, sym_product)
+                        _tables, rank_one)
 
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
@@ -50,8 +54,7 @@ def _check_xi(xi, m: int) -> np.ndarray:
 
 def create(xi, f: FockVector) -> FockVector:
     """Creation operator: each kernel gains one symmetrized xi slot."""
-    xi1 = rank_one(_check_xi(xi, f.m), 1)
-    return FockVector([SymTensor(f.m, 0)] + [sym_product(xi1, k) for k in f.kernels])
+    return _raise(f, _check_xi(xi, f.m))
 
 
 def neutral(xi, f: FockVector) -> FockVector:
@@ -73,6 +76,25 @@ def _lower(f: FockVector, c: np.ndarray, atoms=None) -> FockVector:
         out.append(SymTensor(f.m, n - 1,
                              n * np.sum(c[a] * f.get(n).values[cols], axis=1)))
     return FockVector(out or [SymTensor(f.m, 0)])
+
+
+def _raise(f: FockVector, c: np.ndarray, atoms=None) -> FockVector:
+    """The one raising kernel, the dual of ``_lower``: degreewise
+    g_{n+1}[merge(r, a)] += perm_count(r) f_n[r] c[a] over the one-atom
+    merge table for the atoms a of the list ``atoms`` (every atom when it
+    is None), then divided by the degree-(n+1) perm counts.  The sum is
+    the product of the kernel polynomial with sum_a c[a] s_a."""
+    a = slice(None) if atoms is None else np.asarray(atoms)
+    out = [SymTensor(f.m, 0)]
+    for n, k in enumerate(f.kernels):
+        tab = _tables(f.m, n + 1)
+        # np.add.at, not bincount, so that complex kernels take one pass
+        vals = np.zeros(len(tab.reps), dtype=np.result_type(k.values, c))
+        np.add.at(vals, _merge_ranks(f.m, n, 1)[:, a].ravel(),
+                  ((k.perm_counts * k.values)[:, None] * c[a]).ravel())
+        vals /= tab.perm_counts
+        out.append(SymTensor(f.m, n + 1, vals))
+    return FockVector(out)
 
 
 def annihilate1(xi, f: FockVector, measure: AtomicMeasure) -> FockVector:

@@ -45,8 +45,8 @@ import numpy as np
 from scipy.special import roots_laguerre
 
 from .errors import DimensionError, DomainError
-from .fieldops import (_lower, annihilate1, annihilate2, create, gamma_field,
-                       neutral)
+from .fieldops import (_lower, _raise, annihilate1, annihilate2, create,
+                       gamma_field, neutral)
 from .gammasample import (MCEstimate, SamplerConfig, iter_jump_batches,
                           mean_and_se)
 from .measure import AtomicMeasure
@@ -124,11 +124,12 @@ def wick_del(p: PolyFunctional, atom: int,
 def del_dagger(p: PolyFunctional, atom: int,
                measure: AtomicMeasure) -> PolyFunctional:
     """Adjoint of the Wick derivative under the dualization pairing: the
-    creation operator at the point-mass density delta_atom/w_atom."""
+    creation operator at the point-mass density delta_atom/w_atom, which
+    raises onto the one column of its atom."""
     pw = p.to_basis(Basis.GAMMA_WICK, measure)
     _check_atom(atom, pw.m)
     return PolyFunctional(Basis.GAMMA_WICK,
-                          create(measure.delta_density(atom), pw.kernels))
+                          _raise(pw.kernels, measure.delta_density(atom), [atom]))
 
 
 def _shift_integrals(p: PolyFunctional, omega: OmegaSample, atoms,
@@ -166,14 +167,15 @@ def annihilate1_integral(p: PolyFunctional, xi, measure: AtomicMeasure,
 
 def coordinate_multiply(p: PolyFunctional, atom: int,
                         measure: AtomicMeasure) -> PolyFunctional:
-    """Multiplication by the configuration density at one atom:
-    dagger + 2 dagger del + id + del + dagger del del on Wick kernels."""
+    """Multiplication by the configuration density at one atom: the five
+    terms dagger + 2 dagger del + id + del + dagger del del on Wick kernels.
+    The dagger is linear, so its three terms take one raise:
+    dagger(1 + 2 del + del del) + id + del."""
     pw = p.to_basis(Basis.GAMMA_WICK, measure)
     _check_atom(atom, pw.m)
     d1 = wick_del(pw, atom)
     d2 = wick_del(d1, atom)
-    return del_dagger(pw, atom, measure) + 2.0 * del_dagger(d1, atom, measure) \
-        + pw + d1 + del_dagger(d2, atom, measure)
+    return del_dagger(pw + 2.0 * d1 + d2, atom, measure) + pw + d1
 
 
 def functional_max_diff(a: PolyFunctional, b: PolyFunctional,

@@ -39,8 +39,8 @@ from scipy.special import exp1
 from .errors import ContractError, DimensionError, DomainError, SizeError
 from .extfock import ext_inner_n, fock_inner_n
 from .measure import AtomicMeasure
-from .symtensor import (MAX_ENTRIES, SymTensor, _check_entries, rank_one,
-                        sym_product)
+from .fieldops import create
+from .symtensor import MAX_ENTRIES, SymTensor, _check_entries, rank_one
 from .wickcalc import (WICK_MAX_DEGREE, Basis, FockVector, OmegaSample,
                        PolyFunctional, evaluate_batch, wick_kernel,
                        wick_pair_rank_one_batch)
@@ -341,10 +341,10 @@ def multiple_integral_identity(measure: AtomicMeasure, indicators,
     lhs = 1.0
     for c in chis:
         lhs *= omega.pair(c) - measure.integrate(c)
-    kern = rank_one(chis[0], 1)
-    for c in chis[1:]:
-        kern = sym_product(kern, rank_one(c, 1))
-    rhs = fock_inner_n(measure, wick_kernel(omega, measure, n), kern)
+    prod = FockVector.vacuum(measure.m)
+    for c in chis:
+        prod = create(c, prod)
+    rhs = fock_inner_n(measure, wick_kernel(omega, measure, n), prod.get(n))
     return lhs, rhs
 
 

@@ -19,8 +19,9 @@ over position splits, so phi-tensor-phi equals the plain tensor square with
 no combinatorial prefactor.  It is the product of the two polynomials: the
 coefficients perm_count(k) f[k] of the factors are multiplied and added
 onto the merge table, which maps a pair of multi-indices to the rank of
-their union (occupation counts k_a + k_b).  The same table serves the
-lowering kernel of ``fieldops`` (one extra atom, degree b = 1).
+their union (occupation counts k_a + k_b).  Its one-atom table (degree
+b = 1) serves both slot kernels of ``fieldops``: raising adds onto it,
+lowering reads from it.
 
 Every rank table comes from the sorted reps of each (m, n): the cached
 multiset and last-run tables, the merge table, and the run table on which

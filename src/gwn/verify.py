@@ -10,6 +10,7 @@ A seed alone therefore fully determines the report bytes.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import replace
 from functools import partial
@@ -231,14 +232,13 @@ def multiplication_identity_check(rng: np.random.Generator,
         p = _random_poly(rng, m, N)
         xi = rng.uniform(-1.0, 1.0, m)
         omN = _random_omega(rng, m)
-        # sum_i w_i xi_i (multiplication at atom i), accumulated as one
-        # functional, so only one product is held at a time
+        # sum_i w_i xi_i (multiplication at atom i)(omega): each product
+        # is evaluated on its own, so one is held at a time, and the terms
+        # are fsummed
         pw = p.to_basis(Basis.GAMMA_WICK, mu)
-        smeared = PolyFunctional(Basis.GAMMA_WICK, FockVector.zeros(m, 0))
-        for i, c in enumerate(mu.weights * xi):
-            smeared = smeared + float(c) * coordinate_multiply(pw, i, mu)
-        cases.append(scaled_case(f"smeared_pairing_degree_{N}",
-                                 smeared.evaluate(omN, mu),
+        smeared = math.fsum(float(c) * coordinate_multiply(pw, i, mu).evaluate(omN, mu)
+                            for i, c in enumerate(mu.weights * xi))
+        cases.append(scaled_case(f"smeared_pairing_degree_{N}", smeared,
                                  omN.pair(xi) * p.evaluate(omN, mu), 1e-10))
     p = _random_poly(rng, m, 3)
     xi = rng.uniform(-1.0, 1.0, m)

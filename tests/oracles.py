@@ -1,6 +1,6 @@
 """Independent reference implementations used only by the tests.
 
-Six kinds live here.
+Seven kinds live here.
 
 * Brute-force routes that avoid the package's multiset tables and partition
   code: dense arrays are built straight from the documented storage order
@@ -29,6 +29,9 @@ Six kinds live here.
 * Closed forms of the one-atom tables the package builds by three-term
   recurrence: products of binomials and rising factorials, and the
   orthonormal coefficients P_n = q_n / c_n through log-gamma values.
+* Coordinate multiplication as the unmerged five-term sum, one Wick
+  adjoint per term, where the package raises the three adjoint terms at
+  once.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from scipy.special import poch
 from gwn.errors import ContractError, DimensionError, SizeError
 from gwn.extfock import loop_partitions
 from gwn.measure import AtomicMeasure
-from gwn.funcalc import nabla
+from gwn.funcalc import del_dagger, nabla, wick_del
 from gwn.symtensor import MAX_ENTRIES, FockVector, SymTensor, _tables, sym_product
 from gwn.wickcalc import (WICK_MAX_DEGREE, Basis, OmegaSample, PolyFunctional,
                           evaluate_batch)
@@ -399,6 +402,17 @@ def diagonal_slice_dense(xi: np.ndarray, F: np.ndarray) -> np.ndarray:
 def slot_evaluation_dense(F: np.ndarray, atom: int) -> np.ndarray:
     """n F(atom, .), n >= 1."""
     return F.ndim * F[atom]
+
+
+def coordinate_multiply_five_terms(p: PolyFunctional, atom: int,
+                                   measure: AtomicMeasure) -> PolyFunctional:
+    """Multiplication by the configuration density at one atom on the
+    Gamma-Wick functional p, term by term:
+    dagger + 2 dagger del + id + del + dagger del del."""
+    d1 = wick_del(p, atom)
+    d2 = wick_del(d1, atom)
+    return del_dagger(p, atom, measure) + 2.0 * del_dagger(d1, atom, measure) \
+        + p + d1 + del_dagger(d2, atom, measure)
 
 
 # --- jump removal, one configuration per jump ------------------------------

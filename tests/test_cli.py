@@ -100,6 +100,18 @@ def test_measure_file_pins_inputs(tmp_path, capsys):
     assert code == 0 and json.loads(out)["pass"]
 
 
+def test_smeared_pairing_passes_on_a_heavy_atom(tmp_path, capsys):
+    # seed 1 at weight 100: smeared_pairing_degree_3 reads 5.6e-9 against
+    # its 1e-10 tolerance when the per-atom products are summed into one
+    # functional and evaluated once, 5.6e-11 when each is evaluated on its
+    # own and the terms are fsummed.  Most other seeds at this weight fail
+    # that case under either order, at the heavy-atom rounding floor.
+    save_measure(AtomicMeasure([100.0]), tmp_path / "mu.json")
+    code, out = run_cli(capsys, "verify", "multiplication", "--seed", "1",
+                        "--measure", str(tmp_path / "mu.json"))
+    assert code == 0 and json.loads(out)["pass"]
+
+
 def test_mc_laplace_report_shape(capsys):
     code, out = run_cli(capsys, "mc", "--suite", "laplace", "--seed", "3",
                         "--samples", "4000")

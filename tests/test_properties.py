@@ -10,7 +10,9 @@
   basis conversions against the loop-partition expansion, plus the round
   trip;
 * sym_product against the dense average over slot orderings, and the
-  field operators and slot derivatives against dense-array routes;
+  field operators, the Wick adjoint at one atom and the slot derivatives
+  against dense-array routes; coordinate multiplication against its
+  unmerged five-term sum;
 * the batched MC reducer against mean and std(ddof=1)/sqrt(n) of the
   concatenated statistic, for any split into batches;
 * the Taylor / jump-power-sum route of the adjointness check's jump sum,
@@ -50,7 +52,7 @@ from gwn.errors import DomainError
 from gwn.extfock import ext_inner_n, fock_inner_n
 from gwn.fieldops import annihilate1, annihilate2, create, neutral
 from gwn.funcalc import (_jump_removal_sum, _taylor, annihilate1_integral,
-                         nabla, wick_del)
+                         coordinate_multiply, del_dagger, nabla, wick_del)
 from gwn.gammasample import SamplerConfig, iter_jump_batches, mean_and_se
 from gwn.measure import AtomicMeasure
 from gwn.symtensor import (FockVector, SymTensor, _atom_runs, _tables, atom_products,
@@ -358,6 +360,18 @@ def test_field_operators_and_slot_derivatives_match_dense_routes(case):
         assert got.basis is basis
         assert_single_degree(got.kernels, lowered,
                              lambda F: oracles.slot_evaluation_dense(F, atom), F)
+    wick = PolyFunctional(Basis.GAMMA_WICK, vec)
+    # the Wick adjoint raises onto one column of the merge table
+    assert_single_degree(del_dagger(wick, atom, mu).kernels, n + 1,
+                         oracles.sym_product_dense, mu.delta_density(atom), F)
+    got = coordinate_multiply(wick, atom, mu)
+    want = oracles.coordinate_multiply_five_terms(wick, atom, mu)
+    sizes = oracles.coordinate_multiply_five_terms(PolyFunctional(
+        Basis.GAMMA_WICK, FockVector.single(SymTensor(mu.m, n, np.abs(f.values)))),
+        atom, mu)
+    assert got.basis is Basis.GAMMA_WICK and got.degree == n + 1
+    assert (got.kernels - want.kernels).max_abs() \
+        <= 1e-13 * max(1.0, sizes.kernels.max_abs())
 
 
 @st.composite
