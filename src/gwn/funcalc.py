@@ -361,24 +361,19 @@ def a1_plus_explicit(p: PolyFunctional, xi, omega: OmegaSample,
     return float((omega.masses * xi) @ removed) - measure.integrate(xi) * float(phi)
 
 
-def _jump_removal_sum(taylor: np.ndarray, xi: np.ndarray, owners: np.ndarray,
-                      bounds: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Per sample row b, the sum of s xi_a phi(omega_b - s e_a) over the
-    jumps (a, s) of row b, by the Taylor identity stated in
-    a1_plus_mc_adjointness_check, from the (K, N+1, B) Taylor coefficients
-    nabla_a^j phi / j! at each atom a of the support of xi and row.  Jumps
-    are atom-major, so atom a owns the segment bounds[a]:bounds[a+1]; its
-    power sums P_{a,r}, r <= N+1, take one bincount per r there."""
+def _jump_removals(phi_m: PolyFunctional, xi: np.ndarray, masses: np.ndarray,
+                   sums: np.ndarray, measure: AtomicMeasure):
+    """phi(omega) per sample row, and the row's sum of s xi_a phi(omega -
+    s e_a) over its jumps (a, s), by the Taylor identity stated in
+    a1_plus_mc_adjointness_check: one einsum of the (K, N+1, B) Taylor
+    coefficients nabla_a^j phi / j! at the atoms a of the support of xi,
+    their power sums P_{a,j+1} = sums[a, j], xi_a and the signs (-1)^j."""
     support = np.flatnonzero(xi)
-    sums = np.empty(taylor.shape)
-    for k, a in enumerate(support):
-        seg = slice(bounds[a], bounds[a + 1])
-        own, s = owners[seg], sizes[seg]
-        power, neg = s, -s
-        for j in range(taylor.shape[1]):   # (-1)^j P_{a,j+1}
-            sums[k, j] = np.bincount(own, weights=power, minlength=taylor.shape[2])
-            power = power * neg
-    return np.einsum("kjb,kjb,k->b", taylor, sums, xi[support])
+    phi0, C = _restrictions(phi_m, masses, measure, support)
+    taylor = _taylor(C, masses[:, support].T)
+    signs = (-1.0) ** np.arange(taylor.shape[1])
+    return phi0, np.einsum("kjb,kjb,j,k->b", taylor, sums[support], signs,
+                           xi[support])
 
 
 def a1_plus_mc_adjointness_check(phi: PolyFunctional, psi: PolyFunctional, xi,
@@ -396,8 +391,10 @@ def a1_plus_mc_adjointness_check(phi: PolyFunctional, psi: PolyFunctional, xi,
     phi is a polynomial of degree N, so by Taylor's formula the jump sum
     of a sample is sum_a xi_a sum_{j<=N} (-1)^j/j! (nabla_a^j phi)(omega)
     P_{a,j+1}, with P_{a,r} the sum of s^r over the sample's jumps at
-    atom a.  Each batch takes the one-atom restrictions of the monomial phi
-    at the atoms with xi_a != 0, whose Taylor coefficients at s_a are the
+    atom a.  The batches carry those power sums up to r = N + 1
+    (iter_jump_batches), and nothing here knows how jumps are laid out.
+    Each batch takes the one-atom restrictions of the monomial phi at the
+    atoms with xi_a != 0, whose Taylor coefficients at s_a are the
     nabla_a^j phi / j!, and one evaluate_batch call of the Gamma-Wick pair
     [psi, a1- psi].  Jump removal is thereby exact up to rounding;
     truncating jumps below cfg.cp_truncation still biases the identity by
@@ -405,21 +402,19 @@ def a1_plus_mc_adjointness_check(phi: PolyFunctional, psi: PolyFunctional, xi,
     """
     xi = measure.check_function(np.asarray(xi, dtype=float))
     phi_m = phi.to_basis(Basis.MONOMIAL, measure)
-    support = np.flatnonzero(xi)
     psi_w = psi.to_basis(Basis.GAMMA_WICK, measure)
     wick = [psi_w, PolyFunctional(Basis.GAMMA_WICK,
                                   annihilate1(xi, psi_w.kernels, measure))]
     xi_mass = measure.integrate(xi)
 
-    def stat(masses, owners, bounds, sizes):
-        phi0, C = _restrictions(phi_m, masses, measure, support)
-        taylor = _taylor(C, masses[:, support].T)
+    def stat(masses, sums):
+        phi0, removals = _jump_removals(phi_m, xi, masses, sums, measure)
         psi0, a1v = evaluate_batch(wick, masses, measure).T
-        aplus = _jump_removal_sum(taylor, xi, owners, bounds, sizes) - xi_mass * phi0
-        return aplus * psi0 - phi0 * a1v
+        return (removals - xi_mass * phi0) * psi0 - phi0 * a1v
 
-    mean, se = mean_and_se(stat(*batch)
-                           for batch in iter_jump_batches(measure, cfg))
+    mean, se = mean_and_se(
+        stat(*batch)
+        for batch in iter_jump_batches(measure, cfg, phi_m.degree + 1))
     return MCEstimate(float(mean[0]), float(se[0]), cfg.n_samples)
 
 

@@ -10,21 +10,33 @@ Two samplers produce the atom masses of a random configuration omega:
   w_i (1 - e^(-eps)), i.e. O(eps).  A batch of B samples is drawn by
   Poisson splitting: one Poisson(B w_i mass_p) total per atom i and piece
   p of the density ([eps, 1] and [1, inf), with their exact Levy masses),
-  checked against the entry budget before any jump array exists; then an
-  i.i.d. uniform owner row per jump, and each (atom, piece) segment filled
-  by that piece's rejection rounds, sized by its exact acceptance rate.
-  Thinning the totals by uniform owners leaves the per-(row, atom) counts
-  independent Poisson(w_i E1(eps)) and the sizes i.i.d., so this is the
-  law above.  Jumps are listed atom-major, low piece first within each
-  atom, owners in no order.
+  checked against the entry budget before any jump is drawn; then, atom
+  by atom, an i.i.d. uniform owner row per jump and the atom's segment
+  filled by each piece's rejection rounds, sized by its exact acceptance
+  rate.  Thinning the totals by uniform owners leaves the per-(row, atom)
+  counts independent Poisson(w_i E1(eps)) and the sizes i.i.d., so this is
+  the law above.
 
-Streams are counter-based (Philox): batch b of a run uses the generator
-jumped b times from the seed key, and partial batch sums are reduced with
-np.sum over a stacked array.  Estimates are therefore bit-identical for a
-fixed seed and sample count no matter how batches would be scheduled.
-Every batch holds DEFAULT_BATCH samples except a shorter last one.  The
-stacked estimators (mc_laplace_stack, chaos_projection_stack) reduce
-several statistics from one pass over a stream.
+A compound-Poisson batch is not a list of jumps.  Each atom's segment is
+reduced while it is drawn, to the per-row power sums P_r = sum s^r over
+the row's jumps at that atom, r = 1..order; the masses are P_1.  Checks
+that remove one configuration point at a time need nothing else, since
+a polynomial's value with one jump removed is a Taylor series in the
+jump's size.
+
+Streams: batch b of a run uses the bit generator jumped b times from the
+seed, so estimates are bit-identical for a fixed seed and sample count no
+matter how batches would be scheduled; partial batch sums are reduced with
+np.sum over a stacked array.  Every batch holds DEFAULT_BATCH samples
+except a shorter last one.  The Gamma sampler draws from Philox(key=seed):
+that stream fixes every Laplace, Gram and chaos-projection estimate, so it
+stays put.  The compound-Poisson sampler, which draws millions of doubles
+per batch at a small truncation, uses PCG64(seed), whose doubles cost less
+than half of Philox's on x86-64.  The chaos suite's projection
+estimates (Gamma stream) and adjointness estimate (compound-Poisson
+stream) therefore share no random numbers.  The stacked estimators
+(mc_laplace_stack, chaos_projection_stack) reduce several statistics from
+one pass over a stream.
 """
 
 from __future__ import annotations
@@ -80,43 +92,46 @@ class MCEstimate:
         return {"mean": self.mean, "std_error": self.std_error, "n": self.n}
 
 
-def _stream(seed: int, batch_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed)).jumped(batch_index))
+def _stream(seed: int, batch_index: int,
+            mode: SamplerMode = SamplerMode.PER_ATOM_GAMMA) -> np.random.Generator:
+    """Batch batch_index's generator: Philox(key=seed) for the Gamma
+    sampler, PCG64(seed) for the compound-Poisson one, jumped batch_index
+    times."""
+    bits = (np.random.Philox(key=int(seed)) if mode is SamplerMode.PER_ATOM_GAMMA
+            else np.random.PCG64(int(seed)))
+    return np.random.Generator(bits.jumped(batch_index))
 
 
-def _fill_piece(draw, count: int, acceptance: float) -> np.ndarray:
-    """count values from draw(n), which returns the accepted ones of n
-    proposals; each round proposes the remaining count over the exact
+def _fill_piece(draw, out: np.ndarray, acceptance: float) -> None:
+    """Fill out with values from draw(n), which returns the accepted ones
+    of n proposals; each round proposes the remaining count over the exact
     acceptance rate, plus a small margin, so one round nearly always
     suffices."""
-    out = np.empty(count)
     filled = 0
-    while filled < count:
-        kept = draw(int((count - filled) / acceptance * 1.02) + 64)
-        take = min(count - filled, kept.size)
+    while filled < out.size:
+        kept = draw(int((out.size - filled) / acceptance * 1.02) + 64)
+        take = min(out.size - filled, kept.size)
         out[filled: filled + take] = kept[:take]
         filled += take
-    return out
 
 
-def _draw_cp_batch(measure: AtomicMeasure, eps: float,
-                   rng: np.random.Generator, size: int):
-    """Masses plus the individual jumps building them: (masses, owners,
-    bounds, sizes).  owners and sizes are flat over all jumps, atom-major,
-    and the jumps of atom i are those in bounds[i]:bounds[i+1].
+def _cp_segments(measure: AtomicMeasure, eps: float,
+                 rng: np.random.Generator, size: int):
+    """The jumps of a compound-Poisson batch of size rows, one atom at a
+    time: yields (atom, owners, sizes) for atoms 0..m-1, owners the row of
+    each jump (uniform, in no order) and sizes its size, the atom's [eps, 1]
+    jumps first.
 
     A batch whose expected jump count size E1(eps) sum(w) is over the entry
     budget is refused before any draw.  Then one Poisson draw gives the
     (m, 2) jump totals per atom and piece, whose sum is checked against
-    the budget before any jump array exists.  Each jump gets a uniform
-    owner in 0..size-1, and each (atom, piece) segment is filled by its
-    piece's rejection rounds: on [eps, 1] propose log-uniform and accept
-    with e^(eps - s) (rate (E1(eps) - E1(1)) / (e^(-eps) log(1/eps))); on
-    [1, inf) propose 1 + Exp(1) and accept with 1/s (rate e E1(1)).
-    Each column of masses is one bincount over its atom's segment, which
-    holds less at once than one bincount over all (owner, atom) cells.
+    the budget before any jump is drawn.  Each atom then draws its owners
+    and fills its pieces by rejection rounds: on [eps, 1] propose
+    log-uniform and accept with e^(eps - s) (rate (E1(eps) - E1(1)) /
+    (e^(-eps) log(1/eps))); on [1, inf) propose 1 + Exp(1) and accept with
+    1/s (rate e E1(1)).
     """
-    m, e1_eps = measure.m, float(exp1(eps))
+    e1_eps = float(exp1(eps))
     expected = size * e1_eps * float(measure.weights.sum())
     if expected > MAX_ENTRIES:
         raise SizeError(f"compound-Poisson batch of {size} samples expects "
@@ -124,10 +139,7 @@ def _draw_cp_batch(measure: AtomicMeasure, eps: float,
     mass_low = e1_eps - _E1_ONE
     totals = rng.poisson(size * measure.weights[:, None]
                          * np.array([mass_low, _E1_ONE]))
-    total = int(totals.sum())
-    _check_entries(total, f"compound-Poisson batch of {size} samples")
-    owners = rng.integers(0, size, total)
-    bounds = np.concatenate([[0], np.cumsum(totals.sum(axis=1))])
+    _check_entries(int(totals.sum()), f"compound-Poisson batch of {size} samples")
     log_span = math.log(1.0 / eps)
 
     def low(n):    # eps e^(u log(1/eps)) >= eps exactly
@@ -138,18 +150,33 @@ def _draw_cp_batch(measure: AtomicMeasure, eps: float,
         s = 1.0 + rng.standard_exponential(n)
         return s[rng.random(n) * s < 1.0]
 
-    pieces = ((low, mass_low / (math.exp(-eps) * log_span)),
-              (high, math.e * _E1_ONE))
-    sizes = np.empty(total)
-    masses = np.empty((size, m))
-    for i, counts in enumerate(totals.tolist()):
-        start, seg = bounds[i], slice(bounds[i], bounds[i + 1])
-        for count, (draw, acceptance) in zip(counts, pieces):
-            sizes[start: start + count] = _fill_piece(draw, count, acceptance)
-            start += count
-        masses[:, i] = np.bincount(owners[seg], weights=sizes[seg],
-                                   minlength=size)
-    return masses, owners, bounds, sizes
+    low_rate = mass_low / (math.exp(-eps) * log_span)
+    for i, (n_low, n_high) in enumerate(totals.tolist()):
+        owners = rng.integers(0, size, n_low + n_high)
+        sizes = np.empty(n_low + n_high)
+        _fill_piece(low, sizes[:n_low], low_rate)
+        _fill_piece(high, sizes[n_low:], math.e * _E1_ONE)
+        yield i, owners, sizes
+
+
+def _draw_cp_batch(measure: AtomicMeasure, eps: float, rng: np.random.Generator,
+                   size: int, order: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """A compound-Poisson batch as (masses, sums), each atom's jumps
+    reduced as _cp_segments draws them and then dropped.
+
+    sums is (m, order, size): sums[i, r-1] is the per-row sum of s^r over
+    atom i's jumps, one weighted bincount per r, and masses (size, m) is
+    sums[:, 0] transposed.  No array of all the batch's jumps exists; the
+    largest holds one atom's.
+    """
+    sums = np.empty((measure.m, order, size))
+    for i, owners, sizes in _cp_segments(measure, eps, rng, size):
+        power = sizes
+        for r in range(order):
+            if r:
+                power = power * sizes
+            sums[i, r] = np.bincount(owners, weights=power, minlength=size)
+    return np.ascontiguousarray(sums[:, 0].T), sums
 
 
 def _draw_batch(measure: AtomicMeasure, cfg: SamplerConfig,
@@ -164,34 +191,36 @@ def sample_omega(measure: AtomicMeasure, cfg: SamplerConfig,
                  rng: np.random.Generator | None = None) -> OmegaSample:
     """Draw one random configuration (masses on the atoms)."""
     if rng is None:
-        rng = _stream(cfg.seed, 0)
+        rng = _stream(cfg.seed, 0, cfg.mode)
     return OmegaSample(_draw_batch(measure, cfg, rng, 1)[0])
 
 
-def _batches(cfg: SamplerConfig, draw):
-    """Yield draw(rng, size) for each batch, on the per-batch jumped streams."""
+def _batches(cfg: SamplerConfig, mode: SamplerMode, draw):
+    """Yield draw(rng, size) for each batch, on mode's per-batch jumped
+    streams."""
     for b, start in enumerate(range(0, cfg.n_samples, DEFAULT_BATCH)):
-        yield draw(_stream(cfg.seed, b), min(DEFAULT_BATCH, cfg.n_samples - start))
+        yield draw(_stream(cfg.seed, b, mode),
+                   min(DEFAULT_BATCH, cfg.n_samples - start))
 
 
 def iter_sample_batches(measure: AtomicMeasure, cfg: SamplerConfig):
     """Yield (batch_index, masses) with the per-batch jumped streams."""
     return enumerate(_batches(
-        cfg, lambda rng, size: _draw_batch(measure, cfg, rng, size)))
+        cfg, cfg.mode, lambda rng, size: _draw_batch(measure, cfg, rng, size)))
 
 
-def iter_jump_batches(measure: AtomicMeasure, cfg: SamplerConfig):
-    """Jump-resolved compound-Poisson batches.
+def iter_jump_batches(measure: AtomicMeasure, cfg: SamplerConfig, order: int = 1):
+    """Jump-resolved compound-Poisson batches, as per-atom power sums.
 
-    Yields (masses, owners, bounds, sizes): masses aggregates the jumps
-    per sample row; owners and sizes list every individual jump,
-    atom-major, owners unordered within each atom, and the m+1 segment
-    bounds say where each atom's jumps start and end (see _draw_cp_batch).
-    Used by checks that remove one configuration point at a time; cfg.mode
-    is ignored since only the compound-Poisson picture has jumps.
+    Yields (masses, sums) from _draw_cp_batch: sums[i, r-1] is each row's
+    sum of s^r over its jumps s at atom i, r = 1..order, and masses[:, i] =
+    sums[i, 0].  Used by checks that remove one configuration point at a
+    time; cfg.mode is ignored since only the compound-Poisson picture has
+    jumps, and the batches come from the compound-Poisson streams.
     """
-    return _batches(cfg, lambda rng, size: _draw_cp_batch(
-        measure, cfg.cp_truncation, rng, size))
+    return _batches(cfg, SamplerMode.COMPOUND_POISSON,
+                    lambda rng, size: _draw_cp_batch(
+                        measure, cfg.cp_truncation, rng, size, order))
 
 
 def mean_and_se(stats) -> tuple[np.ndarray, np.ndarray]:

@@ -418,18 +418,19 @@ def coordinate_multiply_five_terms(p: PolyFunctional, atom: int,
 # --- jump removal, one configuration per jump ------------------------------
 
 def jump_removal_sum(phi: PolyFunctional, xi: np.ndarray, masses: np.ndarray,
-                     owners: np.ndarray, bounds: np.ndarray, sizes: np.ndarray,
-                     measure: AtomicMeasure) -> tuple[np.ndarray, np.ndarray]:
+                     segments, measure: AtomicMeasure) -> tuple[np.ndarray, np.ndarray]:
     """Per sample row, the sum of s xi_a phi(omega - s e_a) over the row's
     jumps (a, s), and the sum of the absolute values of those terms.
 
-    Each jump gets its atom from the segment bounds and its own copy of its
-    row's masses with the jump taken off (rounding dust below zero
-    cleared), evaluated on its own."""
+    segments lists (atom, owners, sizes) per atom.  Each jump gets its own
+    copy of its row's masses with the jump taken off (rounding dust below
+    zero cleared), evaluated on its own."""
     rows = masses.shape[0]
+    atoms = np.concatenate([np.full(len(own), a) for a, own, _ in segments])
+    owners = np.concatenate([own for _, own, _ in segments])
+    sizes = np.concatenate([s for _, _, s in segments])
     if owners.size == 0:
         return np.zeros(rows), np.zeros(rows)
-    atoms = np.repeat(np.arange(measure.m), np.diff(bounds))
     removed = masses[owners]
     removed[np.arange(owners.size), atoms] -= sizes
     np.maximum(removed, 0.0, out=removed)

@@ -44,10 +44,12 @@ def _random_poly(rng, m, N, basis=Basis.MONOMIAL):
 
 
 def test_01_loop_census_sums_to_factorial():
-    t0 = time.perf_counter()
+    # CPU time of this process: a loaded machine stretches the wall
+    # clock, not the work the census does
+    t0 = time.process_time()
     for n in range(1, 11):
         assert loop_census(n) == math.factorial(n)
-    assert time.perf_counter() - t0 < 1.0
+    assert time.process_time() - t0 < 1.0
 
 
 def test_02_partition_inner_equals_permutation_oracle():

@@ -148,7 +148,9 @@ def test_full_ext_inner_weights_degrees(rng):
 
 
 def test_census_runtime_through_order_ten():
-    start = time.perf_counter()
+    # CPU time of this process: a loaded machine stretches the wall
+    # clock, not the work the census does
+    start = time.process_time()
     for n in range(1, 11):
         assert loop_census(n) == math.factorial(n)
-    assert time.perf_counter() - start < 1.0
+    assert time.process_time() - start < 1.0

@@ -5,6 +5,7 @@ windows were checked once and then frozen with the seed.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from scipy.special import exp1
 
 from gwn.errors import ContractError, DomainError, SizeError
 from gwn.extfock import ext_inner_n
-from gwn.gammasample import (ChaosGramReport, MCEstimate, SamplerConfig,
-                             SamplerMode, _draw_cp_batch, _stream,
+from gwn.gammasample import (DEFAULT_BATCH, ChaosGramReport, MCEstimate,
+                             SamplerConfig, SamplerMode, _cp_segments,
+                             _draw_cp_batch, _stream,
                              chaos_projection_check, chaos_projection_stack,
                              iter_jump_batches, iter_sample_batches,
                              laplace_target, mc_chaos_gram,
@@ -27,8 +29,20 @@ from gwn.wickcalc import OmegaSample
 from conftest import rel_err
 
 
+CP = SamplerMode.COMPOUND_POISSON
+
+
 def collect(measure, cfg):
     return np.concatenate([b for _, b in iter_sample_batches(measure, cfg)])
+
+
+def cp_batch_segments(measure, cfg):
+    """The (atom, owners, sizes) segments of each compound-Poisson batch of
+    cfg, on the batches' streams, with the batch's row count."""
+    for b, start in enumerate(range(0, cfg.n_samples, DEFAULT_BATCH)):
+        size = min(DEFAULT_BATCH, cfg.n_samples - start)
+        yield size, list(_cp_segments(measure, cfg.cp_truncation,
+                                      _stream(cfg.seed, b, CP), size))
 
 
 def test_config_validation():
@@ -68,7 +82,8 @@ def test_jump_sampler_law():
     for b, eps in enumerate((1e-6, 1e-3, 0.5, 0.99)):
         w = 200000 / (size * exp1(eps))
         mu = AtomicMeasure([0.25 * w, 0.75 * w])
-        s = _draw_cp_batch(mu, eps, _stream(5, b), size)[3]
+        s = np.concatenate([sizes for _, _, sizes in
+                            _cp_segments(mu, eps, _stream(5, b, CP), size)])
         n = s.size
         assert abs(n - 200000) < 4 * math.sqrt(200000) and s.min() >= eps
         scale = math.exp(-eps) / exp1(eps)
@@ -79,35 +94,34 @@ def test_jump_sampler_law():
         p = exp1(1.0) / exp1(eps)
         assert abs(np.mean(s >= 1.0) - p) < 4 * math.sqrt(p * (1 - p) / n), eps
     # a weight this small leaves the batch without jumps
-    masses, owners, bounds, sizes = _draw_cp_batch(AtomicMeasure([1e-12]), 1e-3,
-                                                   _stream(5, 9), size)
-    assert owners.shape == sizes.shape == (0,) and bounds.tolist() == [0, 0]
-    assert masses.shape == (size, 1) and not masses.any()
+    mu = AtomicMeasure([1e-12])
+    [(atom, owners, sizes)] = _cp_segments(mu, 1e-3, _stream(5, 9, CP), size)
+    assert atom == 0 and owners.shape == sizes.shape == (0,)
+    masses, sums = _draw_cp_batch(mu, 1e-3, _stream(5, 9, CP), size, order=3)
+    assert masses.shape == (size, 1) and sums.shape == (1, 3, size)
+    assert not masses.any() and not sums.any()
 
 
 def test_compound_poisson_batch_layout():
     mu = AtomicMeasure([0.7, 1.6, 0.3])
     eps, size = 1e-3, 4096
-    masses, owners, bounds, sizes = _draw_cp_batch(mu, eps, _stream(21, 0), size)
+    segments = list(_cp_segments(mu, eps, _stream(21, 0, CP), size))
     # one Poisson draw of the (atom, piece) totals opens the batch's stream
-    totals = _stream(21, 0).poisson(
+    totals = _stream(21, 0, CP).poisson(
         size * mu.weights[:, None] * np.array([exp1(eps) - exp1(1.0), exp1(1.0)]))
-    assert owners.shape == sizes.shape == (int(totals.sum()),)
-    # atom-major segments, each its [eps, 1] jumps then its [1, inf) ones
-    per_atom = totals.sum(axis=1)
-    assert bounds.tolist() == [0] + np.cumsum(per_atom).tolist()
-    atoms = np.repeat(np.arange(mu.m), per_atom)
-    start = 0
-    for n_low, n_high in totals.tolist():
-        assert np.all((sizes[start: start + n_low] >= eps)
-                      & (sizes[start: start + n_low] <= 1.0))
-        assert np.all(sizes[start + n_low: start + n_low + n_high] >= 1.0)
-        start += n_low + n_high
-    assert owners.min() >= 0 and owners.max() < size
+    # one segment per atom, in atom order, each its [eps, 1] jumps then its
+    # [1, inf) ones
+    assert [atom for atom, _, _ in segments] == list(range(mu.m))
     want = np.zeros((size, mu.m))
-    np.add.at(want, (owners, atoms), sizes)
+    for (atom, owners, sizes), (n_low, n_high) in zip(segments, totals.tolist()):
+        assert owners.shape == sizes.shape == (n_low + n_high,)
+        assert np.all((sizes[:n_low] >= eps) & (sizes[:n_low] <= 1.0))
+        assert np.all(sizes[n_low:] >= 1.0)
+        assert owners.min() >= 0 and owners.max() < size
+        np.add.at(want[:, atom], owners, sizes)
+    masses, _ = _draw_cp_batch(mu, eps, _stream(21, 0, CP), size)
     assert np.array_equal(masses, want)
-    per_row = per_atom / size
+    per_row = totals.sum(axis=1) / size
     lam = mu.weights * exp1(eps)
     assert np.all(np.abs(per_row - lam) < 4 * np.sqrt(lam / size))
 
@@ -119,10 +133,11 @@ def test_compound_poisson_cell_counts_are_independent_poisson():
     eps = 1e-3
     cfg = SamplerConfig(seed=47, n_samples=40000, cp_truncation=eps)
     counts = np.concatenate([
-        np.bincount(owners * mu.m + np.repeat(np.arange(mu.m), np.diff(bounds)),
-                    minlength=len(masses) * mu.m).reshape(len(masses), mu.m)
-        for masses, owners, bounds, _ in iter_jump_batches(mu, cfg)])
+        np.stack([np.bincount(owners, minlength=size)
+                  for _, owners, _ in segments], axis=1)
+        for size, segments in cp_batch_segments(mu, cfg)])
     n = counts.shape[0]
+    assert counts.shape == (cfg.n_samples, mu.m)
     lam = mu.weights * exp1(eps)
     for i in range(mu.m):
         c = counts[:, i]
@@ -134,6 +149,38 @@ def test_compound_poisson_cell_counts_are_independent_poisson():
     for i in range(mu.m):
         for j in range(i + 1, mu.m):
             assert abs(cov[i, j]) < 4 * math.sqrt(lam[i] * lam[j] / n)
+
+
+def test_gamma_batches_keep_the_philox_stream():
+    # the per-atom Gamma stream fixes every laplace, gram and projection
+    # value: batch b is the Gamma columns drawn in atom order from
+    # Philox(key=seed) jumped b times
+    mu = AtomicMeasure([0.4, 1.0, 2.3])
+    seed, size = 1234, DEFAULT_BATCH
+    cfg = SamplerConfig(seed=seed, n_samples=2 * size + 7)
+    for b, masses in list(iter_sample_batches(mu, cfg))[:2]:
+        gen = np.random.Generator(np.random.Philox(key=seed).jumped(b))
+        want = np.stack([gen.gamma(w, 1.0, size) for w in mu.weights], axis=1)
+        assert np.array_equal(masses, want)
+
+
+def test_compound_poisson_batches_use_the_pcg64_stream():
+    # batch b of both compound-Poisson routes is drawn from PCG64(seed)
+    # jumped b times; iter_jump_batches ignores cfg.mode
+    mu = AtomicMeasure([0.7, 1.6])
+    seed, eps, size = 77, 1e-3, DEFAULT_BATCH
+    cfg = SamplerConfig(seed=seed, n_samples=2 * size, cp_truncation=eps)
+    routes = zip(iter_sample_batches(mu, replace(cfg, mode=CP)),
+                 iter_jump_batches(mu, cfg, order=2))
+    for (b, masses), (jump_masses, sums) in routes:
+        gen = np.random.Generator(np.random.PCG64(seed).jumped(b))
+        want_masses, want_sums = _draw_cp_batch(mu, eps, gen, size, order=2)
+        assert np.array_equal(masses, want_masses)
+        assert np.array_equal(jump_masses, want_masses)
+        assert np.array_equal(sums, want_sums)
+    one = sample_omega(mu, replace(cfg, n_samples=1, mode=CP))
+    gen = np.random.Generator(np.random.PCG64(seed))
+    assert np.array_equal(one.masses, _draw_cp_batch(mu, eps, gen, 1)[0][0])
 
 
 def test_compound_poisson_mean_mass():

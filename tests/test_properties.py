@@ -51,14 +51,15 @@ import oracles
 from gwn.errors import DomainError
 from gwn.extfock import ext_inner_n, fock_inner_n
 from gwn.fieldops import annihilate1, annihilate2, create, neutral
-from gwn.funcalc import (_jump_removal_sum, _taylor, annihilate1_integral,
+from gwn.funcalc import (_jump_removals, annihilate1_integral,
                          coordinate_multiply, del_dagger, nabla, wick_del)
-from gwn.gammasample import SamplerConfig, iter_jump_batches, mean_and_se
+from gwn.gammasample import (SamplerMode, _cp_segments, _draw_cp_batch, _stream,
+                             mean_and_se)
 from gwn.measure import AtomicMeasure
 from gwn.symtensor import (FockVector, SymTensor, _atom_runs, _tables, atom_products,
                            rank_one, sym_product)
 from gwn.wickcalc import (Basis, OmegaSample, PolyFunctional, _atom_table,
-                          _restrictions, _wick_coefficients, evaluate_batch,
+                          _wick_coefficients, evaluate_batch,
                           laguerre_system, monomial_to_wick, s_transform, wick_kernels,
                           wick_pair_rank_one, wick_pair_rank_one_batch,
                           wick_to_monomial)
@@ -412,28 +413,51 @@ def random_phi(rng: np.random.Generator, m: int, N: int) -> PolyFunctional:
          for n in range(N + 1)]))
 
 
+# a weight of 1e-6 leaves its atom without jumps in almost every batch
+cp_weights = st.lists(st.one_of(st.just(1e-6), st.floats(0.01, 3.0)),
+                      min_size=1, max_size=6)
+cp_truncations = st.sampled_from([1e-3, 1e-6])
+cp_rows = st.integers(1, 40)
+
+
+def cp_draw(mu: AtomicMeasure, eps: float, seed: int, rows: int, order: int):
+    """A compound-Poisson batch as power sums, and its (atom, owners, sizes)
+    segments drawn again from the same stream."""
+    def stream():
+        return _stream(seed, 0, SamplerMode.COMPOUND_POISSON)
+    return (_draw_cp_batch(mu, eps, stream(), rows, order),
+            list(_cp_segments(mu, eps, stream(), rows)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cp_weights, cp_truncations, seeds, cp_rows, st.integers(1, 6))
+def test_jump_power_sums_reduce_the_segments(weights, eps, seed, rows, order):
+    mu = AtomicMeasure(weights)
+    (masses, sums), segments = cp_draw(mu, eps, seed, rows, order)
+    assert sums.shape == (mu.m, order, rows)
+    assert [atom for atom, _, _ in segments] == list(range(mu.m))
+    for atom, owners, sizes in segments:
+        for r in range(1, order + 1):
+            want = np.bincount(owners, weights=sizes ** r, minlength=rows)
+            assert np.all(np.abs(sums[atom, r - 1] - want) <= 1e-13 * want)
+    assert masses.shape == (rows, mu.m)
+    assert np.array_equal(masses, sums[:, 0].T)
+
+
 @st.composite
 def jump_batches(draw):
-    m = draw(st.integers(1, 6))
-    # a weight of 1e-6 leaves its atom without jumps in almost every batch
-    mu = AtomicMeasure([draw(st.one_of(st.just(1e-6), st.floats(0.01, 3.0)))
-                        for _ in range(m)])
+    mu = AtomicMeasure(draw(cp_weights))
     N = draw(st.integers(0, 4))
-    phi = random_phi(np.random.default_rng(draw(seeds)), m, N)
-    xi = np.array([draw(st.one_of(st.just(0.0), unit)) for _ in range(m)])
-    cfg = SamplerConfig(seed=draw(seeds), n_samples=draw(st.integers(1, 40)),
-                        cp_truncation=draw(st.sampled_from([1e-3, 1e-6])))
-    return mu, phi, xi, next(iter_jump_batches(mu, cfg))
+    phi = random_phi(np.random.default_rng(draw(seeds)), mu.m, N)
+    xi = np.array([draw(st.one_of(st.just(0.0), unit)) for _ in range(mu.m)])
+    return mu, phi, xi, cp_draw(mu, draw(cp_truncations), draw(seeds),
+                                draw(cp_rows), N + 1)
 
 
-def assert_removal_sum_matches_oracle(mu, phi, xi, batch):
-    masses, owners, bounds, sizes = batch
-    support = np.flatnonzero(xi)
-    _, C = _restrictions(phi, masses, mu, support)
-    got = _jump_removal_sum(_taylor(C, masses[:, support].T), xi, owners, bounds,
-                            sizes)
-    want, term_sizes = oracles.jump_removal_sum(phi, xi, masses, owners,
-                                                bounds, sizes, mu)
+def assert_removal_sum_matches_oracle(mu, phi, xi, drawn):
+    (masses, sums), segments = drawn
+    _, got = _jump_removals(phi, xi, masses, sums, mu)
+    want, term_sizes = oracles.jump_removal_sum(phi, xi, masses, segments, mu)
     scale = np.maximum(1.0, np.maximum(np.abs(want), term_sizes))
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
@@ -452,12 +476,11 @@ def test_jump_power_sums_match_removal_per_jump(case):
 ], ids=["atom_without_jumps", "xi_with_zero_entries"])
 def test_jump_power_sums_edge_segments(weights, xi):
     mu, xi = AtomicMeasure(weights), np.array(xi)
-    batch = next(iter_jump_batches(mu, SamplerConfig(seed=8, n_samples=30,
-                                                     cp_truncation=1e-3)))
-    jumpless = np.flatnonzero(np.diff(batch[2]) == 0).tolist()
+    phi = random_phi(np.random.default_rng(3), mu.m, 3)
+    drawn = cp_draw(mu, 1e-3, 8, 30, phi.degree + 1)
+    jumpless = [atom for atom, owners, _ in drawn[1] if owners.size == 0]
     assert jumpless == [i for i, w in enumerate(weights) if w < 1e-6]
-    assert_removal_sum_matches_oracle(
-        mu, random_phi(np.random.default_rng(3), mu.m, 3), xi, batch)
+    assert_removal_sum_matches_oracle(mu, phi, xi, drawn)
 
 
 def entry_gap(got: np.ndarray, want: np.ndarray) -> float:
