@@ -198,8 +198,7 @@ def jacobi_action_check(measure: AtomicMeasure, chi, N: int) -> JacobiActionRepo
     chi must be a 0/1 indicator.  Also compares the extended-norm of
     chi^(x)n with the closed-form c_n.
     """
-    chi = np.asarray(chi, dtype=float)
-    measure.check_function(chi)
+    chi = measure.real_function(chi)
     if not np.all((chi == 0.0) | (chi == 1.0)):
         raise ContractError("chi must be a 0/1 indicator function")
     sigma = measure.integrate(chi)

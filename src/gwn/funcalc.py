@@ -15,9 +15,11 @@ They are linked by the exact operator series
 
 which terminate on polynomials since each term lowers degree, and by an
 integral representation: applying the Wick derivative equals integrating
-phi(omega + s delta_x) - phi(omega) against e^(-s) ds.  Every integral form
-uses one 64-node Gauss-Laguerre rule, built once on first use; it is exact
-for s-polynomials up to degree 127.
+phi(omega + s delta_x) - phi(omega) against e^(-s) ds.  Over finitely many
+atoms that integrand is a polynomial in s, so the exact moments
+int_0^inf s^j e^(-s) ds = j! integrate it from its Taylor coefficients:
+the integral form is sum_{j>=1} nabla_x^j phi(omega), the pointwise form
+of the series identity above.
 
 The coordinate multiplication operator omega(x). decomposes into Wick
 derivative/adjoint compositions, and the check_* functions compare the
@@ -28,67 +30,31 @@ annihilations) on the Fock side and compares it with multiplication by
 <omega, xi>.  D_xi denotes the Gateaux derivative in the direction of the
 measure with density xi, i.e. D_xi = sum_i w_i xi_i nabla_i.
 
-Every form that varies one atom's mass reads phi's one-atom restrictions
-phi(omega with s_a := x) = sum_k C_{a,k} t_a(k; x) off the run table
-(``wickcalc._restrictions``): the integral forms at the rule nodes
-s_a + s_k, the gradient forms and the S-transform check (x = w theta)
-by their Taylor coefficients at s_a, and a removal at x = 0.
+Every form that varies one atom's mass reads one helper, ``_taylor_at``:
+phi's one-atom restrictions phi(omega with s_a := x) = sum_k C_{a,k}
+t_a(k; x) off the run table (``wickcalc._restrictions``), taken to monomial
+coefficients and then to Taylor coefficients at s_a.  The integral forms
+weigh those by j!, the gradient forms and the S-transform check (x = w
+theta) read the first two, and a jump removal, MC or explicit, sums them
+against the jump's power sums.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_laguerre
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError
 from .fieldops import (_lower, _raise, annihilate1, annihilate2, create,
                        gamma_field, neutral)
 from .gammasample import (MCEstimate, SamplerConfig, iter_jump_batches,
                           mean_and_se)
 from .measure import AtomicMeasure
 from .symtensor import FockVector
-from .wickcalc import (Basis, OmegaSample, PolyFunctional, _atom_table,
-                       _restrictions, evaluate_batch, s_transform)
-
-DEFAULT_QUAD_NODES = 64
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights for integrals against e^(-s) ds on (0, inf)."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = np.asarray(self.nodes, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        if n.shape != w.shape or n.ndim != 1 or n.size == 0:
-            raise DimensionError("nodes and weights must be matching vectors")
-        if np.any(w <= 0.0) or np.any(n < 0.0):
-            raise DomainError("nodes must be >= 0 and weights positive")
-        object.__setattr__(self, "nodes", n)
-        object.__setattr__(self, "weights", w)
-
-    def integrate(self, values: np.ndarray) -> float:
-        return float(self.weights @ values)
-
-
-def gauss_laguerre_rule(n_nodes: int = DEFAULT_QUAD_NODES) -> QuadratureRule:
-    """Gauss-Laguerre rule: exact for s-polynomials up to degree 2n-1."""
-    x, w = roots_laguerre(n_nodes)
-    return QuadratureRule(x, w)
-
-
-@lru_cache(maxsize=None)
-def _rule() -> QuadratureRule:
-    """The rule of every integral form, built on first use: building it
-    loads scipy.linalg, which the MC commands never need."""
-    return gauss_laguerre_rule()
+from .wickcalc import (Basis, OmegaSample, PolyFunctional, _restrictions,
+                       _wick_coefficients, evaluate_batch, s_transform)
 
 
 def _check_atom(atom: int, m: int) -> None:
@@ -109,7 +75,7 @@ def d_xi(p: PolyFunctional, xi, measure: AtomicMeasure) -> PolyFunctional:
     """Derivative in the direction of the measure xi dsigma:
     D_xi = sum_i w_i xi_i nabla_i (one fused kernel contraction)."""
     pm = p.to_basis(Basis.MONOMIAL, measure)
-    xi = measure.check_function(np.asarray(xi, dtype=float))
+    xi = measure.real_function(xi)
     return PolyFunctional(Basis.MONOMIAL, annihilate1(xi, pm.kernels, measure))
 
 
@@ -132,37 +98,61 @@ def del_dagger(p: PolyFunctional, atom: int,
                           _raise(pw.kernels, measure.delta_density(atom), [atom]))
 
 
+def _taylor(C: np.ndarray, s: np.ndarray, order: int = 0) -> np.ndarray:
+    """[:, j] = sum_k C(k, j) C[:, k] s^(k-j), j <= max(N, order): the
+    Taylor coefficients at x = s of monomial restrictions sum_k C[:, k] x^k
+    (axis 1), so that j! times entry j is nabla^j phi at omega.  s
+    broadcasts against C[:, 0]."""
+    N = C.shape[1] - 1
+    D = np.zeros((len(C), max(N, order) + 1) + C.shape[2:])
+    D[:, :N + 1] = C
+    for i in range(N):   # repeated synthetic division by x - s
+        for k in range(N - 1, i - 1, -1):
+            D[:, k] += s * D[:, k + 1]
+    return D
+
+
+def _taylor_at(p: PolyFunctional, masses: np.ndarray, atoms,
+               measure: AtomicMeasure, order: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """phi at each row of the (B, m) masses, and the (K, max(N, order)+1, B)
+    Taylor coefficients nabla_a^j phi / j! at each row and atom a of atoms:
+    those of phi's one-atom restriction at s_a, whose Gamma-Wick
+    coefficients are first taken to monomial ones by the atom's q_k table."""
+    phi, C = _restrictions(p, masses, measure, atoms)
+    if p.basis is Basis.GAMMA_WICK:
+        C = np.einsum("akb,akl->alb", C,
+                      _wick_coefficients(measure.weights[atoms], p.degree))
+    return phi, _taylor(C, masses[:, atoms].T, order)
+
+
 def _shift_integrals(p: PolyFunctional, omega: OmegaSample, atoms,
-                     measure: AtomicMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """Per atom a of atoms, with f phi's one-atom restriction at a:
-    int_0^inf (f(s_a + s) - f(s_a)) e^(-s) ds and, for a monomial phi,
-    int_0^inf f'(s_a + s) e^(-s) ds = int nabla_a phi(omega + s delta_a).
-    Both by the rule, from one (K, N+1, 64) table at the nodes s_a + s_j."""
-    C = _restrictions(p, omega.masses[None, :], measure, atoms)[1][..., 0]
-    rule, N = _rule(), p.degree
-    s, w = omega.masses[atoms, None], measure.weights[atoms]
-    table = _atom_table(p.basis, s + np.append(0.0, rule.nodes), w, N)
-    moments, here = table[..., 1:] @ rule.weights, table[..., 0] * float(np.sum(rule.weights))
-    return (np.einsum("ak,ak->a", C[:, 1:], (moments - here)[:, 1:]),
-            np.einsum("ak,ak->a", C[:, 1:] * np.arange(1, N + 1), moments[:, :-1]))
+                     measure: AtomicMeasure) -> np.ndarray:
+    """Per atom a of atoms, with f phi's one-atom restriction at a,
+    int_0^inf (f(s_a + s) - f(s_a)) e^(-s) ds = sum_{j>=1} j! D_j from the
+    Taylor coefficients D_j of f at s_a, since int s^j e^(-s) ds = j!.
+    By parts it is also int_0^inf f'(s_a + s) e^(-s) ds."""
+    D = _taylor_at(p, omega.masses[None, :], atoms, measure)[1][..., 0]
+    return D[:, 1:] @ np.cumprod(np.arange(1.0, D.shape[1]))
 
 
 def del_integral(p: PolyFunctional, atom: int, omega: OmegaSample,
                  measure: AtomicMeasure) -> float:
     """Integral form of the Wick derivative at one configuration:
-    int_0^inf (phi(omega + s delta_atom) - phi(omega)) e^(-s) ds."""
+    int_0^inf (phi(omega + s delta_atom) - phi(omega)) e^(-s) ds, exactly:
+    the integrand is a polynomial in s, so it is sum_{j>=1} nabla_atom^j
+    phi(omega), the pointwise form of wick_del = sum_{n>=1} nabla^n."""
     _check_atom(atom, p.m)
-    return float(_shift_integrals(p, omega, [atom], measure)[0][0])
+    return float(_shift_integrals(p, omega, [atom], measure)[0])
 
 
 def annihilate1_integral(p: PolyFunctional, xi, measure: AtomicMeasure,
                          omega: OmegaSample) -> float:
     """Smeared integral form: sum_i w_i xi_i del_integral(p, i), over the
-    atoms with xi_i != 0."""
-    xi = measure.check_function(np.asarray(xi, dtype=float))
+    atoms with xi_i != 0, from one pass over their restrictions."""
+    xi = measure.real_function(xi)
     atoms = np.flatnonzero(xi)
     return math.fsum((measure.weights * xi)[atoms]
-                     * _shift_integrals(p, omega, atoms, measure)[0])
+                     * _shift_integrals(p, omega, atoms, measure))
 
 
 def coordinate_multiply(p: PolyFunctional, atom: int,
@@ -240,20 +230,6 @@ class CheckReport:
         return abs(self.lhs - self.rhs)
 
 
-def _taylor(C: np.ndarray, s: np.ndarray, order: int = 0) -> np.ndarray:
-    """[:, j] = sum_k C(k, j) C[:, k] s^(k-j), j <= max(N, order): the
-    Taylor coefficients at x = s of monomial restrictions sum_k C[:, k] x^k
-    (axis 1), so that j! times entry j is nabla^j phi at omega.  s
-    broadcasts against C[:, 0]."""
-    N = C.shape[1] - 1
-    D = np.zeros((len(C), max(N, order) + 1) + C.shape[2:])
-    D[:, :N + 1] = C
-    for i in range(N):   # repeated synthetic division by x - s
-        for k in range(N - 1, i - 1, -1):
-            D[:, k] += s * D[:, k + 1]
-    return D
-
-
 def _gradient_form(op, p: PolyFunctional, xi: np.ndarray, omega: OmegaSample,
                    measure: AtomicMeasure) -> tuple[float, ...]:
     """The Fock side op(xi, .) on p's Gamma-Wick kernels at omega, then, from
@@ -263,8 +239,8 @@ def _gradient_form(op, p: PolyFunctional, xi: np.ndarray, omega: OmegaSample,
     pw = p.to_basis(Basis.GAMMA_WICK, measure)
     lhs = PolyFunctional(Basis.GAMMA_WICK, op(xi, pw.kernels)).evaluate(omega, measure)
     pm = p.to_basis(Basis.MONOMIAL, measure)
-    (base,), C = _restrictions(pm, omega.masses[None, :], measure, range(pm.m))
-    D = _taylor(C[..., 0], omega.masses, 2)
+    (base,), D = _taylor_at(pm, omega.masses[None, :], range(pm.m), measure, 2)
+    D = D[..., 0]
     return lhs, float(base), D[:, 1], 2.0 * D[:, 2], float((measure.weights * xi) @ D[:, 1])
 
 
@@ -272,7 +248,7 @@ def creation_gradient_check(p: PolyFunctional, xi, omega: OmegaSample,
                             measure: AtomicMeasure) -> CheckReport:
     """Creation operator vs its gradient form:
     <omega(x), xi (nabla - 1)^2 phi> + (D_xi - <xi>) phi."""
-    xi = measure.check_function(np.asarray(xi, dtype=float))
+    xi = measure.real_function(xi)
     lhs, base, g1, g2, dphi = _gradient_form(create, p, xi, omega, measure)
     rhs = float(omega.masses @ (xi * (g2 - 2.0 * g1 + base))) \
         + dphi - measure.integrate(xi) * base
@@ -282,7 +258,7 @@ def creation_gradient_check(p: PolyFunctional, xi, omega: OmegaSample,
 def neutral_gradient_check(p: PolyFunctional, xi, omega: OmegaSample,
                            measure: AtomicMeasure) -> CheckReport:
     """Neutral operator vs <omega(x), xi nabla(1 - nabla) phi> - D_xi phi."""
-    xi = measure.check_function(np.asarray(xi, dtype=float))
+    xi = measure.real_function(xi)
     lhs, _, g1, g2, dphi = _gradient_form(neutral, p, xi, omega, measure)
     return CheckReport(lhs, float(omega.masses @ (xi * (g1 - g2))) - dphi)
 
@@ -296,6 +272,9 @@ class SecondAnnihilationReport:
     both agree with the Fock side.  The uncompensated variant that
     additionally subtracts <xi> phi does not: its residual equals
     2 <xi> phi, which is reported rather than hidden; phi is phi(omega).
+    The two shifted integrals are equal by parts, so both forms come from
+    one set of exact moments (_shift_integrals), summed the two ways; the
+    tests integrate each form separately by a quadrature rule.
     """
 
     phi: float
@@ -316,17 +295,15 @@ class SecondAnnihilationReport:
 
 def second_annihilation_check(p: PolyFunctional, xi, omega: OmegaSample,
                               measure: AtomicMeasure) -> SecondAnnihilationReport:
-    xi = measure.check_function(np.asarray(xi, dtype=float))
+    xi = measure.real_function(xi)
     lhs, base, _, g2, dphi = _gradient_form(annihilate2, p, xi, omega, measure)
     lead = float(omega.masses @ (xi * g2)) + dphi
     atoms = np.flatnonzero(xi)
-    diff, grad = _shift_integrals(p.to_basis(Basis.MONOMIAL, measure), omega,
-                                  atoms, measure)
+    diff = _shift_integrals(p, omega, atoms, measure)
     wxi = (measure.weights * xi)[atoms]
     rhs_comp = lead - math.fsum(wxi * diff)
-    rhs_grad = lead - wxi @ grad
-    shifted = diff + base * float(np.sum(_rule().weights))
-    rhs_unc = lead - wxi @ shifted - measure.integrate(xi) * base
+    rhs_grad = lead - wxi @ diff
+    rhs_unc = lead - wxi @ (diff + base) - measure.integrate(xi) * base
     return SecondAnnihilationReport(base, lhs, rhs_comp, rhs_grad, rhs_unc)
 
 
@@ -337,14 +314,13 @@ def stransform_multiplication_check(p: PolyFunctional, theta,
     maximized over atoms; grad differentiates U in theta toward delta_x/w_x.
     U is the monomial functional with p's Gamma-Wick kernels at s = w theta,
     so grad_x^j U / j! are the Taylor coefficients of its restriction."""
-    theta = measure.check_function(np.asarray(theta, dtype=float))
+    theta = measure.real_function(theta)
     pw = p.to_basis(Basis.GAMMA_WICK, measure)
     lhs = np.array([s_transform(coordinate_multiply(pw, i, measure), theta, measure)
                     for i in range(pw.m)])
-    s = measure.weights * theta
-    (U,), C = _restrictions(PolyFunctional(Basis.MONOMIAL, pw.kernels),
-                            s[None, :], measure, range(pw.m))
-    D = _taylor(C[..., 0], s, 2)
+    (U,), D = _taylor_at(PolyFunctional(Basis.MONOMIAL, pw.kernels),
+                         (measure.weights * theta)[None, :], range(pw.m), measure, 2)
+    D = D[..., 0]
     rhs = (theta + 1.0) * U + (1.0 + 2.0 * theta) * D[:, 1] + 2.0 * theta * D[:, 2]
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -352,16 +328,17 @@ def stransform_multiplication_check(p: PolyFunctional, theta,
 def a1_plus_explicit(p: PolyFunctional, xi, omega: OmegaSample,
                      measure: AtomicMeasure) -> float:
     """Adjoint of the smeared difference operator at an explicit
-    configuration: sum_i s_i xi_i phi(omega with atom i removed) - <xi> phi,
-    each removal the one-atom restriction of phi at x = 0."""
-    xi = measure.check_function(np.asarray(xi, dtype=float))
-    (phi,), C = _restrictions(p, omega.masses[None, :], measure, range(p.m))
-    at_zero = _atom_table(p.basis, np.zeros((p.m, 1)), measure.weights, p.degree)
-    removed = np.einsum("akb,akb->a", C, at_zero)
-    return float((omega.masses * xi) @ removed) - measure.integrate(xi) * float(phi)
+    configuration: sum_i s_i xi_i phi(omega with atom i removed) - <xi> phi.
+    The removals are the MC jump sum (_jump_removals) of a configuration
+    whose atom i holds one jump of size s_i, power sums P_{i,r} = s_i^r."""
+    xi = measure.real_function(xi)
+    s = omega.masses
+    sums = (s[:, None] ** np.arange(1, p.degree + 2))[..., None]
+    (phi,), (removed,) = _jump_removals(p, xi, s[None, :], sums, measure)
+    return float(removed) - measure.integrate(xi) * float(phi)
 
 
-def _jump_removals(phi_m: PolyFunctional, xi: np.ndarray, masses: np.ndarray,
+def _jump_removals(phi: PolyFunctional, xi: np.ndarray, masses: np.ndarray,
                    sums: np.ndarray, measure: AtomicMeasure):
     """phi(omega) per sample row, and the row's sum of s xi_a phi(omega -
     s e_a) over its jumps (a, s), by the Taylor identity stated in
@@ -369,8 +346,7 @@ def _jump_removals(phi_m: PolyFunctional, xi: np.ndarray, masses: np.ndarray,
     coefficients nabla_a^j phi / j! at the atoms a of the support of xi,
     their power sums P_{a,j+1} = sums[a, j], xi_a and the signs (-1)^j."""
     support = np.flatnonzero(xi)
-    phi0, C = _restrictions(phi_m, masses, measure, support)
-    taylor = _taylor(C, masses[:, support].T)
+    phi0, taylor = _taylor_at(phi, masses, support, measure)
     signs = (-1.0) ** np.arange(taylor.shape[1])
     return phi0, np.einsum("kjb,kjb,j,k->b", taylor, sums[support], signs,
                            xi[support])
@@ -393,28 +369,27 @@ def a1_plus_mc_adjointness_check(phi: PolyFunctional, psi: PolyFunctional, xi,
     P_{a,j+1}, with P_{a,r} the sum of s^r over the sample's jumps at
     atom a.  The batches carry those power sums up to r = N + 1
     (iter_jump_batches), and nothing here knows how jumps are laid out.
-    Each batch takes the one-atom restrictions of the monomial phi at the
-    atoms with xi_a != 0, whose Taylor coefficients at s_a are the
-    nabla_a^j phi / j!, and one evaluate_batch call of the Gamma-Wick pair
+    Each batch takes the one-atom restrictions of phi at the atoms with
+    xi_a != 0, whose Taylor coefficients at s_a are the nabla_a^j phi / j!
+    (_taylor_at), and one evaluate_batch call of the Gamma-Wick pair
     [psi, a1- psi].  Jump removal is thereby exact up to rounding;
     truncating jumps below cfg.cp_truncation still biases the identity by
     O(eps).
     """
-    xi = measure.check_function(np.asarray(xi, dtype=float))
-    phi_m = phi.to_basis(Basis.MONOMIAL, measure)
+    xi = measure.real_function(xi)
     psi_w = psi.to_basis(Basis.GAMMA_WICK, measure)
     wick = [psi_w, PolyFunctional(Basis.GAMMA_WICK,
                                   annihilate1(xi, psi_w.kernels, measure))]
     xi_mass = measure.integrate(xi)
 
     def stat(masses, sums):
-        phi0, removals = _jump_removals(phi_m, xi, masses, sums, measure)
+        phi0, removals = _jump_removals(phi, xi, masses, sums, measure)
         psi0, a1v = evaluate_batch(wick, masses, measure).T
         return (removals - xi_mass * phi0) * psi0 - phi0 * a1v
 
     mean, se = mean_and_se(
         stat(*batch)
-        for batch in iter_jump_batches(measure, cfg, phi_m.degree + 1))
+        for batch in iter_jump_batches(measure, cfg, phi.degree + 1))
     return MCEstimate(float(mean[0]), float(se[0]), cfg.n_samples)
 
 
@@ -422,7 +397,7 @@ def multiplication_reassembly_check(p: PolyFunctional, xi, omega: OmegaSample,
                                     measure: AtomicMeasure) -> CheckReport:
     """The Gamma field applied on the Fock side (creation + 2 neutral +
     <xi> id + both annihilations) against multiplication by <omega, xi>."""
-    xi = measure.check_function(np.asarray(xi, dtype=float))
+    xi = measure.real_function(xi)
     pw = p.to_basis(Basis.GAMMA_WICK, measure)
     field = PolyFunctional(Basis.GAMMA_WICK,
                            gamma_field(xi, pw.kernels, measure))

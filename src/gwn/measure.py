@@ -64,6 +64,11 @@ class AtomicMeasure:
                 f"test function has shape {arr.shape}, expected ({self.m},)")
         return arr
 
+    def real_function(self, f) -> np.ndarray:
+        """A real, finite test function as a float vector of length m
+        (``real_values``)."""
+        return real_values(self.check_function(f))
+
     def integrate(self, f) -> float:
         """Integral of a test function: sum_i w_i f_i."""
         arr = self.check_function(f)
@@ -112,6 +117,17 @@ class AtomicMeasure:
         if not isinstance(w, list):
             raise DomainError("measure JSON must be an object with a 'weights' array")
         return cls(np.asarray([_json_number(x, "a weight") for x in w], dtype=float))
+
+
+def real_values(arr: np.ndarray, what: str = "a test function") -> np.ndarray:
+    """arr as floats, refused with a DomainError unless every entry is a
+    finite real number: a cast to float would drop an imaginary part."""
+    if arr.dtype.kind not in "biuf":
+        raise DomainError(f"{what} must be real, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{what} must be finite")
+    return arr
 
 
 def _json_number(x, what: str) -> float:

@@ -131,6 +131,7 @@ def difference_representation_check(rng: np.random.Generator,
     for N in (3, 4):
         p = _random_poly(rng, m, N)
         alg = wick_del(monomial_to_wick(p, mu), atom).evaluate(om, mu)
+        # named for the quadrature it once used; a case name is report API
         cases.append(scaled_case(f"quadrature_matches_algebra_degree_{N}",
                                  del_integral(p, atom, om, mu), alg, 1e-9))
     xi = rng.uniform(-1.0, 1.0, m)

@@ -52,7 +52,7 @@ import numpy as np
 from .errors import ContractError, DimensionError, DomainError, SizeError
 from .extfock import fock_inner
 from .fieldops import _checked_three_term, _three_term
-from .measure import AtomicMeasure
+from .measure import AtomicMeasure, real_values
 from .symtensor import (FockVector, SymTensor, _atom_runs, _check_entries,
                         _start, atom_products, sym_product)
 
@@ -144,12 +144,11 @@ def wick_pair_rank_one_batch(masses: np.ndarray, xi, measure: AtomicMeasure,
     S = np.asarray(masses, dtype=float)
     if S.ndim != 2 or S.shape[1] != measure.m:
         raise DimensionError("mass matrix must have one column per atom")
-    X = np.asarray(xi, dtype=float)
+    X = np.asarray(xi)
     if X.ndim not in (1, 2) or X.shape[-1] != measure.m:
         raise DimensionError(f"xi has shape {X.shape}, expected ({measure.m},) "
                              f"or (F, {measure.m})")
-    if not np.all(np.isfinite(X)):
-        raise DomainError("xi must be finite")
+    X = real_values(X, "xi")
     Xs = np.atleast_2d(X)
     F, B = len(Xs), len(S)
     k = np.arange(1, N + 1)
@@ -393,7 +392,7 @@ def wick_exp(omega: OmegaSample, phi, measure: AtomicMeasure,
     fock_inner_n and with the product of one-atom series in the tests.
     """
     _check_sample(omega, measure)
-    phi = measure.check_function(np.asarray(phi, dtype=float))
+    phi = measure.real_function(phi)
     if np.max(np.abs(phi)) >= 1.0:
         raise DomainError("wick_exp requires max |phi| < 1")
     q = wick_pair_rank_one(omega, phi, measure, N)
@@ -475,7 +474,7 @@ def s_transform(p, theta, measure: AtomicMeasure):
     p is one PolyFunctional, giving a float, or a non-empty sequence of
     them, giving an (F,) array from one evaluation.  A value past the
     float range is a DomainError."""
-    theta = measure.check_function(np.asarray(theta, dtype=float))
+    theta = measure.real_function(theta)
     ps = [p] if isinstance(p, PolyFunctional) else list(p)
     pm = [PolyFunctional(Basis.MONOMIAL, q.to_basis(Basis.GAMMA_WICK, measure).kernels)
           for q in ps]

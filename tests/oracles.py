@@ -19,10 +19,11 @@ Seven kinds live here.
   Taylor terms against per-sample jump power sums.
 * Every form that varies one atom's mass by whole rows: phi at the
   configurations with that mass changed, the shifted rows of an integral
-  form at the rule nodes, and the per-atom nabla^j functionals of the
-  Taylor coefficients (``nabla``, on the Fock side), each evaluated by
-  ``evaluate_batch``, where the package reads one-atom restrictions off
-  the run table.
+  form at the nodes of a 64-node Gauss-Laguerre rule, and the per-atom
+  nabla^j functionals of the Taylor coefficients (``nabla``, on the Fock
+  side), each evaluated by ``evaluate_batch``, where the package reads
+  one-atom restrictions off the run table and integrates them by the
+  exact moments j!.
 * The rank-one Wick pairs <:omega^n:, xi^(x)n> as the product over atoms
   of one-atom series, multiplied out by truncated convolution, where the
   package reads them off the log of the Wick exponential.
@@ -41,7 +42,7 @@ import string
 from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
-from scipy.special import poch
+from scipy.special import poch, roots_laguerre
 
 from gwn.errors import ContractError, DimensionError, SizeError
 from gwn.extfock import loop_partitions
@@ -52,6 +53,10 @@ from gwn.wickcalc import (WICK_MAX_DEGREE, Basis, OmegaSample, PolyFunctional,
                           evaluate_batch)
 
 MAX_ASSIGNMENTS = 4_000_000
+
+# nodes and weights of the 64-node Gauss-Laguerre rule: integrals against
+# e^(-s) ds on (0, inf), exact for s-polynomials up to degree 127
+RULE_NODES, RULE_WEIGHTS = roots_laguerre(64)
 
 
 def dense_from_symtensor(t) -> np.ndarray:

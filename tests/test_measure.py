@@ -1,10 +1,15 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 
+from gwn import fieldops, funcalc, gammasample, wickcalc
 from gwn.errors import DimensionError, DomainError
 from gwn.measure import AtomicMeasure, load_measure, save_measure
+from gwn.symtensor import FockVector, SymTensor
+from gwn.wickcalc import Basis, OmegaSample, PolyFunctional
 
 
 def test_integrate_frozen_value():
@@ -103,3 +108,70 @@ def test_json_refuses_what_is_not_an_array_of_numbers(d):
     # a bool is refused, not read as 1.0
     with pytest.raises(ValueError):
         AtomicMeasure.from_json_dict(d)
+
+
+def _direction_entry_points():
+    """(name, call) for every public function that takes a direction or a
+    test function on the atoms; call(f) runs it with f in that slot."""
+    mu = AtomicMeasure([1.0, 2.0])
+    p = PolyFunctional(Basis.MONOMIAL, FockVector(
+        [SymTensor(2, n, np.linspace(0.1, 0.4, n + 1)) for n in range(3)]))
+    om = OmegaSample([0.5, 1.5])
+    cfg = gammasample.SamplerConfig(seed=0, n_samples=10)
+    return [
+        ("d_xi", lambda f: funcalc.d_xi(p, f, mu)),
+        ("annihilate1_integral", lambda f: funcalc.annihilate1_integral(p, f, mu, om)),
+        ("creation_gradient_check",
+         lambda f: funcalc.creation_gradient_check(p, f, om, mu)),
+        ("neutral_gradient_check",
+         lambda f: funcalc.neutral_gradient_check(p, f, om, mu)),
+        ("second_annihilation_check",
+         lambda f: funcalc.second_annihilation_check(p, f, om, mu)),
+        ("stransform_multiplication_check",
+         lambda f: funcalc.stransform_multiplication_check(p, f, mu)),
+        ("a1_plus_explicit", lambda f: funcalc.a1_plus_explicit(p, f, om, mu)),
+        ("a1_plus_mc_adjointness_check",
+         lambda f: funcalc.a1_plus_mc_adjointness_check(p, p, f, mu, cfg)),
+        ("multiplication_reassembly_check",
+         lambda f: funcalc.multiplication_reassembly_check(p, f, om, mu)),
+        ("laplace_target", lambda f: gammasample.laplace_target(mu, f)),
+        ("mc_laplace", lambda f: gammasample.mc_laplace(mu, f, cfg)),
+        ("mc_laplace_stack",
+         lambda f: gammasample.mc_laplace_stack(mu, [[0.1, 0.2], f], cfg)),
+        ("multiple_integral_identity",
+         lambda f: gammasample.multiple_integral_identity(mu, [f], om)),
+        ("jacobi_action_check", lambda f: fieldops.jacobi_action_check(mu, f, 2)),
+        ("wick_exp", lambda f: wickcalc.wick_exp(om, f, mu, 2)),
+        ("s_transform", lambda f: wickcalc.s_transform(p, f, mu)),
+        ("wick_pair_rank_one", lambda f: wickcalc.wick_pair_rank_one(om, f, mu, 2)),
+        ("wick_pair_rank_one_batch_stack",
+         lambda f: wickcalc.wick_pair_rank_one_batch([[0.5, 1.5]], [[0.1, 0.2], f],
+                                                     mu, 2)),
+    ]
+
+
+ENTRY_POINTS = _direction_entry_points()
+BAD_FUNCTIONS = {
+    "complex_array": np.array([1j, 0.5]),
+    "complex_list": [0.5j, 0.5],
+    "nan_entry": [math.nan, 0.5],
+}
+
+
+@pytest.mark.parametrize("bad", BAD_FUNCTIONS.values(), ids=BAD_FUNCTIONS.keys())
+@pytest.mark.parametrize("call", [c for _, c in ENTRY_POINTS],
+                         ids=[n for n, _ in ENTRY_POINTS])
+def test_directions_must_be_real_and_finite(call, bad):
+    """A complex or NaN direction is a DomainError, not a cast that drops
+    the imaginary part (with a ComplexWarning) or a NaN in the output."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            call(bad)
+
+
+def test_real_function_keeps_real_input():
+    mu = AtomicMeasure([1.0, 2.0])
+    assert mu.real_function([1, 2]).dtype == float
+    with pytest.raises(DimensionError):
+        mu.real_function([1j])

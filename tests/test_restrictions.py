@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import oracles
 from gwn.fieldops import create
-from gwn.funcalc import (_gradient_form, _rule, _taylor, a1_plus_explicit,
+from gwn.funcalc import (_gradient_form, _taylor, a1_plus_explicit,
                          annihilate1_integral, del_integral,
                          second_annihilation_check)
 from gwn.measure import AtomicMeasure
@@ -136,18 +136,18 @@ def test_restrictions_edge_inputs(edge):
 def assert_integral_forms_match_rows(mu, p, masses, atoms):
     """del_integral at each atom and annihilate1_integral over a direction
     supported on the atoms, against the 64 shifted rows of each atom."""
-    rule = _rule()
+    nodes, weights = oracles.RULE_NODES, oracles.RULE_WEIGHTS
     omega = OmegaSample(masses[0])
     base = p.evaluate(omega, mu)
-    total = float(np.sum(rule.weights))
+    total = float(np.sum(weights))
     xi = np.zeros(mu.m)
     xi[atoms] = np.linspace(-1.0, 0.9, len(atoms))
     terms, smeared_scale = [], 0.0
     for a in range(mu.m):
-        want = oracles.shifted_integral(p, omega, a, mu, rule.nodes,
-                                        rule.weights) - base * total
-        rows = oracles.varied_rows(omega.masses, a, omega.masses[a] + rule.nodes)
-        scale = rule.weights @ term_size(p, rows, mu) \
+        want = oracles.shifted_integral(p, omega, a, mu, nodes,
+                                        weights) - base * total
+        rows = oracles.varied_rows(omega.masses, a, omega.masses[a] + nodes)
+        scale = weights @ term_size(p, rows, mu) \
             + total * term_size(p, omega.masses[None, :], mu)[0]
         assert abs(del_integral(p, a, omega, mu) - want) <= 1e-12 * max(1.0, scale)
         terms.append(mu.weights[a] * xi[a] * want)
@@ -167,13 +167,44 @@ def test_integral_forms_edge_inputs(edge):
     assert_integral_forms_match_rows(*edge_case(*edge))
 
 
+def shift_moments(s: float, N: int, j0: int) -> np.ndarray:
+    """[l] = sum_{j0 <= j <= l} C(l, j) j! s^(l-j), l <= N: from j0 = 0 the
+    integral of (s + t)^l e^(-t) dt over (0, inf), from j0 = 1 that of
+    (s + t)^l - s^l."""
+    return np.array([sum(math.comb(l, j) * math.factorial(j) * s ** (l - j)
+                         for j in range(j0, l + 1)) for l in range(N + 1)])
+
+
+@pytest.mark.parametrize("w", [0.01, 0.5, 1.3, 7.0, 100.0])
+@pytest.mark.parametrize("basis", list(Basis))
+def test_del_integral_one_atom_closed_forms(basis, w):
+    """del_integral of one atom's s^k against sum_{j>=1} C(k, j) j! s^(k-j),
+    and of its Wick power q_k(s; w) against k q_{k-1}(s; w), k = 1..8, past
+    the degrees the strategies draw.  The bound is scaled by the size of
+    the terms of the monomial expansion, from absolute coefficients."""
+    mu, N = AtomicMeasure([w]), 8
+    wick = oracles.wick_monic_table(w, N)
+    for s in (0.0, 0.3 * w, w, 3.0 * w + 1.0):
+        for k in range(1, N + 1):
+            p = PolyFunctional(basis, FockVector(
+                [SymTensor(1, n, np.array([float(n == k)])) for n in range(k + 1)]))
+            if basis is Basis.GAMMA_WICK:
+                coeffs = wick[k]
+                want = k * np.polynomial.polynomial.polyval(s, wick[k - 1])
+            else:
+                coeffs, want = np.eye(N + 1)[k], shift_moments(s, N, 1)[k]
+            size = np.abs(coeffs) @ shift_moments(s, N, 0)
+            got = del_integral(p, 0, OmegaSample([s]), mu)
+            assert abs(got - want) <= 1e-12 * size, (s, k)
+
+
 def assert_gradient_forms_match_taylor_stack(mu, p, masses, atoms):
     """The gradient terms, the Taylor coefficients of the MC jump sum and
     the three right sides of the second annihilation check, against the
     nabla^j stack and the shifted rows of [phi, nabla_a phi].  The Taylor
     coefficients of phi with absolute kernels, at the same rows, are the
     term sizes."""
-    rule = _rule()
+    nodes, weights = oracles.RULE_NODES, oracles.RULE_WEIGHTS
     pm = p.to_basis(Basis.MONOMIAL, mu)
     size = PolyFunctional(Basis.MONOMIAL, FockVector(
         [SymTensor(mu.m, n, np.abs(k.values)) for n, k in enumerate(pm.kernels.kernels)]))
@@ -198,14 +229,14 @@ def assert_gradient_forms_match_taylor_stack(mu, p, masses, atoms):
     # the second annihilation check's right sides
     rep = second_annihilation_check(p, xi, omega, mu)
     phi, *forms = oracles.second_annihilation_forms(p, xi, omega, mu,
-                                                    rule.nodes, rule.weights)
+                                                    nodes, weights)
     lead = omega.masses @ np.abs(xi * 2.0 * Ds[:, 2]) + np.abs(wxi) @ Ds[:, 1]
     comp, grad = lead + abs(mu.integrate(xi)) * Ds[0, 0], lead
     for a in np.flatnonzero(xi):
-        rows = oracles.varied_rows(omega.masses, a, omega.masses[a] + rule.nodes)
+        rows = oracles.varied_rows(omega.masses, a, omega.masses[a] + nodes)
         shifted = oracles.taylor_values(size, rows, [a], mu, 1)[:, 0]
-        comp += abs(wxi[a]) * (rule.weights @ shifted[:, 0] + Ds[0, 0])
-        grad += abs(wxi[a]) * (rule.weights @ shifted[:, 1])
+        comp += abs(wxi[a]) * (weights @ shifted[:, 0] + Ds[0, 0])
+        grad += abs(wxi[a]) * (weights @ shifted[:, 1])
     assert abs(rep.phi - phi) <= 1e-12 * Ds[0, 0]
     got = (rep.rhs_compensated, rep.rhs_gradient_shift, rep.rhs_uncompensated)
     for g, f, s in zip(got, forms, (comp, grad, comp)):
