@@ -14,6 +14,11 @@ Subcommands:
 ``verify``, ``mc`` and ``all`` share one handler, ``_cmd_suites``: it
 checks every input before any suite runs, then calls
 ``verify.run_verify_suite`` or ``verify.run_mc_suite`` once per suite.
+When a given measure (``--measure``) serves more than one MC suite, the
+handler owns their shared Gamma-sampler draws: it runs the MC suites in
+one ``gammasample.shared_sample_batches`` block, so the first suite to
+read a sample pass draws it and the later ones replay it, and the stored
+batches are dropped when the suites return or raise.
 
 JSON is the primary output (CSV for the three tables); ``--pretty`` renders
 a human table instead.  Identical argv and seed produce byte-identical
@@ -24,6 +29,7 @@ output unless ``--timing`` is given.  Exit codes: 0 all cases passed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -34,6 +40,7 @@ import numpy as np
 
 from .extfock import ext_inner_n, iter_loop_partitions
 from .fieldops import jacobi_coefficients
+from .gammasample import shared_sample_batches
 from .measure import AtomicMeasure, _unique_keys, load_measure
 from .report import align_columns, combine_reports, render_pretty, to_json
 from .symtensor import MAX_DEGREE, SymTensor
@@ -162,7 +169,11 @@ def _cmd_suites(args) -> int:
     if mu is not None:
         check_suite_sizes(verify_names + mc_names, mu)
     reports = [run_verify_suite(n, args.seed, mu) for n in verify_names]
-    reports += [run_mc_suite(n, args.seed, mu, *mc) for n in mc_names]
+    # with one given measure, every MC suite reads the same Gamma sample
+    # passes; they are drawn once for the run and then dropped
+    shared = mu is not None and len(mc_names) > 1
+    with shared_sample_batches() if shared else contextlib.nullcontext():
+        reports += [run_mc_suite(n, args.seed, mu, *mc) for n in mc_names]
     payload = combine_reports(reports, args.seed, args.timing) \
         if suite == "all" else reports[0].to_json_dict(args.timing)
     _emit(render_pretty(payload) if args.pretty else to_json(payload), args.out)

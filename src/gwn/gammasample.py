@@ -37,11 +37,22 @@ estimates (Gamma stream) and adjointness estimate (compound-Poisson
 stream) therefore share no random numbers.  The stacked estimators
 (mc_laplace_stack, chaos_projection_stack) reduce several statistics from
 one pass over a stream.
+
+Estimators on the same weights and SamplerConfig read the same stream, so
+one pass can serve them all: inside a shared_sample_batches block,
+iter_sample_batches stores each complete pass of at most MAX_ENTRIES
+masses as it draws it, read-only, and hands it to every later pass with
+the same key instead of drawing it again.  The values are those the
+stream gives, so every estimate is bit-identical to a fresh draw.  The
+block's owner (the CLI runner of several MC suites on one measure) drops
+the stored batches when it is left.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 
@@ -203,10 +214,53 @@ def _batches(cfg: SamplerConfig, mode: SamplerMode, draw):
                    min(DEFAULT_BATCH, cfg.n_samples - start))
 
 
+# the sample passes of the innermost shared_sample_batches block, keyed by
+# (weights, config); None outside every block
+_SHARED: ContextVar[dict | None] = ContextVar("gwn_shared_batches",
+                                              default=None)
+
+
+@contextlib.contextmanager
+def shared_sample_batches():
+    """A block whose sample passes are drawn once: iter_sample_batches
+    stores each complete pass and replays it to a later pass on the same
+    weights and config.  The stored batches are dropped when the block is
+    left, by return or by exception."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _storing(batches, store: dict, key):
+    """Yield batches read-only as they are drawn, and store them under key
+    once the pass is complete; a pass left early stores nothing."""
+    kept = []
+    for batch in batches:
+        batch.setflags(write=False)
+        kept.append(batch)
+        yield batch
+    store[key] = tuple(kept)
+
+
 def iter_sample_batches(measure: AtomicMeasure, cfg: SamplerConfig):
-    """Yield (batch_index, masses) with the per-batch jumped streams."""
-    return enumerate(_batches(
-        cfg, cfg.mode, lambda rng, size: _draw_batch(measure, cfg, rng, size)))
+    """Yield (batch_index, masses) with the per-batch jumped streams.
+
+    Inside a shared_sample_batches block, a pass of at most MAX_ENTRIES
+    masses is stored as it is drawn, and a later pass on the same weights
+    and config replays the stored, read-only batches; a larger pass is
+    drawn each time.
+    """
+    batches = _batches(
+        cfg, cfg.mode, lambda rng, size: _draw_batch(measure, cfg, rng, size))
+    store = _SHARED.get()
+    if store is None or cfg.n_samples * measure.m > MAX_ENTRIES:
+        return enumerate(batches)
+    key = (measure.weights.tobytes(), cfg)
+    if key in store:
+        return enumerate(store[key])
+    return enumerate(_storing(batches, store, key))
 
 
 def iter_jump_batches(measure: AtomicMeasure, cfg: SamplerConfig, order: int = 1):

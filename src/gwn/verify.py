@@ -6,6 +6,13 @@ the MC suites the sampler config; and the timing.  A suite draws its test
 inputs from the stream, runs the matching identity checks and returns the
 measured deviations as cases, which the runner packs into a RunReport.
 A seed alone therefore fully determines the report bytes.
+
+The MC suites share one SamplerConfig(seed, samples), so on one given
+measure they read the same Gamma sample passes.  The caller that runs
+several of them owns those shared draws: ``gwn mc all`` and ``gwn all``
+run them in one ``gammasample.shared_sample_batches`` block, where the
+first suite draws each pass and the later ones replay it.  A replayed
+pass holds the same values, so the reports do not change.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from gwn import gammasample
 from gwn.measure import AtomicMeasure
 from gwn.symtensor import SymTensor, _tables
 
@@ -25,6 +26,20 @@ def random_tensor(rng: np.random.Generator, m: int, degree: int,
 
 def rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def count_gamma_draws(monkeypatch) -> list[int]:
+    """Record the size of every batch the Gamma sampler draws (each call of
+    gammasample._draw_batch), in order, in the returned list."""
+    sizes = []
+    draw = gammasample._draw_batch
+
+    def counted(measure, cfg, rng, size):
+        sizes.append(size)
+        return draw(measure, cfg, rng, size)
+
+    monkeypatch.setattr(gammasample, "_draw_batch", counted)
+    return sizes
 
 
 @pytest.fixture

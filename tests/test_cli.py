@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gwn import gammasample
 from gwn.cli import main
 from gwn.errors import SizeError
 from gwn.measure import AtomicMeasure, save_measure
@@ -15,6 +16,8 @@ from gwn.report import (CaseResult, RunReport, absolute_case, scaled_case,
 from gwn.symtensor import FockVector, SymTensor
 from gwn.verify import MC_SUITES, VERIFY_SUITES
 from gwn.wickcalc import Basis, PolyFunctional, laguerre_system, s_transform
+
+from conftest import count_gamma_draws
 
 
 def run_cli(capsys, *argv):
@@ -494,3 +497,87 @@ def test_repeated_key_in_theta_exit_2(tmp_path, capsys, in_file):
                               "--functional", str(tmp_path / "p.json"),
                               "--theta", theta,
                               "--measure", str(tmp_path / "mu.json"))
+
+
+# 9000 samples: Gamma-sampler batches of 4096, 4096 and 808
+SHARED_SAMPLES = ("--samples", "9000")
+
+
+@pytest.fixture
+def measure_file(tmp_path):
+    save_measure(AtomicMeasure([0.8, 1.5, 0.6]), tmp_path / "mu.json")
+    return str(tmp_path / "mu.json")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("command", [("mc", "all"), ("all",)],
+                         ids=["mc_all", "all"])
+def test_shared_draws_print_each_mc_suite_as_run_alone(capsys, measure_file,
+                                                      command, seed):
+    # chaos draws the passes, gram and laplace replay them
+    argv = ("--measure", measure_file, "--seed", str(seed)) + SHARED_SAMPLES
+    _, out = run_cli(capsys, *command, *argv)
+    blocks = {s["suite"]: s for s in json.loads(out)["suites"]}
+    for name in MC_SUITES:
+        _, alone = run_cli(capsys, "mc", name, *argv)
+        assert to_json(blocks[name]) == alone
+
+
+@pytest.mark.parametrize("command", [("mc", "all"), ("all",)],
+                         ids=["mc_all", "all"])
+def test_gamma_batches_drawn_once_per_run_on_a_given_measure(
+        capsys, monkeypatch, measure_file, command):
+    draws = count_gamma_draws(monkeypatch)
+    run_cli(capsys, *command, "--measure", measure_file, *SHARED_SAMPLES)
+    assert draws == [4096, 4096, 808]
+    # without --measure each suite draws its own measure and its own pass
+    del draws[:]
+    run_cli(capsys, *command, *SHARED_SAMPLES)
+    assert draws == [4096, 4096, 808] * 3
+
+
+def test_shared_draws_are_dropped_when_main_returns(tmp_path, capsys,
+                                                   monkeypatch, measure_file):
+    import gwn.cli
+
+    held = []
+    run = gwn.cli.run_mc_suite
+
+    def watched(name, *args):
+        report = run(name, *args)
+        store = gammasample._SHARED.get()
+        held.append((name, None if store is None else len(store)))
+        return report
+
+    monkeypatch.setattr(gwn.cli, "run_mc_suite", watched)
+    code, _ = run_cli(capsys, "mc", "all", "--measure", measure_file,
+                      *SHARED_SAMPLES)
+    assert code in (0, 1)
+    assert held == [("chaos", 1), ("gram", 1), ("laplace", 1)]
+    assert gammasample._SHARED.get() is None
+    # each suite draws its own measure: nothing to share, nothing stored
+    del held[:]
+    run_cli(capsys, "mc", "all", *SHARED_SAMPLES)
+    assert held == [("chaos", None), ("gram", None), ("laplace", None)]
+    # at seed 1 laplace refuses its target on these weights (exit 2), after
+    # chaos and gram ran and stored their pass
+    del held[:]
+    save_measure(AtomicMeasure([3000.0, 1.0]), tmp_path / "big.json")
+    assert_input_error(capsys, "mc", "all", "--samples", "200", "--seed", "1",
+                       "--measure", str(tmp_path / "big.json"))
+    assert held == [("chaos", 1), ("gram", 1)]
+    assert gammasample._SHARED.get() is None
+
+
+def test_passes_over_the_entry_budget_are_drawn_per_suite(tmp_path, capsys,
+                                                          monkeypatch):
+    # light atoms keep chaos's compound-Poisson batches (about 1.2e4
+    # expected jumps), which are checked against the same budget, below it
+    save_measure(AtomicMeasure([0.1, 0.2, 0.15]), tmp_path / "light.json")
+    argv = ("mc", "all", "--measure", str(tmp_path / "light.json"),
+            *SHARED_SAMPLES)
+    shared = run_cli(capsys, *argv)
+    draws = count_gamma_draws(monkeypatch)
+    monkeypatch.setattr(gammasample, "MAX_ENTRIES", 9000 * 3 - 1)
+    assert run_cli(capsys, *argv) == shared
+    assert draws == [4096, 4096, 808] * 3

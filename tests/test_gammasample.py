@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
+from gwn import gammasample
 from gwn.errors import ContractError, DomainError, SizeError
 from gwn.extfock import ext_inner_n
 from gwn.gammasample import (DEFAULT_BATCH, ChaosGramReport, MCEstimate,
@@ -20,13 +21,14 @@ from gwn.gammasample import (DEFAULT_BATCH, ChaosGramReport, MCEstimate,
                              iter_jump_batches, iter_sample_batches,
                              laplace_target, mc_chaos_gram,
                              mc_laplace, mc_laplace_stack,
-                             multiple_integral_identity, sample_omega)
+                             multiple_integral_identity, sample_omega,
+                             shared_sample_batches)
 from gwn.measure import AtomicMeasure
 from gwn.symtensor import SymTensor, rank_one
 from gwn.verify import run_mc_suite
 from gwn.wickcalc import OmegaSample
 
-from conftest import rel_err
+from conftest import count_gamma_draws, rel_err
 
 
 CP = SamplerMode.COMPOUND_POISSON
@@ -386,3 +388,67 @@ def test_compound_poisson_batch_refuses_jumps_past_the_entry_budget():
     # the expected jump count is checked before any Poisson draw
     with pytest.raises(SizeError):
         _draw_cp_batch(AtomicMeasure([1e6]), 1e-6, _stream(0, 0), 4096)
+
+
+def test_shared_passes_are_drawn_once_per_weights_and_config(monkeypatch):
+    # in a block, a pass is replayed only on the same weights and config:
+    # the other sample count and the same weights in another order each
+    # draw their own pass, and every pass equals one drawn outside a block
+    mu, swapped = AtomicMeasure([0.5, 1.2]), AtomicMeasure([1.2, 0.5])
+    cfg = SamplerConfig(seed=7, n_samples=9000)
+    passes = [(mu, replace(cfg, n_samples=5000)), (swapped, cfg), (mu, cfg)]
+    alone = [collect(*p) for p in passes]
+    draws = count_gamma_draws(monkeypatch)
+    with shared_sample_batches():
+        for _ in range(2):
+            for p, want in zip(passes, alone):
+                assert np.array_equal(collect(*p), want)
+    assert draws == [4096, 904] + [4096, 4096, 808] * 2
+    assert gammasample._SHARED.get() is None
+
+
+def test_shared_batches_are_read_only():
+    mu = AtomicMeasure([0.5, 1.2])
+    cfg = SamplerConfig(seed=7, n_samples=5000)
+    with shared_sample_batches():
+        for _ in range(2):    # as drawn, then as replayed
+            for _, batch in iter_sample_batches(mu, cfg):
+                with pytest.raises(ValueError):
+                    batch[0, 0] = 1.0
+
+
+def test_a_pass_left_early_stores_nothing(monkeypatch):
+    mu = AtomicMeasure([0.5, 1.2])
+    cfg = SamplerConfig(seed=7, n_samples=9000)
+    want = collect(mu, cfg)
+    draws = count_gamma_draws(monkeypatch)
+    with shared_sample_batches():
+        next(iter(iter_sample_batches(mu, cfg)))
+        assert np.array_equal(collect(mu, cfg), want)
+        assert np.array_equal(collect(mu, cfg), want)
+    assert draws == [4096] + [4096, 4096, 808]
+
+
+def test_shared_passes_are_dropped_when_the_block_raises(monkeypatch):
+    mu = AtomicMeasure([0.5, 1.2])
+    cfg = SamplerConfig(seed=7, n_samples=3000)
+    draws = count_gamma_draws(monkeypatch)
+    with pytest.raises(RuntimeError):
+        with shared_sample_batches():
+            collect(mu, cfg)
+            raise RuntimeError("a suite failed")
+    assert gammasample._SHARED.get() is None
+    collect(mu, cfg)
+    assert draws == [3000, 3000]
+
+
+def test_a_pass_over_the_entry_budget_is_drawn_each_time(monkeypatch):
+    mu = AtomicMeasure([0.5, 1.2])
+    cfg = SamplerConfig(seed=7, n_samples=3000)
+    draws = count_gamma_draws(monkeypatch)
+    for budget, drawn in ((6000, [3000]), (5999, [3000, 3000])):
+        monkeypatch.setattr(gammasample, "MAX_ENTRIES", budget)
+        del draws[:]
+        with shared_sample_batches():
+            assert np.array_equal(collect(mu, cfg), collect(mu, cfg))
+        assert draws == drawn
