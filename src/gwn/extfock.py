@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, SizeError
 from .measure import AtomicMeasure
-from .symtensor import FockVector, SymTensor, _tables, atom_products
+from .symtensor import FockVector, SymTensor, _degree, _tables, atom_products
 
 # Loop partitions are enumerated and cached in Python: order 10 has
 # Bell(10) = 115975 of them (52 MB, 3 s to build), and each further order
@@ -103,7 +103,7 @@ def _weighted_inner_n(measure: AtomicMeasure, f: SymTensor, g: SymTensor,
     n = f.degree
     table = np.ones((measure.m, n + 1))
     table[:, 1:] = np.cumprod(measure.weights[:, None] + step * np.arange(n), axis=1)
-    wprod = atom_products(table, n)[n]
+    wprod = atom_products(table, n)[_degree(measure.m, n)]
     return ((f.perm_counts * wprod) @ (np.conj(f.values) * g.values)).item()
 
 

@@ -1,9 +1,9 @@
 """Field operators on finite Fock vectors.
 
-A degree-n kernel f is the polynomial F(s) = sum_k perm_count(k) f[k] s^k
-in the atom variables (see ``symtensor``).  The Gamma field a(xi) is
-sum_a xi_a (s_a (1 + d_a) + w_a)(1 + d_a), d_a = d/ds_a: five parts, each
-built from raise (s_a), number (s_a d_a) and lower (d_a) steps per atom:
+A Fock vector is the polynomial F(s) = sum_k A[k] s^k in the atom
+variables, A its stored coefficients (``symtensor``).  The Gamma field a(xi)
+is sum_a xi_a (s_a (1 + d_a) + w_a)(1 + d_a), d_a = d/ds_a: five parts,
+each built from raise (s_a), number (s_a d_a) and lower (d_a) steps per atom:
 
 * creation:          F -> sum_a xi_a s_a F            (degree +1)
 * neutral (doubled): F -> sum_a xi_a s_a d_a F        (degree 0)
@@ -14,12 +14,12 @@ built from raise (s_a), number (s_a d_a) and lower (d_a) steps per atom:
 Both slot steps read the one-atom merge table, which maps a degree-n rep
 r and an atom a to the rank of r with a added.  Creation is the raising
 kernel ``_raise``, the dual of the lowering kernel ``_lower``: it adds
-perm_count(r) f[r] xi_a onto merge(r, a) for every atom a (the Wick
-adjoint ``funcalc.del_dagger`` onto one atom's column), while ``_lower`` reads
-f at merge(r, a).  Annihilation-1 lowers over every atom with weights
-w xi, annihilation-2 over the slots of r with xi there, and the slot
-derivatives of ``funcalc`` read one atom's column.  Neutral scales f[r]
-by sum_p xi(r_p).
+A[r] xi_a onto merge(r, a) for every atom a (the Wick adjoint
+``funcalc.del_dagger`` onto one atom's column), while ``_lower`` reads A
+at merge(r, a) times k_a(r) + 1.  Annihilation-1 lowers over every atom
+with weights w xi, annihilation-2 over the slots of r with xi there, and
+the slot derivatives of ``funcalc`` read one atom's column.  Neutral
+scales A[r] by sum_p xi(r_p).
 
 On indicator powers chi^(x)n the field acts by a three-term recurrence whose
 coefficients are the Jacobi parameters of the orthonormal Laguerre system
@@ -39,8 +39,8 @@ import numpy as np
 from .errors import ContractError, DimensionError, DomainError
 from .extfock import ext_inner_n
 from .measure import AtomicMeasure
-from .symtensor import (FockVector, SymTensor, _check_entries, _merge_ranks,
-                        _tables, rank_one)
+from .symtensor import (FockVector, _check_entries, _degree, _merge_ranks,
+                        _start, _tables, rank_one)
 
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
@@ -58,43 +58,42 @@ def create(xi, f: FockVector) -> FockVector:
 
 
 def neutral(xi, f: FockVector) -> FockVector:
-    """Neutral operator n Sym[xi(x_1) f(x_1, ...)]: each entry f[r] times
+    """Neutral operator n Sym[xi(x_1) f(x_1, ...)]: each entry A[r] times
     sum_p xi(r_p)."""
     xi = _check_xi(xi, f.m)
-    return FockVector([SymTensor(f.m, 0)]
-                      + [k * np.sum(xi[k.reps], axis=1) for k in f.kernels[1:]])
+    return FockVector._from_coeffs(f.m, f.degree, f.coeffs * np.concatenate(
+        [np.sum(xi[_tables(f.m, n).reps], axis=1) for n in range(f.degree + 1)]))
 
 
 def _lower(f: FockVector, c: np.ndarray, atoms=None) -> FockVector:
-    """The one lowering kernel, degreewise g_{n-1}[r] = n sum_j c[a_j]
-    f_n[merge(r, a_j)] over the one-atom merge table: the atoms a_j are the
-    list ``atoms`` for every r, or the slots of r when it is None."""
-    out = []
+    """The one lowering kernel, degreewise A_{n-1}[r] = sum_j c[a_j]
+    (k_{a_j}(r) + 1) A_n[merge(r, a_j)] over the one-atom merge table, the
+    atoms a_j the list ``atoms`` for every r, or the slots of r when it is
+    None; k_a(r) + 1 = n perm_count(r) / perm_count(merge(r, a))."""
+    out = np.zeros(_start(f.m, max(f.degree, 1)), np.result_type(f.coeffs, c))
     for n in range(1, f.degree + 1):
-        a = _tables(f.m, n - 1).reps if atoms is None else np.reshape(atoms, (1, -1))
+        low = _tables(f.m, n - 1)
+        a = low.reps if atoms is None else np.reshape(atoms, (1, -1))
         cols = np.take_along_axis(_merge_ranks(f.m, n - 1, 1), a, axis=1)
-        out.append(SymTensor(f.m, n - 1,
-                             n * np.sum(c[a] * f.get(n).values[cols], axis=1)))
-    return FockVector(out or [SymTensor(f.m, 0)])
+        g = c[a] * f.coeffs[_degree(f.m, n)][cols]
+        g *= (n * low.perm_counts)[:, None] // _tables(f.m, n).perm_counts[cols]
+        out[_degree(f.m, n - 1)] = np.sum(g, axis=1)
+    return FockVector._from_coeffs(f.m, max(f.degree - 1, 0), out)
 
 
 def _raise(f: FockVector, c: np.ndarray, atoms=None) -> FockVector:
     """The one raising kernel, the dual of ``_lower``: degreewise
-    g_{n+1}[merge(r, a)] += perm_count(r) f_n[r] c[a] over the one-atom
-    merge table for the atoms a of the list ``atoms`` (every atom when it
-    is None), then divided by the degree-(n+1) perm counts.  The sum is
-    the product of the kernel polynomial with sum_a c[a] s_a."""
+    A_{n+1}[merge(r, a)] += A_n[r] c[a] over the one-atom merge table for
+    the atoms a of the list ``atoms`` (every atom when it is None), the
+    product of the polynomial with sum_a c[a] s_a."""
     a = slice(None) if atoms is None else np.asarray(atoms)
-    out = [SymTensor(f.m, 0)]
-    for n, k in enumerate(f.kernels):
-        tab = _tables(f.m, n + 1)
-        # np.add.at, not bincount, so that complex kernels take one pass
-        vals = np.zeros(len(tab.reps), dtype=np.result_type(k.values, c))
-        np.add.at(vals, _merge_ranks(f.m, n, 1)[:, a].ravel(),
-                  ((k.perm_counts * k.values)[:, None] * c[a]).ravel())
-        vals /= tab.perm_counts
-        out.append(SymTensor(f.m, n + 1, vals))
-    return FockVector(out)
+    ranks = [_merge_ranks(f.m, n, 1)[:, a] for n in range(f.degree + 1)]   # tables refuse first
+    out = np.zeros(_start(f.m, f.degree + 2), np.result_type(f.coeffs, c))
+    for n, r in enumerate(ranks):
+        # np.add.at, not bincount, so that complex coefficients take one pass
+        np.add.at(out[_degree(f.m, n + 1)], r.ravel(),
+                  (f.coeffs[_degree(f.m, n)][:, None] * c[a]).ravel())
+    return FockVector._from_coeffs(f.m, f.degree + 1, out)
 
 
 def annihilate1(xi, f: FockVector, measure: AtomicMeasure) -> FockVector:
@@ -210,9 +209,9 @@ def jacobi_action_check(measure: AtomicMeasure, chi, N: int) -> JacobiActionRepo
     powers = [FockVector.single(rank_one(chi, n)) for n in range(N + 2)]
     for n in range(N + 1):
         lhs = gamma_field(chi, powers[n], measure)
-        rhs = powers[n + 1] + betas[n] * powers[n].pad_to(n + 1)
+        rhs = powers[n + 1] + betas[n] * powers[n]
         if n >= 1:
-            rhs = rhs + alpha_sq[n] * powers[n - 1].pad_to(n + 1)
+            rhs = rhs + alpha_sq[n] * powers[n - 1]
         action_devs.append((lhs - rhs).max_abs())
         sq = math.factorial(n) * ext_inner_n(measure, rank_one(chi, n), rank_one(chi, n))
         c_ext = math.sqrt(max(sq, 0.0))

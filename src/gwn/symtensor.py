@@ -4,9 +4,11 @@ A degree-n symmetric tensor over m atoms keeps one value per sorted
 multi-index (i_1 <= ... <= i_n), i.e. C(n+m-1, n) entries.  Each entry is
 also indexed by its occupation counts k (k_i = how often atom i appears),
 and perm_count(k) = n! / prod_i k_i! counts its orderings.  A symmetric
-tensor f is thereby the polynomial sum_k perm_count(k) f[k] s^k in the
-atom variables, which is how the inner products, Wick kernels and basis
-conversions factor over atoms.
+tensor f is thereby the polynomial sum_k A[k] s^k in the atom variables,
+A[k] = perm_count(k) f[k], which is how the inner products, Wick kernels
+and basis conversions factor over atoms.  A ``FockVector`` stores only A,
+over degrees 0..N on the flat layout of ``atom_products``; the kernels
+f = A / perm_count appear only where ``SymTensor``s go in or come out.
 
 Every product prod_i t_i(k_i) of a per-atom table t comes from one kernel,
 ``atom_products``: rank-one powers (f^k), inner-product weights (w^k,
@@ -17,11 +19,11 @@ t_a(k), so all degrees 0..N cost one multiply per entry.
 Symmetrization convention: the symmetrized product is the arithmetic mean
 over position splits, so phi-tensor-phi equals the plain tensor square with
 no combinatorial prefactor.  It is the product of the two polynomials: the
-coefficients perm_count(k) f[k] of the factors are multiplied and added
-onto the merge table, which maps a pair of multi-indices to the rank of
-their union (occupation counts k_a + k_b).  Its one-atom table (degree
-b = 1) serves both slot kernels of ``fieldops``: raising adds onto it,
-lowering reads from it.
+coefficients A of the factors are multiplied and added onto the merge
+table, which maps a pair of multi-indices to the rank of their union
+(occupation counts k_a + k_b).  Its one-atom table (degree b = 1) serves
+both slot kernels of ``fieldops``: raising adds onto it, lowering reads
+from it.
 
 Every rank table comes from the sorted reps of each (m, n): the cached
 multiset and last-run tables, the merge table, and the run table on which
@@ -125,6 +127,11 @@ def _start(m: int, n: int) -> int:
     return math.comb(n + m - 1, m)
 
 
+def _degree(m: int, n: int) -> slice:
+    """The degree-n entries of that flat layout."""
+    return slice(_start(m, n), _start(m, n + 1))
+
+
 @lru_cache(maxsize=None)
 def _last_runs(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(parent, a, k) per degree-n rep, n >= 1: it ends in k copies of atom a;
@@ -163,25 +170,25 @@ def _atom_runs(m: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return entry, k, base, np.arange(m + 1) * size
 
 
-def atom_products(table, N: int) -> list[np.ndarray]:
-    """P_0..P_N for an (m, N+1, ...) per-atom table t: P_n[r, ...] =
-    prod_i t[i, k_i(r), ...] over the occupation counts of each degree-n rep
-    r, built as P_{n-k}[parent] * t[a, k] in one buffer.  t[:, 0] stands
-    for t_i(0) = 1 and is never read."""
+def atom_products(table, N: int) -> np.ndarray:
+    """P over degrees 0..N on the flat layout for an (m, N+1, ...) per-atom
+    table t: P[r, ...] = prod_i t[i, k_i(r), ...] over the occupation counts
+    of each rep r, built as P[parent] * t[a, k] in one buffer.  t[:, 0]
+    stands for t_i(0) = 1 and is never read."""
     _check_degree(N)
     table = np.asarray(table)
     m, tail = table.shape[0], table.shape[2:]
-    starts = [_start(m, n) for n in range(N + 2)]
-    _check_entries(starts[-1] * math.prod(tail), f"atom products up to degree {N}")
+    size = _start(m, N + 1)
+    _check_entries(size * math.prod(tail), f"atom products up to degree {N}")
     runs = [_last_runs(m, n) for n in range(1, N + 1)]   # tables refuse first
-    flat = np.empty((starts[-1],) + tail, dtype=table.dtype)
+    flat = np.empty((size,) + tail, dtype=table.dtype)
     flat[0] = 1
     for n, (parent, a, k) in enumerate(runs, 1):
-        lo, hi = starts[n], starts[n + 1]
-        # the parents lie below lo, so with mode="clip" take makes no copy
-        flat[:lo].take(parent, axis=0, out=flat[lo:hi], mode="clip")
-        flat[lo:hi] *= table[a, k]
-    return [flat[lo:hi] for lo, hi in zip(starts, starts[1:])]
+        d = _degree(m, n)
+        # the parents lie below degree n, so with mode="clip" take makes no copy
+        flat[:d.start].take(parent, axis=0, out=flat[d], mode="clip")
+        flat[d] *= table[a, k]
+    return flat
 
 
 @lru_cache(maxsize=None)
@@ -221,6 +228,8 @@ class SymTensor:
     def __init__(self, m: int, degree: int, values=None):
         self.m = int(m)
         self.degree = int(degree)
+        if self.m < 1:
+            raise DimensionError("need at least one atom")
         _check_degree(self.degree)
         R = math.comb(self.degree + self.m - 1, self.degree)
         _check_entries(R, f"degree-{self.degree} tensor over {self.m} atoms")
@@ -252,9 +261,6 @@ class SymTensor:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
-    def copy(self) -> "SymTensor":
-        return SymTensor(self.m, self.degree, self.values.copy())
-
     def _check_compat(self, other: "SymTensor") -> None:
         if self.m != other.m:
             raise DimensionError("tensors live over different atom sets")
@@ -269,9 +275,6 @@ class SymTensor:
         self._check_compat(other)
         return SymTensor(self.m, self.degree, self.values - other.values)
 
-    def __neg__(self) -> "SymTensor":
-        return SymTensor(self.m, self.degree, -self.values)
-
     def __mul__(self, c) -> "SymTensor":
         return SymTensor(self.m, self.degree, self.values * c)
 
@@ -285,7 +288,6 @@ class SymTensor:
     @classmethod
     def from_index_map(cls, m: int, degree: int, d: dict) -> "SymTensor":
         t = cls(m, degree)
-        vals = t.values.copy()
         seen = {}
         for key, v in d.items():
             idx = np.array(sorted(int(x) for x in key.split()), dtype=np.int64)
@@ -300,8 +302,7 @@ class SymTensor:
             if seen.setdefault(r, key) != key:   # "0 1" and "1 0", say
                 raise ContractError(f"index keys '{seen[r]}' and '{key}' name "
                                     f"the same multiset")
-            vals[r] = x
-        t.values = vals
+            t.values[r] = x
         return t
 
     def __repr__(self) -> str:
@@ -315,7 +316,7 @@ def rank_one(f, degree: int) -> SymTensor:
         raise DimensionError("rank_one expects a vector of atom values")
     _check_degree(degree)
     powers = f[:, None] ** np.arange(degree + 1)
-    return SymTensor(f.size, degree, atom_products(powers, degree)[degree])
+    return SymTensor(f.size, degree, atom_products(powers, degree)[_degree(f.size, degree)])
 
 
 def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
@@ -333,7 +334,9 @@ def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
 
 
 class FockVector:
-    """A finite sequence of symmetric tensors, one per degree 0..N."""
+    """A finite Fock vector over m atoms: one read-only flat array ``coeffs``
+    of the coefficients A = perm_count * f of its kernels f, degree n at
+    ``_degree(m, n)``; ``_from_coeffs`` takes such an array over read-only."""
 
     def __init__(self, kernels):
         ks = list(kernels)
@@ -345,12 +348,16 @@ class FockVector:
                 raise DimensionError("kernels live over different atom sets")
             if k.degree != d:
                 raise ContractError(f"kernel at position {d} has degree {k.degree}")
-        self.kernels = ks
-        self.m = m
+        self.m, self.degree = m, len(ks) - 1
+        self.coeffs = np.concatenate([k.perm_counts * k.values for k in ks])
+        self.coeffs.setflags(write=False)
 
-    @property
-    def degree(self) -> int:
-        return len(self.kernels) - 1
+    @classmethod
+    def _from_coeffs(cls, m: int, degree: int, coeffs: np.ndarray) -> "FockVector":
+        v = cls.__new__(cls)
+        v.m, v.degree, v.coeffs = m, degree, coeffs
+        coeffs.setflags(write=False)
+        return v
 
     @classmethod
     def zeros(cls, m: int, degree: int) -> "FockVector":
@@ -358,40 +365,39 @@ class FockVector:
 
     @classmethod
     def vacuum(cls, m: int) -> "FockVector":
-        v = cls.zeros(m, 0)
-        v.kernels[0].values = np.ones(1)
-        return v
+        return cls([SymTensor(m, 0, np.ones(1))])
 
     @classmethod
     def single(cls, t: SymTensor) -> "FockVector":
         """Embed one tensor as the only nonzero component."""
-        v = cls.zeros(t.m, t.degree)
-        v.kernels[t.degree] = t.copy()
-        return v
+        return cls([SymTensor(t.m, d) for d in range(t.degree)] + [t])
 
     def get(self, n: int) -> SymTensor:
         """Degree-n kernel (zero tensor beyond the stored degree)."""
         if 0 <= n <= self.degree:
-            return self.kernels[n]
+            return SymTensor(self.m, n, self.coeffs[_degree(self.m, n)]
+                             / _tables(self.m, n).perm_counts)
         return SymTensor(self.m, n)
 
+    @property
+    def kernels(self) -> tuple[SymTensor, ...]:
+        return tuple(self.get(n) for n in range(self.degree + 1))
+
     def pad_to(self, degree: int) -> "FockVector":
-        if degree <= self.degree:
-            return self
-        return FockVector(self.kernels + [SymTensor(self.m, d)
-                                          for d in range(self.degree + 1, degree + 1)])
+        return self if degree <= self.degree else self + FockVector.zeros(self.m, degree)
 
     def __add__(self, other: "FockVector") -> "FockVector":
         if self.m != other.m:
             raise DimensionError("Fock vectors live over different atom sets")
-        N = max(self.degree, other.degree)
-        return FockVector([self.get(d) + other.get(d) for d in range(N + 1)])
+        short, long = sorted((self.coeffs, other.coeffs), key=len)
+        a = np.concatenate([long[:short.size] + short, long[short.size:]])
+        return FockVector._from_coeffs(self.m, max(self.degree, other.degree), a)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + (-1.0) * other
 
     def __mul__(self, c) -> "FockVector":
-        return FockVector([k * c for k in self.kernels])
+        return FockVector._from_coeffs(self.m, self.degree, self.coeffs * c)
 
     __rmul__ = __mul__
 

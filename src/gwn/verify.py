@@ -121,13 +121,10 @@ def difference_representation_check(rng: np.random.Generator,
     om = _random_omega(rng, m)
     f = rng.uniform(-1.0, 1.0, m)
     cases = []
-    p1 = PolyFunctional(Basis.MONOMIAL, FockVector(
-        [SymTensor(m, 0, np.zeros(1)), SymTensor(m, 1, f.copy())]))
+    p1 = PolyFunctional(Basis.MONOMIAL, FockVector.single(SymTensor(m, 1, f)))
     cases.append(scaled_case("linear_matches_coefficient",
                              del_integral(p1, atom, om, mu), f[atom], 1e-10))
-    p2 = PolyFunctional(Basis.MONOMIAL, FockVector(
-        [SymTensor(m, 0, np.zeros(1)), SymTensor(m, 1, np.zeros(m)),
-         rank_one(f, 2)]))
+    p2 = PolyFunctional(Basis.MONOMIAL, FockVector.single(rank_one(f, 2)))
     target2 = 2.0 * om.pair(f) * f[atom] + 2.0 * f[atom] ** 2
     cases.append(scaled_case("square_closed_form",
                              del_integral(p2, atom, om, mu), target2, 1e-9))

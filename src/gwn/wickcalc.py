@@ -20,19 +20,19 @@ often atom i appears; see ``symtensor``):
 
 Polynomial functionals carry their kernels in either the monomial basis
 (<omega^(x)n, f>) or the Gamma-Wick basis (<:omega^n:, f>).  Both are
-polynomials sum_k A[k] prod_i b_{k_i}(s_i) with A[k] = perm_count(k) f[k],
-in the per-atom bases b = s^k and b = q_k.  So each basis evaluates
-natively, ``atom_products`` multiplying out its table b, and
-WICK_MAX_DEGREE caps conversion (and the kernels K_n), not evaluation.
+polynomials sum_k A[k] prod_i b_{k_i}(s_i), A the stored coefficients
+perm_count(k) f[k], in the per-atom bases b = s^k and b = q_k.  So each
+basis evaluates natively, ``atom_products`` multiplying out its table b,
+and WICK_MAX_DEGREE caps conversion (and the kernels K_n), not evaluation.
 The table and its products depend on the rows and the basis only, so
 ``evaluate_batch`` evaluates F functionals of one basis with one of each
 and one (F, R_n) @ (R_n, B) product per degree n.
 Conversion is a lower triangular change of basis along each atom's axis
-of A, over all total degrees <= N at once, on the flat layout of
-``atom_products``: along atom i, each entry's line is its rep with the
-atom-i run removed.  At a row the same lines give phi's restriction to
-one atom, phi(omega with s_i := x) = sum_k C_{i,k} b_k(x) (``_restrictions``,
-which the difference calculus reads).  The s^l coefficient of q_n is
+of A, over all total degrees <= N at once, on a copy of the coefficients:
+along atom i, each entry's line is its rep with the atom-i run removed.
+At a row the same lines give phi's restriction to one atom, phi(omega
+with s_i := x) = sum_k C_{i,k} b_k(x) (``_restrictions``, which the
+difference calculus reads).  The s^l coefficient of q_n is
 (-1)^(n-l) C(n, l) rising(w+l, n-l) and the inverse drops the signs, s^l
 = sum_j C(l, j) rising(w+j, l-j) q_j, so both tables come from the
 Laguerre coefficient recurrence (q_n = c_n P_n).  The S-transform pairs
@@ -53,8 +53,8 @@ from .errors import ContractError, DimensionError, DomainError, SizeError
 from .extfock import fock_inner
 from .fieldops import _checked_three_term, _three_term
 from .measure import AtomicMeasure, real_values
-from .symtensor import (FockVector, SymTensor, _atom_runs, _check_entries,
-                        _start, atom_products, sym_product)
+from .symtensor import (FockVector, SymTensor, _atom_runs, _check_degree,
+                        _check_entries, _degree, atom_products, sym_product)
 
 # Accuracy cap of basis conversion: the per-atom transforms lose digits
 # fast past it.  At m = 2 the monomial -> Wick -> monomial round trip of
@@ -108,7 +108,8 @@ def wick_kernels(omega: OmegaSample, measure: AtomicMeasure, N: int) -> list[Sym
     w = measure.weights
     q = _atom_table(Basis.GAMMA_WICK, omega.masses[:, None], w, N)[..., 0] \
         / w[:, None] ** np.arange(N + 1)
-    return [SymTensor(measure.m, n, P) for n, P in enumerate(atom_products(q, N))]
+    P = atom_products(q, N)
+    return [SymTensor(measure.m, n, P[_degree(measure.m, n)]) for n in range(N + 1)]
 
 
 def wick_kernel(omega: OmegaSample, measure: AtomicMeasure, n: int) -> SymTensor:
@@ -239,6 +240,7 @@ class PolyFunctional:
         except (KeyError, TypeError, ValueError) as exc:
             raise ContractError(f"malformed functional JSON: {exc}") from exc
         N = max(entries) if entries else 0
+        _check_degree(N)   # before any kernel is built
         kernels = [SymTensor.from_index_map(m, n, entries.get(n, {}))
                    for n in range(N + 1)]
         return cls(basis, FockVector(kernels))
@@ -266,7 +268,7 @@ def _wick_coefficients(w: np.ndarray, N: int) -> np.ndarray:
 
 def _convert(p: PolyFunctional, measure: AtomicMeasure, expect: Basis,
              target: Basis) -> PolyFunctional:
-    """Per-atom change of basis of A[k] = perm_count(k) f[k]."""
+    """Per-atom change of basis of the stored coefficients A, on a copy."""
     if p.basis is not expect:
         raise ContractError(f"expected a functional in the {expect.value} basis")
     if p.m != measure.m:
@@ -278,14 +280,12 @@ def _convert(p: PolyFunctional, measure: AtomicMeasure, expect: Basis,
     # row "e with its atom-i run removed" (e itself when i is absent) and
     # column k_i.  The rows are entries of degree < N; a degree-N entry
     # without atom i is alone in its row, at column 0, where T is 1.
-    starts = [_start(p.m, n) for n in range(N + 2)]
-    ks = p.kernels.kernels
-    a = np.concatenate([k.perm_counts * k.values for k in ks])
+    a = p.kernels.coeffs.copy()
     mats = _wick_coefficients(measure.weights, N)
     if target is Basis.GAMMA_WICK:
         mats = np.abs(mats)
     entry, col, row, bounds = _atom_runs(p.m, N)
-    lo = starts[N]
+    lo = _degree(p.m, N).start
     for T, i, j in zip(mats, bounds, bounds[1:]):
         e, cell = entry[i:j], (row[i:j], col[i:j])
         grid = np.zeros((lo, N + 1), dtype=a.dtype)
@@ -294,9 +294,7 @@ def _convert(p: PolyFunctional, measure: AtomicMeasure, expect: Basis,
         grid = grid @ T
         a[:lo] = grid[:, 0]
         a[e] = grid[cell]
-    return PolyFunctional(target, FockVector(
-        [SymTensor(p.m, n, a[starts[n]:starts[n + 1]] / k.perm_counts)
-         for n, k in enumerate(ks)]))
+    return PolyFunctional(target, FockVector._from_coeffs(p.m, N, a))
 
 
 def wick_to_monomial(p: PolyFunctional, measure: AtomicMeasure) -> PolyFunctional:
@@ -344,8 +342,9 @@ def _restrictions(p, masses: np.ndarray, measure: AtomicMeasure,
     functional and row at each atom a of ``atoms``: phi(omega with s_a :=
     x) = sum_k C_{a,k} t_a(k; x), t the one-atom table of the basis.
     C_{a,k}, k >= 1, sums A[entry] P[base] over the runs of k copies of a
-    in the run table, P the atom_products of the row; C_{a,0} is the rest
-    of phi(omega).  C is (K, N+1, B), or (K, F, N+1, B) for a sequence."""
+    in the run table, A the stacked coefficients padded to degree N and P
+    the atom_products of the rows, both on the flat layout; C_{a,0} is the
+    rest of phi(omega).  C is (K, N+1, B), or (K, F, N+1, B) for a sequence."""
     ps = [p] if isinstance(p, PolyFunctional) else list(p)
     if not ps or any(q.basis is not ps[0].basis for q in ps):
         raise ContractError("evaluate_batch takes one or more functionals in one basis")
@@ -360,14 +359,14 @@ def _restrictions(p, masses: np.ndarray, measure: AtomicMeasure,
                    f"restrictions of {F} functionals at {len(atoms)} atoms")
     table = _atom_table(ps[0].basis, np.ascontiguousarray(S.T), measure.weights, N)
     P = atom_products(table, N)
-    A = [np.zeros((F, len(Pn))) for Pn in P]   # rows past a degree stay 0
+    A = np.zeros((F, R))   # entries past a functional's degree stay 0
     for f, q in enumerate(ps):
-        for An, kern in zip(A, q.kernels.kernels):
-            np.multiply(kern.perm_counts, kern.values, out=An[f])
-    values = sum(An @ Pn for An, Pn in zip(A, P))
+        np.copyto(A[f, :q.kernels.coeffs.size], q.kernels.coeffs)
+    # degree by degree, which keeps the rounding of the summation order
+    values = sum(A[:, _degree(measure.m, n)] @ P[_degree(measure.m, n)]
+                 for n in range(N + 1))
     C = np.empty((len(atoms), F, N + 1, B))
     if len(atoms):
-        A, P = np.hstack(A), np.concatenate(P)
         entry, k, base, bounds = _atom_runs(measure.m, N)
         for c, a in zip(C, atoms):
             run = slice(bounds[a], bounds[a + 1])
@@ -460,12 +459,11 @@ def wick_product(p: PolyFunctional, q: PolyFunctional,
     in the Gamma-Wick basis (inputs are converted as needed)."""
     pw = p.to_basis(Basis.GAMMA_WICK, measure)
     qw = q.to_basis(Basis.GAMMA_WICK, measure)
-    out = FockVector.zeros(p.m, pw.degree + qw.degree)
-    for a in range(pw.degree + 1):
-        for b in range(qw.degree + 1):
-            d = a + b
-            out.kernels[d] = out.get(d) + sym_product(pw.kernels.get(a), qw.kernels.get(b))
-    return PolyFunctional(Basis.GAMMA_WICK, out)
+    out = [SymTensor(p.m, d) for d in range(pw.degree + qw.degree + 1)]
+    for a, f in enumerate(pw.kernels.kernels):
+        for b, g in enumerate(qw.kernels.kernels):
+            out[a + b] = out[a + b] + sym_product(f, g)
+    return PolyFunctional(Basis.GAMMA_WICK, FockVector(out))
 
 
 def s_transform(p, theta, measure: AtomicMeasure):
@@ -499,5 +497,5 @@ def delta_functional(upsilon: OmegaSample, measure: AtomicMeasure,
     Dual-pairing it against any functional of degree <= N returns that
     functional's value at upsilon."""
     ks = wick_kernels(upsilon, measure, N)
-    kernels = [ks[n] * (1.0 / math.factorial(n)) for n in range(N + 1)]
-    return PolyFunctional(Basis.GAMMA_WICK, FockVector(kernels))
+    return PolyFunctional(Basis.GAMMA_WICK, FockVector(
+        [k * (1.0 / math.factorial(n)) for n, k in enumerate(ks)]))

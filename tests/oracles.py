@@ -270,7 +270,7 @@ def append_tied_slots(t: SymTensor, r: int, measure: AtomicMeasure) -> SymTensor
     if t.degree == 0:
         raise ContractError("cannot tie new slots to a degree-0 tensor")
     if r == 0:
-        return t.copy()
+        return SymTensor(t.m, t.degree, t.values)
     n_out = t.degree + r
     out_idx, in_rank, atoms, counts = _tie_table(t.m, t.degree, r)
     vals = np.zeros(math.comb(n_out + t.m - 1, n_out),
@@ -330,7 +330,7 @@ def expansion(f: SymTensor, measure: AtomicMeasure, signed: bool) -> dict[int, S
     n = f.degree
     out: dict[int, SymTensor] = {}
     if n == 0:
-        return {0: f.copy()}
+        return {0: SymTensor(f.m, 0, f.values)}
     if n > WICK_MAX_DEGREE:
         raise SizeError(f"basis conversion capped at degree {WICK_MAX_DEGREE}")
     w = measure.weights
@@ -370,7 +370,7 @@ def convert_by_partitions(p: PolyFunctional, measure: AtomicMeasure) -> PolyFunc
     acc = FockVector.zeros(p.m, p.degree)
     for n in range(p.degree + 1):
         for deg, t in expansion(p.kernels.get(n), measure, to_monomial).items():
-            acc.kernels[deg] = acc.get(deg) + t
+            acc = acc + FockVector.single(t)
     return PolyFunctional(Basis.MONOMIAL if to_monomial else Basis.GAMMA_WICK, acc)
 
 

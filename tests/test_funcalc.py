@@ -157,8 +157,8 @@ def test_smeared_dagger_compositions_match_field_operators(rng):
         a2 = c * del_dagger(wick_del(wick_del(p, i), i), i, mu)
         smeared_up = dd if smeared_up is None else smeared_up + dd
         smeared_a2 = a2 if smeared_a2 is None else smeared_a2 + a2
-    want_up = wick([k.copy() for k in create(xi, p.kernels).kernels])
-    want_a2 = wick([k.copy() for k in annihilate2(xi, p.kernels).kernels])
+    want_up = wick(create(xi, p.kernels).kernels)
+    want_a2 = wick(annihilate2(xi, p.kernels).kernels)
     assert functional_max_diff(smeared_up, want_up, mu) < 1e-12
     assert functional_max_diff(smeared_a2, want_a2, mu) < 1e-12
 
@@ -231,7 +231,7 @@ def test_annihilate1_integral_matches_fock_side(rng):
         xi = rng.uniform(-1, 1, 3)
         p = random_poly(rng, 3, 3, Basis.GAMMA_WICK)
         om = OmegaSample(rng.uniform(0.0, 2.0, size=3))
-        fock = wick([k.copy() for k in annihilate1(xi, p.kernels, mu).kernels])
+        fock = wick(annihilate1(xi, p.kernels, mu).kernels)
         want = fock.evaluate(om, mu)
         got = annihilate1_integral(p, xi, mu, om)
         assert abs(got - want) < 1e-10 * max(1.0, abs(want))

@@ -9,6 +9,9 @@
   permutation sum, wick_kernels against the five-term recurrence, and both
   basis conversions against the loop-partition expansion, plus the round
   trip;
+* the flat ``FockVector`` (one coefficient array over all degrees) against
+  degreewise ``SymTensor`` arithmetic, real and complex, of unequal
+  degrees;
 * sym_product against the dense average over slot orderings, and the
   field operators, the Wick adjoint at one atom and the slot derivatives
   against dense-array routes; coordinate multiplication against its
@@ -56,8 +59,8 @@ from gwn.funcalc import (_jump_removals, annihilate1_integral,
 from gwn.gammasample import (SamplerMode, _cp_segments, _draw_cp_batch, _stream,
                              mean_and_se)
 from gwn.measure import AtomicMeasure
-from gwn.symtensor import (FockVector, SymTensor, _atom_runs, _tables, atom_products,
-                           rank_one, sym_product)
+from gwn.symtensor import (FockVector, SymTensor, _atom_runs, _degree, _start, _tables,
+                           atom_products, rank_one, sym_product)
 from gwn.wickcalc import (Basis, OmegaSample, PolyFunctional, _atom_table,
                           _wick_coefficients, evaluate_batch,
                           laguerre_system, monomial_to_wick, s_transform, wick_kernels,
@@ -103,6 +106,10 @@ def complex_tensor(seed: int, m: int, n: int) -> SymTensor:
     rng = np.random.default_rng(seed)
     size = math.comb(m + n - 1, n)
     return SymTensor(m, n, rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size))
+
+
+def real_tensor(seed: int, m: int, n: int) -> SymTensor:
+    return SymTensor(m, n, complex_tensor(seed, m, n).values.real)
 
 
 def abs_tensor(t: SymTensor) -> SymTensor:
@@ -201,7 +208,7 @@ def test_wick_kernels_match_five_term_recurrence(mu, N, data):
                                      mu.weights, N)[..., 0] \
         / mu.weights[:, None] ** k
     for n in range(N + 1):
-        scale = np.max(atom_products(qmag, n)[n])
+        scale = np.max(atom_products(qmag, n)[_degree(mu.m, n)])
         assert np.max(np.abs(got[n].values - want[n].values)) <= 1e-10 * scale
 
 
@@ -296,6 +303,44 @@ def test_conversion_at_many_atoms_matches_partition_expansion(m, N, seed, basis)
     assert max_gap(got, oracles.convert_by_partitions(p, mu)) \
         <= 1e-11 * term_sizes(p, mu)
     assert_round_trip(p, got, mu)
+
+
+@st.composite
+def fock_pairs(draw):
+    m, seed = draw(st.integers(1, 4)), draw(seeds)
+    make = complex_tensor if draw(st.booleans()) else real_tensor
+    a, b = ([make(seed + 7 * j + n, m, n) for n in range(draw(st.integers(0, 5)) + 1)]
+            for j in range(2))
+    return a, b, draw(st.sampled_from([2.5, -1.0, 0.0, 0.5 - 2j]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(fock_pairs())
+def test_flat_fock_vector_matches_degreewise_tensors(case):
+    ka, kb, c = case
+    m, N = ka[0].m, max(len(ka), len(kb)) - 1
+    a, b = FockVector(ka), FockVector(kb)
+
+    def kernel(ks, n):
+        return ks[n] if n < len(ks) else SymTensor(m, n)
+
+    routes = [(a + b, [kernel(ka, n) + kernel(kb, n) for n in range(N + 1)]),
+              (a - b, [kernel(ka, n) - kernel(kb, n) for n in range(N + 1)]),
+              (c * a, [c * k for k in ka]), (b * c, [k * c for k in kb]),
+              (a.pad_to(N), [kernel(ka, n) for n in range(N + 1)]),
+              (b.pad_to(0), kb)]
+    routes += [(FockVector.single(k), [SymTensor(m, d) for d in range(n)] + [k])
+               for n, k in enumerate(ka)]
+    for got, want in routes:
+        assert (got.m, got.degree, got.coeffs.size) == (m, len(want) - 1, _start(m, len(want)))
+        scale = max(k.max_abs() for k in want)
+        assert abs(got.max_abs() - scale) <= 4e-15 * max(1.0, scale)
+        for n, (k, w) in enumerate(zip(got.kernels, want)):
+            assert (k.m, k.degree) == (m, n)
+            assert np.max(np.abs(k.values - w.values)) <= 4e-15 * max(1.0, scale)
+            assert np.array_equal(got.get(n).values, k.values)
+        assert got.get(len(want)).degree == len(want)
+        assert got.get(len(want)).max_abs() == 0.0
 
 
 @st.composite
@@ -519,9 +564,11 @@ def test_conversion_tables_match_closed_forms(ws, N):
 def test_atom_products_match_counted_occupations(m, N, tail, seed):
     table = np.random.default_rng(seed).uniform(-2.0, 2.0, (m, N + 1) + tail)
     table[:, 0] = 1.0
-    for n, got in enumerate(atom_products(table, N)):
+    flat = atom_products(table, N)
+    assert flat.shape == (_start(m, N + 1),) + tail
+    for n in range(N + 1):
         want = oracles.occupation_products(table, m, n)
-        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+        assert np.allclose(flat[_degree(m, n)], want, rtol=1e-13, atol=0.0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -155,6 +155,26 @@ def test_fock_vector_algebra(rng):
     assert s.get(2).max_abs() == 0.0
 
 
+def test_fock_vector_storage_is_read_only(rng):
+    v = FockVector([random_tensor(rng, 3, n) for n in range(3)])
+    with pytest.raises(TypeError):
+        v.kernels[0] = SymTensor(3, 0)
+    for u in (v, v + v, 2.0 * v, v.pad_to(4), FockVector.single(v.get(2)),
+              FockVector.zeros(3, 1), FockVector.vacuum(3)):
+        with pytest.raises(ValueError):
+            u.coeffs[0] = 1.0
+    # the kernels are fresh tensors: writing into one leaves the vector alone
+    k = v.get(1)
+    k.values[:] = 7.0
+    assert v.get(1).max_abs() < 7.0
+
+
+def test_no_atoms_is_a_dimension_error():
+    for m in (0, -2):
+        with pytest.raises(DimensionError, match="need at least one atom"):
+            SymTensor(m, 0)
+
+
 def test_fock_vector_contracts():
     with pytest.raises(ContractError):
         FockVector([SymTensor(2, 1)])  # missing degree-0 kernel
