@@ -11,32 +11,42 @@ Two samplers produce the atom masses of a random configuration omega:
   Poisson splitting: one Poisson(B w_i mass_p) total per atom i and piece
   p of the density ([eps, 1] and [1, inf), with their exact Levy masses),
   checked against the entry budget before any jump is drawn; then, atom
-  by atom, an i.i.d. uniform owner row per jump and the atom's segment
-  filled by each piece's rejection rounds, sized by its exact acceptance
-  rate.  Thinning the totals by uniform owners leaves the per-(row, atom)
-  counts independent Poisson(w_i E1(eps)) and the sizes i.i.d., so this is
-  the law above.
+  by atom and in windows of at most MAX_SEGMENT_JUMPS jumps, an i.i.d.
+  uniform owner row per jump and the window's sizes filled by each piece's
+  rejection rounds, sized by its exact acceptance rate.  Thinning the
+  totals by uniform owners leaves the per-(row, atom) counts independent
+  Poisson(w_i E1(eps)) and the sizes i.i.d., so this is the law above.
 
-A compound-Poisson batch is not a list of jumps.  Each atom's segment is
-reduced while it is drawn, to the per-row power sums P_r = sum s^r over
-the row's jumps at that atom, r = 1..order; the masses are P_1.  Checks
-that remove one configuration point at a time need nothing else, since
-a polynomial's value with one jump removed is a Taylor series in the
-jump's size.
+A compound-Poisson batch is not a list of jumps.  Each segment (one
+window of one atom's jumps) is reduced while it is drawn, to the per-row
+power sums P_r = sum s^r over the row's jumps at that atom, r = 1..order;
+the masses are P_1.  Checks that remove one configuration point at a time
+need nothing else, since a polynomial's value with one jump removed is a
+Taylor series in the jump's size.  A segment's owners, sizes and rejection
+proposals peak near 1.2 MB (tracemalloc, numpy 2.4) whatever the weights,
+eps and batch size, so one draw holds its (m, order, B) sums plus at most
+that much.
 
 Streams: batch b of a run uses the bit generator jumped b times from the
-seed, so estimates are bit-identical for a fixed seed and sample count no
-matter how batches would be scheduled; partial batch sums are reduced with
-np.sum over a stacked array.  Every batch holds DEFAULT_BATCH samples
-except a shorter last one.  The Gamma sampler draws from Philox(key=seed):
-that stream fixes every Laplace, Gram and chaos-projection estimate, so it
-stays put.  The compound-Poisson sampler, which draws millions of doubles
-per batch at a small truncation, uses PCG64(seed), whose doubles cost less
-than half of Philox's on x86-64.  The chaos suite's projection
-estimates (Gamma stream) and adjointness estimate (compound-Poisson
-stream) therefore share no random numbers.  The stacked estimators
-(mc_laplace_stack, chaos_projection_stack) reduce several statistics from
-one pass over a stream.
+seed, and a batch is a function of its stream and size alone.  A pass of
+several batches draws them on two threads (_batches): a worker thread,
+opened for the pass and shut down when it ends, draws up to two batches
+ahead of the consumer, and the consumer draws a batch itself when the
+worker has not started it.  Which thread draws which batch depends on
+scheduling, but no value does: each batch reads only its own stream, and
+the batches are handed out, and reduced by mean_and_se, in batch order
+(partial sums reduced with np.sum over a stacked array).  So estimates
+are bit-identical for a fixed seed and sample count, on one core or two.
+Every batch holds DEFAULT_BATCH samples except a shorter last one.  The
+Gamma sampler draws from Philox(key=seed): that stream fixes every
+Laplace, Gram and chaos-projection estimate, so it stays put.  The
+compound-Poisson sampler, which draws millions of doubles per batch at a
+small truncation, uses PCG64(seed), whose doubles cost less than half of
+Philox's on x86-64.  The chaos suite's projection estimates (Gamma
+stream) and adjointness estimate (compound-Poisson stream) therefore
+share no random numbers.  The stacked estimators (mc_laplace_stack,
+chaos_projection_stack) reduce several statistics from one pass over a
+stream.
 
 Estimators on the same weights and SamplerConfig read the same stream, so
 one pass can serve them all: inside a shared_sample_batches block,
@@ -50,8 +60,10 @@ the stored batches when it is left.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
@@ -69,6 +81,8 @@ from .wickcalc import (WICK_MAX_DEGREE, Basis, FockVector, OmegaSample,
                        wick_pair_rank_one_batch)
 
 DEFAULT_BATCH = 4096
+MAX_SEGMENT_JUMPS = 2 ** 14   # jumps of one compound-Poisson segment
+_AHEAD = 2                    # batches a pass's worker may draw ahead
 _E1_ONE = float(exp1(1.0))    # Levy mass of the jumps >= 1
 
 
@@ -128,19 +142,23 @@ def _fill_piece(draw, out: np.ndarray, acceptance: float) -> None:
 
 def _cp_segments(measure: AtomicMeasure, eps: float,
                  rng: np.random.Generator, size: int):
-    """The jumps of a compound-Poisson batch of size rows, one atom at a
-    time: yields (atom, owners, sizes) for atoms 0..m-1, owners the row of
-    each jump (uniform, in no order) and sizes its size, the atom's [eps, 1]
-    jumps first.
+    """The jumps of a compound-Poisson batch of size rows, in segments of at
+    most MAX_SEGMENT_JUMPS jumps of one atom: yields (atom, owners, sizes)
+    with atoms in order 0..m-1, owners the row of each jump (uniform, in no
+    order) and sizes its size.  An atom without jumps yields one empty
+    segment.
 
     A batch whose expected jump count size E1(eps) sum(w) is over the entry
     budget is refused before any draw.  Then one Poisson draw gives the
     (m, 2) jump totals per atom and piece, whose sum is checked against
-    the budget before any jump is drawn.  Each atom then draws its owners
-    and fills its pieces by rejection rounds: on [eps, 1] propose
+    the budget before any jump is drawn.  Each atom's jumps, its [eps, 1]
+    ones followed by its [1, inf) ones, are cut into windows of
+    MAX_SEGMENT_JUMPS; each window draws its owners and then fills its
+    part of each piece by rejection rounds: on [eps, 1] propose
     log-uniform and accept with e^(eps - s) (rate (E1(eps) - E1(1)) /
     (e^(-eps) log(1/eps))); on [1, inf) propose 1 + Exp(1) and accept with
-    1/s (rate e E1(1)).
+    1/s (rate e E1(1)).  An atom whose jumps fit in one window thus draws
+    its owners, then its low piece, then its high piece.
     """
     e1_eps = float(exp1(eps))
     expected = size * e1_eps * float(measure.weights.sum())
@@ -163,31 +181,37 @@ def _cp_segments(measure: AtomicMeasure, eps: float,
 
     low_rate = mass_low / (math.exp(-eps) * log_span)
     for i, (n_low, n_high) in enumerate(totals.tolist()):
-        owners = rng.integers(0, size, n_low + n_high)
-        sizes = np.empty(n_low + n_high)
-        _fill_piece(low, sizes[:n_low], low_rate)
-        _fill_piece(high, sizes[n_low:], math.e * _E1_ONE)
-        yield i, owners, sizes
+        n = n_low + n_high
+        for start in range(0, max(n, 1), MAX_SEGMENT_JUMPS):
+            count = min(MAX_SEGMENT_JUMPS, n - start)
+            owners = rng.integers(0, size, count)
+            sizes = np.empty(count)
+            cut = min(max(n_low - start, 0), count)    # the window's low jumps
+            _fill_piece(low, sizes[:cut], low_rate)
+            _fill_piece(high, sizes[cut:], math.e * _E1_ONE)
+            yield i, owners, sizes
 
 
 def _draw_cp_batch(measure: AtomicMeasure, eps: float, rng: np.random.Generator,
                    size: int, order: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """A compound-Poisson batch as (masses, sums), each atom's jumps
-    reduced as _cp_segments draws them and then dropped.
+    """A compound-Poisson batch as (masses, sums), each segment of
+    _cp_segments reduced as it is drawn and then dropped.
 
     sums is (m, order, size): sums[i, r-1] is the per-row sum of s^r over
-    atom i's jumps, one weighted bincount per r, and masses (size, m) is
-    sums[:, 0] transposed.  No array of all the batch's jumps exists; the
-    largest holds one atom's.
+    atom i's jumps, each segment's weighted bincount per r added into
+    zeros, and masses (size, m) is the view sums[:, 0].T, not a copy: a
+    batch held while the next ones are drawn holds sums alone.  No array of
+    all the batch's jumps, or of all one atom's, exists; the largest holds
+    one segment's, so a draw's temporaries are bounded whatever the weights.
     """
-    sums = np.empty((measure.m, order, size))
+    sums = np.zeros((measure.m, order, size))
     for i, owners, sizes in _cp_segments(measure, eps, rng, size):
         power = sizes
         for r in range(order):
             if r:
                 power = power * sizes
-            sums[i, r] = np.bincount(owners, weights=power, minlength=size)
-    return np.ascontiguousarray(sums[:, 0].T), sums
+            sums[i, r] += np.bincount(owners, weights=power, minlength=size)
+    return sums[:, 0].T, sums
 
 
 def _draw_batch(measure: AtomicMeasure, cfg: SamplerConfig,
@@ -207,11 +231,36 @@ def sample_omega(measure: AtomicMeasure, cfg: SamplerConfig,
 
 
 def _batches(cfg: SamplerConfig, mode: SamplerMode, draw):
-    """Yield draw(rng, size) for each batch, on mode's per-batch jumped
-    streams."""
-    for b, start in enumerate(range(0, cfg.n_samples, DEFAULT_BATCH)):
-        yield draw(_stream(cfg.seed, b, mode),
-                   min(DEFAULT_BATCH, cfg.n_samples - start))
+    """Yield draw(rng, size) for each batch, in batch order, each on its own
+    jumped stream of mode.
+
+    A pass of several batches opens one worker thread, which draws up to
+    _AHEAD batches ahead of the consumer while the consumer reduces the
+    batches it was handed.  A batch the worker has not started when the
+    consumer reaches it (batch 0, and later ones when the worker falls
+    behind) is cancelled there and drawn on the consumer's thread.  A batch
+    is a function of its stream and size alone, so no value depends on
+    which thread drew it.  A draw that raises, on either thread, raises in
+    the consumer at that batch.  The worker is shut down, after the batch
+    it is drawing, when the pass ends: by return, by being abandoned, or by
+    an exception.
+    """
+    sizes = [min(DEFAULT_BATCH, cfg.n_samples - start)
+             for start in range(0, cfg.n_samples, DEFAULT_BATCH)]
+
+    def job(b):
+        return draw(_stream(cfg.seed, b, mode), sizes[b])
+
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="gwn-draw")
+    ahead = collections.deque()    # the futures of batches b + 1, b + 2, ...
+    try:
+        for b in range(len(sizes)):
+            mine = ahead.popleft() if ahead else None
+            for k in range(b + 1 + len(ahead), min(b + 1 + _AHEAD, len(sizes))):
+                ahead.append(pool.submit(job, k))
+            yield job(b) if mine is None or mine.cancel() else mine.result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 # the sample passes of the innermost shared_sample_batches block, keyed by
@@ -245,12 +294,15 @@ def _storing(batches, store: dict, key):
 
 
 def iter_sample_batches(measure: AtomicMeasure, cfg: SamplerConfig):
-    """Yield (batch_index, masses) with the per-batch jumped streams.
+    """Yield (batch_index, masses) with the per-batch jumped streams, in
+    batch order; _batches draws them on the consumer's thread and one
+    worker thread.
 
     Inside a shared_sample_batches block, a pass of at most MAX_ENTRIES
-    masses is stored as it is drawn, and a later pass on the same weights
-    and config replays the stored, read-only batches; a larger pass is
-    drawn each time.
+    masses is stored as it is handed out, and a later pass on the same
+    weights and config replays the stored, read-only batches; a larger pass
+    is drawn each time.  Storing and replay run on the consumer's thread
+    only.
     """
     batches = _batches(
         cfg, cfg.mode, lambda rng, size: _draw_batch(measure, cfg, rng, size))

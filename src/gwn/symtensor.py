@@ -54,6 +54,8 @@ MAX_ENTRIES = 1 << 26
 # perm_counts divides int64 factorials, which are exact only up to 20!;
 # 16 keeps a margin and lies past every degree the suites use.
 MAX_DEGREE = 16
+# entries of the per-atom factor that atom_products gathers at once
+_PRODUCT_BLOCK = 1 << 16
 
 
 def _check_entries(entries: int, what: str) -> None:
@@ -183,11 +185,16 @@ def atom_products(table, N: int) -> np.ndarray:
     runs = [_last_runs(m, n) for n in range(1, N + 1)]   # tables refuse first
     flat = np.empty((size,) + tail, dtype=table.dtype)
     flat[0] = 1
+    # rows per block of the gathered t[a, k]: no temporary the size of a degree
+    step = max(1, _PRODUCT_BLOCK // max(1, math.prod(tail)))
     for n, (parent, a, k) in enumerate(runs, 1):
         d = _degree(m, n)
         # the parents lie below degree n, so with mode="clip" take makes no copy
         flat[:d.start].take(parent, axis=0, out=flat[d], mode="clip")
-        flat[d] *= table[a, k]
+        out = flat[d]
+        for lo in range(0, len(a), step):
+            rows = slice(lo, lo + step)
+            out[rows] *= table[a[rows], k[rows]]
     return flat
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +31,16 @@ def rel_err(a: float, b: float) -> float:
 
 def count_gamma_draws(monkeypatch) -> list[int]:
     """Record the size of every batch the Gamma sampler draws (each call of
-    gammasample._draw_batch), in order, in the returned list."""
+    gammasample._draw_batch) in the returned list.  A pass draws on two
+    threads, so the sizes of one pass come in no fixed order: compare them
+    as a multiset."""
     sizes = []
+    lock = threading.Lock()
     draw = gammasample._draw_batch
 
     def counted(measure, cfg, rng, size):
-        sizes.append(size)
+        with lock:
+            sizes.append(size)
         return draw(measure, cfg, rng, size)
 
     monkeypatch.setattr(gammasample, "_draw_batch", counted)

@@ -427,9 +427,9 @@ def jump_removal_sum(phi: PolyFunctional, xi: np.ndarray, masses: np.ndarray,
     """Per sample row, the sum of s xi_a phi(omega - s e_a) over the row's
     jumps (a, s), and the sum of the absolute values of those terms.
 
-    segments lists (atom, owners, sizes) per atom.  Each jump gets its own
-    copy of its row's masses with the jump taken off (rounding dust below
-    zero cleared), evaluated on its own."""
+    segments lists (atom, owners, sizes), one or more per atom.  Each jump
+    gets its own copy of its row's masses with the jump taken off (rounding
+    dust below zero cleared), evaluated on its own."""
     rows = masses.shape[0]
     atoms = np.concatenate([np.full(len(own), a) for a, own, _ in segments])
     owners = np.concatenate([own for _, own, _ in segments])

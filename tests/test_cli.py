@@ -560,11 +560,11 @@ def test_gamma_batches_drawn_once_per_run_on_a_given_measure(
         capsys, monkeypatch, measure_file, command):
     draws = count_gamma_draws(monkeypatch)
     run_cli(capsys, *command, "--measure", measure_file, *SHARED_SAMPLES)
-    assert draws == [4096, 4096, 808]
+    assert sorted(draws) == [808, 4096, 4096]
     # without --measure each suite draws its own measure and its own pass
     del draws[:]
     run_cli(capsys, *command, *SHARED_SAMPLES)
-    assert draws == [4096, 4096, 808] * 3
+    assert sorted(draws) == [808] * 3 + [4096] * 6
 
 
 def test_shared_draws_are_dropped_when_main_returns(tmp_path, capsys,
@@ -611,4 +611,4 @@ def test_passes_over_the_entry_budget_are_drawn_per_suite(tmp_path, capsys,
     draws = count_gamma_draws(monkeypatch)
     monkeypatch.setattr(gammasample, "MAX_ENTRIES", 9000 * 3 - 1)
     assert run_cli(capsys, *argv) == shared
-    assert draws == [4096, 4096, 808] * 3
+    assert sorted(draws) == [808] * 3 + [4096] * 6

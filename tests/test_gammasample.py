@@ -5,6 +5,9 @@ windows were checked once and then frozen with the seed.
 """
 
 import math
+import sys
+import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +17,8 @@ from scipy.special import exp1
 from gwn import gammasample
 from gwn.errors import ContractError, DomainError, SizeError
 from gwn.extfock import ext_inner_n
-from gwn.gammasample import (DEFAULT_BATCH, ChaosGramReport, MCEstimate,
+from gwn.gammasample import (DEFAULT_BATCH, MAX_SEGMENT_JUMPS,
+                             ChaosGramReport, MCEstimate,
                              SamplerConfig, SamplerMode, _cp_segments,
                              _draw_cp_batch, _stream,
                              chaos_projection_check, chaos_projection_stack,
@@ -111,16 +115,27 @@ def test_compound_poisson_batch_layout():
     # one Poisson draw of the (atom, piece) totals opens the batch's stream
     totals = _stream(21, 0, CP).poisson(
         size * mu.weights[:, None] * np.array([exp1(eps) - exp1(1.0), exp1(1.0)]))
-    # one segment per atom, in atom order, each its [eps, 1] jumps then its
-    # [1, inf) ones
-    assert [atom for atom, _, _ in segments] == list(range(mu.m))
+    # segments come in atom order, each atom's jumps in as few windows of
+    # MAX_SEGMENT_JUMPS as hold them (atom 1 expects about 41500), and an
+    # atom's segments, joined, hold its [eps, 1] jumps then its [1, inf) ones
+    atoms = [atom for atom, _, _ in segments]
+    assert atoms == sorted(atoms)
+    assert [atoms.count(i) for i in range(mu.m)] == [
+        -(-n // MAX_SEGMENT_JUMPS) for n in totals.sum(axis=1)]
+    assert atoms.count(1) > 1
     want = np.zeros((size, mu.m))
-    for (atom, owners, sizes), (n_low, n_high) in zip(segments, totals.tolist()):
+    for atom, (n_low, n_high) in enumerate(totals.tolist()):
+        mine = [(owners, sizes) for a, owners, sizes in segments if a == atom]
+        owners = np.concatenate([o for o, _ in mine])
+        sizes = np.concatenate([s for _, s in mine])
         assert owners.shape == sizes.shape == (n_low + n_high,)
         assert np.all((sizes[:n_low] >= eps) & (sizes[:n_low] <= 1.0))
         assert np.all(sizes[n_low:] >= 1.0)
         assert owners.min() >= 0 and owners.max() < size
-        np.add.at(want[:, atom], owners, sizes)
+        for o, s in mine:    # bincount's order: each segment summed, then added
+            segment = np.zeros(size)
+            np.add.at(segment, o, s)
+            want[:, atom] += segment
     masses, _ = _draw_cp_batch(mu, eps, _stream(21, 0, CP), size)
     assert np.array_equal(masses, want)
     per_row = totals.sum(axis=1) / size
@@ -134,10 +149,13 @@ def test_compound_poisson_cell_counts_are_independent_poisson():
     mu = AtomicMeasure([0.7, 1.6, 0.3])
     eps = 1e-3
     cfg = SamplerConfig(seed=47, n_samples=40000, cp_truncation=eps)
-    counts = np.concatenate([
-        np.stack([np.bincount(owners, minlength=size)
-                  for _, owners, _ in segments], axis=1)
-        for size, segments in cp_batch_segments(mu, cfg)])
+    batches = []
+    for size, segments in cp_batch_segments(mu, cfg):
+        counts = np.zeros((size, mu.m), dtype=np.int64)
+        for atom, owners, _ in segments:
+            counts[:, atom] += np.bincount(owners, minlength=size)
+        batches.append(counts)
+    counts = np.concatenate(batches)
     n = counts.shape[0]
     assert counts.shape == (cfg.n_samples, mu.m)
     lam = mu.weights * exp1(eps)
@@ -183,6 +201,155 @@ def test_compound_poisson_batches_use_the_pcg64_stream():
     one = sample_omega(mu, replace(cfg, n_samples=1, mode=CP))
     gen = np.random.Generator(np.random.PCG64(seed))
     assert np.array_equal(one.masses, _draw_cp_batch(mu, eps, gen, 1)[0][0])
+
+
+def serial_draws(cfg, mode, draw):
+    """Every batch of cfg drawn on this thread, one after another, each by
+    draw(rng, size) on its own stream."""
+    return [draw(_stream(cfg.seed, b, mode), min(DEFAULT_BATCH, cfg.n_samples - start))
+            for b, start in enumerate(range(0, cfg.n_samples, DEFAULT_BATCH))]
+
+
+def test_passes_drawn_on_two_threads_equal_serial_draws():
+    # four batches, the last one short: every pass hands out, in batch
+    # order, exactly the batches drawn serially on their streams, whichever
+    # thread drew each
+    mu = AtomicMeasure([0.4, 1.0, 2.3])
+    cfg = SamplerConfig(seed=5, n_samples=3 * DEFAULT_BATCH + 5, cp_truncation=1e-3)
+    for mode in SamplerMode:
+        want = serial_draws(cfg, mode, lambda rng, size: gammasample._draw_batch(
+            mu, replace(cfg, mode=mode), rng, size))
+        got = [batch for _, batch in iter_sample_batches(mu, replace(cfg, mode=mode))]
+        assert len(got) == 4 and got[-1].shape == (5, mu.m)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    want = serial_draws(cfg, CP, lambda rng, size: _draw_cp_batch(
+        mu, cfg.cp_truncation, rng, size, order=3))
+    got = list(iter_jump_batches(mu, cfg, order=3))
+    assert len(got) == 4
+    for (masses, sums), (want_masses, want_sums) in zip(got, want, strict=True):
+        assert np.array_equal(masses, want_masses)
+        assert np.array_equal(sums, want_sums)
+
+
+def test_passes_under_fast_thread_switching_equal_serial_draws():
+    # the interpreter switches threads every microsecond, so the consumer
+    # and the worker interleave at many points of every draw
+    mu = AtomicMeasure([0.5, 1.2])
+    cfg = SamplerConfig(seed=11, n_samples=6 * DEFAULT_BATCH + 1)
+    want = serial_draws(cfg, cfg.mode, lambda rng, size: gammasample._draw_batch(
+        mu, cfg, rng, size))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            got = [batch for _, batch in iter_sample_batches(mu, cfg)]
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def tag_streams(monkeypatch) -> dict:
+    """Map id(generator) to its batch index for every stream made."""
+    made = {}
+    stream = gammasample._stream
+
+    def tagged(seed, b, mode=SamplerMode.PER_ATOM_GAMMA):
+        gen = stream(seed, b, mode)
+        made[id(gen)] = b
+        return gen
+
+    monkeypatch.setattr(gammasample, "_stream", tagged)
+    return made
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_draw_that_raises_reaches_the_consumer(monkeypatch, k):
+    # batch k raises, on whichever thread draws it; the consumer gets the
+    # batches before it and then the exception, and no thread is left
+    mu = AtomicMeasure([0.5, 1.2])
+    cfg = SamplerConfig(seed=7, n_samples=3 * DEFAULT_BATCH + 5)
+    made = tag_streams(monkeypatch)
+    draw = gammasample._draw_batch
+
+    def failing(measure, cfg, rng, size):
+        if made[id(rng)] == k:
+            raise RuntimeError(f"batch {k}")
+        return draw(measure, cfg, rng, size)
+
+    monkeypatch.setattr(gammasample, "_draw_batch", failing)
+    threads = threading.active_count()
+    seen = []
+    with pytest.raises(RuntimeError, match=f"batch {k}"):
+        for b, _ in iter_sample_batches(mu, cfg):
+            seen.append(b)
+    assert seen == list(range(k))
+    assert threading.active_count() == threads
+
+
+def test_no_thread_outlives_a_pass():
+    mu = AtomicMeasure([0.5, 1.2])
+    cfg = SamplerConfig(seed=7, n_samples=3 * DEFAULT_BATCH)
+    threads = threading.active_count()
+    # a complete pass runs one worker thread, shut down when it ends
+    during = [threading.active_count() for _ in iter_sample_batches(mu, cfg)]
+    assert during[0] == threads + 1
+    assert threading.active_count() == threads
+    # an abandoned pass
+    batches = iter_jump_batches(mu, cfg)
+    next(batches)
+    assert threading.active_count() == threads + 1
+    del batches
+    assert threading.active_count() == threads
+    # a pass whose consumer raises, at its second batch
+    reduced = []
+
+    def stat(S):
+        reduced.append(S)
+        if len(reduced) == 2:
+            raise RuntimeError("the consumer failed")
+        return S
+
+    with pytest.raises(RuntimeError, match="consumer"):
+        gammasample._mc_accumulate(mu, cfg, stat)
+    assert threading.active_count() == threads
+    # a pass of one batch draws on the consumer's thread alone
+    during = [threading.active_count() for _ in
+              iter_sample_batches(mu, replace(cfg, n_samples=DEFAULT_BATCH))]
+    assert during == [threads]
+
+
+def test_an_atom_with_many_jumps_is_drawn_in_bounded_segments():
+    # atom 1 expects 8 E1(1e-3) 4096 = 207000 jumps, many segments' worth
+    mu = AtomicMeasure([0.3, 8.0, 0.5])
+    eps, size, order = 1e-3, 4096, 3
+    segments = list(_cp_segments(mu, eps, _stream(3, 0, CP), size))
+    atoms = [atom for atom, _, _ in segments]
+    assert atoms == sorted(atoms) and set(atoms) == set(range(mu.m))
+    assert sum(owners.size for atom, owners, _ in segments
+               if atom == 1) > 10 * MAX_SEGMENT_JUMPS
+    assert all(owners.size <= MAX_SEGMENT_JUMPS for _, owners, _ in segments)
+    _, sums = _draw_cp_batch(mu, eps, _stream(3, 0, CP), size, order)
+    want = np.zeros_like(sums)
+    for atom, owners, sizes in segments:
+        for r in range(order):
+            want[atom, r] += np.bincount(owners, weights=sizes ** (r + 1),
+                                         minlength=size)
+    assert np.all(np.abs(sums - want) <= 1e-13 * want)
+
+
+def test_a_compound_poisson_draw_holds_a_few_megabytes():
+    # the benchmark's 8-atom shape (total weight 10, the largest atom 3.2,
+    # about 83000 jumps), 4096 rows, eps 1e-3, power sums up to order 3:
+    # a draw holds its (8, 3, 4096) sums and one segment's temporaries
+    mu = AtomicMeasure([0.5, 0.6, 0.7, 0.5, 3.2, 2.5, 1.0, 1.0])
+    rng = _stream(0, 0, CP)
+    tracemalloc.start()
+    try:
+        _draw_cp_batch(mu, 1e-3, rng, DEFAULT_BATCH, order=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_compound_poisson_mean_mass():
@@ -403,7 +570,7 @@ def test_shared_passes_are_drawn_once_per_weights_and_config(monkeypatch):
         for _ in range(2):
             for p, want in zip(passes, alone):
                 assert np.array_equal(collect(*p), want)
-    assert draws == [4096, 904] + [4096, 4096, 808] * 2
+    assert sorted(draws) == sorted([4096, 904] + [4096, 4096, 808] * 2)
     assert gammasample._SHARED.get() is None
 
 
@@ -424,9 +591,15 @@ def test_a_pass_left_early_stores_nothing(monkeypatch):
     draws = count_gamma_draws(monkeypatch)
     with shared_sample_batches():
         next(iter(iter_sample_batches(mu, cfg)))
+        # the abandoned pass drew batch 0, and its worker may have drawn
+        # batches 1 and 2 ahead of it, in order, before it was shut down
+        early = len(draws)
+        assert sorted(draws) in ([4096], [4096, 4096], [808, 4096, 4096])
         assert np.array_equal(collect(mu, cfg), want)
         assert np.array_equal(collect(mu, cfg), want)
-    assert draws == [4096] + [4096, 4096, 808]
+    # nothing was stored: the next pass draws each of its batches once, and
+    # the one after replays it
+    assert sorted(draws[early:]) == [808, 4096, 4096]
 
 
 def test_shared_passes_are_dropped_when_the_block_raises(monkeypatch):

@@ -44,6 +44,7 @@ route.
 import functools
 import math
 from itertools import combinations_with_replacement
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -51,6 +52,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from gwn import gammasample
 from gwn.errors import DomainError
 from gwn.extfock import ext_inner_n, fock_inner_n
 from gwn.fieldops import annihilate1, annihilate2, create, neutral
@@ -475,16 +477,25 @@ def cp_draw(mu: AtomicMeasure, eps: float, seed: int, rows: int, order: int):
 
 
 @settings(max_examples=60, deadline=None)
-@given(cp_weights, cp_truncations, seeds, cp_rows, st.integers(1, 6))
-def test_jump_power_sums_reduce_the_segments(weights, eps, seed, rows, order):
+@given(cp_weights, cp_truncations, seeds, cp_rows, st.integers(1, 6),
+       st.sampled_from([17, 200, gammasample.MAX_SEGMENT_JUMPS]))
+def test_jump_power_sums_reduce_the_segments(weights, eps, seed, rows, order,
+                                              window):
+    # with short windows an atom's jumps span several segments, and some
+    # segment holds the last [eps, 1] jumps and the first [1, inf) ones
     mu = AtomicMeasure(weights)
-    (masses, sums), segments = cp_draw(mu, eps, seed, rows, order)
+    with mock.patch.object(gammasample, "MAX_SEGMENT_JUMPS", window):
+        (masses, sums), segments = cp_draw(mu, eps, seed, rows, order)
     assert sums.shape == (mu.m, order, rows)
-    assert [atom for atom, _, _ in segments] == list(range(mu.m))
+    atoms = [atom for atom, _, _ in segments]
+    assert atoms == sorted(atoms) and set(atoms) == set(range(mu.m))
+    assert all(owners.size <= window for _, owners, _ in segments)
+    want = np.zeros_like(sums)
     for atom, owners, sizes in segments:
         for r in range(1, order + 1):
-            want = np.bincount(owners, weights=sizes ** r, minlength=rows)
-            assert np.all(np.abs(sums[atom, r - 1] - want) <= 1e-13 * want)
+            want[atom, r - 1] += np.bincount(owners, weights=sizes ** r,
+                                             minlength=rows)
+    assert np.all(np.abs(sums - want) <= 1e-13 * want)
     assert masses.shape == (rows, mu.m)
     assert np.array_equal(masses, sums[:, 0].T)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_measure, random_tensor
+from gwn import symtensor
 from gwn.errors import ContractError, DimensionError, DomainError, SizeError
 from gwn.measure import AtomicMeasure
 from gwn.symtensor import (MAX_DEGREE, FockVector, SymTensor, _tables, rank_one,
@@ -202,3 +203,13 @@ def test_entry_budget_refuses_oversized_tensors_and_tables():
         SymTensor(2, MAX_DEGREE + 1)      # small, but past the degree cap
     with pytest.raises(SizeError, match="multiset table"):
         rank_one(np.ones(40), 7)          # its products fit, its tables do not
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_atom_products_in_row_blocks_are_bit_identical(monkeypatch, block):
+    # blocks of one row, and of 21 rows with a short last block, give the
+    # bytes of one multiply per degree: the products are elementwise
+    table = np.random.default_rng(4).uniform(-2.0, 2.0, (4, 6, 3))
+    whole = symtensor.atom_products(table, 5)
+    monkeypatch.setattr(symtensor, "_PRODUCT_BLOCK", block)
+    assert np.array_equal(symtensor.atom_products(table, 5), whole)
