@@ -57,28 +57,28 @@ def iter_loop_partitions(n: int) -> Iterator[LoopPartition]:
     """Generate all set partitions of {0..n-1} with multiplicity prod (|B|-1)!.
 
     Deterministic order: refinement-first recursion placing each element
-    into existing blocks in order, then into a fresh block.
+    into existing blocks in order, then into a fresh block.  The
+    multiplicity rides down the recursion: placing an element into a block
+    of size L turns its (L-1)! into L!, a factor L; a fresh block adds 0! = 1.
     """
     if not 1 <= n <= MAX_LOOP_ORDER:
         raise SizeError(f"partition order must be in 1..{MAX_LOOP_ORDER}, got {n}")
     blocks: list[list[int]] = []
 
-    def rec(i: int):
+    def rec(i: int, mult: int):
         if i == n:
-            mult = 1
-            for b in blocks:
-                mult *= math.factorial(len(b) - 1)
             yield LoopPartition(tuple(tuple(b) for b in blocks), mult)
             return
         for b in blocks:
+            size = len(b)
             b.append(i)
-            yield from rec(i + 1)
+            yield from rec(i + 1, mult * size)
             b.pop()
         blocks.append([i])
-        yield from rec(i + 1)
+        yield from rec(i + 1, mult)
         blocks.pop()
 
-    yield from rec(0)
+    yield from rec(0, 1)
 
 
 @lru_cache(maxsize=None)

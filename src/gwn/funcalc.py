@@ -30,13 +30,13 @@ annihilations) on the Fock side and compares it with multiplication by
 <omega, xi>.  D_xi denotes the Gateaux derivative in the direction of the
 measure with density xi, i.e. D_xi = sum_i w_i xi_i nabla_i.
 
-Every form that varies one atom's mass reads one helper, ``_taylor_at``:
-phi's one-atom restrictions phi(omega with s_a := x) = sum_k C_{a,k}
-t_a(k; x) off the run table (``wickcalc._restrictions``), taken to monomial
-coefficients and then to Taylor coefficients at s_a.  The integral forms
-weigh those by j!, the gradient forms and the S-transform check (x = w
-theta) read the first two, and a jump removal, MC or explicit, sums them
-against the jump's power sums.
+Every form that varies one atom's mass reads one helper,
+``wickcalc._taylor_at``: the Taylor coefficients nabla_a^j phi / j! at
+s_a, taken off the run table in phi's own basis (for Gamma-Wick kernels,
+by q_k' = k q_{k-1} at shape w + 1), with no change of basis.  The
+integral forms weigh those by j!, the gradient forms and the S-transform
+check (x = w theta) read the first two, and a jump removal, MC or
+explicit, sums them against the jump's power sums.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ from .gammasample import (MCEstimate, SamplerConfig, iter_jump_batches,
                           mean_and_se)
 from .measure import AtomicMeasure
 from .symtensor import FockVector
-from .wickcalc import (Basis, OmegaSample, PolyFunctional, _restrictions,
-                       _wick_coefficients, evaluate_batch, s_transform)
+from .wickcalc import (Basis, OmegaSample, PolyFunctional, _taylor_at,
+                       evaluate_batch, s_transform)
 
 
 def _check_atom(atom: int, m: int) -> None:
@@ -98,40 +98,13 @@ def del_dagger(p: PolyFunctional, atom: int,
                           _raise(pw.kernels, measure.delta_density(atom), [atom]))
 
 
-def _taylor(C: np.ndarray, s: np.ndarray, order: int = 0) -> np.ndarray:
-    """[:, j] = sum_k C(k, j) C[:, k] s^(k-j), j <= max(N, order): the
-    Taylor coefficients at x = s of monomial restrictions sum_k C[:, k] x^k
-    (axis 1), so that j! times entry j is nabla^j phi at omega.  s
-    broadcasts against C[:, 0]."""
-    N = C.shape[1] - 1
-    D = np.zeros((len(C), max(N, order) + 1) + C.shape[2:])
-    D[:, :N + 1] = C
-    for i in range(N):   # repeated synthetic division by x - s
-        for k in range(N - 1, i - 1, -1):
-            D[:, k] += s * D[:, k + 1]
-    return D
-
-
-def _taylor_at(p: PolyFunctional, masses: np.ndarray, atoms,
-               measure: AtomicMeasure, order: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """phi at each row of the (B, m) masses, and the (K, max(N, order)+1, B)
-    Taylor coefficients nabla_a^j phi / j! at each row and atom a of atoms:
-    those of phi's one-atom restriction at s_a, whose Gamma-Wick
-    coefficients are first taken to monomial ones by the atom's q_k table."""
-    phi, C = _restrictions(p, masses, measure, atoms)
-    if p.basis is Basis.GAMMA_WICK:
-        C = np.einsum("akb,akl->alb", C,
-                      _wick_coefficients(measure.weights[atoms], p.degree))
-    return phi, _taylor(C, masses[:, atoms].T, order)
-
-
 def _shift_integrals(p: PolyFunctional, omega: OmegaSample, atoms,
                      measure: AtomicMeasure) -> np.ndarray:
     """Per atom a of atoms, with f phi's one-atom restriction at a,
     int_0^inf (f(s_a + s) - f(s_a)) e^(-s) ds = sum_{j>=1} j! D_j from the
     Taylor coefficients D_j of f at s_a, since int s^j e^(-s) ds = j!.
     By parts it is also int_0^inf f'(s_a + s) e^(-s) ds."""
-    D = _taylor_at(p, omega.masses[None, :], atoms, measure)[1][..., 0]
+    D = _taylor_at(p, omega.masses[None, :], measure, atoms)[1][..., 0]
     return D[:, 1:] @ np.cumprod(np.arange(1.0, D.shape[1]))
 
 
@@ -148,7 +121,7 @@ def del_integral(p: PolyFunctional, atom: int, omega: OmegaSample,
 def annihilate1_integral(p: PolyFunctional, xi, measure: AtomicMeasure,
                          omega: OmegaSample) -> float:
     """Smeared integral form: sum_i w_i xi_i del_integral(p, i), over the
-    atoms with xi_i != 0, from one pass over their restrictions."""
+    atoms with xi_i != 0, from one pass over their Taylor coefficients."""
     xi = measure.real_function(xi)
     atoms = np.flatnonzero(xi)
     return math.fsum((measure.weights * xi)[atoms]
@@ -233,13 +206,12 @@ class CheckReport:
 def _gradient_form(op, p: PolyFunctional, xi: np.ndarray, omega: OmegaSample,
                    measure: AtomicMeasure) -> tuple[float, ...]:
     """The Fock side op(xi, .) on p's Gamma-Wick kernels at omega, then, from
-    the Taylor coefficients at s_a of phi's restriction to each atom a,
-    phi(omega), the first and second nabla_a phi(omega) and D_xi phi(omega)
-    = sum_a w_a xi_a nabla_a phi(omega) of its gradient form."""
+    phi's Taylor coefficients at each atom a in p's own basis, phi(omega),
+    the first and second nabla_a phi(omega) and D_xi phi(omega) =
+    sum_a w_a xi_a nabla_a phi(omega) of its gradient form."""
     pw = p.to_basis(Basis.GAMMA_WICK, measure)
     lhs = PolyFunctional(Basis.GAMMA_WICK, op(xi, pw.kernels)).evaluate(omega, measure)
-    pm = p.to_basis(Basis.MONOMIAL, measure)
-    (base,), D = _taylor_at(pm, omega.masses[None, :], range(pm.m), measure, 2)
+    (base,), D = _taylor_at(p, omega.masses[None, :], measure, range(p.m), 2)
     D = D[..., 0]
     return lhs, float(base), D[:, 1], 2.0 * D[:, 2], float((measure.weights * xi) @ D[:, 1])
 
@@ -319,7 +291,7 @@ def stransform_multiplication_check(p: PolyFunctional, theta,
     lhs = np.array([s_transform(coordinate_multiply(pw, i, measure), theta, measure)
                     for i in range(pw.m)])
     (U,), D = _taylor_at(PolyFunctional(Basis.MONOMIAL, pw.kernels),
-                         (measure.weights * theta)[None, :], range(pw.m), measure, 2)
+                         (measure.weights * theta)[None, :], measure, range(pw.m), 2)
     D = D[..., 0]
     rhs = (theta + 1.0) * U + (1.0 + 2.0 * theta) * D[:, 1] + 2.0 * theta * D[:, 2]
     return float(np.max(np.abs(lhs - rhs)))
@@ -346,7 +318,7 @@ def _jump_removals(phi: PolyFunctional, xi: np.ndarray, masses: np.ndarray,
     coefficients nabla_a^j phi / j! at the atoms a of the support of xi,
     their power sums P_{a,j+1} = sums[a, j], xi_a and the signs (-1)^j."""
     support = np.flatnonzero(xi)
-    phi0, taylor = _taylor_at(phi, masses, support, measure)
+    phi0, taylor = _taylor_at(phi, masses, measure, support)
     signs = (-1.0) ** np.arange(taylor.shape[1])
     return phi0, np.einsum("kjb,kjb,j,k->b", taylor, sums[support], signs,
                            xi[support])
@@ -369,12 +341,11 @@ def a1_plus_mc_adjointness_check(phi: PolyFunctional, psi: PolyFunctional, xi,
     P_{a,j+1}, with P_{a,r} the sum of s^r over the sample's jumps at
     atom a.  The batches carry those power sums up to r = N + 1
     (iter_jump_batches), and nothing here knows how jumps are laid out.
-    Each batch takes the one-atom restrictions of phi at the atoms with
-    xi_a != 0, whose Taylor coefficients at s_a are the nabla_a^j phi / j!
-    (_taylor_at), and one evaluate_batch call of the Gamma-Wick pair
-    [psi, a1- psi].  Jump removal is thereby exact up to rounding;
-    truncating jumps below cfg.cp_truncation still biases the identity by
-    O(eps).
+    Each batch takes the Taylor coefficients nabla_a^j phi / j! of phi at
+    the atoms with xi_a != 0 (_taylor_at), and one evaluate_batch call of
+    the Gamma-Wick pair [psi, a1- psi].  Jump removal is thereby exact up
+    to rounding; truncating jumps below cfg.cp_truncation still biases the
+    identity by O(eps).
     """
     xi = measure.real_function(xi)
     psi_w = psi.to_basis(Basis.GAMMA_WICK, measure)

@@ -30,9 +30,10 @@ and one (F, R_n) @ (R_n, B) product per degree n.
 Conversion is a lower triangular change of basis along each atom's axis
 of A, over all total degrees <= N at once, on a copy of the coefficients:
 along atom i, each entry's line is its rep with the atom-i run removed.
-At a row the same lines give phi's restriction to one atom, phi(omega
-with s_i := x) = sum_k C_{i,k} b_k(x) (``_restrictions``, which the
-difference calculus reads).  The s^l coefficient of q_n is
+At a row the same lines give phi along one atom, sum_k C_{i,k} b_k(s_i),
+and so its Taylor coefficients there in the same basis: the j-th
+derivative of q_k(s; w) is k!/(k-j)! q_{k-j}(s; w+j) (``_taylor_at``,
+which the difference calculus reads).  The s^l coefficient of q_n is
 (-1)^(n-l) C(n, l) rising(w+l, n-l) and the inverse drops the signs, s^l
 = sum_j C(l, j) rising(w+j, l-j) q_j, so both tables come from the
 Laguerre coefficient recurrence (q_n = c_n P_n).  The S-transform pairs
@@ -333,18 +334,22 @@ def evaluate_batch(p, masses: np.ndarray, measure: AtomicMeasure) -> np.ndarray:
     per-atom table b = s^k or q_k(s; w_i) multiplied out by atom_products.
     p is one PolyFunctional, giving (B,) values, or a non-empty sequence of
     them in one basis, giving (B, F) values from one table and product."""
-    return _restrictions(p, masses, measure, ())[0]
+    return _taylor_at(p, masses, measure, ())[0]
 
 
-def _restrictions(p, masses: np.ndarray, measure: AtomicMeasure,
-                  atoms) -> tuple[np.ndarray, np.ndarray]:
-    """evaluate_batch's values, and the one-atom restrictions of every
-    functional and row at each atom a of ``atoms``: phi(omega with s_a :=
-    x) = sum_k C_{a,k} t_a(k; x), t the one-atom table of the basis.
-    C_{a,k}, k >= 1, sums A[entry] P[base] over the runs of k copies of a
-    in the run table, A the stacked coefficients padded to degree N and P
-    the atom_products of the rows, both on the flat layout; C_{a,0} is the
-    rest of phi(omega).  C is (K, N+1, B), or (K, F, N+1, B) for a sequence."""
+def _taylor_at(p, masses: np.ndarray, measure: AtomicMeasure, atoms,
+               order: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """evaluate_batch's values phi, and the Taylor coefficients D_{a,j} =
+    nabla_a^j phi / j!, j <= max(N, order), of every functional and row at
+    each atom a of ``atoms``, in the functionals' own basis.  Along atom a
+    phi is sum_k C_{a,k} t_a(k; s_a), t the one-atom table; C_{a,k},
+    k >= 1, sums A[entry] P[base] over the runs of k copies of a in the run
+    table, A the stacked coefficients padded to degree N and P the
+    atom_products of the rows, both on the flat layout.  The j-th
+    derivative of t(k) is k!/(k-j)! t(k-j) at the shape w_a + j (q_k' =
+    k q_{k-1}(.; w+1); s^k has no shape), so D_{a,0} = phi and D_{a,j} =
+    sum_{k>=j} C(k, j) C_{a,k} t(k-j; s_a) at w_a + j.  D is
+    (K, max(N, order)+1, B), or (K, F, max(N, order)+1, B) for a sequence."""
     ps = [p] if isinstance(p, PolyFunctional) else list(p)
     if not ps or any(q.basis is not ps[0].basis for q in ps):
         raise ContractError("evaluate_batch takes one or more functionals in one basis")
@@ -352,30 +357,35 @@ def _restrictions(p, masses: np.ndarray, measure: AtomicMeasure,
     if S.ndim != 2 or any(q.m != S.shape[1] for q in ps) or S.shape[1] != measure.m:
         raise DimensionError("masses, functionals and measure differ in atom count")
     (F, B), N = (len(ps), len(S)), max(q.degree for q in ps)
+    J = max(N, order)
     R = math.comb(N + measure.m, N)
     _check_entries(R * B, f"evaluation of {B} rows at degree {N}")
     _check_entries(R * F, f"a stack of {F} functionals at degree {N}")
-    _check_entries(len(atoms) * F * (N + 1) * B,
-                   f"restrictions of {F} functionals at {len(atoms)} atoms")
-    table = _atom_table(ps[0].basis, np.ascontiguousarray(S.T), measure.weights, N)
-    P = atom_products(table, N)
+    _check_entries(len(atoms) * F * (J + 1) * B,
+                   f"Taylor coefficients of {F} functionals at {len(atoms)} atoms")
+    basis, s = ps[0].basis, np.ascontiguousarray(S.T)
+    P = atom_products(_atom_table(basis, s, measure.weights, N), N)
     A = np.zeros((F, R))   # entries past a functional's degree stay 0
     for f, q in enumerate(ps):
         np.copyto(A[f, :q.kernels.coeffs.size], q.kernels.coeffs)
     # degree by degree, which keeps the rounding of the summation order
     values = sum(A[:, _degree(measure.m, n)] @ P[_degree(measure.m, n)]
                  for n in range(N + 1))
-    C = np.empty((len(atoms), F, N + 1, B))
+    D = np.zeros((len(atoms), F, J + 1, B))
+    D[:, :, 0] = values
     if len(atoms):
-        entry, k, base, bounds = _atom_runs(measure.m, N)
-        for c, a in zip(C, atoms):
+        entry, copies, base, bounds = _atom_runs(measure.m, N)
+        ks = np.arange(N + 1)
+        binom = np.array([[math.comb(k, j) for k in ks] for j in ks], dtype=float)
+        for d, a in zip(D, atoms):
             run = slice(bounds[a], bounds[a + 1])
-            # [f, k - 1, j]: the coefficient of run j where it holds k copies
-            held = A[:, None, entry[run]] * (k[run] == np.arange(1, N + 1)[:, None])
-            c[:, 1:] = held @ P[base[run]]
-        C[:, :, 0] = values - np.einsum("afkb,akb->afb", C[:, :, 1:],
-                                        table[atoms, 1:])
-    return (values[0], C[:, 0]) if isinstance(p, PolyFunctional) else (values.T, C)
+            # [f, k - 1, b] = C_{a,k}: each run's coefficient where it holds k copies
+            C = (A[:, None, entry[run]] * (copies[run] == ks[1:, None])) @ P[base[run]]
+            for j in range(1, N + 1):
+                t = _atom_table(basis, s[a:a + 1], measure.weights[a:a + 1] + j,
+                                N - j)[0]
+                d[:, j] = np.einsum("k,fkb,kb->fb", binom[j, j:], C[:, j - 1:], t)
+    return (values[0], D[:, 0]) if isinstance(p, PolyFunctional) else (values.T, D)
 
 
 def wick_exp(omega: OmegaSample, phi, measure: AtomicMeasure,

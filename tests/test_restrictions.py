@@ -1,13 +1,14 @@
-"""One-atom restrictions against whole rows.
+"""One-atom Taylor coefficients against whole rows.
 
-Every form that varies one atom's mass reads the restrictions
-phi(omega with s_a := x) = sum_k C_{a,k} t_a(k; x) off the run table
-(``wickcalc._restrictions``).  Each is pinned here to the route that
-evaluates whole rows (``oracles``): phi at the configurations with s_a
-changed, the 64 shifted rows of an integral form, the per-atom nabla^j
-stack of the Taylor coefficients, and the removal rows of the explicit
-jump adjoint.  Both bases; zero kernels, one atom, weights 1e-2 and 1e2,
-degrees 0..4.
+Every form that varies one atom's mass reads the Taylor coefficients
+D_{a,j} = nabla_a^j phi / j! at s_a, taken off the run table in the
+functional's own basis (``wickcalc._taylor_at``).  Each is pinned here to
+the route that evaluates whole rows (``oracles``): phi at the
+configurations with s_a changed, the 64 shifted rows of an integral form,
+the per-atom nabla^j stack of the monomial functional, and the removal
+rows of the explicit jump adjoint.  Both bases; zero kernels, one atom,
+weights 1e-2 and 1e2, degrees 0..4; the one-atom integral forms also at
+weights 1e2 and 1e3 against exact rational values.
 
 A comparison is scaled by the size of the terms summed, from absolute
 values: |A| times |s|^k in the monomial basis, and |A| times
@@ -16,6 +17,7 @@ alternate in sign.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,13 +26,13 @@ from hypothesis import strategies as st
 
 import oracles
 from gwn.fieldops import create
-from gwn.funcalc import (_gradient_form, _taylor, a1_plus_explicit,
+from gwn.funcalc import (_gradient_form, a1_plus_explicit,
                          annihilate1_integral, del_integral,
                          second_annihilation_check)
 from gwn.measure import AtomicMeasure
 from gwn.symtensor import FockVector, SymTensor
-from gwn.wickcalc import (Basis, OmegaSample, PolyFunctional, _atom_table,
-                          _restrictions, evaluate_batch)
+from gwn.wickcalc import (Basis, OmegaSample, PolyFunctional, _taylor_at,
+                          evaluate_batch)
 
 seeds = st.integers(0, 2 ** 32 - 1)
 
@@ -97,12 +99,14 @@ def edge_case(weights, N, basis, zero):
 
 
 def assert_restrictions_match_rows(mu, p, masses, atoms):
-    values, C = _restrictions(p, masses, mu, atoms)
-    assert values.shape == (len(masses),) and C.shape == (len(atoms), p.degree + 1,
+    """phi(omega with s_a := x) = sum_j D_{a,j} (x - s_a)^j at each row,
+    atom and x, for one functional and the stack [p, 2 p]."""
+    values, D = _taylor_at(p, masses, mu, atoms)
+    assert values.shape == (len(masses),) and D.shape == (len(atoms), p.degree + 1,
                                                         len(masses))
     # phi(omega) is evaluate_batch's own sum
     assert np.array_equal(values, evaluate_batch(p, masses, mu))
-    stacked_values, stacked = _restrictions([p, 2.0 * p], masses, mu, atoms)
+    stacked_values, stacked = _taylor_at([p, 2.0 * p], masses, mu, atoms)
     size = np.maximum(1.0, term_size(p, masses, mu))
     assert np.all(np.abs(stacked_values - values[:, None] * [1.0, 2.0])
                   <= 2e-12 * size[:, None])
@@ -112,8 +116,8 @@ def assert_restrictions_match_rows(mu, p, masses, atoms):
                           3.0 * mu.weights[a] + 1.0])
             rows = oracles.varied_rows(row, a, x)
             want = evaluate_batch(p, rows, mu)
-            table = _atom_table(p.basis, x[None, :], mu.weights[[a]], p.degree)[0]
-            got = C[j, :, b] @ table
+            table = (x - row[a]) ** np.arange(p.degree + 1)[:, None]
+            got = D[j, :, b] @ table
             scale = np.maximum(1.0, term_size(p, rows, mu)
                                + term_size(p, row[None, :], mu))
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
@@ -175,13 +179,27 @@ def shift_moments(s: float, N: int, j0: int) -> np.ndarray:
                          for j in range(j0, l + 1)) for l in range(N + 1)])
 
 
-@pytest.mark.parametrize("w", [0.01, 0.5, 1.3, 7.0, 100.0])
+def exact_del_integral(basis: Basis, w: float, s: float, k: int) -> Fraction:
+    """del_integral of one atom's s^k or q_k(s; w) in rational arithmetic at
+    the float inputs: sum_{j>=1} C(k, j) j! s^(k-j), or k q_{k-1}(s; w)
+    from its s^l coefficients (-1)^(n-l) C(n, l) rising(w+l, n-l), n = k-1."""
+    s, w, n = Fraction(s), Fraction(w), k - 1
+    if basis is Basis.MONOMIAL:
+        return sum(math.comb(k, j) * math.factorial(j) * s ** (k - j)
+                   for j in range(1, k + 1))
+    return k * sum((-1) ** (n - l) * math.comb(n, l) * s ** l
+                   * math.prod(w + l + i for i in range(n - l)) for l in range(n + 1))
+
+
+@pytest.mark.parametrize("w", [0.01, 0.5, 1.3, 7.0, 100.0, 1000.0])
 @pytest.mark.parametrize("basis", list(Basis))
 def test_del_integral_one_atom_closed_forms(basis, w):
     """del_integral of one atom's s^k against sum_{j>=1} C(k, j) j! s^(k-j),
     and of its Wick power q_k(s; w) against k q_{k-1}(s; w), k = 1..8, past
     the degrees the strategies draw.  The bound is scaled by the size of
-    the terms of the monomial expansion, from absolute coefficients."""
+    the terms of the monomial expansion, from absolute coefficients.  At a
+    heavy atom, w >= 100, the result is also within 1e-12 of the exact
+    value relative to that value, or absolutely where it is 0 (q_1(w; w))."""
     mu, N = AtomicMeasure([w]), 8
     wick = oracles.wick_monic_table(w, N)
     for s in (0.0, 0.3 * w, w, 3.0 * w + 1.0):
@@ -196,6 +214,10 @@ def test_del_integral_one_atom_closed_forms(basis, w):
             size = np.abs(coeffs) @ shift_moments(s, N, 0)
             got = del_integral(p, 0, OmegaSample([s]), mu)
             assert abs(got - want) <= 1e-12 * size, (s, k)
+            if w >= 100.0:
+                exact = exact_del_integral(basis, w, s, k)
+                err = abs(Fraction(got) - exact)
+                assert err <= 1e-12 * (abs(exact) if exact else 1), (s, k)
 
 
 def assert_gradient_forms_match_taylor_stack(mu, p, masses, atoms):
@@ -209,16 +231,18 @@ def assert_gradient_forms_match_taylor_stack(mu, p, masses, atoms):
     size = PolyFunctional(Basis.MONOMIAL, FockVector(
         [SymTensor(mu.m, n, np.abs(k.values)) for n, k in enumerate(pm.kernels.kernels)]))
     omega = OmegaSample(masses[0])
-    # the Taylor coefficients at every row and atom of the list
-    _, C = _restrictions(pm, masses, mu, atoms)
+    # the Taylor coefficients at every row and atom of the list, read in
+    # p's own basis and in the monomial one
     want = oracles.taylor_values(pm, masses, atoms, mu, pm.degree)
     scale = oracles.taylor_values(size, masses, atoms, mu, pm.degree)
-    assert np.all(np.abs(_taylor(C, masses[:, atoms].T).transpose(2, 0, 1) - want)
-                  <= 1e-12 * np.maximum(1.0, scale))
+    for q in (p, pm):
+        D = _taylor_at(q, masses, mu, atoms)[1]
+        assert np.all(np.abs(D.transpose(2, 0, 1) - want)
+                      <= 1e-12 * np.maximum(1.0, scale))
     # the gradient terms at the first row, over every atom
     xi = np.zeros(mu.m)
     xi[atoms] = np.linspace(-1.0, 0.9, len(atoms))
-    _, base, g1, g2, dphi = _gradient_form(create, pm, xi, omega, mu)
+    _, base, g1, g2, dphi = _gradient_form(create, p, xi, omega, mu)
     D = oracles.taylor_values(pm, masses[:1], range(mu.m), mu, 2)[0]
     Ds = np.maximum(1.0, oracles.taylor_values(size, masses[:1], range(mu.m), mu, 2)[0])
     assert abs(base - D[0, 0]) <= 1e-12 * Ds[0, 0]
