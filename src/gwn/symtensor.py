@@ -14,7 +14,9 @@ Every product prod_i t_i(k_i) of a per-atom table t comes from one kernel,
 ``atom_products``: rank-one powers (f^k), inner-product weights (w^k,
 rising(w, k)), Wick densities and functional values (s^k, q_k(s)).  A rep
 ending in k copies of atom a is its parent (those copies removed) times
-t_a(k), so all degrees 0..N cost one multiply per entry.
+t_a(k), so all degrees 0..N cost one multiply per entry.  The factors are
+read k-major, t_a(k) as row k m + a, through one cached row index per
+degree, each block gathered by one ``take`` into one reused buffer.
 
 Symmetrization convention: the symmetrized product is the arithmetic mean
 over position splits, so phi-tensor-phi equals the plain tensor square with
@@ -135,17 +137,20 @@ def _degree(m: int, n: int) -> slice:
 
 
 @lru_cache(maxsize=None)
-def _last_runs(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(parent, a, k) per degree-n rep, n >= 1: it ends in k copies of atom a;
-    parent is the ``_start`` offset of the rep without them: the parent of
-    q, the rep of its first n - 1 atoms, when q ends in a too, else q."""
+def _last_runs(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(parent, row) per degree-n rep, n >= 1: it ends in k copies of atom
+    a, and row = k m + a (int32) is the row of its factor t_a(k) in the
+    per-atom table read k-major; parent is the ``_start`` offset of the rep
+    without them: the parent of q, the rep of its first n - 1 atoms, when
+    q ends in a too, else q."""
     tab = _tables(m, n)
-    a, k = tab.reps[:, -1], tab.last_run
+    k = tab.last_run
+    row = (k * m + tab.reps[:, -1]).astype(np.int32)
     if n == 1:
-        return np.zeros(m, dtype=np.int64), a, k
+        return np.zeros(m, dtype=np.int64), row
     prev = _tables(m, n - 1).reps[:, -1]
     q = np.repeat(np.arange(len(prev)), m - prev)
-    return np.where(k > 1, _last_runs(m, n - 1)[0][q], _start(m, n - 1) + q), a, k
+    return np.where(k > 1, _last_runs(m, n - 1)[0][q], _start(m, n - 1) + q), row
 
 
 @lru_cache(maxsize=None)
@@ -175,26 +180,33 @@ def _atom_runs(m: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
 def atom_products(table, N: int) -> np.ndarray:
     """P over degrees 0..N on the flat layout for an (m, N+1, ...) per-atom
     table t: P[r, ...] = prod_i t[i, k_i(r), ...] over the occupation counts
-    of each rep r, built as P[parent] * t[a, k] in one buffer.  t[:, 0]
-    stands for t_i(0) = 1 and is never read."""
+    of each rep r, built as P[parent] * t[a, k] in one buffer.  t is read
+    k-major, t[a, k] as row k m + a of one (m (N+1), ...) array: a view when
+    each t(k) is stored contiguously, as ``_atom_table`` stores them, else
+    a copy of the table.  t[:, 0] stands for t_i(0) = 1 and is never read,
+    nor are the columns past N of a wider table."""
     _check_degree(N)
     table = np.asarray(table)
     m, tail = table.shape[0], table.shape[2:]
     size = _start(m, N + 1)
     _check_entries(size * math.prod(tail), f"atom products up to degree {N}")
     runs = [_last_runs(m, n) for n in range(1, N + 1)]   # tables refuse first
+    rows = np.ascontiguousarray(table.swapaxes(0, 1)[:N + 1]).reshape(((N + 1) * m,) + tail)
     flat = np.empty((size,) + tail, dtype=table.dtype)
     flat[0] = 1
-    # rows per block of the gathered t[a, k]: no temporary the size of a degree
+    # rows per block of the gathered factors: no temporary the size of a degree
     step = max(1, _PRODUCT_BLOCK // max(1, math.prod(tail)))
-    for n, (parent, a, k) in enumerate(runs, 1):
+    buf = np.empty((min(step, size),) + tail, dtype=table.dtype)
+    for n, (parent, row) in enumerate(runs, 1):
         d = _degree(m, n)
         # the parents lie below degree n, so with mode="clip" take makes no copy
         flat[:d.start].take(parent, axis=0, out=flat[d], mode="clip")
         out = flat[d]
-        for lo in range(0, len(a), step):
-            rows = slice(lo, lo + step)
-            out[rows] *= table[a[rows], k[rows]]
+        for lo in range(0, len(row), step):
+            block = row[lo:lo + step]
+            factor = buf[:len(block)]
+            rows.take(block, axis=0, out=factor, mode="clip")
+            out[lo:lo + step] *= factor
     return flat
 
 

@@ -313,7 +313,8 @@ def _atom_table(basis: Basis, s: np.ndarray, weights: np.ndarray,
     """[i, k, b] = t_i(k; s[i, b]) for an (m, B) array s, the one-atom
     table of each basis: s^k, or the Wick powers q_k(s; w_i) by the
     three-term recurrence q_{k+1} = (s - beta_k) q_k - alpha_k^2 q_{k-1}.
-    Each t(k) is stored contiguously."""
+    Each t(k) is stored contiguously, so the table is k-major and
+    ``atom_products`` reads t_i(k) as row k m + i of a view, with no copy."""
     table = np.empty((N + 1,) + s.shape)
     table[0] = 1.0
     if basis is Basis.MONOMIAL:

@@ -7,7 +7,9 @@ Seven kinds live here.
   (combinations_with_replacement), the extended inner product is the
   literal sum over all n! permutations, each contributing the diagonal
   integral of its cycle decomposition via einsum, and a product over atoms
-  of a per-atom table counts each multi-index's atoms in Python.
+  of a per-atom table counts each multi-index's atoms in Python.  The
+  product kernel's first gather, a two-array index into the per-atom
+  table with each parent ranked from its rep, fixes the kernel's bytes.
 * Combinatorial routes to what the package computes by per-atom closed
   forms: the loop-partition sum of the extended inner product, the
   five-term Wick kernel recurrence with tied slots, and the loop-partition
@@ -88,6 +90,25 @@ def occupation_products(table: np.ndarray, m: int, n: int) -> np.ndarray:
     return np.array([math.prod((table[i, rep.count(i)] for i in range(m)),
                                start=np.ones(table.shape[2:]))
                      for rep in combinations_with_replacement(range(m), n)])
+
+
+def atom_products_pairwise(table, N: int) -> np.ndarray:
+    """atom_products by its first gather, the reference for its bytes: rep
+    r ending in k copies of atom a is P[parent] * table[a, k], the factors
+    of a degree gathered at once by the two-array index table[a, k], and
+    the parent (r without those copies) ranked from its rep."""
+    table = np.asarray(table)
+    m, tail = table.shape[0], table.shape[2:]
+    flat = [np.ones((1,) + tail, dtype=table.dtype)]
+    for n in range(1, N + 1):
+        tab = _tables(m, n)
+        k = tab.last_run
+        parent = np.empty((len(k),) + tail, dtype=table.dtype)
+        for c in np.unique(k):
+            parent[k == c] = flat[n - c][_tables(m, n - c).rank_sorted_rows(
+                tab.reps[k == c, :n - c])]
+        flat.append(parent * table[tab.reps[:, -1], k])
+    return np.concatenate(flat)
 
 
 def ordered_sum(t, s: np.ndarray) -> float:

@@ -582,6 +582,37 @@ def test_atom_products_match_counted_occupations(m, N, tail, seed):
         assert np.allclose(flat[_degree(m, n)], want, rtol=1e-13, atol=0.0)
 
 
+def _laid_out(table: np.ndarray, layout: str) -> np.ndarray:
+    """The same (m, N+1, ...) values in another memory layout, or followed
+    by columns past N, which atom_products does not read."""
+    if layout == "k_major":   # as _atom_table returns them: a swapped view
+        return np.ascontiguousarray(table.swapaxes(0, 1)).swapaxes(0, 1)
+    if layout == "fortran":
+        return np.asfortranarray(table)
+    if layout == "sliced":    # every other atom of a larger array
+        wide = np.zeros((2 * table.shape[0],) + table.shape[1:], dtype=table.dtype)
+        wide[::2] = table
+        return wide[::2]
+    if layout == "extra_columns":
+        return np.concatenate([table, np.full_like(table[:, :2], np.nan)], axis=1)
+    return table
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 6), st.sampled_from([(), (1,), (3,)]),
+       st.booleans(),
+       st.sampled_from(["c", "k_major", "fortran", "sliced", "extra_columns"]), seeds)
+def test_atom_products_bit_identical_to_pairwise_gather(m, N, tail, complex_, layout,
+                                                         seed):
+    rng = np.random.default_rng(seed)
+    table = rng.uniform(-2.0, 2.0, (m, N + 1) + tail)
+    if complex_:
+        table = table + 1j * rng.uniform(-2.0, 2.0, table.shape)
+    got = atom_products(_laid_out(table, layout), N)
+    want = oracles.atom_products_pairwise(table, N)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 @settings(max_examples=60, deadline=None)
 @given(weights(max_m=3), st.integers(0, 8), seeds)
 def test_rank_one_matches_outer_product(mu, n, seed):

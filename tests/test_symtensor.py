@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ from gwn.errors import ContractError, DimensionError, DomainError, SizeError
 from gwn.measure import AtomicMeasure
 from gwn.symtensor import (MAX_DEGREE, FockVector, SymTensor, _tables, rank_one,
                            sym_product)
+from gwn.wickcalc import Basis, _atom_table
 from oracles import (append_tied_slots, dense_from_symtensor, diagonal_restrict,
                      sym_product_dense, symtensor_from_dense)
 
@@ -207,9 +209,32 @@ def test_entry_budget_refuses_oversized_tensors_and_tables():
 
 @pytest.mark.parametrize("block", [1, 5, 64])
 def test_atom_products_in_row_blocks_are_bit_identical(monkeypatch, block):
-    # blocks of one row, and of 21 rows with a short last block, give the
-    # bytes of one multiply per degree: the products are elementwise
-    table = np.random.default_rng(4).uniform(-2.0, 2.0, (4, 6, 3))
-    whole = symtensor.atom_products(table, 5)
+    # blocks of one row, and of 21 or 5 or 64 rows with a short last block,
+    # give the bytes of one multiply per degree: the products are elementwise
+    rng = np.random.default_rng(4)
+    tables = [rng.uniform(-2.0, 2.0, (4, 6, 3)), rng.uniform(-2.0, 2.0, (6, 6))]
+    wholes = [symtensor.atom_products(table, 5) for table in tables]
     monkeypatch.setattr(symtensor, "_PRODUCT_BLOCK", block)
-    assert np.array_equal(symtensor.atom_products(table, 5), whole)
+    for table, whole in zip(tables, wholes):
+        assert np.array_equal(symtensor.atom_products(table, 5), whole)
+
+
+@pytest.mark.parametrize("case", ["scalar_16_7", "atom_table_8_2_4096"])
+def test_atom_products_peak_memory_is_result_and_two_blocks(case):
+    # one gather buffer and its block of row indices past the result: the
+    # bound fails if a whole degree is gathered at once, or if the k-major
+    # view of _atom_table's output is copied
+    rng = np.random.default_rng(5)
+    if case == "scalar_16_7":
+        table, N = rng.uniform(-2.0, 2.0, (16, 8)), 7
+    else:
+        s = rng.uniform(0.05, 2.5, (8, 4096))
+        table, N = _atom_table(Basis.GAMMA_WICK, s, rng.uniform(0.5, 2.0, 8), 2), 2
+    result = symtensor.atom_products(table, N)   # fills the rank caches
+    tracemalloc.start()
+    try:
+        symtensor.atom_products(table, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= result.nbytes + 2 * symtensor._PRODUCT_BLOCK * result.itemsize + 64 * 1024
