@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, SizeError
 from .measure import AtomicMeasure
-from .symtensor import FockVector, SymTensor, _degree, _tables, atom_products
+from .symtensor import FockVector, SymTensor, _degree, atom_products
 
 # Loop partitions are enumerated and cached in Python: order 10 has
 # Bell(10) = 115975 of them (52 MB, 3 s to build), and each further order
@@ -104,7 +104,8 @@ def _weighted_inner_n(measure: AtomicMeasure, f: SymTensor, g: SymTensor,
     table = np.ones((measure.m, n + 1))
     table[:, 1:] = np.cumprod(measure.weights[:, None] + step * np.arange(n), axis=1)
     wprod = atom_products(table, n)[_degree(measure.m, n)]
-    return ((f.perm_counts * wprod) @ (np.conj(f.values) * g.values)).item()
+    wprod *= f.perm_counts   # in place on the fresh products; conj() of real values is no copy
+    return (wprod @ (f.values.conj() * g.values)).item()
 
 
 def ext_inner_n(measure: AtomicMeasure, f: SymTensor, g: SymTensor) -> float:
@@ -145,6 +146,5 @@ def fock_inner(measure: AtomicMeasure, f: FockVector, g: FockVector) -> float:
 
 def is_off_diagonal(f: SymTensor, tol: float = 1e-12) -> bool:
     """True when every entry with a repeated atom index is below tol."""
-    reps = _tables(f.m, f.degree).reps
-    repeated = np.any(reps[:, 1:] == reps[:, :-1], axis=1)
+    repeated = f.perm_counts != math.factorial(f.degree)   # an atom appears twice
     return not repeated.any() or float(np.max(np.abs(f.values[repeated]))) <= tol

@@ -27,20 +27,22 @@ table, which maps a pair of multi-indices to the rank of their union
 both slot kernels of ``fieldops``: raising adds onto it, lowering reads
 from it.
 
-Every rank table comes from the sorted reps of each (m, n): the cached
-multiset and last-run tables, the merge table, and the run table on which
-``wickcalc`` converts bases and restricts functionals to one atom (each run
-of equal atoms in the reps of degrees 1..N, with the flat rank of its rep
-without it).  No table stores a count
-per atom, and each is checked against one entry budget, ``MAX_ENTRIES``,
+Every rank table is built from the one a degree lower, with no keys and
+no search: the degree-n reps list each degree-(n-1) rep extended by every
+atom at or past its last one.  So are the last-run table, the one-atom
+merge table, and the run table on which ``wickcalc`` converts bases and
+restricts functionals to one atom, read off that merge table.  The cached
+tables are read-only and compact: reps uint8 up to 256 atoms, run lengths
+int8, ranks int32 (``MAX_ENTRIES`` < 2^31).  No table stores a count per
+atom, and each is checked against one entry budget, ``MAX_ENTRIES``,
 before it is allocated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,24 +73,10 @@ def _check_degree(n: int) -> None:
         raise SizeError(f"degree {n} outside supported range 0..{MAX_DEGREE}")
 
 
-@dataclass(frozen=True)
-class _MultisetTable:
-    m: int
-    n: int
-    reps: np.ndarray         # (R, n) sorted representative tuples, lex order
-    keys: np.ndarray         # (R,) strictly increasing integer keys
-    powers: np.ndarray       # (n,) big-endian base-m digit weights
-    perm_counts: np.ndarray  # (R,) number of distinct orderings of each rep
-    last_run: np.ndarray     # (R,) copies of its last atom that each rep ends in
-
-    def rank_sorted_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Ranks of already-sorted index rows (shape (..., n))."""
-        k = rows @ self.powers
-        return np.searchsorted(self.keys, k)
-
-    def rank_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Ranks of arbitrary index rows; rows are sorted internally."""
-        return self.rank_sorted_rows(np.sort(rows, axis=-1))
+class _MultisetTable(NamedTuple):
+    reps: np.ndarray         # (R, n) sorted representative tuples, lex order, uint8 or wider
+    perm_counts: np.ndarray  # (R,) number of distinct orderings of each rep, int64
+    last_run: np.ndarray     # (R,) int8 copies of its last atom that each rep ends in
 
 
 def _check_table(m: int, n: int) -> None:
@@ -98,6 +86,23 @@ def _check_table(m: int, n: int) -> None:
     _check_entries(math.comb(n + m - 1, n) * (n + 3), f"multiset table (m={m}, n={n})")
 
 
+def _frozen(*arrays: np.ndarray):
+    """The arrays, made read-only: a cached table is shared by every caller."""
+    for x in arrays:
+        x.setflags(write=False)
+    return arrays if len(arrays) > 1 else arrays[0]
+
+
+def _children(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(parent, atom) per degree-n rep, n >= 1: the degree-n reps list each
+    degree-(n-1) rep q, in lex order, extended by every atom x at or past
+    its last one, at rank head[q] + x."""
+    prev = _tables(m, n - 1).reps
+    grow = m - prev[:, -1].astype(np.intp) if n > 1 else np.array([m])
+    parent = np.repeat(np.arange(len(prev)), grow)
+    return parent, np.arange(len(parent)) - (np.cumsum(grow) - m)[parent]
+
+
 @lru_cache(maxsize=None)
 def _tables(m: int, n: int) -> _MultisetTable:
     if m < 1:
@@ -105,25 +110,16 @@ def _tables(m: int, n: int) -> _MultisetTable:
     _check_degree(n)
     _check_table(m, n)
     if n == 0:
-        reps = np.zeros((1, 0), dtype=np.int64)
-    else:
-        # each degree-(n-1) rep extended by every atom at or past its last
-        # one, which keeps the lex order
-        prev = _tables(m, n - 1).reps
-        grow = m - prev[:, -1] if n > 1 else np.array([m])
-        parent = np.repeat(np.arange(len(prev)), grow)
-        atom = np.arange(len(parent)) - np.repeat(np.cumsum(grow) - m, grow)
-        reps = np.hstack([prev[parent], atom[:, None]])
-    powers = (m ** np.arange(n - 1, -1, -1, dtype=np.int64)) if n else np.zeros(0, np.int64)
-    keys = reps @ powers
-    # n! / prod_i k_i!, where prod_i k_i! is the product of the positions
-    # of each slot within its run of equal atoms in the sorted rep
-    pc = np.full(len(reps), math.factorial(n), dtype=np.int64)
-    run = np.full(len(reps), min(n, 1), dtype=np.int64)
-    for p in range(1, n):
-        run = np.where(reps[:, p] == reps[:, p - 1], run + 1, 1)
-        pc //= run
-    return _MultisetTable(m, n, reps, keys, powers, pc, run)
+        return _MultisetTable(*_frozen(np.zeros((1, 0), np.min_scalar_type(m - 1)),
+                                       np.ones(1, np.int64), np.zeros(1, np.int8)))
+    prev = _tables(m, n - 1)
+    parent, atom = _children(m, n)
+    reps = np.column_stack((prev.reps[parent], atom.astype(prev.reps.dtype)))
+    # a rep whose last atom repeats its parent's ends in one more copy, and
+    # n! / prod_i k_i! is its parent's count times n / (that run's length)
+    same = reps[:, -2] == reps[:, -1] if n > 1 else False
+    run = np.where(same, prev.last_run[parent] + 1, 1).astype(np.int8)
+    return _MultisetTable(*_frozen(reps, prev.perm_counts[parent] * n // run, run))
 
 
 def _start(m: int, n: int) -> int:
@@ -136,45 +132,55 @@ def _degree(m: int, n: int) -> slice:
     return slice(_start(m, n), _start(m, n + 1))
 
 
+def _lex_rank(m: int, n: int, idx, what: str) -> int:
+    """Rank of a multi-index, in any order, among the degree-n reps, in
+    closed form: at each slot p of the sorted index, the reps that agree
+    with it before p and hold an atom v in [idx[p - 1], idx[p]) at p,
+    C(m - v + n - p - 2, n - p - 1) for each v, sum to two binomials."""
+    idx = sorted(int(i) for i in idx)
+    if len(idx) != n:
+        raise ContractError(f"{what} has {len(idx)} atoms, not {n}")
+    if idx and (idx[0] < 0 or idx[-1] >= m):
+        raise DimensionError(f"{what} out of range for m={m}")
+    return sum(math.comb(m - low + n - p - 1, n - p) - math.comb(m - i + n - p - 1, n - p)
+               for p, (low, i) in enumerate(zip([0] + idx, idx)))
+
+
 @lru_cache(maxsize=None)
 def _last_runs(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(parent, row) per degree-n rep, n >= 1: it ends in k copies of atom
-    a, and row = k m + a (int32) is the row of its factor t_a(k) in the
-    per-atom table read k-major; parent is the ``_start`` offset of the rep
-    without them: the parent of q, the rep of its first n - 1 atoms, when
-    q ends in a too, else q."""
+    """(parent, row) per degree-n rep, n >= 1, both int32: it ends in k
+    copies of atom a, and row = k m + a is the row of its factor t_a(k) in
+    the per-atom table read k-major; parent is the ``_start`` offset of the
+    rep without them: the parent of q, the rep of its first n - 1 atoms,
+    when q ends in a too, else q."""
     tab = _tables(m, n)
-    k = tab.last_run
-    row = (k * m + tab.reps[:, -1]).astype(np.int32)
-    if n == 1:
-        return np.zeros(m, dtype=np.int64), row
-    prev = _tables(m, n - 1).reps[:, -1]
-    q = np.repeat(np.arange(len(prev)), m - prev)
-    return np.where(k > 1, _last_runs(m, n - 1)[0][q], _start(m, n - 1) + q), row
+    row = tab.last_run.astype(np.int32) * m + tab.reps[:, -1]
+    q = _children(m, n)[0]
+    up = _last_runs(m, n - 1)[0][q] if n > 1 else q
+    return _frozen(np.where(tab.last_run > 1, up, _start(m, n - 1) + q).astype(np.int32), row)
 
 
 @lru_cache(maxsize=None)
-def _atom_runs(m: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(entry, k, base, bounds): every run of equal atoms in the reps of
-    degrees 1..N, grouped by atom.  Run j is k[j] copies of its atom in the
-    rep at ``_start`` offset entry[j], and base[j] is the offset of that rep
-    with the run removed; atom a owns the runs bounds[a]:bounds[a + 1].
-    The reps holding atom a are those of degree < N with one a added, so
-    each atom owns _start(m, N) runs, at the offsets of those reps."""
+def _atom_runs(m: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(entry, k, base), each (m, _start(m, N)): row a holds every run of
+    atom a in the reps of degrees 1..N.  Run j is k[a, j] copies of a in the
+    rep at ``_start`` offset entry[a, j], the rep at offset j with one a
+    added (column a of a one-atom merge table), and base[a, j] is the
+    offset of that rep with the run removed."""
     size = _start(m, N)
     _check_entries(3 * m * size, f"run table (m={m}, N={N})")
-    entry = np.empty(m * size, dtype=np.int64)
-    k, base = np.ones(m * size, dtype=np.int64), np.tile(np.arange(size), m)
-    for a in range(m):
-        e, c, b = (x[a * size:(a + 1) * size] for x in (entry, k, base))
-        for n in range(1, N + 1):
-            lo, hi = _start(m, n - 1), _start(m, n)
-            e[lo:hi] = hi + _insert_ranks(m, n - 1, np.array([a]))[:, 0]
-            # a rep made a degree lower that holds a already: its run grows
-            # by one copy and keeps its base
-            low = slice(_start(m, n - 2) if n > 1 else 0, lo)
-            c[e[low]], b[e[low]] = c[low] + 1, b[low]
-    return entry, k, base, np.arange(m + 1) * size
+    entry = np.empty((m, size), dtype=np.int32)
+    k = np.ones((m, size), dtype=np.int8)
+    base = np.tile(np.arange(size, dtype=np.int32), (m, 1))
+    for n in range(1, N + 1):
+        lo, hi = _start(m, n - 1), _start(m, n)
+        entry[:, lo:hi] = hi + _merge_ranks(m, n - 1, 1).T
+        # a rep made a degree lower that holds a already: its run grows
+        # by one copy and keeps its base
+        low = slice(_start(m, n - 2) if n > 1 else 0, lo)
+        np.put_along_axis(k, entry[:, low], k[:, low] + 1, axis=1)
+        np.put_along_axis(base, entry[:, low], base[:, low], axis=1)
+    return _frozen(entry, k, base)
 
 
 def atom_products(table, N: int) -> np.ndarray:
@@ -197,16 +203,20 @@ def atom_products(table, N: int) -> np.ndarray:
     # rows per block of the gathered factors: no temporary the size of a degree
     step = max(1, _PRODUCT_BLOCK // max(1, math.prod(tail)))
     buf = np.empty((min(step, size),) + tail, dtype=table.dtype)
+    # take copies an index that is read-only or not intp on every call, so
+    # each block of the cached int32 indices is cast into one reused array
+    index = np.empty(min(step, size), dtype=np.intp)
     for n, (parent, row) in enumerate(runs, 1):
         d = _degree(m, n)
-        # the parents lie below degree n, so with mode="clip" take makes no copy
-        flat[:d.start].take(parent, axis=0, out=flat[d], mode="clip")
-        out = flat[d]
         for lo in range(0, len(row), step):
-            block = row[lo:lo + step]
-            factor = buf[:len(block)]
-            rows.take(block, axis=0, out=factor, mode="clip")
-            out[lo:lo + step] *= factor
+            out = flat[d][lo:lo + step]
+            idx, factor = index[:len(out)], buf[:len(out)]
+            # the parents lie below degree n, so with mode="clip" take makes no copy
+            np.copyto(idx, parent[lo:lo + step])
+            flat[:d.start].take(idx, axis=0, out=out, mode="clip")
+            np.copyto(idx, row[lo:lo + step])
+            rows.take(idx, axis=0, out=factor, mode="clip")
+            out *= factor
     return flat
 
 
@@ -217,28 +227,26 @@ def _merge_ranks(m: int, a: int, b: int) -> np.ndarray:
     larger degree first, so the product and slot operators share tables."""
     ta = _tables(m, a)
     _check_entries(len(ta.reps) * math.comb(b + m - 1, b), f"merge table ({a}, {b})")
-    if b == 1:
-        return _insert_ranks(m, a, np.arange(m))
-    r = np.arange(len(ta.reps))[:, None]
-    for p, atoms in enumerate(_tables(m, b).reps.T):
-        r = _merge_ranks(m, a + p, 1)[r, atoms]
-    return r
-
-
-def _insert_ranks(m: int, n: int, atoms: np.ndarray) -> np.ndarray:
-    """(R_n, len(atoms)): degree-(n+1) rank of each degree-n rep with one
-    of the atoms inserted, the columns ``atoms`` of the merge table
-    (n, 1).  Inserting atom x behind the p entries <= x multiplies the key
-    digits of those p entries by m and writes x at digit n - p."""
-    ta = _tables(m, n)
-    p = np.zeros((len(ta.reps), len(atoms)), dtype=np.int64)
-    for col in ta.reps.T:
-        p += col[:, None] <= atoms
-    head = np.zeros((len(ta.reps), n + 1), dtype=np.int64)
-    np.cumsum(ta.reps * ta.powers, axis=1, out=head[:, 1:])
-    keys = ta.keys[:, None] + (m - 1) * np.take_along_axis(head, p, axis=1) \
-        + atoms * m ** (n - p)
-    return np.searchsorted(_tables(m, n + 1).keys, keys)
+    if b != 1:
+        r = np.arange(len(ta.reps))[:, None]
+        for p, atoms in enumerate(_tables(m, b).reps.T):
+            r = _merge_ranks(m, a + p, 1)[r, atoms]
+        return _frozen(r)
+    # the ranks point into the degree-(a+1) table, refused as if it were built
+    _check_degree(a + 1)
+    _check_table(m, a + 1)
+    # rep q (last atom l, parent q') with atom x inserted is q's child
+    # head[q] + x when x >= l, else s = insert(q', x), one degree down,
+    # with l appended: s's child head[s] + l
+    last = ta.reps[:, -1].astype(np.int32) if a else np.zeros(1, np.int32)
+    head = np.cumsum(m - last, dtype=np.int32) - m
+    x = np.arange(m, dtype=np.int32)
+    r = head[:, None] + x
+    if a:
+        down = head[_merge_ranks(m, a - 1, 1)][_children(m, a)[0]]
+        down += last[:, None]
+        np.copyto(r, down, where=x < last[:, None])
+    return _frozen(r)
 
 
 class SymTensor:
@@ -271,11 +279,7 @@ class SymTensor:
 
     def value_at(self, idx) -> float:
         """Entry at an arbitrary (unsorted) index tuple."""
-        row = np.sort(np.asarray(idx, dtype=np.int64))
-        if row.shape != (self.degree,):
-            raise ContractError(f"index tuple must have {self.degree} entries")
-        r = int(_tables(self.m, self.degree).rank_sorted_rows(row[None, :])[0])
-        return self.values[r]
+        return self.values[_lex_rank(self.m, self.degree, np.ravel(idx), f"index tuple {idx}")]
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
@@ -309,15 +313,10 @@ class SymTensor:
         t = cls(m, degree)
         seen = {}
         for key, v in d.items():
-            idx = np.array(sorted(int(x) for x in key.split()), dtype=np.int64)
-            if idx.shape != (degree,):
-                raise ContractError(f"index key '{key}' has wrong arity for degree {degree}")
-            if idx.size and (idx.min() < 0 or idx.max() >= m):
-                raise DimensionError(f"index key '{key}' out of range for m={m}")
+            r = _lex_rank(m, degree, key.split(), f"index key '{key}'")
             x = _json_number(v, f"value of index key '{key}'")
             if not math.isfinite(x):
                 raise DomainError(f"value of index key '{key}' is not finite")
-            r = int(_tables(m, degree).rank_sorted_rows(idx[None, :])[0])
             if seen.setdefault(r, key) != key:   # "0 1" and "1 0", say
                 raise ContractError(f"index keys '{seen[r]}' and '{key}' name "
                                     f"the same multiset")

@@ -285,16 +285,14 @@ def _convert(p: PolyFunctional, measure: AtomicMeasure, expect: Basis,
     mats = _wick_coefficients(measure.weights, N)
     if target is Basis.GAMMA_WICK:
         mats = np.abs(mats)
-    entry, col, row, bounds = _atom_runs(p.m, N)
     lo = _degree(p.m, N).start
-    for T, i, j in zip(mats, bounds, bounds[1:]):
-        e, cell = entry[i:j], (row[i:j], col[i:j])
+    for T, e, col, row in zip(mats, *_atom_runs(p.m, N)):
         grid = np.zeros((lo, N + 1), dtype=a.dtype)
         grid[:, 0] = a[:lo]
-        grid[cell] = a[e]
+        grid[row, col] = a[e]
         grid = grid @ T
         a[:lo] = grid[:, 0]
-        a[e] = grid[cell]
+        a[e] = grid[row, col]
     return PolyFunctional(target, FockVector._from_coeffs(p.m, N, a))
 
 
@@ -375,13 +373,12 @@ def _taylor_at(p, masses: np.ndarray, measure: AtomicMeasure, atoms,
     D = np.zeros((len(atoms), F, J + 1, B))
     D[:, :, 0] = values
     if len(atoms):
-        entry, copies, base, bounds = _atom_runs(measure.m, N)
+        entry, copies, base = _atom_runs(measure.m, N)
         ks = np.arange(N + 1)
         binom = np.array([[math.comb(k, j) for k in ks] for j in ks], dtype=float)
         for d, a in zip(D, atoms):
-            run = slice(bounds[a], bounds[a + 1])
             # [f, k - 1, b] = C_{a,k}: each run's coefficient where it holds k copies
-            C = (A[:, None, entry[run]] * (copies[run] == ks[1:, None])) @ P[base[run]]
+            C = (A[:, None, entry[a]] * (copies[a] == ks[1:, None])) @ P[base[a]]
             for j in range(1, N + 1):
                 t = _atom_table(basis, s[a:a + 1], measure.weights[a:a + 1] + j,
                                 N - j)[0]

@@ -1,6 +1,12 @@
 """Independent reference implementations used only by the tests.
 
-Seven kinds live here.
+Eight kinds live here.
+
+* Rank tables by key and search: each sorted multi-index is read as a
+  base-m number, and a row is ranked by ``searchsorted`` of its key in the
+  keys of the reps, where the package builds its insertion, last-run and
+  run tables by recursion over the reps and ranks single rows in closed
+  form.
 
 * Brute-force routes that avoid the package's multiset tables and partition
   code: dense arrays are built straight from the documented storage order
@@ -50,7 +56,8 @@ from gwn.errors import ContractError, DimensionError, SizeError
 from gwn.extfock import loop_partitions
 from gwn.measure import AtomicMeasure
 from gwn.funcalc import del_dagger, nabla, wick_del
-from gwn.symtensor import MAX_ENTRIES, FockVector, SymTensor, _tables, sym_product
+from gwn.symtensor import (MAX_ENTRIES, FockVector, SymTensor, _start, _tables,
+                           sym_product)
 from gwn.wickcalc import (WICK_MAX_DEGREE, Basis, OmegaSample, PolyFunctional,
                           evaluate_batch)
 
@@ -59,6 +66,66 @@ MAX_ASSIGNMENTS = 4_000_000
 # nodes and weights of the 64-node Gauss-Laguerre rule: integrals against
 # e^(-s) ds on (0, inf), exact for s-polynomials up to degree 127
 RULE_NODES, RULE_WEIGHTS = roots_laguerre(64)
+
+
+def _keys(m: int, rows: np.ndarray) -> np.ndarray:
+    """Sorted index rows (shape (..., n)) read as big-endian base-m numbers."""
+    n = rows.shape[-1]
+    return rows.astype(np.int64) @ (m ** np.arange(n - 1, -1, -1, dtype=np.int64))
+
+
+def rank_sorted_rows(m: int, rows: np.ndarray) -> np.ndarray:
+    """Ranks of already-sorted index rows among the reps of their degree,
+    by key and ``searchsorted``: the keys of the lex-ordered reps increase."""
+    rows = np.asarray(rows)
+    return np.searchsorted(_keys(m, _tables(m, rows.shape[-1]).reps), _keys(m, rows))
+
+
+def rank_rows(m: int, rows: np.ndarray) -> np.ndarray:
+    """Ranks of arbitrary index rows; rows are sorted first."""
+    return rank_sorted_rows(m, np.sort(rows, axis=-1))
+
+
+def insert_ranks(m: int, n: int) -> np.ndarray:
+    """(R_n, m): degree-(n+1) rank of each degree-n rep with each atom added."""
+    reps = _tables(m, n).reps.astype(np.int64)
+    rows = np.concatenate([np.repeat(reps[:, None, :], m, axis=1),
+                           np.broadcast_to(np.arange(m)[None, :, None], (len(reps), m, 1))],
+                          axis=2)
+    return rank_rows(m, rows)
+
+
+def last_runs(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(parent, row) per degree-n rep: the flat offset of the rep without
+    its last run of k copies of atom a, counted from the rep, and k m + a."""
+    reps = _tables(m, n).reps.astype(np.int64)
+    last = reps[:, -1]
+    k = np.sum(reps == last[:, None], axis=1)
+    parent = np.empty(len(reps), dtype=np.int64)
+    for c in np.unique(k):
+        parent[k == c] = _start(m, n - c) + rank_sorted_rows(m, reps[k == c, :n - c])
+    return parent, k * m + last
+
+
+def atom_runs(m: int, N: int) -> tuple[np.ndarray, ...]:
+    """(entry, k, base) of the run table, each run found by adding
+    one atom a to a rep of degree < N and ranking the result and the rep
+    with every a removed."""
+    size = _start(m, N)
+    entry, k, base = (np.empty((m, size), dtype=np.int64) for _ in range(3))
+    for n in range(N):
+        reps = _tables(m, n).reps.astype(np.int64)
+        lines = slice(_start(m, n), _start(m, n + 1))
+        for a in range(m):
+            grown = np.sort(np.hstack([reps, np.full((len(reps), 1), a)]), axis=1)
+            entry[a, lines] = _start(m, n + 1) + rank_sorted_rows(m, grown)
+            held = np.sum(reps == a, axis=1)
+            k[a, lines] = held + 1
+            for c in np.unique(held):
+                some = reps[held == c]
+                rest = some[some != a].reshape(len(some), n - c)
+                base[a, lines][held == c] = _start(m, n - c) + rank_sorted_rows(m, rest)
+    return entry, k, base
 
 
 def dense_from_symtensor(t) -> np.ndarray:
@@ -105,8 +172,7 @@ def atom_products_pairwise(table, N: int) -> np.ndarray:
         k = tab.last_run
         parent = np.empty((len(k),) + tail, dtype=table.dtype)
         for c in np.unique(k):
-            parent[k == c] = flat[n - c][_tables(m, n - c).rank_sorted_rows(
-                tab.reps[k == c, :n - c])]
+            parent[k == c] = flat[n - c][rank_sorted_rows(m, tab.reps[k == c, :n - c])]
         flat.append(parent * table[tab.reps[:, -1], k])
     return np.concatenate(flat)
 
@@ -197,7 +263,7 @@ def partition_integral(measure: AtomicMeasure, f: SymTensor, g: SymTensor,
     for bi, b in enumerate(part.blocks):
         pos_to_block[list(b)] = bi
     grid = np.indices((m,) * k).reshape(k, -1).T
-    ranks = _tables(m, n).rank_rows(grid[:, pos_to_block])
+    ranks = rank_rows(m, grid[:, pos_to_block])
     vals = np.conj(f.values)[ranks] * g.values[ranks]
     wprod = np.prod(measure.weights[grid], axis=1)
     return (wprod @ vals).item()
@@ -250,7 +316,7 @@ def diagonal_restrict(t: SymTensor, blocks) -> np.ndarray:
         pos_to_block[b] = bi
     grid = np.indices((t.m,) * k).reshape(k, -1).T if k else np.zeros((1, 0), np.int64)
     rows = grid[:, pos_to_block]
-    vals = t.values[_tables(t.m, t.degree).rank_rows(rows)]
+    vals = t.values[rank_rows(t.m, rows)]
     return vals.reshape((t.m,) * k)
 
 

@@ -286,10 +286,9 @@ def test_conversion_lines_match_run_removal(m, N):
     # column k_i; entries without atom i keep their own row, at column 0
     flat = {rep: e for e, rep in enumerate(
         rep for n in range(N + 1) for rep in combinations_with_replacement(range(m), n))}
-    entry, k, base, bounds = _atom_runs(m, N)
+    entry, k, base = _atom_runs(m, N)
     for i in range(m):
-        lines = slice(bounds[i], bounds[i + 1])
-        got = list(zip(entry[lines].tolist(), base[lines].tolist(), k[lines].tolist()))
+        got = list(zip(entry[i].tolist(), base[i].tolist(), k[i].tolist()))
         want = [(e, flat[tuple(x for x in rep if x != i)], rep.count(i))
                 for rep, e in flat.items() if i in rep]
         assert sorted(got) == want
