@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 import string
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
@@ -74,11 +75,16 @@ def _keys(m: int, rows: np.ndarray) -> np.ndarray:
     return rows.astype(np.int64) @ (m ** np.arange(n - 1, -1, -1, dtype=np.int64))
 
 
+@lru_cache(maxsize=4)
+def _rep_keys(m: int, n: int) -> np.ndarray:
+    return _keys(m, _tables(m, n).reps)
+
+
 def rank_sorted_rows(m: int, rows: np.ndarray) -> np.ndarray:
     """Ranks of already-sorted index rows among the reps of their degree,
     by key and ``searchsorted``: the keys of the lex-ordered reps increase."""
     rows = np.asarray(rows)
-    return np.searchsorted(_keys(m, _tables(m, rows.shape[-1]).reps), _keys(m, rows))
+    return np.searchsorted(_rep_keys(m, rows.shape[-1]), _keys(m, rows))
 
 
 def rank_rows(m: int, rows: np.ndarray) -> np.ndarray:
@@ -89,10 +95,8 @@ def rank_rows(m: int, rows: np.ndarray) -> np.ndarray:
 def insert_ranks(m: int, n: int) -> np.ndarray:
     """(R_n, m): degree-(n+1) rank of each degree-n rep with each atom added."""
     reps = _tables(m, n).reps.astype(np.int64)
-    rows = np.concatenate([np.repeat(reps[:, None, :], m, axis=1),
-                           np.broadcast_to(np.arange(m)[None, :, None], (len(reps), m, 1))],
-                          axis=2)
-    return rank_rows(m, rows)
+    return np.stack([rank_rows(m, np.hstack([reps, np.full((len(reps), 1), x)]))
+                     for x in range(m)], axis=1)
 
 
 def last_runs(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,12 +1,17 @@
 import math
 import tracemalloc
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import random_measure, random_tensor
 from gwn import symtensor
+from gwn.extfock import fock_inner_n
 from gwn.errors import ContractError, DimensionError, DomainError, SizeError
 from gwn.measure import AtomicMeasure
 from gwn.symtensor import (MAX_DEGREE, FockVector, SymTensor, _tables, rank_one,
@@ -29,9 +34,13 @@ def test_rank_one_power_identity():
     assert t.value_at((1, 1, 1)) == pytest.approx(8.0)
 
 
-@pytest.mark.parametrize("m,n", [(1, 0), (1, 5), (3, 4), (4, 6), (2, 16)])
+@pytest.mark.parametrize("m,n", [(1, 0), (1, 5), (3, 4), (4, 6), (2, 16),
+                                 (255, 2), (256, 2), (257, 2)])
 def test_occupation_table_matches_counting_loop(m, n):
     tab = _tables(m, n)
+    assert tab.reps.dtype == (np.uint8 if m <= 256 else np.uint16)
+    assert tab.last_run.dtype == np.int8
+    assert tab.reps.tolist() == [list(r) for r in combinations_with_replacement(range(m), n)]
     for rep, pc, last in zip(tab.reps.tolist(), tab.perm_counts.tolist(),
                              tab.last_run.tolist()):
         counts = Counter(rep)
@@ -238,3 +247,89 @@ def test_atom_products_peak_memory_is_result_and_two_blocks(case):
     finally:
         tracemalloc.stop()
     assert peak <= result.nbytes + 2 * symtensor._PRODUCT_BLOCK * result.itemsize + 64 * 1024
+
+
+# --- rank tables against the key-and-search oracle --------------------------
+
+def assert_rank_routes(m: int, n: int) -> None:
+    """The recursive insertion table (n, 1) and the run table of degrees
+    1..n, as integers, against ranking each row by key and searchsorted."""
+    ins = symtensor._merge_ranks(m, n, 1)
+    assert ins.dtype == np.int32
+    assert np.array_equal(ins, oracles.insert_ranks(m, n))
+    runs = symtensor._atom_runs(m, n)
+    assert [x.dtype for x in runs] == [np.int32, np.int8, np.int32]
+    for got, want in zip(runs, oracles.atom_runs(m, n)):
+        assert np.array_equal(got, want)
+
+
+def assert_lex_ranks(m: int, n: int, seed: int) -> None:
+    """The closed-form rank of unsorted rows, against key and searchsorted."""
+    rows = np.random.default_rng(seed).integers(0, m, (500, n))
+    got = [symtensor._lex_rank(m, n, row, "row") for row in rows]
+    assert got == oracles.rank_rows(m, rows).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_rank_routes_match_key_search(m, n, seed):
+    assert_rank_routes(m, n)
+    assert_lex_ranks(m, n, seed)
+
+
+def test_rank_routes_match_key_search_at_80_atoms():
+    assert_rank_routes(80, 3)
+    assert_lex_ranks(80, 3, 1)
+    assert_lex_ranks(300, 2, 2)
+
+
+@pytest.mark.parametrize("m", [255, 256, 257])
+def test_rank_tables_past_the_narrow_dtype(m):
+    # reps are uint8 up to 256 atoms: arithmetic on them such as m - last
+    # or k m + a must not wrap there or one atom later
+    for n in range(1, 4):
+        tab = _tables(m, n)
+        keys = oracles._keys(m, tab.reps)
+        assert len(tab.reps) == math.comb(m + n - 1, n) and np.all(np.diff(keys) > 0)
+        assert np.all(np.diff(tab.reps.astype(int), axis=1) >= 0) and tab.reps.max() == m - 1
+        for got, want in zip(symtensor._last_runs(m, n), oracles.last_runs(m, n)):
+            assert got.dtype == np.int32 and np.array_equal(got, want)
+    assert np.array_equal(symtensor._merge_ranks(m, 1, 1), oracles.insert_ranks(m, 1))
+    for got, want in zip(symtensor._atom_runs(m, 2), oracles.atom_runs(m, 2)):
+        assert np.array_equal(got, want)
+    table = np.random.default_rng(m).uniform(-2.0, 2.0, (m, 4))
+    assert np.array_equal(symtensor.atom_products(table, 3),
+                          oracles.atom_products_pairwise(table, 3))
+
+
+def test_cached_rank_tables_are_read_only():
+    t = SymTensor(4, 3)
+    tables = [t.reps, t.perm_counts, *_tables(4, 3), *symtensor._last_runs(4, 3),
+              symtensor._merge_ranks(4, 3, 1), symtensor._merge_ranks(4, 2, 2),
+              *symtensor._atom_runs(4, 3)]
+    for x in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            x[(0,) * x.ndim] = x[(0,) * x.ndim]
+
+
+def test_fock_inner_n_peak_memory_is_products_and_one_degree():
+    # past the products of every degree, one array the size of degree 7:
+    # the weights take perm_count in place, and real values are not
+    # conjugated into a copy
+    rng = np.random.default_rng(6)
+    mu, f, g = random_measure(rng, 16), random_tensor(rng, 16, 7), random_tensor(rng, 16, 7)
+    fock_inner_n(mu, f, g)   # fills the rank caches
+    tracemalloc.start()
+    try:
+        fock_inner_n(mu, f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= symtensor._start(16, 8) * 8 + f.values.nbytes + 64 * 1024
+
+
+def test_rank_tables_of_16_atoms_to_degree_7_fit_in_8_mb():
+    # about 5.8 MB; the int64 tables with keys held 21 MB
+    total = sum(x.nbytes for n in range(8) for x in _tables(16, n))
+    total += sum(x.nbytes for n in range(1, 8) for x in symtensor._last_runs(16, n))
+    assert total <= 8 * 2**20
