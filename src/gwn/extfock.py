@@ -105,7 +105,10 @@ def _weighted_inner_n(measure: AtomicMeasure, f: SymTensor, g: SymTensor,
     table[:, 1:] = np.cumprod(measure.weights[:, None] + step * np.arange(n), axis=1)
     wprod = atom_products(table, n)[_degree(measure.m, n)]
     wprod *= f.perm_counts   # in place on the fresh products; conj() of real values is no copy
-    return (wprod @ (f.values.conj() * g.values)).item()
+    terms = f.values.conj() * g.values
+    terms *= wprod
+    # numpy's pairwise sum: a BLAS dot's rounding grows with the entry count
+    return np.sum(terms).item()
 
 
 def ext_inner_n(measure: AtomicMeasure, f: SymTensor, g: SymTensor) -> float:

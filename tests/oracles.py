@@ -1,6 +1,6 @@
 """Independent reference implementations used only by the tests.
 
-Eight kinds live here.
+Nine kinds live here.
 
 * Rank tables by key and search: each sorted multi-index is read as a
   base-m number, and a row is ranked by ``searchsorted`` of its key in the
@@ -41,12 +41,15 @@ Eight kinds live here.
 * Coordinate multiplication as the unmerged five-term sum, one Wick
   adjoint per term, where the package raises the three adjoint terms at
   once.
+* The ordinary inner product of float kernels in exact rational
+  arithmetic, where the package multiplies and sums in floats.
 """
 
 from __future__ import annotations
 
 import math
 import string
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 
@@ -130,6 +133,32 @@ def atom_runs(m: int, N: int) -> tuple[np.ndarray, ...]:
                 rest = some[some != a].reshape(len(some), n - c)
                 base[a, lines][held == c] = _start(m, n - c) + rank_sorted_rows(m, rest)
     return entry, k, base
+
+
+def _dyadic(x: float) -> tuple[int, int]:
+    """A float as (n, e), the integer n over 2^e."""
+    n, d = float(x).as_integer_ratio()
+    return n, d.bit_length() - 1
+
+
+def fock_inner_n_exact(measure: AtomicMeasure, f: SymTensor, g: SymTensor) -> Fraction:
+    """sum_k perm_count(k) prod_i w_i^k_i f[k] g[k] for real kernels, exact
+    for the float inputs.  Each float is an integer over a power of two;
+    a rep's weight product is that of the rep without its last atom times
+    that atom's weight, and one Fraction is formed from the integer sum."""
+    m, n = f.m, f.degree
+    w = [_dyadic(x) for x in measure.weights.tolist()]
+    prods = [(1, 0)]
+    for d in range(1, n + 1):
+        reps = _tables(m, d).reps.astype(np.int64)
+        up = rank_sorted_rows(m, reps[:, :-1]).tolist()
+        prods = [(prods[q][0] * w[a][0], prods[q][1] + w[a][1])
+                 for q, a in zip(up, reps[:, -1].tolist())]
+    terms = [(pc * wn * fn * gn, we + fe + ge) for (wn, we), pc, (fn, fe), (gn, ge)
+             in zip(prods, f.perm_counts.tolist(), map(_dyadic, f.values.tolist()),
+                    map(_dyadic, g.values.tolist()))]
+    top = max(e for _, e in terms)
+    return Fraction(sum(t << (top - e) for t, e in terms), 1 << top)
 
 
 def dense_from_symtensor(t) -> np.ndarray:

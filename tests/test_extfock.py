@@ -1,6 +1,7 @@
 import math
 import time
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -13,7 +14,9 @@ from gwn.extfock import (LoopPartition, ext_inner, ext_inner_n, fock_inner,
                          loop_census, loop_partitions)
 from gwn.measure import AtomicMeasure
 from gwn.symtensor import FockVector, SymTensor, rank_one
-from oracles import dense_from_symtensor, ext_inner_n_perm, fock_inner_n_dense
+from gwn.wickcalc import OmegaSample, wick_kernels, wick_pair_rank_one
+from oracles import (dense_from_symtensor, ext_inner_n_perm, fock_inner_n_dense,
+                     fock_inner_n_exact)
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 
@@ -154,3 +157,38 @@ def test_census_runtime_through_order_ten():
     for n in range(1, 11):
         assert loop_census(n) == math.factorial(n)
     assert time.process_time() - start < 1.0
+
+
+# The wick_rank_one inputs of one identities_scale benchmark op
+# (bench/run.py --workload identities_scale --seed 505, op seed
+# 3309647863): 16 atoms, degree 7.  The terms of the degree-7 sum add up
+# to 4.9e6 in absolute value against a sum of 1.19, and one BLAS dot of
+# them was off by 1.1e-10 relative, past the 1e-10 of the identity check.
+SEED_505_WEIGHTS = [
+    0.924400902067421, 1.533680609177457, 1.4925541400543483, 0.9980239619604327,
+    1.6251082501177188, 1.5486876630370319, 0.6088866340901851, 1.4192697520317963,
+    0.5123181708217226, 1.4706078363064938, 1.3412422863647988, 1.4519469239336766,
+    1.852078206497287, 1.7639519051781023, 1.674158702380684, 1.658103509664319]
+SEED_505_MASSES = [
+    0.19845825069660555, 0.05684068711097697, 2.3250008296519944, 0.18891441521386781,
+    1.9437449698930618, 0.6173455808169004, 1.830209017105545, 2.245366682529625,
+    0.3674818976306425, 2.0738117760258983, 0.4601269326350731, 2.2894727521785323,
+    0.585639409587858, 1.8907880273239994, 1.907028644829674, 2.119911726297095]
+SEED_505_XI = [
+    -0.2374430374968588, 0.9685012816553944, 0.6939896185065548, -0.9886898163249629,
+    -0.10662982513933894, -0.292959592332088, 0.33824909355449706, 0.22368777092967806,
+    0.17773102760020043, 0.9925772815113427, -0.6455001323559804, -0.09754138468712092,
+    0.7071474630770722, 0.19666438866045954, -0.6606713567168976, 0.6405734311589377]
+
+
+def test_fock_inner_n_sums_pairwise_at_the_seed_505_inputs():
+    # pairwise summation reads 3.7e-12 from the exact value of the same
+    # float kernels, and the identity check passes again
+    mu, omega = AtomicMeasure(np.array(SEED_505_WEIGHTS)), OmegaSample(np.array(SEED_505_MASSES))
+    xi = np.array(SEED_505_XI)
+    kernel, power = wick_kernels(omega, mu, 7)[7], rank_one(xi, 7)
+    got = fock_inner_n(mu, kernel, power)
+    exact = fock_inner_n_exact(mu, kernel, power)
+    assert abs(Fraction(got) - exact) <= Fraction(1, 10**11) * abs(exact)
+    scalar = wick_pair_rank_one(omega, xi, mu, 7)[7]
+    assert abs(got - scalar) <= 1e-10 * max(1.0, abs(got), abs(scalar))
