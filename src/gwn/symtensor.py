@@ -95,8 +95,8 @@ def _frozen(*arrays: np.ndarray):
 
 def _children(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(parent, atom) per degree-n rep, n >= 1: the degree-n reps list each
-    degree-(n-1) rep q, in lex order, extended by every atom x at or past
-    its last one, at rank head[q] + x."""
+    degree-(n-1) rep q in turn, extended by every atom x at or past its last
+    one, which keeps the lex order; q's child x has rank head[q] + x."""
     prev = _tables(m, n - 1).reps
     grow = m - prev[:, -1].astype(np.intp) if n > 1 else np.array([m])
     parent = np.repeat(np.arange(len(prev)), grow)
