@@ -16,6 +16,8 @@ Two samplers produce the atom masses of a random configuration omega:
   rejection rounds, sized by its exact acceptance rate.  Thinning the
   totals by uniform owners leaves the per-(row, atom) counts independent
   Poisson(w_i E1(eps)) and the sizes i.i.d., so this is the law above.
+  E1 is summed from its power series (_exp1) on (0, 1], the only range
+  the sampler uses: it needs E1(eps), eps in (0, 1), and E1(1).
 
 A compound-Poisson batch is not a list of jumps.  Each segment (one
 window of one atom's jumps) is reduced while it is drawn, to the per-row
@@ -69,7 +71,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import exp1
 
 from .errors import ContractError, DimensionError, DomainError, SizeError
 from .extfock import ext_inner_n, fock_inner_n
@@ -83,7 +84,21 @@ from .wickcalc import (WICK_MAX_DEGREE, Basis, FockVector, OmegaSample,
 DEFAULT_BATCH = 4096
 MAX_SEGMENT_JUMPS = 2 ** 14   # jumps of one compound-Poisson segment
 _AHEAD = 2                    # batches a pass's worker may draw ahead
-_E1_ONE = float(exp1(1.0))    # Levy mass of the jumps >= 1
+
+
+def _exp1(x: float) -> float:
+    """E1(x) for 0 < x <= 1: -gamma - ln x - sum_{k>=1} (-x)^k / (k k!)
+    (DLMF 6.6.2), summed until a term is below 1e-15 of the sum."""
+    power, total, k = 1.0, 0.0, 0
+    while True:
+        k += 1
+        power *= -x / k                 # (-x)^k / k!
+        total += power / k
+        if abs(power / k) < 1e-15 * abs(total):
+            return -np.euler_gamma - math.log(x) - total
+
+
+_E1_ONE = _exp1(1.0)    # Levy mass of the jumps >= 1
 
 
 class SamplerMode(str, Enum):
@@ -160,7 +175,7 @@ def _cp_segments(measure: AtomicMeasure, eps: float,
     1/s (rate e E1(1)).  An atom whose jumps fit in one window thus draws
     its owners, then its low piece, then its high piece.
     """
-    e1_eps = float(exp1(eps))
+    e1_eps = _exp1(eps)
     expected = size * e1_eps * float(measure.weights.sum())
     if expected > MAX_ENTRIES:
         raise SizeError(f"compound-Poisson batch of {size} samples expects "

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -612,3 +616,35 @@ def test_passes_over_the_entry_budget_are_drawn_per_suite(tmp_path, capsys,
     monkeypatch.setattr(gammasample, "MAX_ENTRIES", 9000 * 3 - 1)
     assert run_cli(capsys, *argv) == shared
     assert sorted(draws) == [808] * 3 + [4096] * 6
+
+
+# Imports every gwn module with scipy blocked (a None entry in sys.modules
+# makes any import of it raise), checks that none of it was loaded, then
+# runs main on the given argv
+NO_SCIPY = """
+import importlib, pkgutil, sys
+sys.modules["scipy"] = None
+import gwn, gwn.cli
+for info in pkgutil.walk_packages(gwn.__path__, "gwn."):
+    importlib.import_module(info.name)
+assert [k for k in sys.modules if k.split(".")[0] == "scipy"] == ["scipy"]
+sys.exit(gwn.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["all", "--seed", "0", "--samples", "2000"],
+    ["mc", "all", "--measure", "m8.json", "--samples", "2000", "--seed", "3"],
+], ids=["all", "mc_all_m8"])
+def test_runtime_never_imports_scipy(tmp_path, monkeypatch, capsys, argv):
+    # scipy is a test-only dependency: the package runs without it, and
+    # prints the bytes it prints in a process where scipy is importable
+    save_measure(AtomicMeasure([0.96, 0.64, 0.73, 0.77, 0.62, 2.16, 3.47, 0.65]),
+                 tmp_path / "m8.json")
+    env = dict(os.environ, PYTHONPATH=str(Path(gammasample.__file__).parents[1]))
+    monkeypatch.chdir(tmp_path)
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, *argv], env=env,
+                          capture_output=True, check=False)
+    assert proc.stderr == b"", proc.stderr.decode()
+    code, out = run_cli(capsys, *argv)
+    assert (proc.returncode, proc.stdout) == (code, out.encode())

@@ -80,6 +80,15 @@ def test_unit_weight_exponential_tail():
     assert abs(p - target) < 3 * math.sqrt(target * (1 - target) / cfg.n_samples)
 
 
+def test_exp1_series_matches_scipy():
+    # the sampler's own E1 against scipy's, on (0, 1]: the truncations in
+    # use and E1(1), log-spaced points down to 1e-300, uniform points
+    xs = np.concatenate([[1e-6, 1e-3, 1.0], np.logspace(-300, 0, 301),
+                         1.0 - np.random.default_rng(0).random(300)])
+    got = np.array([gammasample._exp1(x) for x in xs])
+    assert np.all(np.abs(got - exp1(xs)) <= 4e-15 * exp1(xs))
+
+
 def test_jump_sampler_law():
     # closed forms of the density e^(-s)/s / E1(eps) on [eps, inf):
     # E s^k = Gamma(k, eps) / E1(eps) and P(s >= 1) = E1(1) / E1(eps);
