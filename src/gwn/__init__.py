@@ -7,7 +7,7 @@ Submodules:
 * ``extfock``     - loop partitions and the n!-weighted extended inner product
 * ``fieldops``    - creation/neutral/annihilation operators, Jacobi structure
 * ``wickcalc``    - Gamma-Wick powers, Laguerre systems, S-transform, Wick product
-* ``gammasample`` - exact samplers and Monte Carlo verification estimates
+* ``gammasample`` - Gamma and compound-Poisson samplers, Monte Carlo estimates
 * ``funcalc``     - difference operators and integral representations
 * ``cli``         - the ``gwn`` command line tool
 """

@@ -2,22 +2,26 @@
 
 Two samplers produce the atom masses of a random configuration omega:
 
-* PerAtomGamma: masses are independent Gamma(w_i, scale 1) variates, which
-  is the exact law of the random measure on disjoint atoms.
-* CompoundPoisson: each atom accumulates Poisson(w_i E1(eps))-many jumps
-  drawn from the truncated Levy density e^(-s)/s on [eps, inf).  Jumps
-  below eps are discarded (not compensated); the mean-mass bias is
-  w_i (1 - e^(-eps)), i.e. O(eps).  A batch of B samples is drawn by
-  Poisson splitting: one Poisson(B w_i mass_p) total per atom i and piece
-  p of the density ([eps, 1] and [1, inf), with their exact Levy masses),
-  checked against the entry budget before any jump is drawn; then, atom
-  by atom and in windows of at most MAX_SEGMENT_JUMPS jumps, an i.i.d.
-  uniform owner row per jump and the window's sizes filled by each piece's
-  rejection rounds, sized by its exact acceptance rate.  Thinning the
-  totals by uniform owners leaves the per-(row, atom) counts independent
-  Poisson(w_i E1(eps)) and the sizes i.i.d., so this is the law above.
-  E1 is summed from its power series (_exp1) on (0, 1], the only range
-  the sampler uses: it needs E1(eps), eps in (0, 1), and E1(1).
+* Per-atom Gamma (iter_sample_batches): masses are independent
+  Gamma(w_i, scale 1) variates, the exact law of the random measure on
+  disjoint atoms.  The Laplace, Gram and chaos-projection estimators
+  always draw it: their targets are exact under that law.
+* Compound Poisson (iter_jump_batches): each atom accumulates
+  Poisson(w_i E1(eps))-many jumps drawn from the truncated Levy density
+  e^(-s)/s on [eps, inf).  Jumps below eps are discarded (not
+  compensated); the mean-mass bias is w_i (1 - e^(-eps)), i.e. O(eps).
+  Only checks that need the jumps themselves draw it.  A batch of B
+  samples is drawn by Poisson splitting: one Poisson(B w_i mass_p) total
+  per atom i and piece p of the density ([eps, 1] and [1, inf), with
+  their exact Levy masses), checked against the entry budget before any
+  jump is drawn; then, atom by atom and in windows of at most
+  MAX_SEGMENT_JUMPS jumps, an i.i.d. uniform owner row per jump and the
+  window's sizes filled by each piece's rejection rounds, sized by its
+  exact acceptance rate.  Thinning the totals by uniform owners leaves the
+  per-(row, atom) counts independent Poisson(w_i E1(eps)) and the sizes
+  i.i.d., so this is the law above.  E1 is summed from its power series
+  (_exp1) on (0, 1], the only range the sampler uses: it needs E1(eps),
+  eps in (0, 1), and E1(1).
 
 A compound-Poisson batch is not a list of jumps.  Each segment (one
 window of one atom's jumps) is reduced while it is drawn, to the per-row
@@ -68,7 +72,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -101,16 +104,10 @@ def _exp1(x: float) -> float:
 _E1_ONE = _exp1(1.0)    # Levy mass of the jumps >= 1
 
 
-class SamplerMode(str, Enum):
-    PER_ATOM_GAMMA = "per_atom_gamma"
-    COMPOUND_POISSON = "compound_poisson"
-
-
 @dataclass(frozen=True)
 class SamplerConfig:
     seed: int
     n_samples: int
-    mode: SamplerMode = SamplerMode.PER_ATOM_GAMMA
     cp_truncation: float = 1e-6
 
     def __post_init__(self) -> None:
@@ -128,17 +125,12 @@ class MCEstimate:
     std_error: float
     n: int
 
-    def to_json_dict(self) -> dict:
-        return {"mean": self.mean, "std_error": self.std_error, "n": self.n}
 
-
-def _stream(seed: int, batch_index: int,
-            mode: SamplerMode = SamplerMode.PER_ATOM_GAMMA) -> np.random.Generator:
-    """Batch batch_index's generator: Philox(key=seed) for the Gamma
-    sampler, PCG64(seed) for the compound-Poisson one, jumped batch_index
-    times."""
-    bits = (np.random.Philox(key=int(seed)) if mode is SamplerMode.PER_ATOM_GAMMA
-            else np.random.PCG64(int(seed)))
+def _stream(seed: int, batch_index: int, jumps: bool = False) -> np.random.Generator:
+    """Batch batch_index's generator, jumped batch_index times:
+    Philox(key=seed) for the Gamma sampler, PCG64(seed) for the
+    compound-Poisson one (jumps)."""
+    bits = np.random.PCG64(int(seed)) if jumps else np.random.Philox(key=int(seed))
     return np.random.Generator(bits.jumped(batch_index))
 
 
@@ -231,23 +223,22 @@ def _draw_cp_batch(measure: AtomicMeasure, eps: float, rng: np.random.Generator,
 
 def _draw_batch(measure: AtomicMeasure, cfg: SamplerConfig,
                 rng: np.random.Generator, size: int) -> np.ndarray:
-    if cfg.mode is SamplerMode.PER_ATOM_GAMMA:
-        cols = [rng.gamma(shape=w, scale=1.0, size=size) for w in measure.weights]
-        return np.stack(cols, axis=1)
-    return _draw_cp_batch(measure, cfg.cp_truncation, rng, size)[0]
+    """A Gamma batch: (size, m) masses, drawn atom by atom."""
+    cols = [rng.gamma(shape=w, scale=1.0, size=size) for w in measure.weights]
+    return np.stack(cols, axis=1)
 
 
 def sample_omega(measure: AtomicMeasure, cfg: SamplerConfig,
                  rng: np.random.Generator | None = None) -> OmegaSample:
     """Draw one random configuration (masses on the atoms)."""
     if rng is None:
-        rng = _stream(cfg.seed, 0, cfg.mode)
+        rng = _stream(cfg.seed, 0)
     return OmegaSample(_draw_batch(measure, cfg, rng, 1)[0])
 
 
-def _batches(cfg: SamplerConfig, mode: SamplerMode, draw):
-    """Yield draw(rng, size) for each batch, in batch order, each on its own
-    jumped stream of mode.
+def _batches(cfg: SamplerConfig, draw, jumps: bool = False):
+    """Yield draw(rng, size) for each batch b, in batch order, with rng its
+    own stream _stream(cfg.seed, b, jumps).
 
     A pass of several batches opens one worker thread, which draws up to
     _AHEAD batches ahead of the consumer while the consumer reduces the
@@ -264,7 +255,7 @@ def _batches(cfg: SamplerConfig, mode: SamplerMode, draw):
              for start in range(0, cfg.n_samples, DEFAULT_BATCH)]
 
     def job(b):
-        return draw(_stream(cfg.seed, b, mode), sizes[b])
+        return draw(_stream(cfg.seed, b, jumps), sizes[b])
 
     pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="gwn-draw")
     ahead = collections.deque()    # the futures of batches b + 1, b + 2, ...
@@ -309,9 +300,9 @@ def _storing(batches, store: dict, key):
 
 
 def iter_sample_batches(measure: AtomicMeasure, cfg: SamplerConfig):
-    """Yield (batch_index, masses) with the per-batch jumped streams, in
-    batch order; _batches draws them on the consumer's thread and one
-    worker thread.
+    """Yield (batch_index, masses) of the Gamma sampler with the per-batch
+    jumped streams, in batch order; _batches draws them on the consumer's
+    thread and one worker thread.
 
     Inside a shared_sample_batches block, a pass of at most MAX_ENTRIES
     masses is stored as it is handed out, and a later pass on the same
@@ -319,8 +310,7 @@ def iter_sample_batches(measure: AtomicMeasure, cfg: SamplerConfig):
     is drawn each time.  Storing and replay run on the consumer's thread
     only.
     """
-    batches = _batches(
-        cfg, cfg.mode, lambda rng, size: _draw_batch(measure, cfg, rng, size))
+    batches = _batches(cfg, lambda rng, size: _draw_batch(measure, cfg, rng, size))
     store = _SHARED.get()
     if store is None or cfg.n_samples * measure.m > MAX_ENTRIES:
         return enumerate(batches)
@@ -336,12 +326,11 @@ def iter_jump_batches(measure: AtomicMeasure, cfg: SamplerConfig, order: int = 1
     Yields (masses, sums) from _draw_cp_batch: sums[i, r-1] is each row's
     sum of s^r over its jumps s at atom i, r = 1..order, and masses[:, i] =
     sums[i, 0].  Used by checks that remove one configuration point at a
-    time; cfg.mode is ignored since only the compound-Poisson picture has
-    jumps, and the batches come from the compound-Poisson streams.
+    time, since only the compound-Poisson picture has jumps; the batches
+    come from the compound-Poisson streams.
     """
-    return _batches(cfg, SamplerMode.COMPOUND_POISSON,
-                    lambda rng, size: _draw_cp_batch(
-                        measure, cfg.cp_truncation, rng, size, order))
+    return _batches(cfg, lambda rng, size: _draw_cp_batch(
+        measure, cfg.cp_truncation, rng, size, order), jumps=True)
 
 
 def mean_and_se(stats) -> tuple[np.ndarray, np.ndarray]:
@@ -423,32 +412,20 @@ class ChaosGramReport:
         return float(np.max(z))
 
 
-def _direction_vector(f, m: int) -> np.ndarray:
-    if isinstance(f, SymTensor):
-        if f.degree != 1:
-            raise ContractError("chaos Gram expects degree-1 tensors (directions)")
-        if f.m != m:
-            raise DimensionError("tensor atom count mismatch")
-        return np.asarray(f.values, dtype=float)
-    arr = np.asarray(f, dtype=float)
-    if arr.shape != (m,):
-        raise DimensionError("direction must have one entry per atom")
-    return arr
-
-
 def mc_chaos_gram(measure: AtomicMeasure, f, g, cfg: SamplerConfig,
                   N_wick: int) -> ChaosGramReport:
     """MC estimates of E[<:omega^n:, f^n> <:omega^k:, g^k>] for n,k <= N_wick.
 
-    Targets are delta_{nk} n! ext_inner_n(f^n, g^n): off-diagonal entries
+    f and g are real test functions.  Targets are
+    delta_{nk} n! ext_inner_n(f^n, g^n): off-diagonal entries
     vanish (orthogonal chaoses), diagonals carry the extended Fock norm.
     Each batch pairs its rows with f and g in one stacked
     wick_pair_rank_one_batch call.
     """
     if not 0 <= N_wick <= WICK_MAX_DEGREE:
         raise SizeError(f"N_wick must be in 0..{WICK_MAX_DEGREE}")
-    fv = _direction_vector(f, measure.m)
-    gv = _direction_vector(g, measure.m)
+    fv = measure.real_function(f)
+    gv = measure.real_function(g)
     fg = np.stack([fv, gv])
 
     def stat(S):

@@ -49,11 +49,10 @@ class CaseResult:
 
 
 def scaled_case(name: str, value: float, target: float,
-                tolerance: float, **extra) -> CaseResult:
+                tolerance: float) -> CaseResult:
     """Case whose deviation is the magnitude-scaled gap to the target."""
     return CaseResult(name, float(target), float(value),
-                      scaled_gap(float(value), float(target)),
-                      float(tolerance), dict(extra))
+                      scaled_gap(float(value), float(target)), float(tolerance))
 
 
 def absolute_case(name: str, value: float, target: float,

@@ -52,7 +52,7 @@ from .measure import _json_number
 # Most entries one table or tensor may hold (2^26 int64 entries are
 # 512 MB).  A multiset table counts its reps and per-rep arrays, n + 3
 # entries a rep, so it admits the 16-atom degree-8 Wick kernels and every
-# table up to degree 5 at 60 atoms and degree 4 at 120, and refuses the
+# table up to degree 5 at 60 atoms and degree 4 at 121, and refuses the
 # many-atom tables that would take gigabytes before allocating them.
 MAX_ENTRIES = 1 << 26
 # perm_counts divides int64 factorials, which are exact only up to 20!;
@@ -166,9 +166,10 @@ def _atom_runs(m: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     atom a in the reps of degrees 1..N.  Run j is k[a, j] copies of a in the
     rep at ``_start`` offset entry[a, j], the rep at offset j with one a
     added (column a of a one-atom merge table), and base[a, j] is the
-    offset of that rep with the run removed."""
+    offset of that rep with the run removed.  An (atom, rep) holds 9 bytes
+    (int32, int8, int32), counted in the budget's 8-byte entries."""
     size = _start(m, N)
-    _check_entries(3 * m * size, f"run table (m={m}, N={N})")
+    _check_entries(-(-9 * m * size // 8), f"run table (m={m}, N={N})")
     entry = np.empty((m, size), dtype=np.int32)
     k = np.ones((m, size), dtype=np.int8)
     base = np.tile(np.arange(size, dtype=np.int32), (m, 1))

@@ -15,27 +15,24 @@ import pytest
 from scipy.special import exp1
 
 from gwn import gammasample
-from gwn.errors import ContractError, DomainError, SizeError
+from gwn.errors import ContractError, DimensionError, DomainError, SizeError
 from gwn.extfock import ext_inner_n
 from gwn.gammasample import (DEFAULT_BATCH, MAX_SEGMENT_JUMPS,
                              ChaosGramReport, MCEstimate,
-                             SamplerConfig, SamplerMode, _cp_segments,
+                             SamplerConfig, _cp_segments,
                              _draw_cp_batch, _stream,
                              chaos_projection_check, chaos_projection_stack,
                              iter_jump_batches, iter_sample_batches,
                              laplace_target, mc_chaos_gram,
                              mc_laplace, mc_laplace_stack,
-                             multiple_integral_identity, sample_omega,
-                             shared_sample_batches)
+                             mean_and_se, multiple_integral_identity,
+                             sample_omega, shared_sample_batches)
 from gwn.measure import AtomicMeasure
 from gwn.symtensor import SymTensor, rank_one
 from gwn.verify import run_mc_suite
 from gwn.wickcalc import OmegaSample
 
 from conftest import count_gamma_draws, rel_err
-
-
-CP = SamplerMode.COMPOUND_POISSON
 
 
 def collect(measure, cfg):
@@ -48,7 +45,7 @@ def cp_batch_segments(measure, cfg):
     for b, start in enumerate(range(0, cfg.n_samples, DEFAULT_BATCH)):
         size = min(DEFAULT_BATCH, cfg.n_samples - start)
         yield size, list(_cp_segments(measure, cfg.cp_truncation,
-                                      _stream(cfg.seed, b, CP), size))
+                                      _stream(cfg.seed, b, jumps=True), size))
 
 
 def test_config_validation():
@@ -98,7 +95,7 @@ def test_jump_sampler_law():
         w = 200000 / (size * exp1(eps))
         mu = AtomicMeasure([0.25 * w, 0.75 * w])
         s = np.concatenate([sizes for _, _, sizes in
-                            _cp_segments(mu, eps, _stream(5, b, CP), size)])
+                            _cp_segments(mu, eps, _stream(5, b, jumps=True), size)])
         n = s.size
         assert abs(n - 200000) < 4 * math.sqrt(200000) and s.min() >= eps
         scale = math.exp(-eps) / exp1(eps)
@@ -110,9 +107,9 @@ def test_jump_sampler_law():
         assert abs(np.mean(s >= 1.0) - p) < 4 * math.sqrt(p * (1 - p) / n), eps
     # a weight this small leaves the batch without jumps
     mu = AtomicMeasure([1e-12])
-    [(atom, owners, sizes)] = _cp_segments(mu, 1e-3, _stream(5, 9, CP), size)
+    [(atom, owners, sizes)] = _cp_segments(mu, 1e-3, _stream(5, 9, jumps=True), size)
     assert atom == 0 and owners.shape == sizes.shape == (0,)
-    masses, sums = _draw_cp_batch(mu, 1e-3, _stream(5, 9, CP), size, order=3)
+    masses, sums = _draw_cp_batch(mu, 1e-3, _stream(5, 9, jumps=True), size, order=3)
     assert masses.shape == (size, 1) and sums.shape == (1, 3, size)
     assert not masses.any() and not sums.any()
 
@@ -120,9 +117,9 @@ def test_jump_sampler_law():
 def test_compound_poisson_batch_layout():
     mu = AtomicMeasure([0.7, 1.6, 0.3])
     eps, size = 1e-3, 4096
-    segments = list(_cp_segments(mu, eps, _stream(21, 0, CP), size))
+    segments = list(_cp_segments(mu, eps, _stream(21, 0, jumps=True), size))
     # one Poisson draw of the (atom, piece) totals opens the batch's stream
-    totals = _stream(21, 0, CP).poisson(
+    totals = _stream(21, 0, jumps=True).poisson(
         size * mu.weights[:, None] * np.array([exp1(eps) - exp1(1.0), exp1(1.0)]))
     # segments come in atom order, each atom's jumps in as few windows of
     # MAX_SEGMENT_JUMPS as hold them (atom 1 expects about 41500), and an
@@ -145,7 +142,7 @@ def test_compound_poisson_batch_layout():
             segment = np.zeros(size)
             np.add.at(segment, o, s)
             want[:, atom] += segment
-    masses, _ = _draw_cp_batch(mu, eps, _stream(21, 0, CP), size)
+    masses, _ = _draw_cp_batch(mu, eps, _stream(21, 0, jumps=True), size)
     assert np.array_equal(masses, want)
     per_row = totals.sum(axis=1) / size
     lam = mu.weights * exp1(eps)
@@ -191,31 +188,31 @@ def test_gamma_batches_keep_the_philox_stream():
         gen = np.random.Generator(np.random.Philox(key=seed).jumped(b))
         want = np.stack([gen.gamma(w, 1.0, size) for w in mu.weights], axis=1)
         assert np.array_equal(masses, want)
+    # and so does one configuration
+    one = sample_omega(mu, replace(cfg, n_samples=1))
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    assert np.array_equal(one.masses, [gen.gamma(w, 1.0, 1)[0] for w in mu.weights])
 
 
 def test_compound_poisson_batches_use_the_pcg64_stream():
-    # batch b of both compound-Poisson routes is drawn from PCG64(seed)
-    # jumped b times; iter_jump_batches ignores cfg.mode
+    # batch b of iter_jump_batches is drawn from PCG64(seed) jumped b
+    # times, and its masses are the view sums[:, 0].T
     mu = AtomicMeasure([0.7, 1.6])
     seed, eps, size = 77, 1e-3, DEFAULT_BATCH
     cfg = SamplerConfig(seed=seed, n_samples=2 * size, cp_truncation=eps)
-    routes = zip(iter_sample_batches(mu, replace(cfg, mode=CP)),
-                 iter_jump_batches(mu, cfg, order=2))
-    for (b, masses), (jump_masses, sums) in routes:
+    for b, (masses, sums) in enumerate(iter_jump_batches(mu, cfg, order=2)):
         gen = np.random.Generator(np.random.PCG64(seed).jumped(b))
         want_masses, want_sums = _draw_cp_batch(mu, eps, gen, size, order=2)
         assert np.array_equal(masses, want_masses)
-        assert np.array_equal(jump_masses, want_masses)
         assert np.array_equal(sums, want_sums)
-    one = sample_omega(mu, replace(cfg, n_samples=1, mode=CP))
-    gen = np.random.Generator(np.random.PCG64(seed))
-    assert np.array_equal(one.masses, _draw_cp_batch(mu, eps, gen, 1)[0][0])
+        assert np.shares_memory(masses, sums)
+        assert np.array_equal(masses, sums[:, 0].T)
 
 
-def serial_draws(cfg, mode, draw):
+def serial_draws(cfg, draw, jumps=False):
     """Every batch of cfg drawn on this thread, one after another, each by
     draw(rng, size) on its own stream."""
-    return [draw(_stream(cfg.seed, b, mode), min(DEFAULT_BATCH, cfg.n_samples - start))
+    return [draw(_stream(cfg.seed, b, jumps), min(DEFAULT_BATCH, cfg.n_samples - start))
             for b, start in enumerate(range(0, cfg.n_samples, DEFAULT_BATCH))]
 
 
@@ -225,16 +222,15 @@ def test_passes_drawn_on_two_threads_equal_serial_draws():
     # thread drew each
     mu = AtomicMeasure([0.4, 1.0, 2.3])
     cfg = SamplerConfig(seed=5, n_samples=3 * DEFAULT_BATCH + 5, cp_truncation=1e-3)
-    for mode in SamplerMode:
-        want = serial_draws(cfg, mode, lambda rng, size: gammasample._draw_batch(
-            mu, replace(cfg, mode=mode), rng, size))
-        got = [batch for _, batch in iter_sample_batches(mu, replace(cfg, mode=mode))]
-        assert len(got) == 4 and got[-1].shape == (5, mu.m)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
-    want = serial_draws(cfg, CP, lambda rng, size: _draw_cp_batch(
-        mu, cfg.cp_truncation, rng, size, order=3))
+    want = serial_draws(cfg, lambda rng, size: gammasample._draw_batch(
+        mu, cfg, rng, size))
+    got = [batch for _, batch in iter_sample_batches(mu, cfg)]
+    assert len(got) == 4 and got[-1].shape == (5, mu.m)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    want = serial_draws(cfg, lambda rng, size: _draw_cp_batch(
+        mu, cfg.cp_truncation, rng, size, order=3), jumps=True)
     got = list(iter_jump_batches(mu, cfg, order=3))
-    assert len(got) == 4
+    assert len(got) == 4 and got[-1][0].shape == (5, mu.m)
     for (masses, sums), (want_masses, want_sums) in zip(got, want, strict=True):
         assert np.array_equal(masses, want_masses)
         assert np.array_equal(sums, want_sums)
@@ -245,7 +241,7 @@ def test_passes_under_fast_thread_switching_equal_serial_draws():
     # and the worker interleave at many points of every draw
     mu = AtomicMeasure([0.5, 1.2])
     cfg = SamplerConfig(seed=11, n_samples=6 * DEFAULT_BATCH + 1)
-    want = serial_draws(cfg, cfg.mode, lambda rng, size: gammasample._draw_batch(
+    want = serial_draws(cfg, lambda rng, size: gammasample._draw_batch(
         mu, cfg, rng, size))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -262,8 +258,8 @@ def tag_streams(monkeypatch) -> dict:
     made = {}
     stream = gammasample._stream
 
-    def tagged(seed, b, mode=SamplerMode.PER_ATOM_GAMMA):
-        gen = stream(seed, b, mode)
+    def tagged(seed, b, jumps=False):
+        gen = stream(seed, b, jumps)
         made[id(gen)] = b
         return gen
 
@@ -331,13 +327,13 @@ def test_an_atom_with_many_jumps_is_drawn_in_bounded_segments():
     # atom 1 expects 8 E1(1e-3) 4096 = 207000 jumps, many segments' worth
     mu = AtomicMeasure([0.3, 8.0, 0.5])
     eps, size, order = 1e-3, 4096, 3
-    segments = list(_cp_segments(mu, eps, _stream(3, 0, CP), size))
+    segments = list(_cp_segments(mu, eps, _stream(3, 0, jumps=True), size))
     atoms = [atom for atom, _, _ in segments]
     assert atoms == sorted(atoms) and set(atoms) == set(range(mu.m))
     assert sum(owners.size for atom, owners, _ in segments
                if atom == 1) > 10 * MAX_SEGMENT_JUMPS
     assert all(owners.size <= MAX_SEGMENT_JUMPS for _, owners, _ in segments)
-    _, sums = _draw_cp_batch(mu, eps, _stream(3, 0, CP), size, order)
+    _, sums = _draw_cp_batch(mu, eps, _stream(3, 0, jumps=True), size, order)
     want = np.zeros_like(sums)
     for atom, owners, sizes in segments:
         for r in range(order):
@@ -351,7 +347,7 @@ def test_a_compound_poisson_draw_holds_a_few_megabytes():
     # about 83000 jumps), 4096 rows, eps 1e-3, power sums up to order 3:
     # a draw holds its (8, 3, 4096) sums and one segment's temporaries
     mu = AtomicMeasure([0.5, 0.6, 0.7, 0.5, 3.2, 2.5, 1.0, 1.0])
-    rng = _stream(0, 0, CP)
+    rng = _stream(0, 0, jumps=True)
     tracemalloc.start()
     try:
         _draw_cp_batch(mu, 1e-3, rng, DEFAULT_BATCH, order=3)
@@ -364,9 +360,9 @@ def test_a_compound_poisson_draw_holds_a_few_megabytes():
 def test_compound_poisson_mean_mass():
     mu = AtomicMeasure([0.7, 1.6])
     eps = 1e-3
-    cfg = SamplerConfig(seed=33, n_samples=30000,
-                        mode=SamplerMode.COMPOUND_POISSON, cp_truncation=eps)
-    S = collect(mu, cfg)
+    cfg = SamplerConfig(seed=33, n_samples=30000, cp_truncation=eps)
+    S = np.concatenate([masses for masses, _ in iter_jump_batches(mu, cfg)])
+    assert S.shape == (cfg.n_samples, mu.m)
     for i, w in enumerate(mu.weights):
         want = w * math.exp(-eps)  # discarded small jumps bias the mean by O(eps)
         se = math.sqrt(w / cfg.n_samples)
@@ -374,13 +370,15 @@ def test_compound_poisson_mean_mass():
 
 
 def test_sampler_modes_agree_on_laplace():
+    # the Gamma masses and the compound-Poisson masses of the jump batches
+    # give the same Laplace functional, up to the O(eps) truncation bias
     mu = AtomicMeasure([0.8, 1.2])
     phi = np.array([0.3, -0.5])
     a = mc_laplace(mu, phi, SamplerConfig(seed=7, n_samples=40000))
-    b = mc_laplace(mu, phi, SamplerConfig(seed=8, n_samples=40000,
-                                          mode=SamplerMode.COMPOUND_POISSON))
-    gap = abs(a.mean - b.mean)
-    assert gap < 4 * math.hypot(a.std_error, b.std_error)
+    mean, se = mean_and_se(np.exp(masses @ phi) for masses, _ in
+                           iter_jump_batches(mu, SamplerConfig(seed=8, n_samples=40000)))
+    gap = abs(a.mean - mean[0])
+    assert gap < 4 * math.hypot(a.std_error, se[0])
 
 
 def test_laplace_target_frozen():
@@ -464,10 +462,14 @@ def test_chaos_gram_matches_ext_targets():
 
 
 def test_chaos_gram_rejects_bad_direction():
+    # a direction is a test function: one value per atom
     mu = AtomicMeasure([1.0, 1.0])
-    with pytest.raises(ContractError):
-        mc_chaos_gram(mu, SymTensor(2, 2), SymTensor(2, 2),
-                      SamplerConfig(seed=1, n_samples=10), 2)
+    cfg = SamplerConfig(seed=1, n_samples=10)
+    for bad in ([1.0, 1.0, 1.0], np.ones((2, 2)), 1.0):
+        with pytest.raises(DimensionError):
+            mc_chaos_gram(mu, bad, [1.0, 1.0], cfg, 2)
+        with pytest.raises(DimensionError):
+            mc_chaos_gram(mu, [1.0, 1.0], bad, cfg, 2)
 
 
 def test_multiple_integral_identity_degree_one():

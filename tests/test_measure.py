@@ -138,6 +138,10 @@ def _direction_entry_points():
         ("mc_laplace", lambda f: gammasample.mc_laplace(mu, f, cfg)),
         ("mc_laplace_stack",
          lambda f: gammasample.mc_laplace_stack(mu, [[0.1, 0.2], f], cfg)),
+        ("mc_chaos_gram",
+         lambda f: gammasample.mc_chaos_gram(mu, f, [0.1, 0.2], cfg, 2)),
+        ("mc_chaos_gram_g",
+         lambda f: gammasample.mc_chaos_gram(mu, [0.1, 0.2], f, cfg, 2)),
         ("multiple_integral_identity",
          lambda f: gammasample.multiple_integral_identity(mu, [f], om)),
         ("jacobi_action_check", lambda f: fieldops.jacobi_action_check(mu, f, 2)),

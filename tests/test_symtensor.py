@@ -216,6 +216,26 @@ def test_entry_budget_refuses_oversized_tensors_and_tables():
         rank_one(np.ones(40), 7)          # its products fit, its tables do not
 
 
+def test_run_table_budget_counts_its_bytes(monkeypatch):
+    # an (atom, rep) of the run table holds 9 bytes (int32 entry, int8 run
+    # length, int32 base), which is ceil(9 m size / 8) of the budget's
+    # 8-byte entries: 67.5, so 68, at 3 atoms and degree 4
+    m, N = 3, 4
+    size = symtensor._start(m, N)
+    need = -(-9 * m * size // 8)
+    for n in range(N):      # the merge tables it reads, under the full budget
+        symtensor._merge_ranks(m, n, 1)
+    symtensor._atom_runs.cache_clear()
+    try:
+        monkeypatch.setattr(symtensor, "MAX_ENTRIES", need - 1)
+        with pytest.raises(SizeError, match=rf"run table \(m={m}, N={N}\) needs {need} "):
+            symtensor._atom_runs(m, N)
+        monkeypatch.setattr(symtensor, "MAX_ENTRIES", need)
+        assert [x.shape for x in symtensor._atom_runs(m, N)] == [(m, size)] * 3
+    finally:
+        symtensor._atom_runs.cache_clear()
+
+
 @pytest.mark.parametrize("block", [1, 5, 64])
 def test_atom_products_in_row_blocks_are_bit_identical(monkeypatch, block):
     # blocks of one row, and of 21 or 5 or 64 rows with a short last block,
