@@ -49,8 +49,7 @@ import numpy as np
 from .errors import DimensionError
 from .fieldops import (_lower, _raise, annihilate1, annihilate2, create,
                        gamma_field, neutral)
-from .gammasample import (MCEstimate, SamplerConfig, iter_jump_batches,
-                          mean_and_se)
+from .gammasample import MCEstimate, SamplerConfig, mc_jump_accumulate
 from .measure import AtomicMeasure
 from .symtensor import FockVector
 from .wickcalc import (Basis, OmegaSample, PolyFunctional, _taylor_at,
@@ -339,13 +338,15 @@ def a1_plus_mc_adjointness_check(phi: PolyFunctional, psi: PolyFunctional, xi,
     phi is a polynomial of degree N, so by Taylor's formula the jump sum
     of a sample is sum_a xi_a sum_{j<=N} (-1)^j/j! (nabla_a^j phi)(omega)
     P_{a,j+1}, with P_{a,r} the sum of s^r over the sample's jumps at
-    atom a.  The batches carry those power sums up to r = N + 1
-    (iter_jump_batches), and nothing here knows how jumps are laid out.
-    Each batch takes the Taylor coefficients nabla_a^j phi / j! of phi at
-    the atoms with xi_a != 0 (_taylor_at), and one evaluate_batch call of
-    the Gamma-Wick pair [psi, a1- psi].  Jump removal is thereby exact up
-    to rounding; truncating jumps below cfg.cp_truncation still biases the
-    identity by O(eps).
+    atom a.  The batches carry those power sums up to r = N + 1, and
+    nothing here knows how jumps are laid out.  Each batch takes the
+    Taylor coefficients nabla_a^j phi / j! of phi at the atoms with
+    xi_a != 0 (_taylor_at), and one evaluate_batch call of the Gamma-Wick
+    pair [psi, a1- psi].  Jump removal is thereby exact up to rounding;
+    truncating jumps below cfg.cp_truncation still biases the identity by
+    O(eps).  The draw and this statistic run inside the pass of
+    mc_jump_accumulate, two batches at once on its two threads; no value
+    depends on which thread took a batch.
     """
     xi = measure.real_function(xi)
     psi_w = psi.to_basis(Basis.GAMMA_WICK, measure)
@@ -358,9 +359,7 @@ def a1_plus_mc_adjointness_check(phi: PolyFunctional, psi: PolyFunctional, xi,
         psi0, a1v = evaluate_batch(wick, masses, measure).T
         return (removals - xi_mass * phi0) * psi0 - phi0 * a1v
 
-    mean, se = mean_and_se(
-        stat(*batch)
-        for batch in iter_jump_batches(measure, cfg, phi.degree + 1))
+    mean, se = mc_jump_accumulate(measure, cfg, phi.degree + 1, stat)
     return MCEstimate(float(mean[0]), float(se[0]), cfg.n_samples)
 
 

@@ -34,41 +34,42 @@ eps and batch size, so one draw holds its (m, order, B) sums plus at most
 that much.
 
 Streams: batch b of a run uses the bit generator jumped b times from the
-seed, and a batch is a function of its stream and size alone.  A pass of
-several batches draws them on two threads (_batches): a worker thread,
-opened for the pass and shut down when it ends, draws up to two batches
-ahead of the consumer, and the consumer draws a batch itself when the
-worker has not started it.  Which thread draws which batch depends on
-scheduling, but no value does: each batch reads only its own stream, and
-the batches are handed out, and reduced by mean_and_se, in batch order
-(partial sums reduced with np.sum over a stacked array).  So estimates
-are bit-identical for a fixed seed and sample count, on one core or two.
-Every batch holds DEFAULT_BATCH samples except a shorter last one.  The
-Gamma sampler draws from Philox(key=seed): that stream fixes every
-Laplace, Gram and chaos-projection estimate, so it stays put.  The
+seed, and a batch is a function of its stream and size alone.  Every
+batch holds DEFAULT_BATCH samples except a shorter last one.  The Gamma
+sampler draws from Philox(key=seed): that stream fixes every Laplace,
+Gram and chaos-projection estimate, so it stays put.  The
 compound-Poisson sampler, which draws millions of doubles per batch at a
 small truncation, uses PCG64(seed), whose doubles cost less than half of
 Philox's on x86-64.  The chaos suite's projection estimates (Gamma
 stream) and adjointness estimate (compound-Poisson stream) therefore
-share no random numbers.  The stacked estimators (mc_laplace_stack,
-chaos_projection_stack) reduce several statistics from one pass over a
-stream.
+share no random numbers.
 
-Estimators on the same weights and SamplerConfig read the same stream, so
-one pass can serve them all: inside a shared_sample_batches block,
-iter_sample_batches stores each complete pass of at most MAX_ENTRIES
-masses as it draws it, read-only, and hands it to every later pass with
-the same key instead of drawing it again.  The values are those the
-stream gives, so every estimate is bit-identical to a fresh draw.  The
-block's owner (the CLI runner of several MC suites on one measure) drops
-the stored batches when it is left.
+An estimator runs one pass (_pass) on the caller's thread and one worker
+thread, opened for the pass and shut down when it ends.  Each thread
+takes the next batch no thread has taken, draws it, applies the
+statistic and keeps the batch's column sums, so two batches are drawn and
+reduced at once; they overlap where numpy releases the interpreter lock
+(bulk random fills, ufuncs on whole arrays).  No value
+depends on which thread took a batch: a batch reads only its own stream,
+and the caller adds the sums in batch order with the arithmetic of
+mean_and_se, the serial reference.  So estimates are bit-identical for a
+fixed seed and sample count, on one core or two.
+
+Estimators on the same weights and SamplerConfig read the same Gamma
+stream, so inside a shared_sample_batches block a complete pass of at
+most MAX_ENTRIES masses is stored, read-only, and later passes read their
+batches from the store: the values the stream gives, so every estimate is
+bit-identical to a fresh draw.  The block's owner (the CLI runner of
+several MC suites on one measure) drops the stored batches when it is
+left.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import math
+import numbers
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -86,7 +87,6 @@ from .wickcalc import (WICK_MAX_DEGREE, Basis, FockVector, OmegaSample,
 
 DEFAULT_BATCH = 4096
 MAX_SEGMENT_JUMPS = 2 ** 14   # jumps of one compound-Poisson segment
-_AHEAD = 2                    # batches a pass's worker may draw ahead
 
 
 def _exp1(x: float) -> float:
@@ -111,6 +111,10 @@ class SamplerConfig:
     cp_truncation: float = 1e-6
 
     def __post_init__(self) -> None:
+        for name in ("seed", "n_samples"):
+            x = getattr(self, name)    # a float or bool is refused, not cut
+            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+                raise ContractError(f"{name} must be an integer, got {x!r}")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise DomainError("seed must fit in 64 bits")
         if self.n_samples < 1:
@@ -206,10 +210,10 @@ def _draw_cp_batch(measure: AtomicMeasure, eps: float, rng: np.random.Generator,
 
     sums is (m, order, size): sums[i, r-1] is the per-row sum of s^r over
     atom i's jumps, each segment's weighted bincount per r added into
-    zeros, and masses (size, m) is the view sums[:, 0].T, not a copy: a
-    batch held while the next ones are drawn holds sums alone.  No array of
-    all the batch's jumps, or of all one atom's, exists; the largest holds
-    one segment's, so a draw's temporaries are bounded whatever the weights.
+    zeros, and masses (size, m) is the view sums[:, 0].T, not a copy.  No
+    array of all the batch's jumps, or of all one atom's, exists; the
+    largest holds one segment's, so a draw's temporaries are bounded
+    whatever the weights.
     """
     sums = np.zeros((measure.m, order, size))
     for i, owners, sizes in _cp_segments(measure, eps, rng, size):
@@ -236,37 +240,88 @@ def sample_omega(measure: AtomicMeasure, cfg: SamplerConfig,
     return OmegaSample(_draw_batch(measure, cfg, rng, 1)[0])
 
 
-def _batches(cfg: SamplerConfig, draw, jumps: bool = False):
-    """Yield draw(rng, size) for each batch b, in batch order, with rng its
-    own stream _stream(cfg.seed, b, jumps).
+def _batch_sizes(n_samples: int) -> list[int]:
+    """The row count of each batch of a pass of n_samples."""
+    return [min(DEFAULT_BATCH, n_samples - start)
+            for start in range(0, n_samples, DEFAULT_BATCH)]
 
-    A pass of several batches opens one worker thread, which draws up to
-    _AHEAD batches ahead of the consumer while the consumer reduces the
-    batches it was handed.  A batch the worker has not started when the
-    consumer reaches it (batch 0, and later ones when the worker falls
-    behind) is cancelled there and drawn on the consumer's thread.  A batch
-    is a function of its stream and size alone, so no value depends on
-    which thread drew it.  A draw that raises, on either thread, raises in
-    the consumer at that batch.  The worker is shut down, after the batch
-    it is drawing, when the pass ends: by return, by being abandoned, or by
-    an exception.
-    """
-    sizes = [min(DEFAULT_BATCH, cfg.n_samples - start)
-             for start in range(0, cfg.n_samples, DEFAULT_BATCH)]
 
-    def job(b):
-        return draw(_stream(cfg.seed, b, jumps), sizes[b])
+def iter_sample_batches(measure: AtomicMeasure, cfg: SamplerConfig):
+    """Yield (batch_index, masses) of the Gamma sampler on the per-batch
+    jumped streams, in batch order, drawn on the caller's thread."""
+    for b, size in enumerate(_batch_sizes(cfg.n_samples)):
+        yield b, _draw_batch(measure, cfg, _stream(cfg.seed, b), size)
 
-    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="gwn-draw")
-    ahead = collections.deque()    # the futures of batches b + 1, b + 2, ...
-    try:
-        for b in range(len(sizes)):
-            mine = ahead.popleft() if ahead else None
-            for k in range(b + 1 + len(ahead), min(b + 1 + _AHEAD, len(sizes))):
-                ahead.append(pool.submit(job, k))
-            yield job(b) if mine is None or mine.cancel() else mine.result()
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+
+def iter_jump_batches(measure: AtomicMeasure, cfg: SamplerConfig, order: int = 1):
+    """Yield the jump-resolved compound-Poisson batches (masses, sums) of
+    _draw_cp_batch in batch order, drawn on the caller's thread:
+    sums[i, r-1] is each row's sum of s^r over its jumps s at atom i,
+    r = 1..order, and masses[:, i] = sums[i, 0]."""
+    for b, size in enumerate(_batch_sizes(cfg.n_samples)):
+        yield _draw_cp_batch(measure, cfg.cp_truncation,
+                             _stream(cfg.seed, b, jumps=True), size, order)
+
+
+def _column_sums(v) -> tuple[np.ndarray, np.ndarray, int]:
+    """Column sums, column sums of squares and row count of one (B, k)
+    batch of a statistic; a 1-d batch is one column."""
+    v = np.asarray(v, dtype=float).reshape(len(v), -1)
+    return v.sum(axis=0), (v * v).sum(axis=0), v.shape[0]
+
+
+def _reduce(parts) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error per column from the _column_sums of each
+    batch, added up in the order given (np.sum over a stacked array)."""
+    n = sum(count for _, _, count in parts)
+    if n < 2:
+        raise DomainError(f"an MC estimate needs at least 2 samples, got {n}")
+    sums, sqsums, _ = zip(*parts)
+    mean = np.sum(np.stack(sums), axis=0) / n
+    var = np.maximum(np.sum(np.stack(sqsums), axis=0) - n * mean * mean,
+                     0.0) / (n - 1)
+    return mean, np.sqrt(var / n)
+
+
+def mean_and_se(stats) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error per column of a statistic that arrives as
+    (B, k) batches, reduced serially: the reference of every _pass."""
+    return _reduce([_column_sums(v) for v in stats])
+
+
+def _pass(n_samples: int, job) -> tuple[np.ndarray, np.ndarray]:
+    """mean_and_se of job(b, size), the statistic of batch b, over a pass
+    of n_samples, on this thread and (for several batches) one worker
+    thread.  Each thread takes the next batch no thread has taken and keeps
+    its _column_sums, reduced in batch order.  A job that raises, on either
+    thread, stops both from taking another batch and raises here once the
+    worker is shut down."""
+    sizes = _batch_sizes(n_samples)
+    parts = [None] * len(sizes)
+    untaken = iter(range(len(sizes)))
+    lock = threading.Lock()
+    failed = threading.Event()
+
+    def take():
+        with lock:
+            return None if failed.is_set() else next(untaken, None)
+
+    def work():
+        try:
+            for b in iter(take, None):
+                parts[b] = _column_sums(job(b, sizes[b]))
+        except BaseException:
+            failed.set()
+            raise
+
+    if len(sizes) == 1:
+        work()
+    else:
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="gwn-pass") as pool:
+            worker = pool.submit(work)
+            work()
+            worker.result()
+    return _reduce(parts)
 
 
 # the sample passes of the innermost shared_sample_batches block, keyed by
@@ -277,7 +332,7 @@ _SHARED: ContextVar[dict | None] = ContextVar("gwn_shared_batches",
 
 @contextlib.contextmanager
 def shared_sample_batches():
-    """A block whose sample passes are drawn once: iter_sample_batches
+    """A block whose Gamma sample passes are drawn once: _mc_accumulate
     stores each complete pass and replays it to a later pass on the same
     weights and config.  The stored batches are dropped when the block is
     left, by return or by exception."""
@@ -288,72 +343,38 @@ def shared_sample_batches():
         _SHARED.reset(token)
 
 
-def _storing(batches, store: dict, key):
-    """Yield batches read-only as they are drawn, and store them under key
-    once the pass is complete; a pass left early stores nothing."""
-    kept = []
-    for batch in batches:
-        batch.setflags(write=False)
-        kept.append(batch)
-        yield batch
-    store[key] = tuple(kept)
-
-
-def iter_sample_batches(measure: AtomicMeasure, cfg: SamplerConfig):
-    """Yield (batch_index, masses) of the Gamma sampler with the per-batch
-    jumped streams, in batch order; _batches draws them on the consumer's
-    thread and one worker thread.
-
-    Inside a shared_sample_batches block, a pass of at most MAX_ENTRIES
-    masses is stored as it is handed out, and a later pass on the same
-    weights and config replays the stored, read-only batches; a larger pass
-    is drawn each time.  Storing and replay run on the consumer's thread
-    only.
-    """
-    batches = _batches(cfg, lambda rng, size: _draw_batch(measure, cfg, rng, size))
-    store = _SHARED.get()
-    if store is None or cfg.n_samples * measure.m > MAX_ENTRIES:
-        return enumerate(batches)
-    key = (measure.weights.tobytes(), cfg)
-    if key in store:
-        return enumerate(store[key])
-    return enumerate(_storing(batches, store, key))
-
-
-def iter_jump_batches(measure: AtomicMeasure, cfg: SamplerConfig, order: int = 1):
-    """Jump-resolved compound-Poisson batches, as per-atom power sums.
-
-    Yields (masses, sums) from _draw_cp_batch: sums[i, r-1] is each row's
-    sum of s^r over its jumps s at atom i, r = 1..order, and masses[:, i] =
-    sums[i, 0].  Used by checks that remove one configuration point at a
-    time, since only the compound-Poisson picture has jumps; the batches
-    come from the compound-Poisson streams.
-    """
-    return _batches(cfg, lambda rng, size: _draw_cp_batch(
-        measure, cfg.cp_truncation, rng, size, order), jumps=True)
-
-
-def mean_and_se(stats) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error per column of a statistic that arrives as
-    (B, k) batches; a 1-d batch is one column."""
-    sums, sqsums, n = [], [], 0
-    for v in stats:
-        v = np.asarray(v, dtype=float).reshape(len(v), -1)
-        sums.append(v.sum(axis=0))
-        sqsums.append((v * v).sum(axis=0))
-        n += v.shape[0]
-    if n < 2:
-        raise DomainError(f"an MC estimate needs at least 2 samples, got {n}")
-    mean = np.sum(np.stack(sums), axis=0) / n
-    var = np.maximum(np.sum(np.stack(sqsums), axis=0) - n * mean * mean,
-                     0.0) / (n - 1)
-    return mean, np.sqrt(var / n)
-
-
 def _mc_accumulate(measure: AtomicMeasure, cfg: SamplerConfig, stat_fn):
-    """Mean and SE of a per-sample statistic over the sampled batches."""
-    return mean_and_se(stat_fn(batch)
-                       for _, batch in iter_sample_batches(measure, cfg))
+    """Mean and SE of a per-sample statistic stat_fn(masses) over the Gamma
+    batches, in one _pass.  Inside a shared_sample_batches block, a pass
+    of at most MAX_ENTRIES masses that completes stores its batches,
+    read-only, and a later pass on the same weights and config reads them."""
+    store = _SHARED.get() if cfg.n_samples * measure.m <= MAX_ENTRIES else None
+    key = (measure.weights.tobytes(), cfg)
+    stored = None if store is None else store.get(key)
+    kept = {}
+
+    def job(b, size):
+        if stored:
+            return stat_fn(stored[b])
+        masses = _draw_batch(measure, cfg, _stream(cfg.seed, b), size)
+        if store is not None:
+            masses.setflags(write=False)
+            kept[b] = masses
+        return stat_fn(masses)
+
+    estimate = _pass(cfg.n_samples, job)
+    if store is not None and not stored:
+        store[key] = tuple(kept[b] for b in range(len(kept)))
+    return estimate
+
+
+def mc_jump_accumulate(measure: AtomicMeasure, cfg: SamplerConfig,
+                       order: int, stat_fn):
+    """Mean and SE of a per-sample statistic stat_fn(masses, sums) over the
+    batches of iter_jump_batches(measure, cfg, order), in one _pass."""
+    return _pass(cfg.n_samples, lambda b, size: stat_fn(*_draw_cp_batch(
+        measure, cfg.cp_truncation, _stream(cfg.seed, b, jumps=True), size,
+        order)))
 
 
 def laplace_target(measure: AtomicMeasure, phi) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
-from gwn import gammasample
+from gwn import funcalc, gammasample
 from gwn.errors import ContractError, DimensionError, DomainError, SizeError
 from gwn.extfock import ext_inner_n
 from gwn.gammasample import (DEFAULT_BATCH, MAX_SEGMENT_JUMPS,
@@ -30,7 +30,8 @@ from gwn.gammasample import (DEFAULT_BATCH, MAX_SEGMENT_JUMPS,
 from gwn.measure import AtomicMeasure
 from gwn.symtensor import SymTensor, rank_one
 from gwn.verify import run_mc_suite
-from gwn.wickcalc import OmegaSample
+from gwn.funcalc import a1_plus_mc_adjointness_check
+from gwn.wickcalc import Basis, FockVector, OmegaSample, PolyFunctional
 
 from conftest import count_gamma_draws, rel_err
 
@@ -55,6 +56,25 @@ def test_config_validation():
         SamplerConfig(seed=1, n_samples=10, cp_truncation=1.5)
     with pytest.raises(DomainError):
         SamplerConfig(seed=-1, n_samples=10)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", -0.5), ("seed", 2.0), ("seed", True),
+    ("seed", "3"), ("n_samples", 100.7), ("n_samples", True),
+    ("n_samples", np.float64(100.0))])
+def test_config_takes_only_integers(field, value):
+    # a float is refused, not cut toward zero, and a bool is not a count
+    args = {"seed": 1, "n_samples": 10, field: value}
+    with pytest.raises(ContractError, match=f"{field} must be an integer"):
+        SamplerConfig(**args)
+
+
+def test_config_takes_numpy_integers():
+    cfg = SamplerConfig(seed=np.uint64(2 ** 64 - 1), n_samples=np.int32(3))
+    assert cfg == SamplerConfig(seed=2 ** 64 - 1, n_samples=3)
+    assert mc_laplace(AtomicMeasure([1.0]), [0.1],
+                      SamplerConfig(seed=np.int64(4), n_samples=np.int64(50))) \
+        == mc_laplace(AtomicMeasure([1.0]), [0.1], SamplerConfig(seed=4, n_samples=50))
 
 
 def test_per_atom_marginal_moments():
@@ -216,14 +236,66 @@ def serial_draws(cfg, draw, jumps=False):
             for b, start in enumerate(range(0, cfg.n_samples, DEFAULT_BATCH))]
 
 
-def test_passes_drawn_on_two_threads_equal_serial_draws():
-    # four batches, the last one short: every pass hands out, in batch
-    # order, exactly the batches drawn serially on their streams, whichever
-    # thread drew each
+def gamma_draw(measure, cfg):
+    return lambda rng, size: gammasample._draw_batch(measure, cfg, rng, size)
+
+
+def run_estimators(mu, cfg):
+    """Every estimator on mu and cfg, each result flattened to one array:
+    the Laplace, Gram and chaos-projection estimates (Gamma batches) and
+    the adjointness estimate (compound-Poisson batches)."""
+    rng = np.random.default_rng(3)
+    poly = [PolyFunctional(basis, FockVector([
+        SymTensor(mu.m, n, rng.uniform(-1, 1, size)) for n, size in
+        enumerate((1, mu.m, mu.m * (mu.m + 1) // 2))]))
+        for basis in (Basis.MONOMIAL, Basis.GAMMA_WICK)]
+    laplace = mc_laplace_stack(mu, [[0.2, -0.3, 0.1], [0.4, 0.0, -1.0]], cfg)
+    gram = mc_chaos_gram(mu, [0.5, -1.0, 0.3], [1.0, 0.2, -0.4], cfg, 3)
+    projection = chaos_projection_stack(
+        mu, [rank_one(np.array([0.3, -0.2, 0.5]), n) for n in (1, 2)], cfg)
+    adjointness = a1_plus_mc_adjointness_check(*poly, [0.6, 0.0, -0.4], mu, cfg)
+    return [np.array([(e.mean, e.std_error) for e in laplace + projection]),
+            gram.means, gram.std_errors,
+            np.array([adjointness.mean, adjointness.std_error])]
+
+
+def serial_estimates(monkeypatch, mu, cfg):
+    """run_estimators with each pass replaced by mean_and_se of the same
+    statistic over serial_draws."""
+    with monkeypatch.context() as patched:
+        patched.setattr(gammasample, "_mc_accumulate", lambda measure, cfg, stat:
+                        mean_and_se(stat(S) for S in serial_draws(
+                            cfg, gamma_draw(measure, cfg))))
+        patched.setattr(funcalc, "mc_jump_accumulate",
+                        lambda measure, cfg, order, stat: mean_and_se(
+                            stat(*batch) for batch in serial_draws(
+                                cfg, lambda rng, size: _draw_cp_batch(
+                                    measure, cfg.cp_truncation, rng, size, order),
+                                jumps=True)))
+        return run_estimators(mu, cfg)
+
+
+def assert_estimators_equal_serial(monkeypatch, repeats):
+    # four batches, the last one short: every estimator, alone and in a
+    # shared block (the Gamma pass drawn, then replayed), equals the serial
+    # reduction bit for bit, whichever thread reduced each batch
     mu = AtomicMeasure([0.4, 1.0, 2.3])
     cfg = SamplerConfig(seed=5, n_samples=3 * DEFAULT_BATCH + 5, cp_truncation=1e-3)
-    want = serial_draws(cfg, lambda rng, size: gammasample._draw_batch(
-        mu, cfg, rng, size))
+    want = serial_estimates(monkeypatch, mu, cfg)
+    for _ in range(repeats):
+        runs = [run_estimators(mu, cfg)]
+        with shared_sample_batches():
+            runs += [run_estimators(mu, cfg), run_estimators(mu, cfg)]
+        for got in runs:
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+def test_passes_drawn_on_two_threads_equal_serial_draws(monkeypatch):
+    # the batch iterators draw, in batch order, exactly the batches drawn
+    # serially on their streams
+    mu = AtomicMeasure([0.4, 1.0, 2.3])
+    cfg = SamplerConfig(seed=5, n_samples=3 * DEFAULT_BATCH + 5, cp_truncation=1e-3)
+    want = serial_draws(cfg, gamma_draw(mu, cfg))
     got = [batch for _, batch in iter_sample_batches(mu, cfg)]
     assert len(got) == 4 and got[-1].shape == (5, mu.m)
     assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
@@ -234,23 +306,44 @@ def test_passes_drawn_on_two_threads_equal_serial_draws():
     for (masses, sums), (want_masses, want_sums) in zip(got, want, strict=True):
         assert np.array_equal(masses, want_masses)
         assert np.array_equal(sums, want_sums)
+    # and every estimator's two-thread pass reduces them bit for bit as
+    # mean_and_se does serially
+    assert_estimators_equal_serial(monkeypatch, 1)
 
 
-def test_passes_under_fast_thread_switching_equal_serial_draws():
-    # the interpreter switches threads every microsecond, so the consumer
-    # and the worker interleave at many points of every draw
-    mu = AtomicMeasure([0.5, 1.2])
-    cfg = SamplerConfig(seed=11, n_samples=6 * DEFAULT_BATCH + 1)
-    want = serial_draws(cfg, lambda rng, size: gammasample._draw_batch(
-        mu, cfg, rng, size))
+def test_passes_under_fast_thread_switching_equal_serial_draws(monkeypatch):
+    # the interpreter switches threads every microsecond, so the caller
+    # and the worker interleave at many points of every draw and statistic
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(5):
-            got = [batch for _, batch in iter_sample_batches(mu, cfg)]
-            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+        assert_estimators_equal_serial(monkeypatch, 3)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("accumulate", ["_mc_accumulate", "mc_jump_accumulate"])
+def test_two_batches_are_reduced_at_once(accumulate):
+    # the statistic of batch 0 (4096 rows) returns only once the statistic
+    # of batch 1 (5 rows) has run: a pass that reduced its batches one
+    # after another would time out here
+    mu = AtomicMeasure([0.5, 1.2])
+    cfg = SamplerConfig(seed=7, n_samples=DEFAULT_BATCH + 5, cp_truncation=1e-3)
+    one_ran = threading.Event()
+    waited = []
+
+    def stat(masses, *sums):
+        if len(masses) == DEFAULT_BATCH:
+            waited.append(one_ran.wait(5.0))
+        else:
+            one_ran.set()
+        return masses
+
+    if accumulate == "_mc_accumulate":
+        gammasample._mc_accumulate(mu, cfg, stat)
+    else:
+        gammasample.mc_jump_accumulate(mu, cfg, 1, stat)
+    assert waited == [True]
 
 
 def tag_streams(monkeypatch) -> dict:
@@ -269,58 +362,91 @@ def tag_streams(monkeypatch) -> dict:
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_a_draw_that_raises_reaches_the_consumer(monkeypatch, k):
-    # batch k raises, on whichever thread draws it; the consumer gets the
-    # batches before it and then the exception, and no thread is left
+    # a draw or a statistic that raises, on the caller's thread or on the
+    # worker, raises in the caller, and no thread is left.  The batches are
+    # dealt to the two threads in turn (the draw of batch b returns once
+    # batch b + 1 is taken), so exactly one of batches k and k + 1 runs on
+    # the chosen thread, and that one raises
     mu = AtomicMeasure([0.5, 1.2])
-    cfg = SamplerConfig(seed=7, n_samples=3 * DEFAULT_BATCH + 5)
+    cfg = SamplerConfig(seed=7, n_samples=4 * DEFAULT_BATCH + 5)
     made = tag_streams(monkeypatch)
     draw = gammasample._draw_batch
-
-    def failing(measure, cfg, rng, size):
-        if made[id(rng)] == k:
-            raise RuntimeError(f"batch {k}")
-        return draw(measure, cfg, rng, size)
-
-    monkeypatch.setattr(gammasample, "_draw_batch", failing)
+    caller = threading.get_ident()
     threads = threading.active_count()
-    seen = []
-    with pytest.raises(RuntimeError, match=f"batch {k}"):
-        for b, _ in iter_sample_batches(mu, cfg):
-            seen.append(b)
-    assert seen == list(range(k))
-    assert threading.active_count() == threads
+    for where, on_caller in [("draw", True), ("draw", False),
+                             ("statistic", True), ("statistic", False)]:
+        taken = [threading.Event() for _ in range(5)]
+        batch_of, ran = {}, {}
+
+        def fail(b):
+            for event in taken:    # no draw waits on a batch never taken
+                event.set()
+            raise RuntimeError(f"{where} of batch {b}")
+
+        def dealt(measure, cfg, rng, size):
+            b = made[id(rng)]
+            ran[b] = threading.get_ident()
+            taken[b].set()
+            chosen = b in (k, k + 1) and (ran[b] == caller) == on_caller
+            if chosen and where == "draw":
+                fail(b)
+            masses = draw(measure, cfg, rng, size)
+            batch_of[id(masses)] = (b, chosen)
+            if b + 1 < len(taken):
+                taken[b + 1].wait(5.0)
+            return masses
+
+        def stat(S):
+            b, chosen = batch_of[id(S)]
+            if chosen and where == "statistic":
+                fail(b)
+            return S
+
+        monkeypatch.setattr(gammasample, "_draw_batch", dealt)
+        with pytest.raises(RuntimeError, match=f"{where} of batch") as raised:
+            gammasample._mc_accumulate(mu, cfg, stat)
+        b = int(str(raised.value).split()[-1])
+        assert b in (k, k + 1) and (ran[b] == caller) == on_caller
+        assert ran[k] != ran[k - 1]    # the threads took turns
+        assert set(ran) <= set(range(k + 3))    # and soon stopped taking
+        assert threading.active_count() == threads
 
 
 def test_no_thread_outlives_a_pass():
     mu = AtomicMeasure([0.5, 1.2])
     cfg = SamplerConfig(seed=7, n_samples=3 * DEFAULT_BATCH)
     threads = threading.active_count()
-    # a complete pass runs one worker thread, shut down when it ends
-    during = [threading.active_count() for _ in iter_sample_batches(mu, cfg)]
-    assert during[0] == threads + 1
-    assert threading.active_count() == threads
-    # an abandoned pass
-    batches = iter_jump_batches(mu, cfg)
-    next(batches)
-    assert threading.active_count() == threads + 1
-    del batches
-    assert threading.active_count() == threads
-    # a pass whose consumer raises, at its second batch
-    reduced = []
+    # a complete pass runs one worker thread beside the caller's, shut down
+    # when it ends
+    during = []
 
     def stat(S):
-        reduced.append(S)
-        if len(reduced) == 2:
-            raise RuntimeError("the consumer failed")
+        during.append((threading.get_ident(), threading.active_count()))
         return S
 
-    with pytest.raises(RuntimeError, match="consumer"):
-        gammasample._mc_accumulate(mu, cfg, stat)
+    gammasample._mc_accumulate(mu, cfg, stat)
+    assert {count for _, count in during} == {threads + 1}
+    assert len({ident for ident, _ in during}) <= 2
     assert threading.active_count() == threads
-    # a pass of one batch draws on the consumer's thread alone
-    during = [threading.active_count() for _ in
-              iter_sample_batches(mu, replace(cfg, n_samples=DEFAULT_BATCH))]
-    assert during == [threads]
+    # a compound-Poisson pass whose statistic raises from its second batch on
+    del during[:]
+
+    def failing(masses, sums):
+        stat(masses)
+        if len(during) >= 2:
+            raise RuntimeError("the statistic failed")
+        return masses
+
+    with pytest.raises(RuntimeError, match="statistic"):
+        gammasample.mc_jump_accumulate(mu, cfg, 1, failing)
+    assert threading.active_count() == threads
+    # a pass of one batch runs on the caller's thread alone, and the batch
+    # iterators draw there too
+    del during[:]
+    gammasample._mc_accumulate(mu, replace(cfg, n_samples=DEFAULT_BATCH), stat)
+    assert during == [(threading.get_ident(), threads)]
+    assert {threading.active_count() for _ in iter_sample_batches(mu, cfg)} == {threads}
+    assert {threading.active_count() for _ in iter_jump_batches(mu, cfg)} == {threads}
 
 
 def test_an_atom_with_many_jumps_is_drawn_in_bounded_segments():
@@ -568,6 +694,12 @@ def test_compound_poisson_batch_refuses_jumps_past_the_entry_budget():
         _draw_cp_batch(AtomicMeasure([1e6]), 1e-6, _stream(0, 0), 4096)
 
 
+def reduce_masses(measure, cfg):
+    """Mean and SE of the masses themselves, through _mc_accumulate: the
+    path that reads and fills the shared store."""
+    return np.stack(gammasample._mc_accumulate(measure, cfg, lambda S: S))
+
+
 def test_shared_passes_are_drawn_once_per_weights_and_config(monkeypatch):
     # in a block, a pass is replayed only on the same weights and config:
     # the other sample count and the same weights in another order each
@@ -575,12 +707,12 @@ def test_shared_passes_are_drawn_once_per_weights_and_config(monkeypatch):
     mu, swapped = AtomicMeasure([0.5, 1.2]), AtomicMeasure([1.2, 0.5])
     cfg = SamplerConfig(seed=7, n_samples=9000)
     passes = [(mu, replace(cfg, n_samples=5000)), (swapped, cfg), (mu, cfg)]
-    alone = [collect(*p) for p in passes]
+    alone = [reduce_masses(*p) for p in passes]
     draws = count_gamma_draws(monkeypatch)
     with shared_sample_batches():
         for _ in range(2):
             for p, want in zip(passes, alone):
-                assert np.array_equal(collect(*p), want)
+                assert np.array_equal(reduce_masses(*p), want)
     assert sorted(draws) == sorted([4096, 904] + [4096, 4096, 808] * 2)
     assert gammasample._SHARED.get() is None
 
@@ -588,26 +720,37 @@ def test_shared_passes_are_drawn_once_per_weights_and_config(monkeypatch):
 def test_shared_batches_are_read_only():
     mu = AtomicMeasure([0.5, 1.2])
     cfg = SamplerConfig(seed=7, n_samples=5000)
+    writable = []
+
+    def stat(S):
+        writable.append(S.flags.writeable)
+        return S
+
     with shared_sample_batches():
         for _ in range(2):    # as drawn, then as replayed
-            for _, batch in iter_sample_batches(mu, cfg):
-                with pytest.raises(ValueError):
-                    batch[0, 0] = 1.0
+            gammasample._mc_accumulate(mu, cfg, stat)
+    assert writable == [False] * 4
 
 
 def test_a_pass_left_early_stores_nothing(monkeypatch):
     mu = AtomicMeasure([0.5, 1.2])
     cfg = SamplerConfig(seed=7, n_samples=9000)
-    want = collect(mu, cfg)
+    want = reduce_masses(mu, cfg)
     draws = count_gamma_draws(monkeypatch)
+
+    def failing(S):
+        raise RuntimeError("the statistic failed")
+
     with shared_sample_batches():
-        next(iter(iter_sample_batches(mu, cfg)))
-        # the abandoned pass drew batch 0, and its worker may have drawn
-        # batches 1 and 2 ahead of it, in order, before it was shut down
+        with pytest.raises(RuntimeError, match="statistic"):
+            gammasample._mc_accumulate(mu, cfg, failing)
+        # the failed pass drew one batch on each thread at most, and took
+        # no other
         early = len(draws)
-        assert sorted(draws) in ([4096], [4096, 4096], [808, 4096, 4096])
-        assert np.array_equal(collect(mu, cfg), want)
-        assert np.array_equal(collect(mu, cfg), want)
+        assert draws in ([4096], [4096, 4096])
+        assert gammasample._SHARED.get() == {}
+        assert np.array_equal(reduce_masses(mu, cfg), want)
+        assert np.array_equal(reduce_masses(mu, cfg), want)
     # nothing was stored: the next pass draws each of its batches once, and
     # the one after replays it
     assert sorted(draws[early:]) == [808, 4096, 4096]
@@ -619,10 +762,10 @@ def test_shared_passes_are_dropped_when_the_block_raises(monkeypatch):
     draws = count_gamma_draws(monkeypatch)
     with pytest.raises(RuntimeError):
         with shared_sample_batches():
-            collect(mu, cfg)
+            reduce_masses(mu, cfg)
             raise RuntimeError("a suite failed")
     assert gammasample._SHARED.get() is None
-    collect(mu, cfg)
+    reduce_masses(mu, cfg)
     assert draws == [3000, 3000]
 
 
@@ -634,5 +777,5 @@ def test_a_pass_over_the_entry_budget_is_drawn_each_time(monkeypatch):
         monkeypatch.setattr(gammasample, "MAX_ENTRIES", budget)
         del draws[:]
         with shared_sample_batches():
-            assert np.array_equal(collect(mu, cfg), collect(mu, cfg))
+            assert np.array_equal(reduce_masses(mu, cfg), reduce_masses(mu, cfg))
         assert draws == drawn
