@@ -10,28 +10,27 @@ Two samplers produce the atom masses of a random configuration omega:
   Poisson(w_i E1(eps))-many jumps drawn from the truncated Levy density
   e^(-s)/s on [eps, inf).  Jumps below eps are discarded (not
   compensated); the mean-mass bias is w_i (1 - e^(-eps)), i.e. O(eps).
-  Only checks that need the jumps themselves draw it.  A batch of B
-  samples is drawn by Poisson splitting: one Poisson(B w_i mass_p) total
-  per atom i and piece p of the density ([eps, 1] and [1, inf), with
-  their exact Levy masses), checked against the entry budget before any
-  jump is drawn; then, atom by atom and in windows of at most
-  MAX_SEGMENT_JUMPS jumps, an i.i.d. uniform owner row per jump and the
-  window's sizes filled by each piece's rejection rounds, sized by its
-  exact acceptance rate.  Thinning the totals by uniform owners leaves the
-  per-(row, atom) counts independent Poisson(w_i E1(eps)) and the sizes
-  i.i.d., so this is the law above.  E1 is summed from its power series
-  (_exp1) on (0, 1], the only range the sampler uses: it needs E1(eps),
-  eps in (0, 1), and E1(1).
+  Only checks that need the jumps themselves draw it.  Its jumps come by
+  thinning (Last and Penrose, Lectures on the Poisson Process): proposals
+  of the dominating density e^(-eps)/s on [eps, 1) (log-uniform sizes)
+  and e^(-s) on [1, inf) (sizes 1 + Exp(1)), of elementary masses
+  e^(-eps) log(1/eps) and e^(-1) per unit weight, each kept with
+  probability e^(eps - s) or 1/s, the ratio of the two densities.  A
+  thinned proposal keeps its uniform owner row and gets size 0.0, which
+  adds exactly 0.0 to every power sum; so no E1 is computed, and each
+  window of at most MAX_SEGMENT_JUMPS proposals is one fixed-size step
+  (_cp_segments).
 
 A compound-Poisson batch is not a list of jumps.  Each segment (one
-window of one atom's jumps) is reduced while it is drawn, to the per-row
-power sums P_r = sum s^r over the row's jumps at that atom, r = 1..order;
-the masses are P_1.  Checks that remove one configuration point at a time
-need nothing else, since a polynomial's value with one jump removed is a
-Taylor series in the jump's size.  A segment's owners, sizes and rejection
-proposals peak near 1.2 MB (tracemalloc, numpy 2.4) whatever the weights,
-eps and batch size, so one draw holds its (m, order, B) sums plus at most
-that much.
+window of one atom's proposals) is reduced while it is drawn, to the
+per-row power sums P_r = sum s^r over the row's jumps at that atom,
+r = 1..order; the masses are P_1.  Checks that remove one configuration
+point at a time need nothing else, since a polynomial's value with one
+jump removed is a Taylor series in the jump's size.  A segment's owners,
+uniforms and sizes and its power-sum temporaries peak near 1.1 MB at
+order 1 and 1.2 MB at order 3 (tracemalloc, numpy 2.4) whatever the
+weights, eps and batch size, so one draw holds its (m, order, B) sums
+plus at most that much.
 
 Streams: batch b of a run uses the bit generator jumped b times from the
 seed, and a batch is a function of its stream and size alone.  Every
@@ -86,22 +85,7 @@ from .wickcalc import (WICK_MAX_DEGREE, Basis, FockVector, OmegaSample,
                        wick_pair_rank_one_batch)
 
 DEFAULT_BATCH = 4096
-MAX_SEGMENT_JUMPS = 2 ** 14   # jumps of one compound-Poisson segment
-
-
-def _exp1(x: float) -> float:
-    """E1(x) for 0 < x <= 1: -gamma - ln x - sum_{k>=1} (-x)^k / (k k!)
-    (DLMF 6.6.2), summed until a term is below 1e-15 of the sum."""
-    power, total, k = 1.0, 0.0, 0
-    while True:
-        k += 1
-        power *= -x / k                 # (-x)^k / k!
-        total += power / k
-        if abs(power / k) < 1e-15 * abs(total):
-            return -np.euler_gamma - math.log(x) - total
-
-
-_E1_ONE = _exp1(1.0)    # Levy mass of the jumps >= 1
+MAX_SEGMENT_JUMPS = 2 ** 14   # proposals of one compound-Poisson segment
 
 
 @dataclass(frozen=True)
@@ -138,69 +122,50 @@ def _stream(seed: int, batch_index: int, jumps: bool = False) -> np.random.Gener
     return np.random.Generator(bits.jumped(batch_index))
 
 
-def _fill_piece(draw, out: np.ndarray, acceptance: float) -> None:
-    """Fill out with values from draw(n), which returns the accepted ones
-    of n proposals; each round proposes the remaining count over the exact
-    acceptance rate, plus a small margin, so one round nearly always
-    suffices."""
-    filled = 0
-    while filled < out.size:
-        kept = draw(int((out.size - filled) / acceptance * 1.02) + 64)
-        take = min(out.size - filled, kept.size)
-        out[filled: filled + take] = kept[:take]
-        filled += take
-
-
 def _cp_segments(measure: AtomicMeasure, eps: float,
                  rng: np.random.Generator, size: int):
-    """The jumps of a compound-Poisson batch of size rows, in segments of at
-    most MAX_SEGMENT_JUMPS jumps of one atom: yields (atom, owners, sizes)
-    with atoms in order 0..m-1, owners the row of each jump (uniform, in no
-    order) and sizes its size.  An atom without jumps yields one empty
+    """The proposals of a compound-Poisson batch of size rows, in segments
+    of at most MAX_SEGMENT_JUMPS proposals of one atom: yields (atom,
+    owners, sizes) with atoms in order 0..m-1, owners the row of each
+    proposal (uniform, in no order) and sizes its size if it is kept as a
+    jump, 0.0 if it is thinned.  An atom without proposals yields one empty
     segment.
 
-    A batch whose expected jump count size E1(eps) sum(w) is over the entry
-    budget is refused before any draw.  Then one Poisson draw gives the
-    (m, 2) jump totals per atom and piece, whose sum is checked against
-    the budget before any jump is drawn.  Each atom's jumps, its [eps, 1]
-    ones followed by its [1, inf) ones, are cut into windows of
-    MAX_SEGMENT_JUMPS; each window draws its owners and then fills its
-    part of each piece by rejection rounds: on [eps, 1] propose
-    log-uniform and accept with e^(eps - s) (rate (E1(eps) - E1(1)) /
-    (e^(-eps) log(1/eps))); on [1, inf) propose 1 + Exp(1) and accept with
-    1/s (rate e E1(1)).  An atom whose jumps fit in one window thus draws
-    its owners, then its low piece, then its high piece.
+    A batch whose expected proposal count, size sum(w) (e^(-eps)
+    log(1/eps) + e^(-1)), is over the entry budget is refused before any
+    draw.  Then one Poisson draw gives the (m, 2) proposal totals per atom
+    and piece, checked against the budget before any proposal is drawn.
+    Each atom's proposals, its [eps, 1) ones followed by its [1, inf) ones,
+    are cut into windows of MAX_SEGMENT_JUMPS; each window draws its
+    owners, then a size uniform u and a keep uniform per proposal: sizes
+    eps e^(u log(1/eps)) on [eps, 1) and 1 - log1p(-u) on [1, inf),
+    thinned where the keep uniform is at least e^(eps - s) or 1/s.
     """
-    e1_eps = _exp1(eps)
-    expected = size * e1_eps * float(measure.weights.sum())
+    log_span = math.log(1.0 / eps)
+    mass = np.array([math.exp(-eps) * log_span, math.exp(-1.0)])
+    expected = size * float(measure.weights.sum()) * float(mass.sum())
     if expected > MAX_ENTRIES:
         raise SizeError(f"compound-Poisson batch of {size} samples expects "
-                        f"{expected:.3g} jumps, over the budget of {MAX_ENTRIES}")
-    mass_low = e1_eps - _E1_ONE
-    totals = rng.poisson(size * measure.weights[:, None]
-                         * np.array([mass_low, _E1_ONE]))
+                        f"{expected:.3g} proposals, over the budget of {MAX_ENTRIES}")
+    totals = rng.poisson(size * measure.weights[:, None] * mass)
     _check_entries(int(totals.sum()), f"compound-Poisson batch of {size} samples")
-    log_span = math.log(1.0 / eps)
-
-    def low(n):    # eps e^(u log(1/eps)) >= eps exactly
-        s = eps * np.exp(log_span * rng.random(n))
-        return s[rng.random(n) < np.exp(eps - s)]
-
-    def high(n):
-        s = 1.0 + rng.standard_exponential(n)
-        return s[rng.random(n) * s < 1.0]
-
-    low_rate = mass_low / (math.exp(-eps) * log_span)
     for i, (n_low, n_high) in enumerate(totals.tolist()):
         n = n_low + n_high
         for start in range(0, max(n, 1), MAX_SEGMENT_JUMPS):
             count = min(MAX_SEGMENT_JUMPS, n - start)
             owners = rng.integers(0, size, count)
-            sizes = np.empty(count)
-            cut = min(max(n_low - start, 0), count)    # the window's low jumps
-            _fill_piece(low, sizes[:cut], low_rate)
-            _fill_piece(high, sizes[cut:], math.e * _E1_ONE)
-            yield i, owners, sizes
+            s, keep = rng.random((2, count))    # s: the size uniforms, made sizes in place
+            cut = min(max(n_low - start, 0), count)    # the window's [eps, 1) ones
+            low, high = s[:cut], s[cut:]
+            low *= log_span
+            np.exp(low, out=low)
+            low *= eps                                  # eps e^(u log(1/eps))
+            np.subtract(1.0, np.log1p(-high), out=high)    # 1 - log1p(-u)
+            # keep >= e^(eps - s) is keep e^(s - eps) >= 1, and keep >= 1/s is keep s >= 1
+            keep[:cut] *= np.exp(low - eps)
+            keep[cut:] *= high
+            s[keep >= 1.0] = 0.0
+            yield i, owners, s
 
 
 def _draw_cp_batch(measure: AtomicMeasure, eps: float, rng: np.random.Generator,
@@ -209,9 +174,9 @@ def _draw_cp_batch(measure: AtomicMeasure, eps: float, rng: np.random.Generator,
     _cp_segments reduced as it is drawn and then dropped.
 
     sums is (m, order, size): sums[i, r-1] is the per-row sum of s^r over
-    atom i's jumps, each segment's weighted bincount per r added into
+    atom i's kept jumps, each segment's weighted bincount per r added into
     zeros, and masses (size, m) is the view sums[:, 0].T, not a copy.  No
-    array of all the batch's jumps, or of all one atom's, exists; the
+    array of all the batch's proposals, or of all one atom's, exists; the
     largest holds one segment's, so a draw's temporaries are bounded
     whatever the weights.
     """

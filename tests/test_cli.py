@@ -422,8 +422,9 @@ def test_malformed_measure_file_is_an_input_error(tmp_path, capsys, text):
 
 
 def test_compound_poisson_jumps_past_the_entry_budget_exit_2(tmp_path, capsys):
-    # E1(1e-3) ~ 6.3 jumps per unit weight and sample: a weight of 1e6 asks
-    # for ~6e9 jumps in one batch of 1000, refused before any is drawn
+    # e^(-eps) log(1/eps) + e^(-1) ~ 7.3 proposals per unit weight and
+    # sample at eps 1e-3: a weight of 1e6 asks for ~7e9 proposals in one
+    # batch of 1000, refused before any is drawn
     save_measure(AtomicMeasure([1e6, 1.0]), tmp_path / "mu.json")
     assert_input_error(capsys, "mc", "chaos", "--samples", "1000",
                        "--measure", str(tmp_path / "mu.json"))
@@ -433,7 +434,7 @@ def test_compound_poisson_jumps_past_the_entry_budget_exit_2(tmp_path, capsys):
 def test_compound_poisson_batch_past_numpy_poisson_range_exit_2(
         tmp_path, capsys, weight):
     # the per-atom Poisson totals would pass numpy's largest rate here; the
-    # expected jump count of the batch is refused before any Poisson draw
+    # expected proposal count of the batch is refused before any Poisson draw
     save_measure(AtomicMeasure([weight]), tmp_path / "mu.json")
     err = assert_input_error(capsys, "mc", "chaos",
                              "--measure", str(tmp_path / "mu.json"))
@@ -606,8 +607,8 @@ def test_shared_draws_are_dropped_when_main_returns(tmp_path, capsys,
 
 def test_passes_over_the_entry_budget_are_drawn_per_suite(tmp_path, capsys,
                                                           monkeypatch):
-    # light atoms keep chaos's compound-Poisson batches (about 1.2e4
-    # expected jumps), which are checked against the same budget, below it
+    # light atoms keep chaos's compound-Poisson batches (about 1.3e4
+    # expected proposals), which are checked against the same budget, below it
     save_measure(AtomicMeasure([0.1, 0.2, 0.15]), tmp_path / "light.json")
     argv = ("mc", "all", "--measure", str(tmp_path / "light.json"),
             *SHARED_SAMPLES)

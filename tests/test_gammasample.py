@@ -5,6 +5,7 @@ windows were checked once and then frozen with the seed.
 """
 
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
-from gwn import funcalc, gammasample
+from gwn import funcalc, gammasample, symtensor
 from gwn.errors import ContractError, DimensionError, DomainError, SizeError
 from gwn.extfock import ext_inner_n
 from gwn.gammasample import (DEFAULT_BATCH, MAX_SEGMENT_JUMPS,
@@ -28,7 +29,7 @@ from gwn.gammasample import (DEFAULT_BATCH, MAX_SEGMENT_JUMPS,
                              mean_and_se, multiple_integral_identity,
                              sample_omega, shared_sample_batches)
 from gwn.measure import AtomicMeasure
-from gwn.symtensor import SymTensor, rank_one
+from gwn.symtensor import MAX_ENTRIES, SymTensor, rank_one
 from gwn.verify import run_mc_suite
 from gwn.funcalc import a1_plus_mc_adjointness_check
 from gwn.wickcalc import Basis, FockVector, OmegaSample, PolyFunctional
@@ -97,25 +98,57 @@ def test_unit_weight_exponential_tail():
     assert abs(p - target) < 3 * math.sqrt(target * (1 - target) / cfg.n_samples)
 
 
-def test_exp1_series_matches_scipy():
-    # the sampler's own E1 against scipy's, on (0, 1]: the truncations in
-    # use and E1(1), log-spaced points down to 1e-300, uniform points
-    xs = np.concatenate([[1e-6, 1e-3, 1.0], np.logspace(-300, 0, 301),
-                         1.0 - np.random.default_rng(0).random(300)])
-    got = np.array([gammasample._exp1(x) for x in xs])
-    assert np.all(np.abs(got - exp1(xs)) <= 4e-15 * exp1(xs))
+def proposal_mass(eps):
+    """Masses per unit weight of the density that dominates e^(-s)/s:
+    e^(-eps)/s on [eps, 1) and e^(-s) on [1, inf)."""
+    return np.array([math.exp(-eps) * math.log(1.0 / eps), math.exp(-1.0)])
+
+
+def gamma_upper(k, x):
+    """Gamma(k, x) = (k-1)! e^(-x) sum_{j<k} x^j / j! for an integer k >= 1."""
+    return math.factorial(k - 1) * math.exp(-x) * sum(
+        x ** j / math.factorial(j) for j in range(k))
+
+
+def cell_counts(measure, cfg, kept):
+    """The (n_samples, m) per (row, atom) counts of cfg's compound-Poisson
+    batches: of kept jumps if kept, else of proposals."""
+    batches = []
+    for size, segments in cp_batch_segments(measure, cfg):
+        counts = np.zeros((size, measure.m), dtype=np.int64)
+        for atom, owners, sizes in segments:
+            counts[:, atom] += np.bincount(owners[sizes > 0.0] if kept else owners,
+                                           minlength=size)
+        batches.append(counts)
+    return np.concatenate(batches)
+
+
+def assert_independent_poisson(counts, lam):
+    # mean and variance of each column both equal lam, and columns are
+    # uncorrelated
+    n = counts.shape[0]
+    for i, rate in enumerate(lam):
+        c = counts[:, i]
+        assert abs(c.mean() - rate) < 4 * math.sqrt(rate / n)
+        # Var of the sample variance of Poisson(rate): (rate + 2 rate^2) / n
+        assert abs(c.var(ddof=1) - rate) < 4 * math.sqrt((rate + 2 * rate ** 2) / n)
+    cov = np.cov(counts, rowvar=False)
+    for i in range(len(lam)):
+        for j in range(i + 1, len(lam)):
+            assert abs(cov[i, j]) < 4 * math.sqrt(lam[i] * lam[j] / n)
 
 
 def test_jump_sampler_law():
     # closed forms of the density e^(-s)/s / E1(eps) on [eps, inf):
     # E s^k = Gamma(k, eps) / E1(eps) and P(s >= 1) = E1(1) / E1(eps);
-    # the jumps of a two-atom batch are pooled, about 200000 of them
+    # the kept jumps of a two-atom batch are pooled, about 200000 of them
     size = 4096
     for b, eps in enumerate((1e-6, 1e-3, 0.5, 0.99)):
         w = 200000 / (size * exp1(eps))
         mu = AtomicMeasure([0.25 * w, 0.75 * w])
         s = np.concatenate([sizes for _, _, sizes in
                             _cp_segments(mu, eps, _stream(5, b, jumps=True), size)])
+        s = s[s > 0.0]    # a thinned proposal has size 0
         n = s.size
         assert abs(n - 200000) < 4 * math.sqrt(200000) and s.min() >= eps
         scale = math.exp(-eps) / exp1(eps)
@@ -125,7 +158,7 @@ def test_jump_sampler_law():
         assert abs(np.mean(s * s) - m2) < 4 * math.sqrt((m4 - m2 ** 2) / n), eps
         p = exp1(1.0) / exp1(eps)
         assert abs(np.mean(s >= 1.0) - p) < 4 * math.sqrt(p * (1 - p) / n), eps
-    # a weight this small leaves the batch without jumps
+    # a weight this small leaves the batch without proposals
     mu = AtomicMeasure([1e-12])
     [(atom, owners, sizes)] = _cp_segments(mu, 1e-3, _stream(5, 9, jumps=True), size)
     assert atom == 0 and owners.shape == sizes.shape == (0,)
@@ -134,16 +167,42 @@ def test_jump_sampler_law():
     assert not masses.any() and not sums.any()
 
 
+@pytest.mark.parametrize("eps", [1e-3, 0.5])
+def test_thinned_jumps_follow_campbell(eps):
+    # Campbell's theorem for the kept jumps, per row and atom a: the power
+    # sum P_{a,r} = sum s^r has cumulants kappa_j = w_a Gamma(j r, eps), so
+    # mean w_a Gamma(r, eps) and variance w_a Gamma(2r, eps), and the
+    # kept-jump count is Poisson(w_a E1(eps)), independent across atoms;
+    # each gated at 4 SE over 100000 rows
+    mu = AtomicMeasure([0.7, 1.6, 0.3])
+    order = 3
+    cfg = SamplerConfig(seed=0, n_samples=100000, cp_truncation=eps)
+    sums = np.concatenate([s for _, s in iter_jump_batches(mu, cfg, order)], axis=2)
+    n = sums.shape[2]
+    assert n == cfg.n_samples
+    for a, w in enumerate(mu.weights):
+        for r in range(1, order + 1):
+            p = sums[a, r - 1]
+            k2, k4 = (w * gamma_upper(j * r, eps) for j in (2, 4))
+            assert abs(p.mean() - w * gamma_upper(r, eps)) < 4 * math.sqrt(k2 / n), (a, r)
+            # Var of the sample variance: kappa_4 / n + 2 kappa_2^2 / (n - 1)
+            assert abs(p.var(ddof=1) - k2) < 4 * math.sqrt(
+                k4 / n + 2 * k2 ** 2 / (n - 1)), (a, r)
+    assert_independent_poisson(cell_counts(mu, cfg, kept=True), mu.weights * exp1(eps))
+
+
 def test_compound_poisson_batch_layout():
     mu = AtomicMeasure([0.7, 1.6, 0.3])
     eps, size = 1e-3, 4096
     segments = list(_cp_segments(mu, eps, _stream(21, 0, jumps=True), size))
-    # one Poisson draw of the (atom, piece) totals opens the batch's stream
+    # one Poisson draw of the (atom, piece) proposal totals opens the
+    # batch's stream
     totals = _stream(21, 0, jumps=True).poisson(
-        size * mu.weights[:, None] * np.array([exp1(eps) - exp1(1.0), exp1(1.0)]))
-    # segments come in atom order, each atom's jumps in as few windows of
-    # MAX_SEGMENT_JUMPS as hold them (atom 1 expects about 41500), and an
-    # atom's segments, joined, hold its [eps, 1] jumps then its [1, inf) ones
+        size * mu.weights[:, None] * proposal_mass(eps))
+    # segments come in atom order, each atom's proposals in as few windows
+    # of MAX_SEGMENT_JUMPS as hold them (atom 1 expects about 47600), and an
+    # atom's segments, joined, hold its [eps, 1) proposals then its [1, inf)
+    # ones, each of its size if kept and of size 0 if thinned
     atoms = [atom for atom, _, _ in segments]
     assert atoms == sorted(atoms)
     assert [atoms.count(i) for i in range(mu.m)] == [
@@ -155,8 +214,10 @@ def test_compound_poisson_batch_layout():
         owners = np.concatenate([o for o, _ in mine])
         sizes = np.concatenate([s for _, s in mine])
         assert owners.shape == sizes.shape == (n_low + n_high,)
-        assert np.all((sizes[:n_low] >= eps) & (sizes[:n_low] <= 1.0))
-        assert np.all(sizes[n_low:] >= 1.0)
+        low, high = sizes[:n_low], sizes[n_low:]
+        assert np.all((low == 0.0) | ((low >= eps) & (low <= 1.0)))
+        assert np.all((high == 0.0) | (high >= 1.0))
+        assert 0 < np.count_nonzero(low) < n_low and 0 < np.count_nonzero(high) < n_high
         assert owners.min() >= 0 and owners.max() < size
         for o, s in mine:    # bincount's order: each segment summed, then added
             segment = np.zeros(size)
@@ -165,36 +226,50 @@ def test_compound_poisson_batch_layout():
     masses, _ = _draw_cp_batch(mu, eps, _stream(21, 0, jumps=True), size)
     assert np.array_equal(masses, want)
     per_row = totals.sum(axis=1) / size
-    lam = mu.weights * exp1(eps)
+    lam = mu.weights * proposal_mass(eps).sum()
     assert np.all(np.abs(per_row - lam) < 4 * np.sqrt(lam / size))
 
 
 def test_compound_poisson_cell_counts_are_independent_poisson():
-    # per (row, atom) jump counts: Poisson(w E1(eps)) at each atom, so mean
-    # and variance both equal lam, and uncorrelated across atoms
+    # per (row, atom) proposal counts: Poisson(w (e^(-eps) log(1/eps) +
+    # e^(-1))) at each atom, uncorrelated across atoms (the kept jumps are
+    # counted in test_thinned_jumps_follow_campbell)
     mu = AtomicMeasure([0.7, 1.6, 0.3])
     eps = 1e-3
     cfg = SamplerConfig(seed=47, n_samples=40000, cp_truncation=eps)
-    batches = []
-    for size, segments in cp_batch_segments(mu, cfg):
-        counts = np.zeros((size, mu.m), dtype=np.int64)
-        for atom, owners, _ in segments:
-            counts[:, atom] += np.bincount(owners, minlength=size)
-        batches.append(counts)
-    counts = np.concatenate(batches)
-    n = counts.shape[0]
+    counts = cell_counts(mu, cfg, kept=False)
     assert counts.shape == (cfg.n_samples, mu.m)
-    lam = mu.weights * exp1(eps)
-    for i in range(mu.m):
-        c = counts[:, i]
-        assert abs(c.mean() - lam[i]) < 4 * math.sqrt(lam[i] / n)
-        # Var of the sample variance of Poisson(lam): (lam + 2 lam^2) / n
-        assert abs(c.var(ddof=1) - lam[i]) < 4 * math.sqrt(
-            (lam[i] + 2 * lam[i] ** 2) / n)
-    cov = np.cov(counts, rowvar=False)
-    for i in range(mu.m):
-        for j in range(i + 1, mu.m):
-            assert abs(cov[i, j]) < 4 * math.sqrt(lam[i] * lam[j] / n)
+    assert_independent_poisson(counts, mu.weights * proposal_mass(eps).sum())
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.5])
+def test_entry_check_counts_proposals(monkeypatch, eps):
+    # the expected proposal count size sum(w) (e^(-eps) log(1/eps) + e^(-1))
+    # is checked before any draw: a budget just below it refuses the batch
+    # with the stream untouched, and one just above it lets the batch draw.
+    # The drawn proposal totals are checked against the same budget
+    mu = AtomicMeasure([0.7, 1.6, 0.3])
+    size = DEFAULT_BATCH
+    expected = size * float(mu.weights.sum()) * float(proposal_mass(eps).sum())
+    rng = _stream(9, 0, jumps=True)
+    state = rng.bit_generator.state
+    monkeypatch.setattr(gammasample, "MAX_ENTRIES", math.floor(expected))
+    with pytest.raises(SizeError, match=re.escape(
+            f"batch of {size} samples expects {expected:.3g} proposals, over the budget")):
+        _draw_cp_batch(mu, eps, rng, size)
+    assert rng.bit_generator.state == state
+    monkeypatch.setattr(gammasample, "MAX_ENTRIES", math.ceil(expected))
+    masses, _ = _draw_cp_batch(mu, eps, rng, size)
+    assert masses.shape == (size, mu.m)
+    drawn = int(_stream(9, 0, jumps=True).poisson(
+        size * mu.weights[:, None] * proposal_mass(eps)).sum())
+    monkeypatch.setattr(gammasample, "MAX_ENTRIES", MAX_ENTRIES)
+    monkeypatch.setattr(symtensor, "MAX_ENTRIES", drawn - 1)
+    with pytest.raises(SizeError, match=f"batch of {size} samples needs {drawn} entries"):
+        _draw_cp_batch(mu, eps, _stream(9, 0, jumps=True), size)
+    monkeypatch.setattr(symtensor, "MAX_ENTRIES", drawn)
+    assert np.array_equal(_draw_cp_batch(mu, eps, _stream(9, 0, jumps=True), size)[0],
+                          masses)
 
 
 def test_gamma_batches_keep_the_philox_stream():
@@ -450,7 +525,8 @@ def test_no_thread_outlives_a_pass():
 
 
 def test_an_atom_with_many_jumps_is_drawn_in_bounded_segments():
-    # atom 1 expects 8 E1(1e-3) 4096 = 207000 jumps, many segments' worth
+    # atom 1 expects 8 (e^(-eps) log(1/eps) + e^(-1)) 4096 = 238000
+    # proposals at eps 1e-3, many segments' worth
     mu = AtomicMeasure([0.3, 8.0, 0.5])
     eps, size, order = 1e-3, 4096, 3
     segments = list(_cp_segments(mu, eps, _stream(3, 0, jumps=True), size))
@@ -470,7 +546,7 @@ def test_an_atom_with_many_jumps_is_drawn_in_bounded_segments():
 
 def test_a_compound_poisson_draw_holds_a_few_megabytes():
     # the benchmark's 8-atom shape (total weight 10, the largest atom 3.2,
-    # about 83000 jumps), 4096 rows, eps 1e-3, power sums up to order 3:
+    # about 95000 proposals), 4096 rows, eps 1e-3, power sums up to order 3:
     # a draw holds its (8, 3, 4096) sums and one segment's temporaries
     mu = AtomicMeasure([0.5, 0.6, 0.7, 0.5, 3.2, 2.5, 1.0, 1.0])
     rng = _stream(0, 0, jumps=True)
@@ -689,7 +765,7 @@ def test_single_sample_estimate_is_rejected():
 
 
 def test_compound_poisson_batch_refuses_jumps_past_the_entry_budget():
-    # the expected jump count is checked before any Poisson draw
+    # the expected proposal count is checked before any Poisson draw
     with pytest.raises(SizeError):
         _draw_cp_batch(AtomicMeasure([1e6]), 1e-6, _stream(0, 0), 4096)
 

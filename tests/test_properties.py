@@ -457,7 +457,7 @@ def random_phi(rng: np.random.Generator, m: int, N: int) -> PolyFunctional:
          for n in range(N + 1)]))
 
 
-# a weight of 1e-6 leaves its atom without jumps in almost every batch
+# a weight of 1e-6 leaves its atom without proposals in almost every batch
 cp_weights = st.lists(st.one_of(st.just(1e-6), st.floats(0.01, 3.0)),
                       min_size=1, max_size=6)
 cp_truncations = st.sampled_from([1e-3, 1e-6])
@@ -478,8 +478,8 @@ def cp_draw(mu: AtomicMeasure, eps: float, seed: int, rows: int, order: int):
        st.sampled_from([17, 200, gammasample.MAX_SEGMENT_JUMPS]))
 def test_jump_power_sums_reduce_the_segments(weights, eps, seed, rows, order,
                                               window):
-    # with short windows an atom's jumps span several segments, and some
-    # segment holds the last [eps, 1] jumps and the first [1, inf) ones
+    # with short windows an atom's proposals span several segments, and some
+    # segment holds the last [eps, 1) proposals and the first [1, inf) ones
     mu = AtomicMeasure(weights)
     with mock.patch.object(gammasample, "MAX_SEGMENT_JUMPS", window):
         (masses, sums), segments = cp_draw(mu, eps, seed, rows, order)
@@ -522,7 +522,7 @@ def test_jump_power_sums_match_removal_per_jump(case):
 
 
 @pytest.mark.parametrize("weights, xi", [
-    # the middle atom has no jumps, and xi weighs it: an empty segment
+    # the middle atom has no proposals, and xi weighs it: an empty segment
     ([1.2, 1e-12, 0.8], [0.5, -0.7, 0.3]),
     # zero entries of xi skip the segments of atoms 0 and 3
     ([1.2, 0.6, 0.9, 1.5], [0.0, -0.7, 0.4, 0.0]),
