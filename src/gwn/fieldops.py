@@ -206,14 +206,15 @@ def jacobi_action_check(measure: AtomicMeasure, chi, N: int) -> JacobiActionRepo
     coeff = jacobi_coefficients(sigma, N + 1)
     alpha_sq, betas = _three_term(sigma, N)
     action_devs, norm_devs = [], []
-    powers = [FockVector.single(rank_one(chi, n)) for n in range(N + 2)]
+    tensors = [rank_one(chi, n) for n in range(N + 2)]
+    powers = [FockVector.single(t) for t in tensors]
     for n in range(N + 1):
         lhs = gamma_field(chi, powers[n], measure)
         rhs = powers[n + 1] + betas[n] * powers[n]
         if n >= 1:
             rhs = rhs + alpha_sq[n] * powers[n - 1]
         action_devs.append((lhs - rhs).max_abs())
-        sq = math.factorial(n) * ext_inner_n(measure, rank_one(chi, n), rank_one(chi, n))
+        sq = math.factorial(n) * ext_inner_n(measure, tensors[n], tensors[n])
         c_ext = math.sqrt(max(sq, 0.0))
         c_closed = coeff.norms[n]
         norm_devs.append(abs(c_ext - c_closed) / max(1.0, c_closed))

@@ -203,16 +203,17 @@ class CheckReport:
 
 
 def _gradient_form(op, p: PolyFunctional, xi: np.ndarray, omega: OmegaSample,
-                   measure: AtomicMeasure) -> tuple[float, ...]:
+                   measure: AtomicMeasure) -> tuple:
     """The Fock side op(xi, .) on p's Gamma-Wick kernels at omega, then, from
-    phi's Taylor coefficients at each atom a in p's own basis, phi(omega),
-    the first and second nabla_a phi(omega) and D_xi phi(omega) =
-    sum_a w_a xi_a nabla_a phi(omega) of its gradient form."""
+    phi's Taylor coefficients D (m, max(N, 2) + 1) at each atom in p's own
+    basis, phi(omega), the first and second nabla_a phi(omega), D_xi phi(omega)
+    = sum_a w_a xi_a nabla_a phi(omega) of its gradient form, and D."""
     pw = p.to_basis(Basis.GAMMA_WICK, measure)
     lhs = PolyFunctional(Basis.GAMMA_WICK, op(xi, pw.kernels)).evaluate(omega, measure)
     (base,), D = _taylor_at(p, omega.masses[None, :], measure, range(p.m), 2)
     D = D[..., 0]
-    return lhs, float(base), D[:, 1], 2.0 * D[:, 2], float((measure.weights * xi) @ D[:, 1])
+    return (lhs, float(base), D[:, 1], 2.0 * D[:, 2],
+            float((measure.weights * xi) @ D[:, 1]), D)
 
 
 def creation_gradient_check(p: PolyFunctional, xi, omega: OmegaSample,
@@ -220,7 +221,7 @@ def creation_gradient_check(p: PolyFunctional, xi, omega: OmegaSample,
     """Creation operator vs its gradient form:
     <omega(x), xi (nabla - 1)^2 phi> + (D_xi - <xi>) phi."""
     xi = measure.real_function(xi)
-    lhs, base, g1, g2, dphi = _gradient_form(create, p, xi, omega, measure)
+    lhs, base, g1, g2, dphi, _ = _gradient_form(create, p, xi, omega, measure)
     rhs = float(omega.masses @ (xi * (g2 - 2.0 * g1 + base))) \
         + dphi - measure.integrate(xi) * base
     return CheckReport(lhs, rhs)
@@ -230,34 +231,31 @@ def neutral_gradient_check(p: PolyFunctional, xi, omega: OmegaSample,
                            measure: AtomicMeasure) -> CheckReport:
     """Neutral operator vs <omega(x), xi nabla(1 - nabla) phi> - D_xi phi."""
     xi = measure.real_function(xi)
-    lhs, _, g1, g2, dphi = _gradient_form(neutral, p, xi, omega, measure)
+    lhs, _, g1, g2, dphi, _ = _gradient_form(neutral, p, xi, omega, measure)
     return CheckReport(lhs, float(omega.masses @ (xi * (g1 - g2))) - dphi)
 
 
 @dataclass(frozen=True)
 class SecondAnnihilationReport:
-    """The second annihilation operator against three published forms.
+    """The second annihilation operator against two published forms.
 
     The compensated form <omega(x), xi nabla^2 phi> + D_xi phi minus the
-    smeared difference integral, and the equivalent gradient-shift form,
-    both agree with the Fock side.  The uncompensated variant that
-    additionally subtracts <xi> phi does not: its residual equals
-    2 <xi> phi, which is reported rather than hidden; phi is phi(omega).
-    The two shifted integrals are equal by parts, so both forms come from
-    one set of exact moments (_shift_integrals), summed the two ways; the
-    tests integrate each form separately by a quadrature rule.
+    smeared difference integral agrees with the Fock side.  The
+    uncompensated variant that additionally subtracts <xi> phi does not:
+    its residual equals 2 <xi> phi, which is reported rather than hidden;
+    phi is phi(omega).  The gradient-shift form equals the compensated one
+    by parts, from the same exact moments, so it is not computed again;
+    the tests integrate it by a quadrature rule against rhs_compensated.
     """
 
     phi: float
     lhs: float
     rhs_compensated: float
-    rhs_gradient_shift: float
     rhs_uncompensated: float
 
     @property
     def deviation(self) -> float:
-        return max(abs(self.lhs - self.rhs_compensated),
-                   abs(self.lhs - self.rhs_gradient_shift))
+        return abs(self.lhs - self.rhs_compensated)
 
     @property
     def uncompensated_residual(self) -> float:
@@ -267,15 +265,15 @@ class SecondAnnihilationReport:
 def second_annihilation_check(p: PolyFunctional, xi, omega: OmegaSample,
                               measure: AtomicMeasure) -> SecondAnnihilationReport:
     xi = measure.real_function(xi)
-    lhs, base, _, g2, dphi = _gradient_form(annihilate2, p, xi, omega, measure)
+    lhs, base, _, g2, dphi, D = _gradient_form(annihilate2, p, xi, omega, measure)
     lead = float(omega.masses @ (xi * g2)) + dphi
     atoms = np.flatnonzero(xi)
-    diff = _shift_integrals(p, omega, atoms, measure)
+    # the difference integrals of _shift_integrals, from the same D
+    diff = D[atoms, 1:] @ np.cumprod(np.arange(1.0, D.shape[1]))
     wxi = (measure.weights * xi)[atoms]
     rhs_comp = lead - math.fsum(wxi * diff)
-    rhs_grad = lead - wxi @ diff
     rhs_unc = lead - wxi @ (diff + base) - measure.integrate(xi) * base
-    return SecondAnnihilationReport(base, lhs, rhs_comp, rhs_grad, rhs_unc)
+    return SecondAnnihilationReport(base, lhs, rhs_comp, rhs_unc)
 
 
 def stransform_multiplication_check(p: PolyFunctional, theta,

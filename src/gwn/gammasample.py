@@ -190,8 +190,8 @@ def _draw_cp_batch(measure: AtomicMeasure, eps: float, rng: np.random.Generator,
     return sums[:, 0].T, sums
 
 
-def _draw_batch(measure: AtomicMeasure, cfg: SamplerConfig,
-                rng: np.random.Generator, size: int) -> np.ndarray:
+def _draw_batch(measure: AtomicMeasure, rng: np.random.Generator,
+                size: int) -> np.ndarray:
     """A Gamma batch: (size, m) masses, drawn atom by atom."""
     cols = [rng.gamma(shape=w, scale=1.0, size=size) for w in measure.weights]
     return np.stack(cols, axis=1)
@@ -202,7 +202,7 @@ def sample_omega(measure: AtomicMeasure, cfg: SamplerConfig,
     """Draw one random configuration (masses on the atoms)."""
     if rng is None:
         rng = _stream(cfg.seed, 0)
-    return OmegaSample(_draw_batch(measure, cfg, rng, 1)[0])
+    return OmegaSample(_draw_batch(measure, rng, 1)[0])
 
 
 def _batch_sizes(n_samples: int) -> list[int]:
@@ -215,7 +215,7 @@ def iter_sample_batches(measure: AtomicMeasure, cfg: SamplerConfig):
     """Yield (batch_index, masses) of the Gamma sampler on the per-batch
     jumped streams, in batch order, drawn on the caller's thread."""
     for b, size in enumerate(_batch_sizes(cfg.n_samples)):
-        yield b, _draw_batch(measure, cfg, _stream(cfg.seed, b), size)
+        yield b, _draw_batch(measure, _stream(cfg.seed, b), size)
 
 
 def iter_jump_batches(measure: AtomicMeasure, cfg: SamplerConfig, order: int = 1):
@@ -321,7 +321,7 @@ def _mc_accumulate(measure: AtomicMeasure, cfg: SamplerConfig, stat_fn):
     def job(b, size):
         if stored:
             return stat_fn(stored[b])
-        masses = _draw_batch(measure, cfg, _stream(cfg.seed, b), size)
+        masses = _draw_batch(measure, _stream(cfg.seed, b), size)
         if store is not None:
             masses.setflags(write=False)
             kept[b] = masses

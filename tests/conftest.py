@@ -38,10 +38,10 @@ def count_gamma_draws(monkeypatch) -> list[int]:
     lock = threading.Lock()
     draw = gammasample._draw_batch
 
-    def counted(measure, cfg, rng, size):
+    def counted(measure, rng, size):
         with lock:
             sizes.append(size)
-        return draw(measure, cfg, rng, size)
+        return draw(measure, rng, size)
 
     monkeypatch.setattr(gammasample, "_draw_batch", counted)
     return sizes

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,12 +14,13 @@ import pytest
 
 from gwn import gammasample
 from gwn.cli import main
-from gwn.errors import SizeError
+from gwn.errors import ContractError, SizeError
 from gwn.measure import AtomicMeasure, save_measure
 from gwn.report import (CaseResult, RunReport, absolute_case, scaled_case,
                         to_json)
 from gwn.symtensor import FockVector, SymTensor
-from gwn.verify import MC_SUITES, VERIFY_SUITES
+from gwn.verify import (MC_SUITES, VERIFY_SUITES, run_mc_suite,
+                        run_verify_suite)
 from gwn.wickcalc import Basis, PolyFunctional, laguerre_system, s_transform
 
 from conftest import count_gamma_draws
@@ -129,7 +131,7 @@ SERIES_FLOOR = {("series", "wick_derivative_as_gradient_series"),
 HEAVY_FLOOR = SERIES_FLOOR | {("multiplication", "smeared_pairing_degree_2"),
                               ("multiplication", "smeared_pairing_degree_3"),
                               ("multiplication", "operator_reassembly"),
-                              ("theorem6", "quadrature_matches_algebra_degree_4")}
+                              ("theorem6", "integral_matches_algebra_degree_4")}
 
 
 @pytest.mark.parametrize("weights, floor", [([100.0], SERIES_FLOOR),
@@ -385,10 +387,13 @@ def test_stransform_refuses_a_many_atom_functional(tmp_path, capsys):
     ({"kernels": [{"degree": 2, "values": {"0 1": 1.0, "1 0": 5.0}}]}, ""),
     ({"m": 0}, "need at least one atom"),
     ({"m": -2}, "need at least one atom"),
+    # well formed, but past the degree its Gamma-Wick kernels can reach
+    ({"basis": "monomial", "kernels": [{"degree": 9, "values": {"0 " * 8 + "1": 1.0}}]},
+     "basis conversion capped at degree 8"),
 ], ids=["values_not_a_map", "negative_degree", "repeated_degree",
         "fractional_degree", "degree_over_cap", "fractional_m", "null_value",
         "array_value", "bool_value", "duplicate_multiset_key", "zero_m",
-        "negative_m"])
+        "negative_m", "monomial_past_conversion_cap"])
 def test_stransform_rejects_malformed_functional(tmp_path, capsys, fields, names):
     save_measure(AtomicMeasure([2.0, 0.5]), tmp_path / "mu.json")
     functional = {"basis": "gamma_wick", "m": 2,
@@ -649,3 +654,39 @@ def test_runtime_never_imports_scipy(tmp_path, monkeypatch, capsys, argv):
     assert proc.stderr == b"", proc.stderr.decode()
     code, out = run_cli(capsys, *argv)
     assert (proc.returncode, proc.stdout) == (code, out.encode())
+
+
+@pytest.mark.parametrize("argv", [("loops", "--n", "4"),
+                                  ("jacobi", "--sigma", "1.5", "--n", "3"),
+                                  ("laguerre", "--sigma", "1.7", "--n", "3")],
+                         ids=["loops", "jacobi", "laguerre"])
+def test_pretty_table_aligns_the_csv_fields(capsys, argv):
+    _, csv = run_cli(capsys, *argv)
+    code, pretty = run_cli(capsys, *argv, "--pretty")
+    assert code == 0
+    lines = pretty.splitlines()
+    assert [line.split() for line in lines] == [row.split(",") for row in csv.splitlines()]
+    # every field of a column starts where its header does
+    starts = [[m.start() for m in re.finditer(r"\S+", line)] for line in lines]
+    assert all(s == starts[0] for s in starts)
+
+
+def test_all_pretty_with_timing_shows_wall_times_and_the_verdict(capsys):
+    code, out = run_cli(capsys, "all", "--seed", "0", "--samples", "2000",
+                        "--pretty", "--timing")
+    assert code == 0
+    blocks = out.split("\n\n")
+    assert blocks[-1] == "overall PASS\n"
+    assert len(blocks) == 1 + len(VERIFY_SUITES) + len(MC_SUITES)
+    for block in blocks[:-1]:
+        assert block.startswith("suite ")
+        assert re.fullmatch(r"  wall_time \d+\.\d{3}s", block.splitlines()[-1])
+
+
+@pytest.mark.parametrize("run, kind", [(run_verify_suite, "verify"),
+                                       (run_mc_suite, "mc")],
+                         ids=["verify", "mc"])
+def test_runner_refuses_an_unknown_suite(run, kind):
+    with pytest.raises(ContractError, match=f"unknown {kind} suite 'theorem10'") as raised:
+        run("theorem10", 0)
+    assert "\n" not in str(raised.value)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_measure, random_tensor, rel_err
-from gwn.errors import ContractError, SizeError
+from gwn.errors import ContractError, DimensionError, SizeError
 from gwn.extfock import (LoopPartition, ext_inner, ext_inner_n, fock_inner,
                          fock_inner_n, is_off_diagonal, iter_loop_partitions,
                          loop_census, loop_partitions)
@@ -192,3 +192,18 @@ def test_fock_inner_n_sums_pairwise_at_the_seed_505_inputs():
     assert abs(Fraction(got) - exact) <= Fraction(1, 10**11) * abs(exact)
     scalar = wick_pair_rank_one(omega, xi, mu, 7)[7]
     assert abs(got - scalar) <= 1e-10 * max(1.0, abs(got), abs(scalar))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda mu: ext_inner_n(mu, SymTensor(3, 2), SymTensor(3, 2)),
+     "kernels and measure must share the atom set"),
+    (lambda mu: fock_inner_n(mu, SymTensor(2, 2), SymTensor(3, 2)),
+     "kernels and measure must share the atom set"),
+    (lambda mu: ext_inner(mu, FockVector.vacuum(2), FockVector.vacuum(3)),
+     "vectors and measure must share the atom set"),
+], ids=["ext_inner_n_other_atoms", "fock_inner_n_mixed_atoms",
+        "ext_inner_other_atoms"])
+def test_inner_products_refuse_other_atom_sets(call, message):
+    with pytest.raises(DimensionError, match=message) as raised:
+        call(AtomicMeasure([1.0, 2.0]))
+    assert "\n" not in str(raised.value)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_measure, random_tensor, rel_err
 import gwn.fieldops
-from gwn.errors import ContractError, DomainError, SizeError
+from gwn.errors import ContractError, DimensionError, DomainError, SizeError
 from gwn.extfock import ext_inner
 from gwn.fieldops import (annihilate1, annihilate2, create, gamma_field,
                           jacobi_action_check, jacobi_coefficients, neutral)
@@ -175,6 +175,21 @@ def test_jacobi_action_subset_indicator(rng):
     assert rep.max_norm_dev <= 1e-11
 
 
+def test_jacobi_action_builds_each_power_once(monkeypatch):
+    # chi^(x)n for n = 0..N+1, each used for the action and for its norm
+    built = []
+
+    def counted(f, degree):
+        built.append(degree)
+        return rank_one(f, degree)
+
+    monkeypatch.setattr(gwn.fieldops, "rank_one", counted)
+    meas = AtomicMeasure([0.7, 1.1, 0.4])
+    rep = jacobi_action_check(meas, meas.indicator([0, 2]), 4)
+    assert rep.max_action_dev <= 1e-11 and rep.max_norm_dev <= 1e-11
+    assert sorted(built) == list(range(6))
+
+
 def test_jacobi_action_check_sees_wrong_coefficients(monkeypatch):
     # the right-hand side reads _three_term and gamma_field does not, so a
     # parameter table off by a relative 1e-6 must show in the deviation
@@ -193,3 +208,17 @@ def test_jacobi_action_rejects_non_indicator():
     meas = AtomicMeasure([1.0, 1.0])
     with pytest.raises(ContractError):
         jacobi_action_check(meas, [0.5, 1.0], 3)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: create([1.0, 2.0], FockVector.vacuum(3)),
+     DimensionError, "direction must be a length-3 test function"),
+    (lambda: annihilate1([1.0, 1.0], FockVector.vacuum(2), AtomicMeasure([1.0])),
+     DimensionError, "measure and vector atom counts differ"),
+    (lambda: jacobi_action_check(AtomicMeasure([1.0, 2.0]), [0.0, 0.0], 2),
+     DomainError, "indicator must have positive mass"),
+], ids=["direction_length", "annihilate1_other_measure", "zero_indicator"])
+def test_fieldops_refuses_bad_input(call, error, message):
+    with pytest.raises(error, match=message) as raised:
+        call()
+    assert "\n" not in str(raised.value)

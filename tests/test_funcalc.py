@@ -349,6 +349,26 @@ def test_second_annihilation_forms(rng):
         assert abs(rep.uncompensated_residual - want_gap) < 1e-8 * max(1.0, want_gap)
 
 
+def test_second_annihilation_takes_one_taylor_pass(rng, monkeypatch):
+    # the difference integrals are read off the Taylor coefficients that
+    # the gradient form takes, not from a second pass over the same atoms
+    import gwn.funcalc
+
+    taylor, atom_lists = gwn.funcalc._taylor_at, []
+
+    def counted(p, masses, measure, atoms, order=0):
+        atom_lists.append(list(atoms))
+        return taylor(p, masses, measure, atoms, order)
+
+    monkeypatch.setattr(gwn.funcalc, "_taylor_at", counted)
+    mu = random_measure(rng, 3)
+    xi = np.array([0.4, 0.0, -0.7])
+    rep = second_annihilation_check(random_poly(rng, 3, 3), xi,
+                                    OmegaSample([0.5, 1.2, 2.0]), mu)
+    assert rep.deviation < 1e-8 * max(1.0, abs(rep.lhs))
+    assert sum(1 for atoms in atom_lists if atoms) == 1
+
+
 def test_gradient_checks_zero_direction(rng):
     mu = random_measure(rng, 2)
     p = random_poly(rng, 2, 2)

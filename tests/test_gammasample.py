@@ -311,8 +311,8 @@ def serial_draws(cfg, draw, jumps=False):
             for b, start in enumerate(range(0, cfg.n_samples, DEFAULT_BATCH))]
 
 
-def gamma_draw(measure, cfg):
-    return lambda rng, size: gammasample._draw_batch(measure, cfg, rng, size)
+def gamma_draw(measure):
+    return lambda rng, size: gammasample._draw_batch(measure, rng, size)
 
 
 def run_estimators(mu, cfg):
@@ -340,7 +340,7 @@ def serial_estimates(monkeypatch, mu, cfg):
     with monkeypatch.context() as patched:
         patched.setattr(gammasample, "_mc_accumulate", lambda measure, cfg, stat:
                         mean_and_se(stat(S) for S in serial_draws(
-                            cfg, gamma_draw(measure, cfg))))
+                            cfg, gamma_draw(measure))))
         patched.setattr(funcalc, "mc_jump_accumulate",
                         lambda measure, cfg, order, stat: mean_and_se(
                             stat(*batch) for batch in serial_draws(
@@ -370,7 +370,7 @@ def test_passes_drawn_on_two_threads_equal_serial_draws(monkeypatch):
     # serially on their streams
     mu = AtomicMeasure([0.4, 1.0, 2.3])
     cfg = SamplerConfig(seed=5, n_samples=3 * DEFAULT_BATCH + 5, cp_truncation=1e-3)
-    want = serial_draws(cfg, gamma_draw(mu, cfg))
+    want = serial_draws(cfg, gamma_draw(mu))
     got = [batch for _, batch in iter_sample_batches(mu, cfg)]
     assert len(got) == 4 and got[-1].shape == (5, mu.m)
     assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
@@ -458,14 +458,14 @@ def test_a_draw_that_raises_reaches_the_consumer(monkeypatch, k):
                 event.set()
             raise RuntimeError(f"{where} of batch {b}")
 
-        def dealt(measure, cfg, rng, size):
+        def dealt(measure, rng, size):
             b = made[id(rng)]
             ran[b] = threading.get_ident()
             taken[b].set()
             chosen = b in (k, k + 1) and (ran[b] == caller) == on_caller
             if chosen and where == "draw":
                 fail(b)
-            masses = draw(measure, cfg, rng, size)
+            masses = draw(measure, rng, size)
             batch_of[id(masses)] = (b, chosen)
             if b + 1 < len(taken):
                 taken[b + 1].wait(5.0)
@@ -855,3 +855,21 @@ def test_a_pass_over_the_entry_budget_is_drawn_each_time(monkeypatch):
         with shared_sample_batches():
             assert np.array_equal(reduce_masses(mu, cfg), reduce_masses(mu, cfg))
         assert draws == drawn
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda mu, cfg: mc_chaos_gram(mu, [1.0, 0.5], [0.2, 1.0], cfg, 9),
+     SizeError, "N_wick must be in 0..8"),
+    (lambda mu, cfg: multiple_integral_identity(mu, [], OmegaSample([1.0, 2.0])),
+     ContractError, "need at least one indicator"),
+    (lambda mu, cfg: multiple_integral_identity(mu, [[1.0, 0.0]] * 9,
+                                                OmegaSample([1.0, 2.0])),
+     SizeError, "at most 8 indicators supported"),
+    (lambda mu, cfg: chaos_projection_stack(mu, [SymTensor(3, 1)], cfg),
+     DimensionError, "kernel atom count mismatch"),
+], ids=["gram_degree_over_cap", "no_indicator", "nine_indicators",
+        "kernel_over_other_atoms"])
+def test_estimators_refuse_bad_input_before_sampling(call, error, message):
+    with pytest.raises(error, match=message) as raised:
+        call(AtomicMeasure([0.8, 1.3]), SamplerConfig(seed=1, n_samples=100))
+    assert "\n" not in str(raised.value)

@@ -85,6 +85,17 @@ def test_indicator_and_mass():
     assert meas.integrate(chi) == pytest.approx(2.5)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda meas: meas.indicator([0, 3]), "atom index out of range"),
+    (lambda meas: meas.indicator([-1]), "atom index out of range"),
+    (lambda meas: meas.delta_direction(3), "atom index 3 out of range for m=3"),
+], ids=["indicator_past_end", "indicator_negative", "delta_direction"])
+def test_atom_index_out_of_range(call, message):
+    with pytest.raises(DimensionError, match=message) as raised:
+        call(AtomicMeasure([0.5, 1.5, 2.0]))
+    assert "\n" not in str(raised.value)
+
+
 def test_json_round_trip(tmp_path):
     meas = AtomicMeasure([0.25, 1.0, 3.5])
     p = tmp_path / "measure.json"

@@ -222,8 +222,10 @@ def test_del_integral_one_atom_closed_forms(basis, w):
 
 def assert_gradient_forms_match_taylor_stack(mu, p, masses, atoms):
     """The gradient terms, the Taylor coefficients of the MC jump sum and
-    the three right sides of the second annihilation check, against the
-    nabla^j stack and the shifted rows of [phi, nabla_a phi].  The Taylor
+    the two right sides of the second annihilation check, against the
+    nabla^j stack and the shifted rows of [phi, nabla_a phi]; the
+    compensated right side also against the gradient-shift form, which
+    integrates the shifted rows of nabla_a phi instead.  The Taylor
     coefficients of phi with absolute kernels, at the same rows, are the
     term sizes."""
     nodes, weights = oracles.RULE_NODES, oracles.RULE_WEIGHTS
@@ -242,7 +244,7 @@ def assert_gradient_forms_match_taylor_stack(mu, p, masses, atoms):
     # the gradient terms at the first row, over every atom
     xi = np.zeros(mu.m)
     xi[atoms] = np.linspace(-1.0, 0.9, len(atoms))
-    _, base, g1, g2, dphi = _gradient_form(create, p, xi, omega, mu)
+    _, base, g1, g2, dphi, _ = _gradient_form(create, p, xi, omega, mu)
     D = oracles.taylor_values(pm, masses[:1], range(mu.m), mu, 2)[0]
     Ds = np.maximum(1.0, oracles.taylor_values(size, masses[:1], range(mu.m), mu, 2)[0])
     assert abs(base - D[0, 0]) <= 1e-12 * Ds[0, 0]
@@ -262,7 +264,7 @@ def assert_gradient_forms_match_taylor_stack(mu, p, masses, atoms):
         comp += abs(wxi[a]) * (weights @ shifted[:, 0] + Ds[0, 0])
         grad += abs(wxi[a]) * (weights @ shifted[:, 1])
     assert abs(rep.phi - phi) <= 1e-12 * Ds[0, 0]
-    got = (rep.rhs_compensated, rep.rhs_gradient_shift, rep.rhs_uncompensated)
+    got = (rep.rhs_compensated, rep.rhs_compensated, rep.rhs_uncompensated)
     for g, f, s in zip(got, forms, (comp, grad, comp)):
         assert abs(g - f) <= 1e-12 * max(1.0, s)
 

@@ -353,3 +353,33 @@ def test_rank_tables_of_16_atoms_to_degree_7_fit_in_8_mb():
     total = sum(x.nbytes for n in range(8) for x in _tables(16, n))
     total += sum(x.nbytes for n in range(1, 8) for x in symtensor._last_runs(16, n))
     assert total <= 8 * 2**20
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SymTensor(2, 2, np.zeros(4)), DimensionError,
+     r"expected 3 multiset values for m=2, degree=2, got shape \(4,\)"),
+    (lambda: SymTensor(2, 1) + SymTensor(3, 1), DimensionError,
+     "tensors live over different atom sets"),
+    (lambda: SymTensor(2, 1) + SymTensor(2, 2), ContractError,
+     "tensors have different degrees"),
+    (lambda: SymTensor(3, 2).value_at((0,)), ContractError,
+     r"index tuple \(0,\) has 1 atoms, not 2"),
+    (lambda: SymTensor(3, 2).value_at((0, 3)), DimensionError,
+     r"index tuple \(0, 3\) out of range for m=3"),
+    (lambda: rank_one(np.ones((2, 2)), 2), DimensionError,
+     "rank_one expects a vector of atom values"),
+    (lambda: sym_product(SymTensor(2, 1), SymTensor(3, 1)), DimensionError,
+     "tensors live over different atom sets"),
+    (lambda: FockVector([]), ContractError,
+     "a Fock vector needs at least the degree-0 kernel"),
+    (lambda: FockVector.vacuum(2) + FockVector.vacuum(3), DimensionError,
+     "Fock vectors live over different atom sets"),
+    (lambda: _tables(0, 2), DimensionError, "need at least one atom"),
+], ids=["values_shape", "add_other_atoms", "add_other_degree",
+        "index_length", "index_out_of_range", "rank_one_matrix",
+        "sym_product_other_atoms", "empty_fock_vector", "fock_add_other_atoms",
+        "table_without_atoms"])
+def test_symtensor_refuses_mismatched_shapes(call, error, message):
+    with pytest.raises(error, match=message) as raised:
+        call()
+    assert "\n" not in str(raised.value)

@@ -416,3 +416,26 @@ def test_functional_json_round_trip(rng):
         assert np.allclose(q.kernels.get(n).values, p.kernels.get(n).values)
     om = OmegaSample(rng.uniform(0.0, 2.0, size=3))
     assert rel_err(q.evaluate(om, mu), p.evaluate(om, mu)) < 1e-14
+
+
+def _mono_over(m, N):
+    return PolyFunctional(Basis.MONOMIAL, FockVector.single(SymTensor(m, N)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: monomial_to_wick(PolyFunctional(Basis.GAMMA_WICK, FockVector.vacuum(2)),
+                              AtomicMeasure([1.0, 1.0])),
+     ContractError, "expected a functional in the monomial basis"),
+    (lambda: monomial_to_wick(_mono_over(2, 1), AtomicMeasure([1.0, 1.0, 1.0])),
+     DimensionError, "functional and measure atom counts differ"),
+    (lambda: monomial_to_wick(_mono_over(1, 9), AtomicMeasure([1.0])),
+     SizeError, "basis conversion capped at degree 8"),
+    (lambda: OmegaSample([]), DimensionError, "masses must be a non-empty 1-d array"),
+    (lambda: OmegaSample([1.0, 2.0]).pair([1.0]),
+     DimensionError, "test function length mismatch"),
+], ids=["wrong_basis", "atom_count", "degree_over_cap", "no_masses",
+        "pair_length"])
+def test_wickcalc_refuses_bad_input(call, error, message):
+    with pytest.raises(error, match=message) as raised:
+        call()
+    assert "\n" not in str(raised.value)
