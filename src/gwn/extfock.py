@@ -48,10 +48,6 @@ class LoopPartition:
     blocks: tuple[tuple[int, ...], ...]
     multiplicity: int
 
-    @property
-    def order(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
 
 def iter_loop_partitions(n: int) -> Iterator[LoopPartition]:
     """Generate all set partitions of {0..n-1} with multiplicity prod (|B|-1)!.

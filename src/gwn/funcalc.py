@@ -49,9 +49,10 @@ import numpy as np
 from .errors import DimensionError
 from .fieldops import (_lower, _raise, annihilate1, annihilate2, create,
                        gamma_field, neutral)
-from .gammasample import MCEstimate, SamplerConfig, mc_jump_accumulate
+from .gammasample import (MCEstimate, SamplerConfig, _upper_gammas, expectation,
+                          mc_jump_accumulate, moment_table)
 from .measure import AtomicMeasure
-from .symtensor import FockVector
+from .symtensor import FockVector, _atom_runs
 from .wickcalc import (Basis, OmegaSample, PolyFunctional, _taylor_at,
                        evaluate_batch, s_transform)
 
@@ -324,7 +325,9 @@ def _jump_removals(phi: PolyFunctional, xi: np.ndarray, masses: np.ndarray,
 def a1_plus_mc_adjointness_check(phi: PolyFunctional, psi: PolyFunctional, xi,
                                  measure: AtomicMeasure,
                                  cfg: SamplerConfig) -> MCEstimate:
-    """MC estimate of E[(a1+ phi) psi - phi (a1- psi)]; target 0.
+    """MC estimate of E[(a1+ phi) psi - phi (a1- psi)], 0 under the Gamma
+    law; its target at the truncation the jumps are drawn at is
+    adjointness_target(phi, psi, xi, measure, cfg.cp_truncation).
 
     The adjoint formula removes one configuration point at a time, so the
     expectation must run over jump-resolved compound-Poisson samples:
@@ -340,9 +343,10 @@ def a1_plus_mc_adjointness_check(phi: PolyFunctional, psi: PolyFunctional, xi,
     nothing here knows how jumps are laid out.  Each batch takes the
     Taylor coefficients nabla_a^j phi / j! of phi at the atoms with
     xi_a != 0 (_taylor_at), and one evaluate_batch call of the Gamma-Wick
-    pair [psi, a1- psi].  Jump removal is thereby exact up to rounding;
-    truncating jumps below cfg.cp_truncation still biases the identity by
-    O(eps).  The draw and this statistic run inside the pass of
+    pair [psi, a1- psi].  Jump removal is thereby exact up to rounding.
+    Dropping the jumps below eps = cfg.cp_truncation moves the mean O(eps)
+    off 0, and adjointness_target gives it exactly, so eps need not be
+    small.  The draw and this statistic run inside the pass of
     mc_jump_accumulate, two batches at once on its two threads; no value
     depends on which thread took a batch.
     """
@@ -359,6 +363,52 @@ def a1_plus_mc_adjointness_check(phi: PolyFunctional, psi: PolyFunctional, xi,
 
     mean, se = mc_jump_accumulate(measure, cfg, phi.degree + 1, stat)
     return MCEstimate(float(mean[0]), float(se[0]), cfg.n_samples)
+
+
+def adjointness_target(phi: PolyFunctional, psi: PolyFunctional, xi,
+                       measure: AtomicMeasure, eps: float) -> float:
+    """The exact mean of the statistic of a1_plus_mc_adjointness_check,
+    E[(a1+ phi) psi - phi (a1- psi)], under the compound-Poisson law
+    truncated at eps (the Gamma law at eps = 0).
+
+    The jumps at atom a are a Poisson process of intensity w_a e^(-s)/s ds
+    on [eps, inf), so by the Mecke formula (Last and Penrose, Lectures on
+    the Poisson Process) the jump sum of a1+ phi has
+
+        E[sum_{jumps (a, s)} s xi_a phi(omega - s e_a) psi(omega)]
+            = sum_a w_a xi_a int_eps^inf e^(-s) E[phi(omega) psi(omega + s e_a)] ds
+            = E[phi sum_a w_a xi_a sum_j Gamma(j+1, eps) D_{a,j} psi],
+
+    D_{a,j} = nabla_a^j / j! the Taylor coefficients of psi along atom a.
+    a1- psi is taken in its integral form sum_a w_a xi_a sum_{j>=1} j!
+    D_{a,j} psi, and <xi> psi = sum_a w_a xi_a D_{a,0} psi, so the target
+    is E[phi chi] with chi = sum_a w_a xi_a sum_{j>=0} (Gamma(j+1, eps) -
+    j!) D_{a,j} psi: minus what the jumps below eps would add.  It is 0 at
+    eps = 0, the paper's identity.  The Fock-side a1- that the statistic
+    applies is not read, so an annihilation that breaks moves the estimate
+    and not its target.  chi's monomial coefficients come from psi's by
+    lowering all atoms at once through the run table, and E[phi chi] is
+    one ``expectation`` against the truncated law's moment table.
+    """
+    xi = measure.real_function(xi)
+    m, A = measure.m, psi.to_basis(Basis.MONOMIAL, measure).kernels.coeffs
+    N = psi.degree
+    # [j] = Gamma(j+1, eps) - j!, j = 0..N
+    c = _upper_gammas(N + 1, eps) - np.cumprod(np.maximum(np.arange(N + 1), 1.0))
+    wxi = measure.weights * xi
+    chi = c[0] * wxi.sum() * A
+    if N:
+        entry, copies, _ = _atom_runs(m, N)
+        D = np.broadcast_to(A, (m, A.size))   # [a] = D_{a,j} psi, j = 0
+        for j in range(1, N + 1):
+            # the s^k coefficient of nabla_a D_{a,j-1} is (k_a + 1) times
+            # its s^(k + e_a) coefficient
+            lowered = np.zeros_like(D)
+            lowered[:, :entry.shape[1]] = copies * np.take_along_axis(D, entry, axis=1) / j
+            D = lowered
+            chi = chi + c[j] * (wxi @ D)
+    chi = PolyFunctional(Basis.MONOMIAL, FockVector._from_coeffs(m, N, chi))
+    return expectation(phi, measure, moment_table(measure, phi.degree + N, eps), chi)
 
 
 def multiplication_reassembly_check(p: PolyFunctional, xi, omega: OmegaSample,

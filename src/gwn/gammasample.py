@@ -9,12 +9,14 @@ Two samplers produce the atom masses of a random configuration omega:
 * Compound Poisson (iter_jump_batches): each atom accumulates
   Poisson(w_i E1(eps))-many jumps drawn from the truncated Levy density
   e^(-s)/s on [eps, inf).  Jumps below eps are discarded (not
-  compensated); the mean-mass bias is w_i (1 - e^(-eps)), i.e. O(eps).
-  Only checks that need the jumps themselves draw it.  Its jumps come by
-  thinning (Last and Penrose, Lectures on the Poisson Process): proposals
-  of the dominating density e^(-eps)/s on [eps, 1) (log-uniform sizes)
-  and e^(-s) on [1, inf) (sizes 1 + Exp(1)), of elementary masses
-  e^(-eps) log(1/eps) and e^(-1) per unit weight, each kept with
+  compensated), which lowers the mean mass by w_i (1 - e^(-eps)); an
+  estimate is compared with its exact mean under this truncated law
+  (moment_table), so eps need not be small.  Only checks that need the
+  jumps themselves draw it.  Its jumps come by thinning (Last and
+  Penrose, Lectures on the Poisson Process): proposals of the dominating
+  density e^(-eps)/s on [eps, 1) (log-uniform sizes) and e^(-s) on
+  [1, inf) (sizes 1 + Exp(1)), of elementary masses e^(-eps) log(1/eps)
+  and e^(-1) per unit weight, each kept with
   probability e^(eps - s) or 1/s, the ratio of the two densities.  A
   thinned proposal keeps its uniform owner row and gets size 0.0, which
   adds exactly 0.0 to every power sum; so no E1 is computed, and each
@@ -54,6 +56,12 @@ and the caller adds the sums in batch order with the arithmetic of
 mean_and_se, the serial reference.  So estimates are bit-identical for a
 fixed seed and sample count, on one core or two.
 
+Exact means: under either law the masses are independent across atoms,
+so the mean of a polynomial of them is a sum of products of per-atom
+moments.  moment_table gives them for the law truncated at eps (the Gamma
+law at eps = 0) from the jump cumulants, and expectation contracts them
+with a functional, or a product of two, in one atom_products pass.
+
 Estimators on the same weights and SamplerConfig read the same Gamma
 stream, so inside a shared_sample_batches block a complete pass of at
 most MAX_ENTRIES masses is stored, read-only, and later passes read their
@@ -79,10 +87,11 @@ from .errors import ContractError, DimensionError, DomainError, SizeError
 from .extfock import ext_inner_n, fock_inner_n
 from .measure import AtomicMeasure
 from .fieldops import create
-from .symtensor import MAX_ENTRIES, SymTensor, _check_entries, rank_one
+from .symtensor import (MAX_ENTRIES, SymTensor, _check_entries, _degree,
+                        _merge_ranks, atom_products, rank_one)
 from .wickcalc import (WICK_MAX_DEGREE, Basis, FockVector, OmegaSample,
-                       PolyFunctional, evaluate_batch, wick_kernel,
-                       wick_pair_rank_one_batch)
+                       PolyFunctional, constant_functional, evaluate_batch,
+                       wick_kernel, wick_pair_rank_one_batch)
 
 DEFAULT_BATCH = 4096
 MAX_SEGMENT_JUMPS = 2 ** 14   # proposals of one compound-Poisson segment
@@ -342,6 +351,57 @@ def mc_jump_accumulate(measure: AtomicMeasure, cfg: SamplerConfig,
         order)))
 
 
+def _upper_gammas(J: int, x: float) -> np.ndarray:
+    """Gamma(j, x) for the integers j = 1..J, each (j-1)! e^(-x) sum_{k<j}
+    x^k/k! (DLMF 8.4.8), so (j-1)! at x = 0."""
+    powers = np.cumprod(np.concatenate(([1.0], x / np.arange(1.0, J))))[:J]
+    return np.cumprod(np.maximum(np.arange(J), 1.0)) * math.exp(-x) * np.cumsum(powers)
+
+
+def moment_table(measure: AtomicMeasure, N: int, eps: float = 0.0) -> np.ndarray:
+    """(m, N+1) table [a, n] = E[s_a^n] of the mass at atom a under the
+    compound-Poisson law truncated at eps >= 0, whose jumps at a are a
+    Poisson process of intensity w_a e^(-s)/s ds on [eps, inf); eps = 0 is
+    the Gamma law, whose moments are rising(w_a, n).  The cumulants of the
+    mass are kappa_j = w_a Gamma(j, eps) (Campbell), and the moments follow
+    by m_n = sum_{k=1..n} C(n-1, k-1) kappa_k m_{n-k}."""
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise DomainError(f"truncation eps must be finite and >= 0, got {eps!r}")
+    kappa = measure.weights[:, None] * _upper_gammas(N, eps)   # [a, k - 1]
+    table = np.ones((measure.m, N + 1))
+    for n in range(1, N + 1):
+        binom = np.array([math.comb(n - 1, k) for k in range(n)], dtype=float)
+        table[:, n] = (kappa[:, :n] * table[:, n - 1::-1]) @ binom
+    return table
+
+
+def expectation(p: PolyFunctional, measure: AtomicMeasure, table: np.ndarray,
+                q: PolyFunctional | None = None) -> float:
+    """E[p], or E[p q], for masses independent across atoms with the
+    per-atom moments table[a, n] = E[s_a^n] (``moment_table``) up to the
+    degree of p (of p q).  In the monomial basis p = sum_k A[k] s^k, so
+    E[p] = sum_k A[k] M[k] with M = atom_products(table); for p q each
+    pair of degrees n, k multiplies their coefficients on the merged
+    occupation counts, M read through the merge table of sym_product."""
+    if q is None:
+        q = constant_functional(measure.m, 1.0, Basis.MONOMIAL)
+    a, b = (f.to_basis(Basis.MONOMIAL, measure).kernels for f in (p, q))
+    m, N = measure.m, a.degree + b.degree
+    if a.m != m or b.m != m:
+        raise DimensionError("functionals and measure differ in atom count")
+    if np.shape(table)[0] != m or np.shape(table)[1] <= N:
+        raise DimensionError(f"need a moment table of {m} atoms up to degree {N}, "
+                             f"got shape {np.shape(table)}")
+    M = atom_products(table, N)
+    total = 0.0
+    for n in range(a.degree + 1):
+        for k in range(b.degree + 1):
+            ranks = _merge_ranks(m, n, k) if n >= k else _merge_ranks(m, k, n).T
+            total += a.coeffs[_degree(m, n)] @ M[_degree(m, n + k)][ranks] \
+                @ b.coeffs[_degree(m, k)]
+    return float(total)
+
+
 def laplace_target(measure: AtomicMeasure, phi) -> float:
     """exp[-Integral(log(1 - phi))] for phi < 1 pointwise, if it is finite."""
     phi = measure.real_function(phi)
@@ -381,10 +441,6 @@ class ChaosGramReport:
     std_errors: np.ndarray  # (N+1, N+1)
     targets: np.ndarray     # (N+1, N+1): delta_{nk} n! ext_inner_n
     n_samples: int
-
-    @property
-    def degree(self) -> int:
-        return self.means.shape[0] - 1
 
     def estimate(self, n: int, k: int) -> MCEstimate:
         return MCEstimate(float(self.means[n, k]), float(self.std_errors[n, k]),

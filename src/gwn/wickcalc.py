@@ -211,9 +211,6 @@ class PolyFunctional:
             raise ContractError("cannot add functionals in different bases; convert first")
         return PolyFunctional(self.basis, self.kernels + other.kernels)
 
-    def __sub__(self, other: "PolyFunctional") -> "PolyFunctional":
-        return self + (-1.0) * other
-
     def __mul__(self, c) -> "PolyFunctional":
         return PolyFunctional(self.basis, c * self.kernels)
 

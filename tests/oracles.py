@@ -1,6 +1,6 @@
 """Independent reference implementations used only by the tests.
 
-Nine kinds live here.
+Ten kinds live here.
 
 * Rank tables by key and search: each sorted multi-index is read as a
   base-m number, and a row is ranked by ``searchsorted`` of its key in the
@@ -43,6 +43,13 @@ Nine kinds live here.
   once.
 * The ordinary inner product of float kernels in exact rational
   arithmetic, where the package multiplies and sums in floats.
+* The exact target of the adjointness check as the Mecke integral taken
+  term by term on dicts of monomials, with the Fock-side annihilation,
+  scipy's incomplete gamma and moments from the exponential of the
+  cumulant series (in exact fractions under the Gamma law), where the
+  package lowers coefficient arrays through the run table, reads a1- psi
+  in its integral form and contracts one moment table through the merge
+  table.
 """
 
 from __future__ import annotations
@@ -54,11 +61,12 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
-from scipy.special import poch, roots_laguerre
+from scipy.special import gamma, gammaincc, poch, roots_laguerre
 
 from gwn.errors import ContractError, DimensionError, SizeError
 from gwn.extfock import loop_partitions
 from gwn.measure import AtomicMeasure
+from gwn.fieldops import annihilate1
 from gwn.funcalc import del_dagger, nabla, wick_del
 from gwn.symtensor import (MAX_ENTRIES, FockVector, SymTensor, _start, _tables,
                            sym_product)
@@ -688,3 +696,89 @@ def laguerre_closed_form(sigma: float, N: int) -> np.ndarray:
                      - math.lgamma(sigma + l))
             out[n, l] = (-1) ** (n - l) * math.exp(log_q - log_c)
     return out
+
+
+# --- the adjointness target by the Mecke integral, on monomial dicts --------
+
+def monomial_terms(p: PolyFunctional, measure: AtomicMeasure, number=float) -> dict:
+    """p as {occupation counts k: A[k]} of sum_k A[k] s^k, a Gamma-Wick p
+    first converted by the loop-partition expansion.  The stored
+    coefficients A are read in the documented order: degree by degree,
+    the reps of each in combinations_with_replacement order."""
+    pm = p if p.basis is Basis.MONOMIAL else convert_by_partitions(p, measure)
+    reps = (rep for n in range(pm.degree + 1)
+            for rep in combinations_with_replacement(range(pm.m), n))
+    return {tuple(rep.count(a) for a in range(pm.m)): number(float(c))
+            for rep, c in zip(reps, pm.kernels.coeffs)}
+
+
+def _add_term(poly: dict, key: tuple, c) -> None:
+    poly[key] = poly.get(key, 0) + c
+
+
+def cp_moments(weights, eps: float, N: int, number=float) -> list[list]:
+    """[a][n] = E[s_a^n], n <= N, of the compound-Poisson mass truncated at
+    eps: n! [t^n] exp(K(t)) for the cumulant series K(t) = sum_j kappa_j
+    t^j / j!, kappa_j = w_a Gamma(j, eps) from scipy's regularized upper
+    incomplete gamma ((j-1)! w_a at eps = 0), exponentiated as sum_r
+    K^r / r! by truncated convolution."""
+    out = []
+    for w in weights:
+        K = [number(0)] + [number(w) * (number(math.factorial(j - 1)) if eps == 0
+                                        else gamma(j) * gammaincc(j, eps))
+                           / math.factorial(j) for j in range(1, N + 1)]
+        series = [number(1)] + [number(0)] * N
+        power = list(series)
+        for r in range(1, N + 1):
+            power = [sum((power[i] * K[n - i] for i in range(n)), number(0)) / r
+                     for n in range(N + 1)]
+            series = [x + y for x, y in zip(series, power)]
+        out.append([math.factorial(n) * x for n, x in enumerate(series)])
+    return out
+
+
+def adjointness_target_terms(phi: PolyFunctional, psi: PolyFunctional, xi,
+                             measure: AtomicMeasure, eps: float) -> tuple:
+    """(value, scale) of E[(a1+ phi) psi - phi (a1- psi)] under the
+    compound-Poisson law truncated at eps, term by term on monomial dicts.
+    The jump sum is the Mecke integral sum_a w_a xi_a int_eps^inf e^(-s)
+    E[phi psi(omega + s e_a)] ds: each monomial's (s_a + s)^(k_a) expanded
+    binomially and each s^j integrated to Gamma(j+1, eps) (scipy's, j! at
+    eps = 0); a1- psi is the Fock side, annihilate1 on psi's Gamma-Wick
+    kernels.  Then phi times that, multiplied out as dicts, against
+    cp_moments.  At eps = 0 every number is a Fraction (weights, xi and the
+    float coefficients read exactly), so the value is exact for them.
+    scale is the same sum with every term taken at its absolute value
+    before any two cancel."""
+    exact = eps == 0
+    number = Fraction if exact else float
+    m = measure.m
+    w = [number(float(x)) for x in measure.weights]
+    xi = [number(float(x)) for x in xi]
+    psi_w = psi if psi.basis is Basis.GAMMA_WICK else convert_by_partitions(psi, measure)
+    a1 = PolyFunctional(Basis.GAMMA_WICK, annihilate1(np.array(xi, dtype=float),
+                                                      psi_w.kernels, measure))
+    chi, size = {}, {}
+
+    def add(key, c):
+        _add_term(chi, key, c)
+        _add_term(size, key, abs(c))
+
+    for k, c in monomial_terms(psi, measure, number).items():
+        for a in range(m):
+            for j in range(k[a] + 1):
+                shift = number(math.factorial(j)) if exact \
+                    else gamma(j + 1) * gammaincc(j + 1, eps)
+                key = k[:a] + (k[a] - j,) + k[a + 1:]
+                add(key, w[a] * xi[a] * c * math.comb(k[a], j) * shift)
+        add(k, -sum(x * y for x, y in zip(w, xi)) * c)
+    for k, c in monomial_terms(a1, measure, number).items():
+        add(k, -c)
+    moments = cp_moments(measure.weights, eps, phi.degree + psi.degree, number)
+
+    def mean(left, right):
+        return sum((c * d * math.prod(moments[a][x + y] for a, (x, y) in enumerate(zip(k, l)))
+                    for k, c in left.items() for l, d in right.items()), number(0))
+
+    phi_terms = monomial_terms(phi, measure, number)
+    return mean(phi_terms, chi), mean({k: abs(c) for k, c in phi_terms.items()}, size)

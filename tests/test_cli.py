@@ -18,9 +18,10 @@ from gwn.errors import ContractError, SizeError
 from gwn.measure import AtomicMeasure, save_measure
 from gwn.report import (CaseResult, RunReport, absolute_case, scaled_case,
                         to_json)
-from gwn.symtensor import FockVector, SymTensor
-from gwn.verify import (MC_SUITES, VERIFY_SUITES, run_mc_suite,
-                        run_verify_suite)
+from gwn.gammasample import DEFAULT_BATCH
+from gwn.symtensor import MAX_ENTRIES, FockVector, SymTensor
+from gwn.verify import (ADJOINTNESS_TRUNCATION, MC_SUITES, VERIFY_SUITES,
+                        run_mc_suite, run_verify_suite)
 from gwn.wickcalc import Basis, PolyFunctional, laguerre_system, s_transform
 
 from conftest import count_gamma_draws
@@ -427,12 +428,39 @@ def test_malformed_measure_file_is_an_input_error(tmp_path, capsys, text):
 
 
 def test_compound_poisson_jumps_past_the_entry_budget_exit_2(tmp_path, capsys):
-    # e^(-eps) log(1/eps) + e^(-1) ~ 7.3 proposals per unit weight and
-    # sample at eps 1e-3: a weight of 1e6 asks for ~7e9 proposals in one
-    # batch of 1000, refused before any is drawn
+    # e^(-eps) log(1/eps) + e^(-1) ~ 2.45 proposals per unit weight and
+    # sample at the chaos suite's eps 0.1: a weight of 1e6 asks for ~2.5e9
+    # proposals in one batch of 1000, refused before any is drawn
     save_measure(AtomicMeasure([1e6, 1.0]), tmp_path / "mu.json")
     assert_input_error(capsys, "mc", "chaos", "--samples", "1000",
                        "--measure", str(tmp_path / "mu.json"))
+
+
+def test_chaos_refuses_a_measure_just_past_the_proposal_edge(tmp_path, capsys,
+                                                              monkeypatch):
+    # a batch of 4096 rows expects 4096 W (e^(-eps) log(1/eps) + e^(-1))
+    # proposals at total weight W, over the entry budget once W passes
+    # about 6680 at eps 0.1; W = 6700 is refused with the stream of every
+    # compound-Poisson batch untouched
+    eps = ADJOINTNESS_TRUNCATION
+    per_weight = DEFAULT_BATCH * (math.exp(-eps) * math.log(1.0 / eps) + math.exp(-1.0))
+    assert 6680 < MAX_ENTRIES / per_weight < 6690
+    save_measure(AtomicMeasure([3350.0, 3350.0]), tmp_path / "mu.json")
+    streams = []
+    stream = gammasample._stream
+
+    def recorded(seed, batch_index, jumps=False):
+        rng = stream(seed, batch_index, jumps)
+        if jumps:
+            streams.append((rng, rng.bit_generator.state))
+        return rng
+
+    monkeypatch.setattr(gammasample, "_stream", recorded)
+    err = assert_input_error(capsys, "mc", "chaos", "--samples", "4096",
+                             "--measure", str(tmp_path / "mu.json"))
+    assert (f"compound-Poisson batch of 4096 samples expects {6700 * per_weight:.3g} "
+            f"proposals, over the budget") in err
+    assert streams and all(rng.bit_generator.state == state for rng, state in streams)
 
 
 @pytest.mark.parametrize("weight", [1e17, 1e20])

@@ -1,6 +1,7 @@
 """Difference operators, adjoints, quadrature, and the gradient-form checks."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import oracles
 from gwn.errors import ContractError, DimensionError, DomainError
 from gwn.fieldops import annihilate1, annihilate2
 from gwn.funcalc import (a1_plus_explicit, a1_plus_mc_adjointness_check,
-                         annihilate1_integral, coordinate_multiply,
+                         adjointness_target, annihilate1_integral,
+                         coordinate_multiply,
                          creation_gradient_check, d_xi, del_dagger,
                          del_integral, functional_max_diff,
                          multiplication_reassembly_check, nabla,
@@ -19,6 +21,7 @@ from gwn.funcalc import (a1_plus_explicit, a1_plus_mc_adjointness_check,
 from gwn.gammasample import SamplerConfig
 from gwn.measure import AtomicMeasure
 from gwn.symtensor import FockVector, SymTensor, rank_one
+from gwn.verify import ADJOINTNESS_TRUNCATION
 from gwn.wickcalc import (Basis, OmegaSample, PolyFunctional, dual_pair,
                           evaluate_batch, wick_to_monomial)
 
@@ -390,7 +393,7 @@ def test_a1_plus_explicit_constant():
     assert a1_plus_explicit(one, np.zeros(2), om, mu) == 0.0
 
 
-def adjointness_case():
+def adjointness_case(eps):
     """Inputs of the MC adjointness check: phi, psi, xi, measure, cfg."""
     mu = AtomicMeasure([1.0, 0.7])
     xi = np.array([0.6, -0.4])
@@ -401,16 +404,20 @@ def adjointness_case():
     psi = wick([SymTensor(2, 0, np.array([0.1])),
                 SymTensor(2, 1, rng.uniform(-1, 1, 2)),
                 SymTensor(2, 2, rng.uniform(-1, 1, 3))])
-    cfg = SamplerConfig(seed=777, n_samples=30000, cp_truncation=1e-3)
+    cfg = SamplerConfig(seed=777, n_samples=30000, cp_truncation=eps)
     return phi, psi, xi, mu, cfg
 
 
 def test_a1_plus_mc_adjointness():
-    # E[(a1+ phi) psi] = E[phi (a1- psi)]; removal acts on single jumps of
-    # the configuration, hence the jump-resolved sampler
-    est = a1_plus_mc_adjointness_check(*adjointness_case())
-    assert est.n == 30000 and est.std_error > 0.0
-    assert abs(est.mean) < 4 * est.std_error
+    # E[(a1+ phi) psi] = E[phi (a1- psi)] under the Gamma law; removal acts
+    # on single jumps of the configuration, hence the jump-resolved sampler,
+    # whose jumps below eps move the mean to adjointness_target
+    for eps in (1e-3, ADJOINTNESS_TRUNCATION):
+        phi, psi, xi, mu, cfg = adjointness_case(eps)
+        est = a1_plus_mc_adjointness_check(phi, psi, xi, mu, cfg)
+        assert est.n == 30000 and est.std_error > 0.0
+        assert abs(est.mean - adjointness_target(phi, psi, xi, mu, eps)) \
+            < 4 * est.std_error, eps
 
 
 def test_adjointness_detects_a_broken_annihilation(monkeypatch):
@@ -418,8 +425,74 @@ def test_adjointness_detects_a_broken_annihilation(monkeypatch):
 
     monkeypatch.setattr(gwn.funcalc, "annihilate1",
                         lambda xi, f, measure: FockVector.zeros(f.m, f.degree))
-    est = a1_plus_mc_adjointness_check(*adjointness_case())
+    for eps in (1e-3, ADJOINTNESS_TRUNCATION):
+        phi, psi, xi, mu, cfg = adjointness_case(eps)
+        est = a1_plus_mc_adjointness_check(phi, psi, xi, mu, cfg)
+        # the target reads a1- psi in its integral form, not the broken Fock side
+        assert abs(est.mean - adjointness_target(phi, psi, xi, mu, eps)) \
+            > 4 * est.std_error, eps
+
+
+def test_adjointness_estimate_sits_at_its_truncated_target():
+    # at eps = 0.5 the dropped jumps move the mean 24 SE off the Gamma-law
+    # value 0, and the estimate lies within 1 SE of the exact target
+    mu = AtomicMeasure([1.0, 0.7])
+    phi = mono([SymTensor(2, 0, np.array([1.0])), SymTensor(2, 1, np.array([0.5, 0.0]))])
+    psi = wick([SymTensor(2, 0, np.array([1.0])), SymTensor(2, 1, np.array([0.0, 0.5])),
+                SymTensor(2, 2, np.array([0.2, 0.1, 0.3]))])
+    xi = [1.0, 1.0]
+    est = a1_plus_mc_adjointness_check(phi, psi, xi, mu, SamplerConfig(777, 30000, 0.5))
+    target = adjointness_target(phi, psi, xi, mu, 0.5)
+    assert abs(est.mean - target) < 4 * est.std_error
     assert abs(est.mean) > 4 * est.std_error
+
+
+def target_inputs(rng, m, N=3):
+    """phi and psi of random degrees <= N and bases, and xi, on m atoms."""
+    phi, psi = (random_poly(rng, m, int(rng.integers(0, N + 1)),
+                            Basis.MONOMIAL if rng.random() < 0.5 else Basis.GAMMA_WICK)
+                for _ in range(2))
+    return phi, psi, rng.uniform(-1.0, 1.0, m)
+
+
+def test_adjointness_target_matches_the_mecke_integral(rng):
+    # against the Mecke integral taken term by term on dicts of monomials,
+    # with the Fock-side a1-, scipy's incomplete gamma and the moments of
+    # the exponential of the cumulant series
+    for _ in range(30):
+        m = int(rng.integers(1, 4))
+        eps = float(rng.choice([1e-3, 0.05, ADJOINTNESS_TRUNCATION, 0.5, 0.9]))
+        mu = random_measure(rng, m)
+        phi, psi, xi = target_inputs(rng, m)
+        value, scale = oracles.adjointness_target_terms(phi, psi, xi, mu, eps)
+        assert abs(adjointness_target(phi, psi, xi, mu, eps) - value) \
+            <= 1e-12 * max(1.0, scale), (m, eps)
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_adjointness_target_vanishes_at_eps_0(rng, m):
+    # the Gamma law: the target is 0, the paper's identity, against the
+    # oracle's exact value in fractions at weights that are rational; at
+    # 8 atoms in the chaos suite's degrees
+    for _ in range(4 if m < 8 else 2):
+        mu = AtomicMeasure(rng.integers(1, 9, m) / 4.0)
+        phi, psi, xi = target_inputs(rng, m, 3 if m < 8 else 2)
+        value, scale = oracles.adjointness_target_terms(phi, psi, xi, mu, 0.0)
+        assert isinstance(value, Fraction)
+        target = adjointness_target(phi, psi, xi, mu, 0.0)
+        assert abs(target) <= 1e-12 * max(1.0, scale)
+        assert abs(target - value) <= 1e-12 * max(1.0, scale)
+
+
+def test_adjointness_target_of_a_constant_is_the_mean_mass_bias():
+    # phi = psi = 1: the statistic is sum_a xi_a (omega_a - w_a), whose mean
+    # under the truncated law is -sum_a xi_a w_a (1 - e^(-eps))
+    mu = AtomicMeasure([1.0, 0.7])
+    one = mono([SymTensor(2, 0, np.array([1.0]))])
+    xi = np.array([0.6, -0.4])
+    for eps in (0.0, 1e-3, 0.5):
+        assert rel_err(adjointness_target(one, one, xi, mu, eps),
+                       -mu.integrate(xi) * -math.expm1(-eps)) < 1e-15
 
 
 def test_reassembly(rng):
@@ -464,3 +537,11 @@ def test_a1_plus_mc_adjointness_needs_two_samples():
     cfg = SamplerConfig(seed=777, n_samples=1, cp_truncation=1e-3)
     with pytest.raises(DomainError):
         a1_plus_mc_adjointness_check(one, one, [0.6, -0.4], mu, cfg)
+
+
+@pytest.mark.parametrize("eps", [-0.1, math.nan, math.inf])
+def test_adjointness_target_refuses_a_bad_truncation(eps):
+    mu = AtomicMeasure([1.0, 0.7])
+    one = mono([SymTensor(2, 0, np.array([1.0]))])
+    with pytest.raises(DomainError):
+        adjointness_target(one, one, [0.6, -0.4], mu, eps)

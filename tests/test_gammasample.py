@@ -10,11 +10,13 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.special import exp1
 
+import oracles
 from gwn import funcalc, gammasample, symtensor
 from gwn.errors import ContractError, DimensionError, DomainError, SizeError
 from gwn.extfock import ext_inner_n
@@ -23,6 +25,7 @@ from gwn.gammasample import (DEFAULT_BATCH, MAX_SEGMENT_JUMPS,
                              SamplerConfig, _cp_segments,
                              _draw_cp_batch, _stream,
                              chaos_projection_check, chaos_projection_stack,
+                             expectation, moment_table,
                              iter_jump_batches, iter_sample_batches,
                              laplace_target, mc_chaos_gram,
                              mc_laplace, mc_laplace_stack,
@@ -242,7 +245,7 @@ def test_compound_poisson_cell_counts_are_independent_poisson():
     assert_independent_poisson(counts, mu.weights * proposal_mass(eps).sum())
 
 
-@pytest.mark.parametrize("eps", [1e-3, 0.5])
+@pytest.mark.parametrize("eps", [1e-3, 0.1, 0.5])
 def test_entry_check_counts_proposals(monkeypatch, eps):
     # the expected proposal count size sum(w) (e^(-eps) log(1/eps) + e^(-1))
     # is checked before any draw: a budget just below it refuses the batch
@@ -569,6 +572,107 @@ def test_compound_poisson_mean_mass():
         want = w * math.exp(-eps)  # discarded small jumps bias the mean by O(eps)
         se = math.sqrt(w / cfg.n_samples)
         assert abs(S[:, i].mean() - want) < 4 * se
+
+
+def rising(w, n):
+    return math.prod(w + i for i in range(n))
+
+
+def test_moment_table_at_eps_0_is_rising():
+    mu = AtomicMeasure([0.3, 1.0, 2.75, 40.0])
+    table = moment_table(mu, 8)
+    assert table.shape == (4, 9)
+    for a, w in enumerate(mu.weights):
+        for n in range(9):
+            assert rel_err(table[a, n], rising(w, n)) < 1e-14, (a, n)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.1, 0.5, 0.9])
+def test_moment_table_matches_the_cumulant_series(eps):
+    # the oracle exponentiates the cumulant series with scipy's incomplete
+    # gamma, where the package runs the moment recursion on Gamma(j, eps)
+    # from its finite sum
+    weights = [0.3, 1.0, 2.75]
+    table = moment_table(AtomicMeasure(weights), 7, eps)
+    for a, row in enumerate(oracles.cp_moments(weights, eps, 7)):
+        for n, want in enumerate(row):
+            assert rel_err(table[a, n], want) < 1e-13, (a, n)
+
+
+def test_moment_table_matches_the_jump_sampler():
+    # the first three moments of the compound-Poisson masses at eps = 0.5,
+    # each within 4 SE over 100000 rows
+    mu = AtomicMeasure([0.7, 1.6, 0.3])
+    cfg = SamplerConfig(seed=0, n_samples=100000, cp_truncation=0.5)
+    S = np.concatenate([masses for masses, _ in iter_jump_batches(mu, cfg)])
+    table = moment_table(mu, 3, cfg.cp_truncation)
+    for n in (1, 2, 3):
+        p = S ** n
+        se = p.std(axis=0, ddof=1) / math.sqrt(len(S))
+        assert np.all(np.abs(p.mean(axis=0) - table[:, n]) < 4 * se), n
+
+
+@pytest.mark.parametrize("eps", [-1e-3, math.nan, math.inf])
+def test_moment_table_refuses_a_bad_truncation(eps):
+    with pytest.raises(DomainError):
+        moment_table(AtomicMeasure([1.0]), 2, eps)
+
+
+def dyadic_poly(rng, m, N, basis=Basis.MONOMIAL):
+    """Kernels of multiples of 1/8 in [-1, 1]: exact floats, and coefficients
+    A = perm_count * f that are exact too."""
+    ks = [SymTensor(m, n, rng.integers(-8, 9, math.comb(n + m - 1, n)) / 8.0)
+          for n in range(N + 1)]
+    return PolyFunctional(basis, FockVector(ks))
+
+
+def test_expectation_under_the_gamma_law_is_exact(rng):
+    # rational weights, whose rising factorials are rational: E[p] and
+    # E[p q] against Fraction sums over dicts of monomials
+    for m, Np, Nq in ((1, 4, 3), (2, 3, 3), (3, 2, 2), (3, 4, 0)):
+        mu = AtomicMeasure(rng.integers(1, 9, m) / 4.0)
+        p, q = dyadic_poly(rng, m, Np), dyadic_poly(rng, m, Nq)
+        moments = oracles.cp_moments(mu.weights, 0.0, Np + Nq, Fraction)
+        P, Q = (oracles.monomial_terms(f, mu, Fraction) for f in (p, q))
+
+        def mean(terms):
+            return sum(c * math.prod(moments[a][x] for a, x in enumerate(k))
+                       for k, c in terms.items())
+
+        joint = {}
+        for k, c in P.items():
+            for l, d in Q.items():
+                key = tuple(x + y for x, y in zip(k, l))
+                joint[key] = joint.get(key, 0) + c * d
+        table = moment_table(mu, Np + Nq)
+        assert rel_err(expectation(p, mu, table), float(mean(P))) < 1e-13
+        assert rel_err(expectation(p, mu, table, q), float(mean(joint))) < 1e-13
+        assert rel_err(expectation(q, mu, table, p), float(mean(joint))) < 1e-13
+
+
+def test_expectation_of_gamma_wick_powers_is_their_gram_matrix(rng):
+    # E[q_n(f) q_k(g)] = delta_nk n! ext_inner_n(f^n, g^n) under the Gamma
+    # law, and every Wick power of degree >= 1 has mean 0
+    mu = AtomicMeasure([0.6, 1.3, 2.0])
+    f, g = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+    table = moment_table(mu, 6)
+    for n in range(4):
+        qn = PolyFunctional(Basis.GAMMA_WICK, FockVector.single(rank_one(f, n)))
+        assert abs(expectation(qn, mu, table) - (n == 0)) < 1e-12
+        for k in range(4):
+            qk = PolyFunctional(Basis.GAMMA_WICK, FockVector.single(rank_one(g, k)))
+            want = math.factorial(n) * ext_inner_n(mu, rank_one(f, n), rank_one(g, n)) \
+                if n == k else 0.0
+            assert abs(expectation(qn, mu, table, qk) - want) < 1e-11 * max(1.0, abs(want)), (n, k)
+
+
+def test_expectation_needs_a_wide_enough_table():
+    mu = AtomicMeasure([0.6, 1.3])
+    p = PolyFunctional(Basis.MONOMIAL, FockVector.single(rank_one([1.0, 2.0], 2)))
+    with pytest.raises(DimensionError):
+        expectation(p, mu, moment_table(mu, 3), p)
+    with pytest.raises(DimensionError):
+        expectation(p, mu, moment_table(AtomicMeasure([1.0]), 4), p)
 
 
 def test_sampler_modes_agree_on_laplace():
