@@ -347,8 +347,8 @@ def a1_plus_mc_adjointness_check(phi: PolyFunctional, psi: PolyFunctional, xi,
     Dropping the jumps below eps = cfg.cp_truncation moves the mean O(eps)
     off 0, and adjointness_target gives it exactly, so eps need not be
     small.  The draw and this statistic run inside the pass of
-    mc_jump_accumulate, two batches at once on its two threads; no value
-    depends on which thread took a batch.
+    mc_jump_accumulate, one batch after another on the caller's thread;
+    the batches' sums are reduced in batch order.
     """
     xi = measure.real_function(xi)
     psi_w = psi.to_basis(Basis.GAMMA_WICK, measure)

@@ -34,27 +34,26 @@ order 1 and 1.2 MB at order 3 (tracemalloc, numpy 2.4) whatever the
 weights, eps and batch size, so one draw holds its (m, order, B) sums
 plus at most that much.
 
-Streams: batch b of a run uses the bit generator jumped b times from the
-seed, and a batch is a function of its stream and size alone.  Every
-batch holds DEFAULT_BATCH samples except a shorter last one.  The Gamma
-sampler draws from Philox(key=seed): that stream fixes every Laplace,
-Gram and chaos-projection estimate, so it stays put.  The
-compound-Poisson sampler, which draws millions of doubles per batch at a
-small truncation, uses PCG64(seed), whose doubles cost less than half of
-Philox's on x86-64.  The chaos suite's projection estimates (Gamma
-stream) and adjointness estimate (compound-Poisson stream) therefore
-share no random numbers.
+Streams: batch b of a run has its own stream, and a batch is a function
+of its stream and size alone.  Every batch holds DEFAULT_BATCH samples
+except a shorter last one.  The Gamma sampler draws from Philox(key=seed)
+at counter (0, 0, b, 0), the state of Philox(key=seed) jumped b times:
+that stream fixes every Laplace, Gram and chaos-projection estimate, so
+it stays put.  The compound-Poisson sampler, which draws millions of
+doubles per batch, uses PCG64(seed) jumped b times, whose doubles cost
+less than half of Philox's on x86-64.  The chaos suite's projection and
+adjointness estimates therefore share no random numbers.
 
-An estimator runs one pass (_pass) on the caller's thread and one worker
-thread, opened for the pass and shut down when it ends.  Each thread
-takes the next batch no thread has taken, draws it, applies the
-statistic and keeps the batch's column sums, so two batches are drawn and
-reduced at once; they overlap where numpy releases the interpreter lock
-(bulk random fills, ufuncs on whole arrays).  No value
-depends on which thread took a batch: a batch reads only its own stream,
-and the caller adds the sums in batch order with the arithmetic of
-mean_and_se, the serial reference.  So estimates are bit-identical for a
-fixed seed and sample count, on one core or two.
+A Gamma estimator's pass (_pass) runs on the caller's thread and one
+worker thread, opened for the pass and shut down when it ends.  Each
+thread takes the next batch not yet taken, draws it, applies the
+statistic and keeps its column sums; the two overlap where numpy releases
+the interpreter lock (rng.gamma, whole-array ufuncs).  The
+compound-Poisson pass (mc_jump_accumulate) runs on the caller's thread
+alone: rng.integers, np.bincount and the many short calls of its draw hold
+the lock.  A batch reads only its own stream, and the caller adds the
+sums in batch order with the arithmetic of mean_and_se, the serial
+reference, so estimates are bit-identical on one core or two.
 
 Exact means: under either law the masses are independent across atoms,
 so the mean of a polynomial of them is a sum of products of per-atom
@@ -124,11 +123,11 @@ class MCEstimate:
 
 
 def _stream(seed: int, batch_index: int, jumps: bool = False) -> np.random.Generator:
-    """Batch batch_index's generator, jumped batch_index times:
-    Philox(key=seed) for the Gamma sampler, PCG64(seed) for the
-    compound-Poisson one (jumps)."""
-    bits = np.random.PCG64(int(seed)) if jumps else np.random.Philox(key=int(seed))
-    return np.random.Generator(bits.jumped(batch_index))
+    """Batch b = batch_index's generator: Philox(key=seed) at counter (0, 0,
+    b, 0) (Gamma), or PCG64(seed) jumped b times (compound Poisson, jumps)."""
+    bits = (np.random.PCG64(int(seed)).jumped(batch_index) if jumps else
+            np.random.Philox(key=int(seed), counter=[0, 0, batch_index, 0]))
+    return np.random.Generator(bits)
 
 
 def _cp_segments(measure: AtomicMeasure, eps: float,
@@ -173,7 +172,7 @@ def _cp_segments(measure: AtomicMeasure, eps: float,
             # keep >= e^(eps - s) is keep e^(s - eps) >= 1, and keep >= 1/s is keep s >= 1
             keep[:cut] *= np.exp(low - eps)
             keep[cut:] *= high
-            s[keep >= 1.0] = 0.0
+            s *= keep < 1.0    # kept sizes are finite and > 0: thinned ones become +0.0
             yield i, owners, s
 
 
@@ -190,11 +189,12 @@ def _draw_cp_batch(measure: AtomicMeasure, eps: float, rng: np.random.Generator,
     whatever the weights.
     """
     sums = np.zeros((measure.m, order, size))
+    buf = np.empty(MAX_SEGMENT_JUMPS)    # the powers s^r, r >= 2, in turn
     for i, owners, sizes in _cp_segments(measure, eps, rng, size):
         power = sizes
         for r in range(order):
             if r:
-                power = power * sizes
+                power = np.multiply(power, sizes, out=buf[:sizes.size])
             sums[i, r] += np.bincount(owners, weights=power, minlength=size)
     return sums[:, 0].T, sums
 
@@ -222,7 +222,7 @@ def _batch_sizes(n_samples: int) -> list[int]:
 
 def iter_sample_batches(measure: AtomicMeasure, cfg: SamplerConfig):
     """Yield (batch_index, masses) of the Gamma sampler on the per-batch
-    jumped streams, in batch order, drawn on the caller's thread."""
+    streams, in batch order, drawn on the caller's thread."""
     for b, size in enumerate(_batch_sizes(cfg.n_samples)):
         yield b, _draw_batch(measure, _stream(cfg.seed, b), size)
 
@@ -264,8 +264,8 @@ def mean_and_se(stats) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pass(n_samples: int, job) -> tuple[np.ndarray, np.ndarray]:
-    """mean_and_se of job(b, size), the statistic of batch b, over a pass
-    of n_samples, on this thread and (for several batches) one worker
+    """mean_and_se of job(b, size), the statistic of Gamma batch b, over a
+    pass of n_samples, on this thread and (for several batches) one worker
     thread.  Each thread takes the next batch no thread has taken and keeps
     its _column_sums, reduced in batch order.  A job that raises, on either
     thread, stops both from taking another batch and raises here once the
@@ -345,10 +345,9 @@ def _mc_accumulate(measure: AtomicMeasure, cfg: SamplerConfig, stat_fn):
 def mc_jump_accumulate(measure: AtomicMeasure, cfg: SamplerConfig,
                        order: int, stat_fn):
     """Mean and SE of a per-sample statistic stat_fn(masses, sums) over the
-    batches of iter_jump_batches(measure, cfg, order), in one _pass."""
-    return _pass(cfg.n_samples, lambda b, size: stat_fn(*_draw_cp_batch(
-        measure, cfg.cp_truncation, _stream(cfg.seed, b, jumps=True), size,
-        order)))
+    batches of iter_jump_batches(measure, cfg, order), each drawn and
+    reduced on the caller's thread, since the draw holds the interpreter lock."""
+    return mean_and_se(stat_fn(*batch) for batch in iter_jump_batches(measure, cfg, order))
 
 
 def _upper_gammas(J: int, x: float) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Independent reference implementations used only by the tests.
 
-Ten kinds live here.
+Eleven kinds live here.
 
 * Rank tables by key and search: each sorted multi-index is read as a
   base-m number, and a row is ranked by ``searchsorted`` of its key in the
@@ -50,6 +50,9 @@ Ten kinds live here.
   package lowers coefficient arrays through the run table, reads a1- psi
   in its integral form and contracts one moment table through the merge
   table.
+* Compound-Poisson thinning as a boolean-mask store of 0.0 over the
+  thinned proposals, where the package multiplies every size by its keep
+  flag.
 """
 
 from __future__ import annotations
@@ -570,6 +573,34 @@ def jump_removal_sum(phi: PolyFunctional, xi: np.ndarray, masses: np.ndarray,
     terms = sizes * xi[atoms] * evaluate_batch(phi, removed, measure)
     return (np.bincount(owners, weights=terms, minlength=rows),
             np.bincount(owners, weights=np.abs(terms), minlength=rows))
+
+
+# --- compound-Poisson thinning by a mask store ------------------------------
+
+def cp_segments_masked(measure: AtomicMeasure, eps: float, rng: np.random.Generator,
+                       size: int, window: int):
+    """The (atom, owners, sizes) segments of a compound-Poisson batch of size
+    rows in windows of at most window proposals, read from rng in the order
+    of gammasample._cp_segments (its budget checks left out), each size
+    written out in full and then s[thinned] = 0.0 stored through a boolean
+    mask, where the package multiplies the sizes by keep < 1."""
+    log_span = math.log(1.0 / eps)
+    mass = np.array([math.exp(-eps) * log_span, math.exp(-1.0)])
+    totals = rng.poisson(size * measure.weights[:, None] * mass)
+    for i, (n_low, n_high) in enumerate(totals.tolist()):
+        n = n_low + n_high
+        for start in range(0, max(n, 1), window):
+            count = min(window, n - start)
+            owners = rng.integers(0, size, count)
+            u, keep = rng.random((2, count))
+            cut = min(max(n_low - start, 0), count)
+            low = eps * np.exp(u[:cut] * log_span)
+            high = 1.0 - np.log1p(-u[cut:])
+            s = np.concatenate([low, high])
+            thinned = np.concatenate([keep[:cut] * np.exp(low - eps),
+                                      keep[cut:] * high]) >= 1.0
+            s[thinned] = 0.0
+            yield i, owners, s
 
 
 # --- one atom varied, by whole rows -------------------------------------------

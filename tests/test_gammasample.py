@@ -292,6 +292,21 @@ def test_gamma_batches_keep_the_philox_stream():
     assert np.array_equal(one.masses, [gen.gamma(w, 1.0, 1)[0] for w in mu.weights])
 
 
+def test_gamma_streams_start_where_the_jumps_lead():
+    # batch b's Gamma stream is Philox(key=seed) at counter (0, 0, b, 0),
+    # the state of Philox(key=seed) jumped b times, and batch b's
+    # compound-Poisson stream is PCG64(seed) jumped b times: the same bits,
+    # for random 64-bit seeds and batch indices and at the edges
+    rng = np.random.default_rng(2024)
+    seeds = rng.integers(0, 2 ** 64, 20, dtype=np.uint64).tolist()
+    batches = rng.integers(0, 10 ** 6, 20).tolist()
+    for seed, b in zip([0, 2 ** 63 + 5, 2 ** 64 - 1] + seeds, [0, 24, 1] + batches):
+        for jumps, bits in [(False, np.random.Philox(key=seed)),
+                            (True, np.random.PCG64(seed))]:
+            got = _stream(seed, b, jumps).bit_generator.random_raw(9)
+            assert np.array_equal(got, bits.jumped(b).random_raw(9)), (seed, b)
+
+
 def test_compound_poisson_batches_use_the_pcg64_stream():
     # batch b of iter_jump_batches is drawn from PCG64(seed) jumped b
     # times, and its masses are the view sums[:, 0].T
@@ -384,8 +399,8 @@ def test_passes_drawn_on_two_threads_equal_serial_draws(monkeypatch):
     for (masses, sums), (want_masses, want_sums) in zip(got, want, strict=True):
         assert np.array_equal(masses, want_masses)
         assert np.array_equal(sums, want_sums)
-    # and every estimator's two-thread pass reduces them bit for bit as
-    # mean_and_se does serially
+    # and every estimator's pass (on two threads for the Gamma batches)
+    # reduces them bit for bit as mean_and_se does serially
     assert_estimators_equal_serial(monkeypatch, 1)
 
 
@@ -400,28 +415,43 @@ def test_passes_under_fast_thread_switching_equal_serial_draws(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("accumulate", ["_mc_accumulate", "mc_jump_accumulate"])
-def test_two_batches_are_reduced_at_once(accumulate):
-    # the statistic of batch 0 (4096 rows) returns only once the statistic
-    # of batch 1 (5 rows) has run: a pass that reduced its batches one
-    # after another would time out here
+def test_two_batches_are_reduced_at_once():
+    # the statistic of Gamma batch 0 (4096 rows) returns only once the
+    # statistic of batch 1 (5 rows) has run: a pass that reduced its
+    # batches one after another would time out here
     mu = AtomicMeasure([0.5, 1.2])
     cfg = SamplerConfig(seed=7, n_samples=DEFAULT_BATCH + 5, cp_truncation=1e-3)
     one_ran = threading.Event()
     waited = []
 
-    def stat(masses, *sums):
+    def stat(masses):
         if len(masses) == DEFAULT_BATCH:
             waited.append(one_ran.wait(5.0))
         else:
             one_ran.set()
         return masses
 
-    if accumulate == "_mc_accumulate":
-        gammasample._mc_accumulate(mu, cfg, stat)
-    else:
-        gammasample.mc_jump_accumulate(mu, cfg, 1, stat)
+    gammasample._mc_accumulate(mu, cfg, stat)
     assert waited == [True]
+
+
+def test_compound_poisson_pass_runs_on_the_callers_thread():
+    # the compound-Poisson draw holds the interpreter lock, so its pass
+    # opens no thread: every statistic call runs here, and the estimate is
+    # mean_and_se over iter_jump_batches bit for bit
+    mu = AtomicMeasure([0.5, 1.2])
+    cfg = SamplerConfig(seed=7, n_samples=3 * DEFAULT_BATCH + 5, cp_truncation=1e-3)
+    threads = threading.active_count()
+    during = []
+
+    def stat(masses, sums):
+        during.append((threading.get_ident(), threading.active_count()))
+        return np.column_stack([masses, sums[:, -1].T])
+
+    got = gammasample.mc_jump_accumulate(mu, cfg, 2, stat)
+    assert during == [(threading.get_ident(), threads)] * 4
+    want = mean_and_se(stat(*batch) for batch in iter_jump_batches(mu, cfg, 2))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
 def tag_streams(monkeypatch) -> dict:

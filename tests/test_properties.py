@@ -497,6 +497,35 @@ def test_jump_power_sums_reduce_the_segments(weights, eps, seed, rows, order,
     assert np.array_equal(masses, sums[:, 0].T)
 
 
+def assert_segments_match_mask_store(mu, eps, seed, rows, window):
+    """_cp_segments in windows of at most window proposals against the
+    oracle's mask-store thinning on the same stream, segment by segment and
+    byte for byte; returns the segments."""
+    with mock.patch.object(gammasample, "MAX_SEGMENT_JUMPS", window):
+        got = list(_cp_segments(mu, eps, _stream(seed, 0, jumps=True), rows))
+    want = oracles.cp_segments_masked(mu, eps, _stream(seed, 0, jumps=True), rows, window)
+    for (atom, owners, sizes), (a, o, s) in zip(got, want, strict=True):
+        assert atom == a and np.array_equal(owners, o)
+        assert sizes.dtype == s.dtype and sizes.tobytes() == s.tobytes()
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(cp_weights, st.sampled_from([1e-6, 1e-3, 0.1, 0.9]), seeds, cp_rows,
+       st.sampled_from([2, 17, gammasample.MAX_SEGMENT_JUMPS]))
+def test_thinning_by_product_matches_the_mask_store(weights, eps, seed, rows, window):
+    assert_segments_match_mask_store(AtomicMeasure(weights), eps, seed, rows, window)
+
+
+def test_thinning_edge_windows_match_the_mask_store():
+    # windows of 2 proposals, some with both thinned (every size 0.0), and
+    # a middle atom without proposals: one empty segment
+    segments = assert_segments_match_mask_store(AtomicMeasure([1.5, 1e-12, 2.0]),
+                                                1e-3, 8, 30, 2)
+    assert [owners.size for atom, owners, _ in segments if atom == 1] == [0]
+    assert any(sizes.size and not sizes.any() for _, _, sizes in segments)
+
+
 @st.composite
 def jump_batches(draw):
     mu = AtomicMeasure(draw(cp_weights))
