@@ -11,15 +11,14 @@ each built from raise (s_a), number (s_a d_a) and lower (d_a) steps per atom:
 * annihilation-1:    F -> sum_a xi_a w_a d_a F        (degree -1)
 * annihilation-2:    F -> sum_a xi_a s_a d_a^2 F      (degree -1)
 
-Both slot steps read the one-atom merge table, which maps a degree-n rep
-r and an atom a to the rank of r with a added.  Creation is the raising
-kernel ``_raise``, the dual of the lowering kernel ``_lower``: it adds
-A[r] xi_a onto merge(r, a) for every atom a (the Wick adjoint
-``funcalc.del_dagger`` onto one atom's column), while ``_lower`` reads A
-at merge(r, a) times k_a(r) + 1.  Annihilation-1 lowers over every atom
-with weights w xi, annihilation-2 over the slots of r with xi there, and
-the slot derivatives of ``funcalc`` read one atom's column.  Neutral
-scales A[r] by sum_p xi(r_p).
+Both slot steps read the insertion table of ``symtensor``: r + a, the
+offset of rep r with atom a added.  Creation is the raising kernel
+``_raise``, the dual of the lowering kernel ``_lower``: it adds A[r] xi_a
+onto r + a for every atom a (the Wick adjoint ``funcalc.del_dagger`` for
+one atom), while ``_lower`` reads A at r + a times k_a(r) + 1.
+Annihilation-1 lowers over every atom with weights w xi, annihilation-2
+over the slots of r with xi there, and the slot derivatives of
+``funcalc`` at one atom.  Neutral scales A[r] by sum_p xi(r_p).
 
 On indicator powers chi^(x)n the field acts by a three-term recurrence whose
 coefficients are the Jacobi parameters of the orthonormal Laguerre system
@@ -39,7 +38,7 @@ import numpy as np
 from .errors import ContractError, DimensionError, DomainError
 from .extfock import ext_inner_n
 from .measure import AtomicMeasure
-from .symtensor import (FockVector, _check_entries, _degree, _merge_ranks,
+from .symtensor import (FockVector, _check_entries, _degree, _insertions,
                         _start, _tables, rank_one)
 
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
@@ -67,32 +66,35 @@ def neutral(xi, f: FockVector) -> FockVector:
 
 def _lower(f: FockVector, c: np.ndarray, atoms=None) -> FockVector:
     """The one lowering kernel, degreewise A_{n-1}[r] = sum_j c[a_j]
-    (k_{a_j}(r) + 1) A_n[merge(r, a_j)] over the one-atom merge table, the
-    atoms a_j the list ``atoms`` for every r, or the slots of r when it is
-    None; k_a(r) + 1 = n perm_count(r) / perm_count(merge(r, a))."""
+    (k_{a_j}(r) + 1) A_n[r + a_j] over the insertion table, the atoms a_j
+    the list ``atoms`` for every r, or the slots of r when it is None;
+    k_a(r) + 1 = n perm_count(r) / perm_count(r + a)."""
     out = np.zeros(_start(f.m, max(f.degree, 1)), np.result_type(f.coeffs, c))
+    ins = _insertions(f.m, f.degree)
     for n in range(1, f.degree + 1):
-        low = _tables(f.m, n - 1)
+        low, d = _tables(f.m, n - 1), _degree(f.m, n - 1)
         a = low.reps if atoms is None else np.reshape(atoms, (1, -1))
-        cols = np.take_along_axis(_merge_ranks(f.m, n - 1, 1), a, axis=1)
-        g = c[a] * f.coeffs[_degree(f.m, n)][cols]
-        g *= (n * low.perm_counts)[:, None] // _tables(f.m, n).perm_counts[cols]
-        out[_degree(f.m, n - 1)] = np.sum(g, axis=1)
+        up = ins[a, np.arange(d.start, d.stop)[:, None]]   # C order, as summed
+        g = c[a] * f.coeffs[up]
+        g *= (n * low.perm_counts)[:, None] // _tables(f.m, n).perm_counts[up - d.stop]
+        out[d] = np.sum(g, axis=1)
     return FockVector._from_coeffs(f.m, max(f.degree - 1, 0), out)
 
 
 def _raise(f: FockVector, c: np.ndarray, atoms=None) -> FockVector:
     """The one raising kernel, the dual of ``_lower``: degreewise
-    A_{n+1}[merge(r, a)] += A_n[r] c[a] over the one-atom merge table for
-    the atoms a of the list ``atoms`` (every atom when it is None), the
-    product of the polynomial with sum_a c[a] s_a."""
-    a = slice(None) if atoms is None else np.asarray(atoms)
-    ranks = [_merge_ranks(f.m, n, 1)[:, a] for n in range(f.degree + 1)]   # tables refuse first
+    A_{n+1}[r + a] += A_n[r] c[a] over the insertion table for the atoms a
+    of the list ``atoms`` (every atom when it is None), the product of the
+    polynomial with sum_a c[a] s_a."""
+    ins = _insertions(f.m, f.degree + 1)   # the table refuses first
     out = np.zeros(_start(f.m, f.degree + 2), np.result_type(f.coeffs, c))
-    for n, r in enumerate(ranks):
-        # np.add.at, not bincount, so that complex coefficients take one pass
-        np.add.at(out[_degree(f.m, n + 1)], r.ravel(),
-                  (f.coeffs[_degree(f.m, n)][:, None] * c[a]).ravel())
+    # atoms in descending order: the terms of each output entry then add
+    # up in rep order, as r + a = r' + a' with a > a' means r < r'
+    atoms = range(f.m - 1, -1, -1) if atoms is None else sorted(atoms, reverse=True)
+    for n in range(f.degree + 1):
+        d = _degree(f.m, n)
+        for a in atoms:
+            np.add.at(out, ins[a, d], f.coeffs[d] * c[a])
     return FockVector._from_coeffs(f.m, f.degree + 1, out)
 
 

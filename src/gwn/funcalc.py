@@ -52,7 +52,7 @@ from .fieldops import (_lower, _raise, annihilate1, annihilate2, create,
 from .gammasample import (MCEstimate, SamplerConfig, _upper_gammas, expectation,
                           mc_jump_accumulate, moment_table)
 from .measure import AtomicMeasure
-from .symtensor import FockVector, _atom_runs
+from .symtensor import FockVector, _atom_runs, _insertions
 from .wickcalc import (Basis, OmegaSample, PolyFunctional, _taylor_at,
                        evaluate_batch, s_transform)
 
@@ -397,16 +397,15 @@ def adjointness_target(phi: PolyFunctional, psi: PolyFunctional, xi,
     c = _upper_gammas(N + 1, eps) - np.cumprod(np.maximum(np.arange(N + 1), 1.0))
     wxi = measure.weights * xi
     chi = c[0] * wxi.sum() * A
-    if N:
-        entry, copies, _ = _atom_runs(m, N)
-        D = np.broadcast_to(A, (m, A.size))   # [a] = D_{a,j} psi, j = 0
-        for j in range(1, N + 1):
-            # the s^k coefficient of nabla_a D_{a,j-1} is (k_a + 1) times
-            # its s^(k + e_a) coefficient
-            lowered = np.zeros_like(D)
-            lowered[:, :entry.shape[1]] = copies * np.take_along_axis(D, entry, axis=1) / j
-            D = lowered
-            chi = chi + c[j] * (wxi @ D)
+    entry, copies = _insertions(m, N), _atom_runs(m, N)[0]
+    D = np.broadcast_to(A, (m, A.size))   # [a] = D_{a,j} psi, j = 0
+    for j in range(1, N + 1):
+        # the s^k coefficient of nabla_a D_{a,j-1} is (k_a + 1) times
+        # its s^(k + e_a) coefficient
+        lowered = np.zeros_like(D)
+        lowered[:, :entry.shape[1]] = copies * np.take_along_axis(D, entry, axis=1) / j
+        D = lowered
+        chi = chi + c[j] * (wxi @ D)
     chi = PolyFunctional(Basis.MONOMIAL, FockVector._from_coeffs(m, N, chi))
     return expectation(phi, measure, moment_table(measure, phi.degree + N, eps), chi)
 

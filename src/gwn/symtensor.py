@@ -23,19 +23,19 @@ over position splits, so phi-tensor-phi equals the plain tensor square with
 no combinatorial prefactor.  It is the product of the two polynomials: the
 coefficients A of the factors are multiplied and added onto the merge
 table, which maps a pair of multi-indices to the rank of their union
-(occupation counts k_a + k_b).  Its one-atom table (degree b = 1) serves
-both slot kernels of ``fieldops``: raising adds onto it, lowering reads
-from it.
+(occupation counts k_a + k_b).  One table, ``_insertions``, holds the
+one-atom steps, the offset of each rep with one atom added: both slot
+kernels of ``fieldops`` read it (raising adds onto it, lowering reads from
+it), the merge tables compose it, and ``wickcalc`` converts bases and
+restricts functionals to one atom along it and the run table of run
+lengths and bases.
 
 Every rank table is built from the one a degree lower, with no keys and
 no search: the degree-n reps list each degree-(n-1) rep extended by every
-atom at or past its last one.  So are the last-run table, the one-atom
-merge table, and the run table on which ``wickcalc`` converts bases and
-restricts functionals to one atom, read off that merge table.  The cached
-tables are read-only and compact: reps uint8 up to 256 atoms, run lengths
-int8, ranks int32 (``MAX_ENTRIES`` < 2^31).  No table stores a count per
-atom, and each is checked against one entry budget, ``MAX_ENTRIES``,
-before it is allocated.
+atom at or past its last one.  The cached tables are read-only and
+compact: reps uint8 up to 256 atoms, run lengths int8 (one per atom and
+rep), ranks and offsets int32 (``MAX_ENTRIES`` < 2^31), and each is
+checked against one entry budget, ``MAX_ENTRIES``, before it is allocated.
 """
 
 from __future__ import annotations
@@ -161,27 +161,44 @@ def _last_runs(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _atom_runs(m: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(entry, k, base), each (m, _start(m, N)): row a holds every run of
-    atom a in the reps of degrees 1..N.  Run j is k[a, j] copies of a in the
-    rep at ``_start`` offset entry[a, j], the rep at offset j with one a
-    added (column a of a one-atom merge table), and base[a, j] is the
-    offset of that rep with the run removed.  An (atom, rep) holds 9 bytes
-    (int32, int8, int32), counted in the budget's 8-byte entries."""
+def _insertions(m: int, N: int) -> np.ndarray:
+    """(m, _start(m, N)) int32: [a, r] is the offset of rep r, of degree < N,
+    with one atom a added.  Rep q of degree n (last atom l, parent q') with
+    x added is q's child head[q] + x when x >= l, else s = q' with x added,
+    one degree down, with l appended: s's child head[s] + l."""
+    _check_degree(N)
+    _check_table(m, N)   # the table the offsets point into, refused as if it were built
+    out, n = np.empty((m, _start(m, N)), np.int32), N - 1
+    if N == 0:
+        return _frozen(out)
+    prev = _insertions(m, n)
+    out[:, :prev.shape[1]] = prev
+    last = _tables(m, n).reps.max(axis=1, initial=0).astype(np.int32)   # 0 for no atom
+    head = np.cumsum(m - last, dtype=np.int32) + (_start(m, N) - m)
+    block, x = out[:, _degree(m, n)], np.arange(m, dtype=np.int32)[:, None]
+    np.add(head, x, out=block)
+    if n:
+        down = head[prev[:, _degree(m, n - 1)] - _start(m, n)][:, _children(m, n)[0]]
+        down += last
+        np.copyto(block, down, where=x < last)
+    return _frozen(out)
+
+
+@lru_cache(maxsize=None)
+def _atom_runs(m: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(k, base), int8 and int32, each (m, _start(m, N)): rep j plus atom a,
+    ``_insertions(m, N)[a, j]``, ends in k[a, j] copies of a, and base[a, j]
+    is its offset without them; 5 bytes an (atom, rep), in 8-byte entries."""
     size = _start(m, N)
-    _check_entries(-(-9 * m * size // 8), f"run table (m={m}, N={N})")
-    entry = np.empty((m, size), dtype=np.int32)
+    _check_entries(-(-5 * m * size // 8), f"run table (m={m}, N={N})")
+    entry = _insertions(m, N)
     k = np.ones((m, size), dtype=np.int8)
     base = np.tile(np.arange(size, dtype=np.int32), (m, 1))
-    for n in range(1, N + 1):
-        lo, hi = _start(m, n - 1), _start(m, n)
-        entry[:, lo:hi] = hi + _merge_ranks(m, n - 1, 1).T
-        # a rep made a degree lower that holds a already: its run grows
-        # by one copy and keeps its base
-        low = slice(_start(m, n - 2) if n > 1 else 0, lo)
+    for n in range(N - 1):
+        low = _degree(m, n)   # (j + a) + a: the run of j + a, one copy longer
         np.put_along_axis(k, entry[:, low], k[:, low] + 1, axis=1)
         np.put_along_axis(base, entry[:, low], base[:, low], axis=1)
-    return _frozen(entry, k, base)
+    return _frozen(k, base)
 
 
 def atom_products(table, N: int) -> np.ndarray:
@@ -221,33 +238,15 @@ def atom_products(table, N: int) -> np.ndarray:
     return flat
 
 
-@lru_cache(maxsize=None)
 def _merge_ranks(m: int, a: int, b: int) -> np.ndarray:
     """(R_a, R_b) table: degree-(a+b) rank of the union of degree-a rep i and
-    degree-b rep j, i.e. of the occupation counts k_i + k_j.  Callers put the
-    larger degree first, so the product and slot operators share tables."""
-    ta = _tables(m, a)
-    _check_entries(len(ta.reps) * math.comb(b + m - 1, b), f"merge table ({a}, {b})")
-    if b != 1:
-        r = np.arange(len(ta.reps))[:, None]
-        for p, atoms in enumerate(_tables(m, b).reps.T):
-            r = _merge_ranks(m, a + p, 1)[r, atoms]
-        return _frozen(r)
-    # the ranks point into the degree-(a+1) table, refused as if it were built
-    _check_degree(a + 1)
-    _check_table(m, a + 1)
-    # rep q (last atom l, parent q') with atom x inserted is q's child
-    # head[q] + x when x >= l, else s = insert(q', x), one degree down,
-    # with l appended: s's child head[s] + l
-    last = ta.reps[:, -1].astype(np.int32) if a else np.zeros(1, np.int32)
-    head = np.cumsum(m - last, dtype=np.int32) - m
-    x = np.arange(m, dtype=np.int32)
-    r = head[:, None] + x
-    if a:
-        down = head[_merge_ranks(m, a - 1, 1)][_children(m, a)[0]]
-        down += last[:, None]
-        np.copyto(r, down, where=x < last[:, None])
-    return _frozen(r)
+    degree-b rep j, i.e. of the occupation counts k_i + k_j: the b atoms of
+    j added to i one at a time, so callers put the larger degree first."""
+    _check_entries(len(_tables(m, a).reps) * math.comb(b + m - 1, b), f"merge table ({a}, {b})")
+    r = np.arange(_start(m, a), _start(m, a + 1))[:, None]
+    for atoms in _tables(m, b).reps.T:
+        r = _insertions(m, a + b)[atoms, r]
+    return r - _start(m, a + b)
 
 
 class SymTensor:

@@ -54,8 +54,8 @@ from .errors import ContractError, DimensionError, DomainError, SizeError
 from .extfock import fock_inner
 from .fieldops import _checked_three_term, _three_term
 from .measure import AtomicMeasure, real_values
-from .symtensor import (FockVector, SymTensor, _atom_runs, _check_degree,
-                        _check_entries, _degree, atom_products, sym_product)
+from .symtensor import (FockVector, SymTensor, _atom_runs, _check_degree, _check_entries,
+                        _degree, _insertions, atom_products, sym_product)
 
 # Accuracy cap of basis conversion: the per-atom transforms lose digits
 # fast past it.  At m = 2 the monomial -> Wick -> monomial round trip of
@@ -283,7 +283,7 @@ def _convert(p: PolyFunctional, measure: AtomicMeasure, expect: Basis,
     if target is Basis.GAMMA_WICK:
         mats = np.abs(mats)
     lo = _degree(p.m, N).start
-    for T, e, col, row in zip(mats, *_atom_runs(p.m, N)):
+    for T, e, col, row in zip(mats, _insertions(p.m, N), *_atom_runs(p.m, N)):
         grid = np.zeros((lo, N + 1), dtype=a.dtype)
         grid[:, 0] = a[:lo]
         grid[row, col] = a[e]
@@ -370,7 +370,7 @@ def _taylor_at(p, masses: np.ndarray, measure: AtomicMeasure, atoms,
     D = np.zeros((len(atoms), F, J + 1, B))
     D[:, :, 0] = values
     if len(atoms):
-        entry, copies, base = _atom_runs(measure.m, N)
+        entry, (copies, base) = _insertions(measure.m, N), _atom_runs(measure.m, N)
         ks = np.arange(N + 1)
         binom = np.array([[math.comb(k, j) for k in ks] for j in ks], dtype=float)
         for d, a in zip(D, atoms):

@@ -113,6 +113,14 @@ def insert_ranks(m: int, n: int) -> np.ndarray:
                      for x in range(m)], axis=1)
 
 
+def merge_ranks(m: int, a: int, b: int) -> np.ndarray:
+    """(R_a, R_b): degree-(a+b) rank of the sorted union of each degree-a
+    rep and each degree-b rep."""
+    ra, rb = (_tables(m, n).reps.astype(np.int64) for n in (a, b))
+    union = np.hstack([np.repeat(ra, len(rb), axis=0), np.tile(rb, (len(ra), 1))])
+    return rank_rows(m, union).reshape(len(ra), len(rb))
+
+
 def last_runs(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(parent, row) per degree-n rep: the flat offset of the rep without
     its last run of k copies of atom a, counted from the rep, and k m + a."""

@@ -1,16 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from conftest import random_measure, random_tensor, rel_err
 import gwn.fieldops
 from gwn.errors import ContractError, DimensionError, DomainError, SizeError
 from gwn.extfock import ext_inner
 from gwn.fieldops import (annihilate1, annihilate2, create, gamma_field,
                           jacobi_action_check, jacobi_coefficients, neutral)
+from gwn.funcalc import del_dagger
 from gwn.measure import AtomicMeasure
-from gwn.symtensor import MAX_ENTRIES, FockVector, rank_one, sym_product
+from gwn.symtensor import (MAX_DEGREE, MAX_ENTRIES, FockVector, SymTensor, _degree, _start,
+                           rank_one, sym_product)
+from gwn.wickcalc import Basis, PolyFunctional
 
 
 def _vec(rng, m, N):
@@ -150,6 +155,45 @@ def test_jacobi_coefficients_domain():
     # the entry budget is checked before the N + 1 parameters are built
     with pytest.raises(SizeError):
         jacobi_coefficients(1.0, MAX_ENTRIES)
+
+
+def test_creation_sums_each_entry_in_rep_order():
+    # an entry of the raised vector sums the terms A[r] xi_a of the reps r
+    # it is reached from in increasing order of r, as np.add.at over the
+    # rep-major pairs adds them: the bytes, not only the value, so that no
+    # report moves in its last digit
+    rng = np.random.default_rng(11)
+    m, N = 6, 4
+    f, xi = _vec(rng, m, N), rng.normal(size=m)
+    want = np.zeros(_start(m, N + 2))
+    for n in range(N + 1):
+        ranks = _start(m, n + 1) + oracles.insert_ranks(m, n)
+        np.add.at(want, ranks.ravel(), (f.coeffs[_degree(m, n)][:, None] * xi).ravel())
+    assert np.array_equal(create(xi, f).coeffs, want)
+
+
+def test_raising_refuses_the_degree_past_its_tables_before_allocating():
+    # creation and the Wick adjoint raise the degree by one: past MAX_DEGREE,
+    # or onto a degree whose multiset table is past the entry budget, they
+    # are refused by the tables they would read, before the output exists
+    top = FockVector.single(SymTensor(1, MAX_DEGREE, np.ones(1)))
+    cap = rf"degree {MAX_DEGREE + 1} outside supported range 0\.\.{MAX_DEGREE}"
+    with pytest.raises(SizeError, match=cap):
+        create(np.ones(1), top)
+    with pytest.raises(SizeError, match=cap):
+        del_dagger(PolyFunctional(Basis.GAMMA_WICK, top), 0, AtomicMeasure(np.ones(1)))
+    # 40 atoms, degree 5: the degree-6 table holds C(45, 6) reps of 9 entries
+    m, n = 40, 5
+    f = FockVector._from_coeffs(m, n, np.zeros(_start(m, n + 1)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError, match=rf"multiset table \(m={m}, n={n + 1}\) needs "
+                                            rf"{math.comb(n + m, n + 1) * (n + 4)} entries"):
+            create(np.ones(m), f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * _start(m, n + 2)    # the degree-0..6 output, 75 MB
 
 
 def test_norm_ratio_is_alpha(rng):

@@ -59,8 +59,8 @@ from gwn.funcalc import (_jump_removals, annihilate1_integral,
                          coordinate_multiply, del_dagger, nabla, wick_del)
 from gwn.gammasample import _cp_segments, _draw_cp_batch, _stream, mean_and_se
 from gwn.measure import AtomicMeasure
-from gwn.symtensor import (FockVector, SymTensor, _atom_runs, _degree, _start, _tables,
-                           atom_products, rank_one, sym_product)
+from gwn.symtensor import (FockVector, SymTensor, _atom_runs, _degree, _insertions, _start,
+                           _tables, atom_products, rank_one, sym_product)
 from gwn.wickcalc import (Basis, OmegaSample, PolyFunctional, _atom_table,
                           _wick_coefficients, evaluate_batch,
                           laguerre_system, monomial_to_wick, s_transform, wick_kernels,
@@ -284,7 +284,7 @@ def test_conversion_lines_match_run_removal(m, N):
     # column k_i; entries without atom i keep their own row, at column 0
     flat = {rep: e for e, rep in enumerate(
         rep for n in range(N + 1) for rep in combinations_with_replacement(range(m), n))}
-    entry, k, base = _atom_runs(m, N)
+    entry, (k, base) = _insertions(m, N), _atom_runs(m, N)
     for i in range(m):
         got = list(zip(entry[i].tolist(), base[i].tolist(), k[i].tolist()))
         want = [(e, flat[tuple(x for x in rep if x != i)], rep.count(i))

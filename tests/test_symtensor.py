@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 from collections import Counter
@@ -16,7 +17,8 @@ from gwn.errors import ContractError, DimensionError, DomainError, SizeError
 from gwn.measure import AtomicMeasure
 from gwn.symtensor import (MAX_DEGREE, FockVector, SymTensor, _tables, rank_one,
                            sym_product)
-from gwn.wickcalc import Basis, _atom_table
+from gwn.fieldops import create
+from gwn.wickcalc import Basis, PolyFunctional, _atom_table, monomial_to_wick
 from oracles import (append_tied_slots, dense_from_symtensor, diagonal_restrict,
                      sym_product_dense, symtensor_from_dense)
 
@@ -217,23 +219,39 @@ def test_entry_budget_refuses_oversized_tensors_and_tables():
 
 
 def test_run_table_budget_counts_its_bytes(monkeypatch):
-    # an (atom, rep) of the run table holds 9 bytes (int32 entry, int8 run
-    # length, int32 base), which is ceil(9 m size / 8) of the budget's
-    # 8-byte entries: 67.5, so 68, at 3 atoms and degree 4
+    # an (atom, rep) of the run table holds 5 bytes (int8 run length, int32
+    # base), which is ceil(5 m size / 8) of the budget's 8-byte entries:
+    # 37.5, so 38, at 3 atoms and degree 4
     m, N = 3, 4
     size = symtensor._start(m, N)
-    need = -(-9 * m * size // 8)
-    for n in range(N):      # the merge tables it reads, under the full budget
-        symtensor._merge_ranks(m, n, 1)
+    need = -(-5 * m * size // 8)
+    symtensor._insertions(m, N)     # the table it reads, under the full budget
     symtensor._atom_runs.cache_clear()
     try:
         monkeypatch.setattr(symtensor, "MAX_ENTRIES", need - 1)
         with pytest.raises(SizeError, match=rf"run table \(m={m}, N={N}\) needs {need} "):
             symtensor._atom_runs(m, N)
         monkeypatch.setattr(symtensor, "MAX_ENTRIES", need)
-        assert [x.shape for x in symtensor._atom_runs(m, N)] == [(m, size)] * 3
+        runs = symtensor._atom_runs(m, N)
+        assert [x.shape for x in runs] == [(m, size)] * 2
+        assert sum(x.nbytes for x in runs) <= 8 * need
     finally:
         symtensor._atom_runs.cache_clear()
+    # the insertion table (4 bytes an (atom, rep)) is refused with the
+    # degree-N multiset table its offsets point into, n + 3 entries a rep,
+    # which outweighs it: 105 entries against the 240 bytes (30 entries)
+    # it holds
+    table = math.comb(N + m - 1, N) * (N + 3)
+    symtensor._insertions.cache_clear()
+    try:
+        monkeypatch.setattr(symtensor, "MAX_ENTRIES", table - 1)
+        with pytest.raises(SizeError, match=rf"multiset table \(m={m}, n={N}\) needs {table} "):
+            symtensor._insertions(m, N)
+        monkeypatch.setattr(symtensor, "MAX_ENTRIES", table)
+        ins = symtensor._insertions(m, N)
+        assert ins.shape == (m, size) and ins.nbytes <= 8 * table
+    finally:
+        symtensor._insertions.cache_clear()
 
 
 @pytest.mark.parametrize("block", [1, 5, 64])
@@ -272,15 +290,24 @@ def test_atom_products_peak_memory_is_result_and_two_blocks(case):
 # --- rank tables against the key-and-search oracle --------------------------
 
 def assert_rank_routes(m: int, n: int) -> None:
-    """The recursive insertion table (n, 1) and the run table of degrees
-    1..n, as integers, against ranking each row by key and searchsorted."""
-    ins = symtensor._merge_ranks(m, n, 1)
-    assert ins.dtype == np.int32
-    assert np.array_equal(ins, oracles.insert_ranks(m, n))
+    """The recursive insertion table into degrees 1..n+1 (its degree-n
+    block, and its prefix into degrees 1..n), the run table of degrees 1..n
+    and the merge tables (n - b, b), b >= 2, composed from the insertion
+    table, as integers, against ranking each row by key and searchsorted."""
+    ins = symtensor._insertions(m, n + 1)
+    assert ins.dtype == np.int32 and ins.shape == (m, symtensor._start(m, n + 1))
+    block = ins[:, symtensor._degree(m, n)].T - symtensor._start(m, n + 1)
+    assert np.array_equal(block, oracles.insert_ranks(m, n))
+    entry, k, base = oracles.atom_runs(m, n)
+    for got in (symtensor._insertions(m, n), ins[:, :entry.shape[1]]):
+        assert np.array_equal(got, entry)
     runs = symtensor._atom_runs(m, n)
-    assert [x.dtype for x in runs] == [np.int32, np.int8, np.int32]
-    for got, want in zip(runs, oracles.atom_runs(m, n)):
+    assert [x.dtype for x in runs] == [np.int8, np.int32]
+    for got, want in zip(runs, (k, base)):
         assert np.array_equal(got, want)
+    for b in range(2, n + 1):
+        assert np.array_equal(symtensor._merge_ranks(m, n - b, b),
+                              oracles.merge_ranks(m, n - b, b))
 
 
 def assert_lex_ranks(m: int, n: int, seed: int) -> None:
@@ -314,9 +341,14 @@ def test_rank_tables_past_the_narrow_dtype(m):
         assert np.all(np.diff(tab.reps.astype(int), axis=1) >= 0) and tab.reps.max() == m - 1
         for got, want in zip(symtensor._last_runs(m, n), oracles.last_runs(m, n)):
             assert got.dtype == np.int32 and np.array_equal(got, want)
-    assert np.array_equal(symtensor._merge_ranks(m, 1, 1), oracles.insert_ranks(m, 1))
-    for got, want in zip(symtensor._atom_runs(m, 2), oracles.atom_runs(m, 2)):
+    ins = symtensor._insertions(m, 2)
+    block = ins[:, symtensor._degree(m, 1)].T - symtensor._start(m, 2)
+    assert np.array_equal(block, oracles.insert_ranks(m, 1))
+    entry, k, base = oracles.atom_runs(m, 2)
+    assert np.array_equal(ins, entry)
+    for got, want in zip(symtensor._atom_runs(m, 2), (k, base)):
         assert np.array_equal(got, want)
+    assert np.array_equal(symtensor._merge_ranks(m, 0, 2), oracles.merge_ranks(m, 0, 2))
     table = np.random.default_rng(m).uniform(-2.0, 2.0, (m, 3))
     assert np.array_equal(symtensor.atom_products(table, 2),
                           oracles.atom_products_pairwise(table, 2))
@@ -325,11 +357,57 @@ def test_rank_tables_past_the_narrow_dtype(m):
 def test_cached_rank_tables_are_read_only():
     t = SymTensor(4, 3)
     tables = [t.reps, t.perm_counts, *_tables(4, 3), *symtensor._last_runs(4, 3),
-              symtensor._merge_ranks(4, 3, 1), symtensor._merge_ranks(4, 2, 2),
-              *symtensor._atom_runs(4, 3)]
+              symtensor._insertions(4, 4), *symtensor._atom_runs(4, 3)]
     for x in tables:
         with pytest.raises(ValueError, match="read-only"):
             x[(0,) * x.ndim] = x[(0,) * x.ndim]
+
+
+def _cached_arrays() -> list:
+    """Every array a cache of ``symtensor`` holds: an lru_cache wrapper
+    refers to its cache, a dict from arguments to results."""
+    found = []
+    for f in vars(symtensor).values():
+        for d in gc.get_referents(f) if hasattr(f, "cache_clear") else ():
+            if isinstance(d, dict) and d is not f.__dict__:
+                for v in d.values():
+                    found += [x for x in (v if isinstance(v, tuple) else (v,))
+                              if isinstance(x, np.ndarray)]
+    return found
+
+
+def test_one_stored_copy_of_the_insertion_ranks():
+    # creation on degree 3 and conversion on degree 4 both take one atom
+    # steps from the reps of degree <= 3; what the caches hold of those
+    # steps, in any layout (atom- or rep-major, counted from the start of
+    # any degree), is one int32 table over degrees 0..3 and the tables over
+    # fewer degrees it is built from, no more
+    m, N = 12, 4
+    for f in vars(symtensor).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+    rng = np.random.default_rng(7)
+    mu = random_measure(rng, m)
+    create(np.ones(m), FockVector([random_tensor(rng, m, n) for n in range(N)]))
+    monomial_to_wick(PolyFunctional(Basis.MONOMIAL, FockVector(
+        [random_tensor(rng, m, n) for n in range(N + 1)])), mu)
+    flat = oracles.atom_runs(m, N)[0]      # [a, r]: the offset of rep r plus atom a
+    starts = [symtensor._start(m, n) for n in range(N + 1)]
+
+    def holds_insertions(x):
+        if x.ndim != 2 or x.dtype != np.int32:
+            return False
+        for y in (x, x.T):
+            for lo in starts:
+                if y.shape[0] == m and 0 < y.shape[1] <= flat.shape[1] - lo:
+                    d = y - flat[:, lo:lo + y.shape[1]]
+                    if np.all(d == d[0, 0]):
+                        return True
+        return False
+
+    held = [x for x in _cached_arrays() if holds_insertions(x)]
+    assert any(x.shape == flat.shape for x in held)
+    assert sum(x.nbytes for x in held) <= 4 * m * sum(starts)
 
 
 def test_fock_inner_n_peak_memory_is_products_and_one_degree():
