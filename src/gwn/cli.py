@@ -11,6 +11,10 @@ Subcommands:
                    series, multiplication)
 * ``all``        - every verify and mc suite in one report
 
+``verify`` and ``mc`` take one optional positional suite name (default
+``all``).  An MC case passes within a fixed 4 standard errors of its
+target (``verify.SE_MULT``).
+
 ``verify``, ``mc`` and ``all`` share one handler, ``_cmd_suites``: it
 checks every input before any suite runs, then calls
 ``verify.run_verify_suite`` or ``verify.run_mc_suite`` once per suite.
@@ -44,9 +48,8 @@ from .gammasample import shared_sample_batches
 from .measure import AtomicMeasure, _unique_keys, load_measure
 from .report import align_columns, combine_reports, render_pretty, to_json
 from .symtensor import MAX_DEGREE, SymTensor
-from .verify import (DEFAULT_MC_SAMPLES, DEFAULT_SE_MULT, MC_SUITES,
-                     VERIFY_SUITES, check_suite_sizes, run_mc_suite,
-                     run_verify_suite)
+from .verify import (DEFAULT_MC_SAMPLES, MC_SUITES, VERIFY_SUITES,
+                     check_suite_sizes, run_mc_suite, run_verify_suite)
 from .wickcalc import PolyFunctional, laguerre_system, s_transform
 
 
@@ -144,26 +147,19 @@ def _cmd_stransform(args) -> int:
 
 def _cmd_suites(args) -> int:
     """The one handler of verify, mc and all.  Every input is checked, in
-    this order, before any suite runs: the suite names, --seed (the
-    sampler's contract, which every suite stream shares), --se-mult,
+    this order, before any suite runs: the suite name (by the parser),
+    --seed (the sampler's contract, which every suite stream shares),
     --samples, the measure file and its size against the selected suites'
     limits.  Then one suite's report, or the combined report of all the
     command's suites."""
-    pos, opt = args.suite_pos, args.suite
-    if pos is not None and opt is not None and pos != opt:
-        args.parser.error(f"conflicting suites {pos!r} and {opt!r}")
     if not 0 <= args.seed < 2 ** 64:
         raise ValueError(f"--seed must be in 0..2**64-1, got {args.seed}")
-    mc = (args.samples, args.se_mult) if args.mc_suites else ()
-    if mc and not (math.isfinite(args.se_mult) and args.se_mult > 0):
-        raise ValueError(f"--se-mult must be finite and > 0, got "
-                         f"{args.se_mult!r}")
-    if mc and args.samples < 2:
+    if args.mc_suites and args.samples < 2:
         raise ValueError(f"--samples must be >= 2 (an MC estimate needs two "
                          f"samples for its standard error), got "
                          f"{args.samples}")
     mu = load_measure(args.measure) if args.measure else None
-    suite = pos or opt or "all"
+    suite = args.suite
     verify_names = [n for n in sorted(args.verify_suites) if suite in (n, "all")]
     mc_names = [n for n in sorted(args.mc_suites) if suite in (n, "all")]
     if mu is not None:
@@ -173,7 +169,8 @@ def _cmd_suites(args) -> int:
     # passes; they are drawn once for the run and then dropped
     shared = mu is not None and len(mc_names) > 1
     with shared_sample_batches() if shared else contextlib.nullcontext():
-        reports += [run_mc_suite(n, args.seed, mu, *mc) for n in mc_names]
+        reports += [run_mc_suite(n, args.seed, mu, args.samples)
+                    for n in mc_names]
     payload = combine_reports(reports, args.seed, args.timing) \
         if suite == "all" else reports[0].to_json_dict(args.timing)
     _emit(render_pretty(payload) if args.pretty else to_json(payload), args.out)
@@ -233,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     sampled = argparse.ArgumentParser(add_help=False)
     sampled.add_argument("--samples", type=int, default=DEFAULT_MC_SAMPLES,
                          metavar="N")
-    sampled.add_argument("--se-mult", type=float, default=DEFAULT_SE_MULT,
-                         metavar="X", help="pass band half-width in SE units")
     for command, verify_suites, mc_suites, help_text in (
             ("mc", (), MC_SUITES,
              "Monte Carlo suites against closed-form targets"),
@@ -242,14 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
             ("all", VERIFY_SUITES, MC_SUITES, "every verify and mc suite")):
         p = sub.add_parser(command, help=help_text, parents=[
             shared, seeded] + ([sampled] if mc_suites else []))
-        p.set_defaults(func=_cmd_suites, parser=p, verify_suites=verify_suites,
-                       mc_suites=mc_suites, suite_pos=None, suite=None)
+        p.set_defaults(func=_cmd_suites, verify_suites=verify_suites,
+                       mc_suites=mc_suites, suite="all")
         if command != "all":
             names = sorted(verify_suites or mc_suites) + ["all"]
-            p.add_argument("suite_pos", nargs="?", choices=names,
-                           metavar="suite",
+            p.add_argument("suite", nargs="?", choices=names,
                            help=f"one of {', '.join(names)} (default all)")
-            p.add_argument("--suite", choices=names)
 
     return parser
 
@@ -262,8 +255,6 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except SystemExit as exc:  # parser.error inside a handler
-        return int(exc.code) if exc.code else 0
     except (ValueError, OSError) as exc:
         print(f"gwn: error: {exc}", file=sys.stderr)
         return 2

@@ -115,9 +115,7 @@ def to_json(payload: dict) -> str:
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "PASS" if x else "FAIL"
-    if isinstance(x, float):
-        return format(x, ".6g")
-    return str(x)
+    return format(x, ".6g")
 
 
 def align_columns(rows) -> list[str]:

@@ -44,7 +44,8 @@ from .wickcalc import (Basis, OmegaSample, PolyFunctional, constant_functional,
 # degree-4 Gram statistics are heavy-tailed; below ~1e5 samples the sample
 # SE understates the true sampling error and 4-SE bands break for bad seeds
 DEFAULT_MC_SAMPLES = 100000
-DEFAULT_SE_MULT = 4.0
+# an MC case passes within this many standard errors of its target
+SE_MULT = 4.0
 # the compound-Poisson truncation of the chaos suite's adjointness case,
 # whose target is exact at any eps: at 0.1 a batch draws e^(-eps)
 # log(1/eps) + e^(-1) = 2.45 proposals per unit weight and row, and keeps
@@ -91,7 +92,7 @@ def _random_poly(rng: np.random.Generator, m: int, N: int,
 
 
 def _band_case(name: str, est: MCEstimate, target: float,
-               se_mult: float) -> CaseResult:
+               se_mult: float = SE_MULT) -> CaseResult:
     """An MC estimate against its target, within se_mult standard errors."""
     return absolute_case(name, est.mean, target, se_mult * est.std_error,
                          se=est.std_error, n=est.n)
@@ -264,31 +265,30 @@ def multiplication_identity_check(rng: np.random.Generator,
 
 
 def laplace_suite(rng: np.random.Generator, mu: AtomicMeasure,
-                  cfg: SamplerConfig, se_mult: float) -> list[CaseResult]:
+                  cfg: SamplerConfig) -> list[CaseResult]:
     """MC Laplace transform of the noise against the closed form."""
     # |phi| <= 0.4 keeps the estimator variance finite
     phi = rng.uniform(-0.4, 0.4, mu.m)
     target = laplace_target(mu, phi)   # refuses an overflow before sampling
     est, est0 = mc_laplace_stack(mu, [phi, np.zeros(mu.m)], cfg)
     # the zero direction is exactly 1 in every sample: a band of width 0
-    return [_band_case("laplace_transform", est, target, se_mult),
+    return [_band_case("laplace_transform", est, target),
             _band_case("zero_direction_exact", est0, 1.0, 0.0)]
 
 
 def gram_suite(rng: np.random.Generator, mu: AtomicMeasure,
-               cfg: SamplerConfig, se_mult: float) -> list[CaseResult]:
+               cfg: SamplerConfig) -> list[CaseResult]:
     """MC Gram matrix of Wick monomials, degrees 0..4, against the
     orthogonality targets."""
     f = rng.uniform(-1.0, 1.0, mu.m)
     g = rng.uniform(-1.0, 1.0, mu.m)
     rep = mc_chaos_gram(mu, f, g, cfg, 4)
-    return [_band_case(f"gram_{n}_{k}", rep.estimate(n, k),
-                       rep.targets[n, k], se_mult)
+    return [_band_case(f"gram_{n}_{k}", rep.estimate(n, k), rep.targets[n, k])
             for n in range(5) for k in range(n, 5)]
 
 
 def chaos_suite(rng: np.random.Generator, mu: AtomicMeasure,
-                cfg: SamplerConfig, se_mult: float) -> list[CaseResult]:
+                cfg: SamplerConfig) -> list[CaseResult]:
     """Chaos-side MC identities: lower-chaos projections are orthogonal to
     degree-n Wick monomials, and single-jump removal is adjoint to the
     smeared difference operator, banded around the exact mean of the
@@ -296,8 +296,8 @@ def chaos_suite(rng: np.random.Generator, mu: AtomicMeasure,
     m = mu.m
     kernels = [_random_tensor(rng, m, n) for n in (1, 2)]
     projections = chaos_projection_stack(mu, kernels, cfg)
-    cases = [_band_case(f"projection_orthogonality_degree_{n}", est, 0.0,
-                        se_mult) for n, est in zip((1, 2), projections)]
+    cases = [_band_case(f"projection_orthogonality_degree_{n}", est, 0.0)
+             for n, est in zip((1, 2), projections)]
     phi = _random_poly(rng, m, 2)
     psi = _random_poly(rng, m, 2, Basis.GAMMA_WICK)
     xi = rng.uniform(-1.0, 1.0, m)
@@ -305,7 +305,7 @@ def chaos_suite(rng: np.random.Generator, mu: AtomicMeasure,
     est = a1_plus_mc_adjointness_check(phi, psi, xi, mu,
                                        replace(cfg, cp_truncation=eps))
     cases.append(_band_case("configuration_adjointness", est,
-                            adjointness_target(phi, psi, xi, mu, eps), se_mult))
+                            adjointness_target(phi, psi, xi, mu, eps)))
     return cases
 
 
@@ -327,18 +327,19 @@ MC_SUITES = {
 
 
 def _run_suite(kind: str, suites: dict, name: str, seed: int,
-               measure: AtomicMeasure | None, *mc) -> RunReport:
+               measure: AtomicMeasure | None,
+               samples: int | None = None) -> RunReport:
     """The one runner: the suite's stream, its measure (from that stream
     when none is given), for an MC suite the sampler config built from
-    mc = (samples, se_mult), and the wall time around all of it."""
+    its sample count, and the wall time around all of it.  An MC band
+    reaches SE_MULT standard errors either side of its target."""
     if name not in suites:
         raise ContractError(f"unknown {kind} suite {name!r}")
     t0 = time.perf_counter()
     rng = _suite_rng(seed, name)
     args = (rng, _pick_measure(rng, measure))
-    if mc:
-        samples, se_mult = mc
-        args += (SamplerConfig(seed=seed, n_samples=samples), se_mult)
+    if samples is not None:
+        args += (SamplerConfig(seed=seed, n_samples=samples),)
     return RunReport(name, suites[name](*args), seed, time.perf_counter() - t0)
 
 
@@ -355,6 +356,5 @@ def run_verify_suite(name: str, seed: int,
 
 
 def run_mc_suite(name: str, seed: int, measure: AtomicMeasure | None = None,
-                 samples: int = DEFAULT_MC_SAMPLES,
-                 se_mult: float = DEFAULT_SE_MULT) -> RunReport:
-    return _run_suite("mc", MC_SUITES, name, seed, measure, samples, se_mult)
+                 samples: int = DEFAULT_MC_SAMPLES) -> RunReport:
+    return _run_suite("mc", MC_SUITES, name, seed, measure, samples)

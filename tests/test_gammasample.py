@@ -705,6 +705,18 @@ def test_expectation_needs_a_wide_enough_table():
         expectation(p, mu, moment_table(AtomicMeasure([1.0]), 4), p)
 
 
+def test_expectation_refuses_a_functional_over_another_atom_count():
+    mu = AtomicMeasure([0.6, 1.3, 2.0])
+    table = moment_table(mu, 4)
+    p = PolyFunctional(Basis.MONOMIAL, FockVector.single(rank_one([1.0, 2.0], 2)))
+    q = PolyFunctional(Basis.MONOMIAL,
+                       FockVector.single(rank_one([1.0, 2.0, 0.5], 2)))
+    with pytest.raises(DimensionError, match="differ in atom count"):
+        expectation(p, mu, table)
+    with pytest.raises(DimensionError, match="differ in atom count"):
+        expectation(q, mu, table, p)
+
+
 def test_sampler_modes_agree_on_laplace():
     # the Gamma masses and the compound-Poisson masses of the jump batches
     # give the same Laplace functional, up to the O(eps) truncation bias
